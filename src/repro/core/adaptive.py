@@ -92,9 +92,7 @@ def adaptive_compressed_cod(
     rounds = 0
     while True:
         rounds += 1
-        evaluation = compressed_cod(
-            graph, chain, k=k, rr_graphs=pool, n_samples=pool.n_samples
-        )
+        evaluation = compressed_cod(graph, chain, k=k, rr_graphs=pool)
         if _all_levels_settled(evaluation, k, z) or theta >= theta_max:
             converged = _all_levels_settled(evaluation, k, z)
             return AdaptiveResult(

@@ -1,34 +1,33 @@
 """Compressed COD evaluation (Section III, Algorithm 1).
 
-Two stages over one shared pool of RR graphs:
+Two stages over one shared pool of RR graphs, held in a flat
+:class:`~repro.influence.arena.RRArena`:
 
 1. **Shared sample generation / hierarchical-first search (HFS).** Each RR
    graph is traversed once. A node ``v`` is charged to the bucket of the
    *smallest* chain community within which ``v`` is reachable from the
    source — the minimax over source-to-``v`` paths of the largest node
-   level on the path. We compute that assignment with a Dijkstra-style
-   search keyed by level (levels only grow along a path, so the first pop
-   is final), which realizes the paper's level-ordered queues with a heap
-   instead of ``|H(q)|`` hash maps.
+   level on the path. :meth:`RRArena.level_bucket_counts` computes that
+   assignment for every sample at once with one bucket per chain level
+   (levels only grow along a path, so an entry's first activation is
+   final), which realizes the paper's level-ordered queues.
 
-2. **Incremental top-k evaluation.** One pass over the buckets from the
-   deepest community to the root, maintaining cumulative counts ``tau`` and
-   the current top-k set. Theorem 3 guarantees that only nodes in the
-   current bucket or the previous top-k can enter the new top-k, so each
-   bucket item is touched once. ``q`` is top-k in ``C_h`` iff
-   ``tau(q) >= m_k`` where ``m_k`` is the k-th largest cumulative count —
-   maintained as the minimum of the running top-k set.
+2. **Top-k evaluation.** One pass over the buckets from the deepest
+   community to the root, maintaining cumulative counts ``tau``. ``q`` is
+   top-k in ``C_h`` iff ``tau(q) >= m_k`` where ``m_k`` is the k-th
+   largest cumulative count. Theorem 3 guarantees the incremental top-k
+   of the paper equals this global top-k, so reading ``m_k`` off the
+   sorted cumulative counts gives the same thresholds.
 
 The evaluator answers *all* ranks ``1..k_max`` in one pass (the experiments
-sweep ``k``), at the cost of tracking a top-``k_max`` set.
+sweep ``k``).
 """
 
 from __future__ import annotations
 
-import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from repro.graph.graph import AttributedGraph
 from repro.hierarchy.chain import CommunityChain
 from repro.influence.arena import RRArena, sample_arena
 from repro.influence.models import InfluenceModel, WeightedCascade
-from repro.influence.rr import RRGraph
 from repro.utils.rng import ensure_rng
 
 
@@ -112,8 +110,7 @@ def compressed_cod(
     theta: int = 10,
     model: InfluenceModel | None = None,
     rng: "int | np.random.Generator | None" = None,
-    rr_graphs: "Iterable[RRGraph] | RRArena | None" = None,
-    n_samples: int | None = None,
+    rr_graphs: "RRArena | None" = None,
     budget: "object | None" = None,
     trace: "object | None" = None,
 ) -> CompressedEvaluation:
@@ -127,18 +124,16 @@ def compressed_cod(
         RR graphs per node: ``Theta = theta * graph.n`` samples are drawn
         (the paper's parameterization; default ``theta = 10``).
     rr_graphs:
-        Optional pre-drawn samples; overrides ``theta``. An
-        :class:`~repro.influence.arena.RRArena` runs through the
-        vectorized arena evaluator; any other iterable of RR graphs runs
-        through the legacy per-sample HFS (the two are equivalence-tested
-        against each other in ``tests/oracle``). Pass ``n_samples`` with a
-        plain iterable when its length is not ``theta * graph.n``.
+        Optional pre-drawn samples as an
+        :class:`~repro.influence.arena.RRArena` over ``graph``; overrides
+        ``theta``, and the arena's own sample count is the Theorem-1
+        ``Theta``. Anything else raises :class:`~repro.errors.QueryError`.
     budget:
         Optional cooperative execution budget (duck-typed; see
         :class:`repro.serving.budget.ExecutionBudget`). Fresh sampling
-        ticks it per draw; the HFS pass checks the deadline every few
-        RR graphs (legacy) or once per relaxation sweep (arena) so
-        pre-drawn pools cannot blow a deadline unobserved.
+        ticks it per draw; the HFS pass checks the deadline once per
+        frontier expansion so pre-drawn pools cannot blow a deadline
+        unobserved.
     trace:
         Optional duck-typed span recorder (``span(name, **meta)`` context
         manager, e.g. ``repro.obs.QueryTrace``). The evaluation runs
@@ -147,13 +142,15 @@ def compressed_cod(
         Tracing never changes the evaluation.
     """
     k_values = _normalize_ks(k)
-    k_max = k_values[-1]
     if chain.n != graph.n:
         raise QueryError(
             f"chain covers {chain.n} nodes but the graph has {graph.n}"
         )
-    model = model or WeightedCascade()
-    rng = ensure_rng(rng)
+    if rr_graphs is not None and not isinstance(rr_graphs, RRArena):
+        raise QueryError(
+            f"rr_graphs must be an RRArena or None, got "
+            f"{type(rr_graphs).__name__}"
+        )
 
     span_cm = (
         trace.span("compressed_eval", levels=len(chain))
@@ -162,69 +159,22 @@ def compressed_cod(
     )
     with span_cm as span:
         if rr_graphs is None:
-            total = theta * graph.n
             rr_graphs = sample_arena(
-                graph, total, model=model, rng=rng, budget=budget, trace=trace
+                graph,
+                theta * graph.n,
+                model=model or WeightedCascade(),
+                rng=ensure_rng(rng),
+                budget=budget,
+                trace=trace,
             )
-            n_samples = total
-
-        if isinstance(rr_graphs, RRArena):
-            if rr_graphs.n != graph.n:
-                raise QueryError(
-                    f"arena was sampled over {rr_graphs.n} nodes but the graph "
-                    f"has {graph.n}"
-                )
-            if n_samples is None:
-                n_samples = rr_graphs.n_samples
-            if span is not None:
-                span.note(n_samples=int(n_samples), evaluator="arena")
-            return _evaluate_arena(
-                graph, chain, k_values, rr_graphs, int(n_samples), budget
+        elif rr_graphs.n != graph.n:
+            raise QueryError(
+                f"arena was sampled over {rr_graphs.n} nodes but the graph "
+                f"has {graph.n}"
             )
-
-        if n_samples is None:
-            rr_graphs = list(rr_graphs)
-            n_samples = len(rr_graphs)
         if span is not None:
-            span.note(n_samples=int(n_samples), evaluator="legacy")
-
-        levels = chain.node_levels
-        n_levels = len(chain)
-        buckets: list[dict[int, int]] = [dict() for _ in range(n_levels)]
-
-        # Stage 1: HFS over every RR graph.
-        for i, rr in enumerate(rr_graphs):
-            if budget is not None and i % 32 == 0:
-                budget.check()
-            _assign_to_buckets(rr, levels, buckets)
-
-        # Stage 2: incremental top-k (answers every budget in k_values).
-        evaluation = CompressedEvaluation(
-            chain=chain,
-            k_values=k_values,
-            n_samples=int(n_samples),
-            population=graph.n,
-        )
-        q = chain.q
-        tau: dict[int, int] = {}
-        top: dict[int, int] = {}
-        for h in range(n_levels):
-            bucket = buckets[h]
-            for v, c in bucket.items():
-                tau[v] = tau.get(v, 0) + c
-            if bucket or len(top) < k_max:
-                candidates = set(bucket) | set(top)
-                best = heapq.nlargest(
-                    k_max, candidates, key=lambda v: (tau.get(v, 0), -v)
-                )
-                top = {v: tau.get(v, 0) for v in best}
-            ordered = sorted(top.values(), reverse=True)
-            thresholds = [
-                ordered[kv - 1] if kv <= len(ordered) else 0 for kv in k_values
-            ]
-            evaluation.thresholds.append(thresholds)
-            evaluation.query_counts.append(tau.get(q, 0))
-        return evaluation
+            span.note(n_samples=rr_graphs.n_samples)
+        return _evaluate_arena(graph, chain, k_values, rr_graphs, budget)
 
 
 def _evaluate_arena(
@@ -232,7 +182,6 @@ def _evaluate_arena(
     chain: CommunityChain,
     k_values: tuple[int, ...],
     arena: RRArena,
-    n_samples: int,
     budget: "object | None",
 ) -> CompressedEvaluation:
     """Both Algorithm-1 stages on the flat arena arrays.
@@ -240,16 +189,14 @@ def _evaluate_arena(
     Stage 1 is the vectorized minimax relaxation
     (:meth:`RRArena.level_bucket_counts`); stage 2 folds the per-level
     count rows into cumulative counts and reads the k-th largest positive
-    cumulative count per level — exactly the thresholds the incremental
-    dict pass maintains (Theorem 3 guarantees the top-k it tracks is the
-    global top-k of the cumulative counts).
+    cumulative count per level.
     """
     n_levels = len(chain)
     counts = arena.level_bucket_counts(chain.node_levels, n_levels, budget=budget)
     evaluation = CompressedEvaluation(
         chain=chain,
         k_values=k_values,
-        n_samples=n_samples,
+        n_samples=arena.n_samples,
         population=graph.n,
     )
     q = chain.q
@@ -262,32 +209,6 @@ def _evaluate_arena(
         )
         evaluation.query_counts.append(int(cumulative[q]))
     return evaluation
-
-
-def _assign_to_buckets(
-    rr: RRGraph, levels: np.ndarray, buckets: list[dict[int, int]]
-) -> None:
-    """Charge each RR-graph node to its HFS bucket (minimax level search)."""
-    source_level = int(levels[rr.source])
-    if source_level == CommunityChain.OUTSIDE:
-        return
-    adjacency = rr.adjacency
-    assigned: dict[int, int] = {}
-    heap: list[tuple[int, int]] = [(source_level, rr.source)]
-    while heap:
-        level, v = heapq.heappop(heap)
-        if v in assigned:
-            continue
-        assigned[v] = level
-        bucket = buckets[level]
-        bucket[v] = bucket.get(v, 0) + 1
-        for u in adjacency[v]:
-            if u in assigned:
-                continue
-            u_level = int(levels[u])
-            if u_level == CommunityChain.OUTSIDE:
-                continue
-            heapq.heappush(heap, (max(level, u_level), u))
 
 
 def _normalize_ks(k: "int | Sequence[int]") -> tuple[int, ...]:

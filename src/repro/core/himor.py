@@ -23,7 +23,7 @@ import heapq
 from bisect import bisect_left
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.graph.graph import AttributedGraph
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.influence.arena import RRArena, sample_arena
 from repro.influence.models import InfluenceModel, WeightedCascade
-from repro.influence.rr import RRGraph
 from repro.utils.faults import maybe_fail
 from repro.utils.persist import (
     atomic_write_json,
@@ -96,7 +95,7 @@ class HimorIndex:
         theta: int = 10,
         model: InfluenceModel | None = None,
         rng: "int | np.random.Generator | None" = None,
-        rr_graphs: "Iterable[RRGraph] | RRArena | None" = None,
+        rr_graphs: "RRArena | None" = None,
         budget: "object | None" = None,
         checkpoint_path: "str | Path | None" = None,
         checkpoint_every: int = 256,
@@ -107,10 +106,10 @@ class HimorIndex:
         """Compressed HIMOR construction over ``hierarchy``.
 
         Samples are drawn into (or supplied as) a flat
-        :class:`~repro.influence.arena.RRArena` and traversed without
-        materializing per-sample adjacency dicts; an iterable of legacy
-        ``RRGraph`` objects still works and runs the dict-based traversal
-        (the two are equivalence-tested in ``tests/oracle``).
+        :class:`~repro.influence.arena.RRArena` over ``graph`` and
+        traversed without materializing per-sample adjacency dicts.
+        Anything else as ``rr_graphs``, or an arena over a different node
+        count, raises :class:`~repro.errors.IndexError_`.
 
         ``budget`` is an optional cooperative execution budget (see
         :class:`repro.serving.budget.ExecutionBudget`) ticked per sample
@@ -150,61 +149,58 @@ class HimorIndex:
                 raise ValueError(
                     f"checkpoint_every must be >= 1, got {checkpoint_every!r}"
                 )
-            model = model or WeightedCascade()
-            seed = int(rng) if isinstance(rng, (int, np.integer)) else None
-            rng = ensure_rng(rng)
-            n_samples = theta * graph.n
             if rr_graphs is None:
                 rr_graphs = sample_arena(
-                    graph, n_samples, model=model, rng=rng, budget=budget,
-                    trace=trace,
+                    graph, theta * graph.n, model=model or WeightedCascade(),
+                    rng=ensure_rng(rng), budget=budget, trace=trace,
                 )
+            elif not isinstance(rr_graphs, RRArena):
+                raise IndexError_(
+                    f"rr_graphs must be an RRArena or None, got "
+                    f"{type(rr_graphs).__name__}"
+                )
+            elif rr_graphs.n != graph.n:
+                raise IndexError_(
+                    f"arena was sampled over {rr_graphs.n} nodes but the "
+                    f"graph has {graph.n}"
+                )
+            seed = int(rng) if isinstance(rng, (int, np.integer)) else None
+            n_samples = rr_graphs.n_samples
             resumed_from = 0
-            if isinstance(rr_graphs, RRArena):
-                n_samples = rr_graphs.n_samples
-                start = 0
-                initial_buckets: "dict[int, dict[int, int]] | None" = None
-                on_checkpoint = None
-                if checkpoint_path is not None:
-                    checkpoint_path = Path(checkpoint_path)
-                    fingerprint = build_fingerprint(
-                        graph, hierarchy, theta=theta, n_samples=n_samples,
-                        seed=seed, sample_mode=sample_mode,
-                    )
-                    if resume and checkpoint_path.exists():
-                        try:
-                            start, initial_buckets = _load_checkpoint(
-                                checkpoint_path, fingerprint, n_samples
-                            )
-                            resumed_from = start
-                        except CheckpointError:
-                            start, initial_buckets = 0, None
-
-                    def on_checkpoint(next_sample: int, buckets: dict) -> None:
-                        _save_checkpoint(
-                            checkpoint_path, fingerprint, next_sample, n_samples, buckets
-                        )
-
-                buckets = _tree_hfs_arena(
-                    hierarchy,
-                    rr_graphs,
-                    budget=budget,
-                    start=start,
-                    buckets=initial_buckets,
-                    checkpoint_every=checkpoint_every if on_checkpoint else None,
-                    on_checkpoint=on_checkpoint,
+            start = 0
+            initial_buckets: "dict[int, dict[int, int]] | None" = None
+            on_checkpoint = None
+            if checkpoint_path is not None:
+                checkpoint_path = Path(checkpoint_path)
+                fingerprint = build_fingerprint(
+                    graph, hierarchy, theta=theta, n_samples=n_samples,
+                    seed=seed, sample_mode=sample_mode,
                 )
-                if checkpoint_path is not None:
-                    Path(checkpoint_path).unlink(missing_ok=True)
-            else:
-                if checkpoint_path is not None:
-                    raise ValueError(
-                        "checkpointing requires arena sampling; legacy RRGraph "
-                        "iterables cannot be replayed deterministically"
+                if resume and checkpoint_path.exists():
+                    try:
+                        start, initial_buckets = _load_checkpoint(
+                            checkpoint_path, fingerprint, n_samples
+                        )
+                        resumed_from = start
+                    except CheckpointError:
+                        start, initial_buckets = 0, None
+
+                def on_checkpoint(next_sample: int, buckets: dict) -> None:
+                    _save_checkpoint(
+                        checkpoint_path, fingerprint, next_sample, n_samples, buckets
                     )
-                rr_graphs = list(rr_graphs)
-                n_samples = len(rr_graphs)
-                buckets = _tree_hfs(hierarchy, rr_graphs, budget=budget)
+
+            buckets = _tree_hfs_arena(
+                hierarchy,
+                rr_graphs,
+                budget=budget,
+                start=start,
+                buckets=initial_buckets,
+                checkpoint_every=checkpoint_every if on_checkpoint else None,
+                on_checkpoint=on_checkpoint,
+            )
+            if checkpoint_path is not None:
+                checkpoint_path.unlink(missing_ok=True)
             ranks = _bottom_up_ranks(hierarchy, buckets)
             index = cls(
                 hierarchy, ranks, theta=theta, n_samples=n_samples,
@@ -448,9 +444,7 @@ def himor_cod(
     local_samples = sample_arena(
         graph, n_local, model=model, rng=rng, allowed=allowed
     )
-    evaluation = compressed_cod(
-        graph, inner_chain, k=k, rr_graphs=local_samples, n_samples=n_local
-    )
+    evaluation = compressed_cod(graph, inner_chain, k=k, rr_graphs=local_samples)
     return evaluation.characteristic_community(k), evaluation
 
 
@@ -569,43 +563,6 @@ def _load_checkpoint(
 # ---------------------------------------------------------------- internals
 
 
-def _tree_hfs(
-    hierarchy: CommunityHierarchy,
-    rr_graphs: Iterable[RRGraph],
-    budget: "object | None" = None,
-) -> dict[int, dict[int, int]]:
-    """HFS over the whole tree: charge each RR node to the smallest
-    community containing its best path from the source.
-
-    The tag of a node ``u`` reached from a node tagged ``C`` is
-    ``lca(u, C)``; tags only move up the tree along a path, so a
-    depth-keyed heap (deepest first) pops every node with its final tag.
-    """
-    buckets: dict[int, dict[int, int]] = {}
-    for i, rr in enumerate(rr_graphs):
-        maybe_fail("himor_sample")
-        if budget is not None and i % 32 == 0:
-            budget.check()
-        adjacency = rr.adjacency
-        source = rr.source
-        start_tag = hierarchy.parent(source)
-        assigned: dict[int, int] = {}
-        heap: list[tuple[int, int, int]] = [(-hierarchy.depth(start_tag), source, start_tag)]
-        while heap:
-            neg_depth, v, tag = heapq.heappop(heap)
-            if v in assigned:
-                continue
-            assigned[v] = tag
-            bucket = buckets.setdefault(tag, {})
-            bucket[v] = bucket.get(v, 0) + 1
-            for u in adjacency[v]:
-                if u in assigned:
-                    continue
-                u_tag = hierarchy.lca(u, tag)
-                heapq.heappush(heap, (-hierarchy.depth(u_tag), u, u_tag))
-    return buckets
-
-
 def _tree_hfs_arena(
     hierarchy: CommunityHierarchy,
     arena: RRArena,
@@ -615,12 +572,15 @@ def _tree_hfs_arena(
     checkpoint_every: "int | None" = None,
     on_checkpoint: "Callable[[int, dict], None] | None" = None,
 ) -> dict[int, dict[int, int]]:
-    """:func:`_tree_hfs` walking the arena's flat arrays directly.
+    """HFS over the whole tree: charge each RR node to the smallest
+    community containing its best path from the source.
 
-    Same depth-keyed heap, same pop order (the tie-breaking tuple prefix
-    ``(-depth, node, tag)`` is preserved; the appended entry id is a
-    function of the node within one sample, so it never reorders pops),
-    but adjacency comes from CSR slices instead of per-sample dicts.
+    The tag of a node ``u`` reached from a node tagged ``C`` is
+    ``lca(u, C)``; tags only move up the tree along a path, so a
+    depth-keyed heap (deepest first) pops every node with its final tag.
+    Adjacency comes from the arena's CSR slices; the entry id carried in
+    each heap item is a function of the node within one sample, so it
+    never reorders pops.
 
     ``start``/``buckets`` resume a traversal from checkpointed progress
     (samples ``0..start-1`` already charged into ``buckets``); with

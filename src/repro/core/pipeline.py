@@ -426,7 +426,6 @@ class CODL(CODLMinus):
                 inner_chain,
                 k=fallback_ks,
                 rr_graphs=local_samples,
-                n_samples=n_local,
             )
             for k in fallback_ks:
                 members_by_k[k] = evaluation.characteristic_community(k)

@@ -28,7 +28,6 @@ from repro.hierarchy.chain import CommunityChain
 from repro.influence.arena import (
     ArenaRepair,
     RRArena,
-    RRView,
     repair_arena,
     sample_arena,
     sample_arena_seeded,
@@ -62,8 +61,8 @@ class SharedSamplePool:
         pool **incrementally repairable** under graph updates
         (:meth:`repair`) with results bit-identical to resampling from
         scratch. Requires an integer ``seed``. Off by default: the
-        stream-compatible sampler stays the pool's seed-for-seed contract
-        with the legacy per-dict sampler.
+        stream-compatible :func:`sample_arena` stays the pool's
+        seed-for-seed contract.
     fast:
         When true, draw with the vectorized batch kernel
         (:func:`~repro.influence.fastsample.sample_arena_fast`, or its
@@ -101,7 +100,6 @@ class SharedSamplePool:
         self.repaired_samples_total = 0
         self._rng = ensure_rng(seed)
         self._arena: RRArena | None = None
-        self._views: list[RRView] | None = None
         #: Serializes materialize/repair/publish: concurrent ``warm()``
         #: calls must not double-sample the pool or publish two segments.
         self._lock = threading.RLock()
@@ -135,18 +133,6 @@ class SharedSamplePool:
     def arena_bytes(self) -> int:
         """Arena footprint in bytes; 0 while still lazy (never forces a draw)."""
         return 0 if self._arena is None else int(self._arena.memory_bytes())
-
-    @property
-    def samples(self) -> list[RRView]:
-        """The pooled RR graphs as lazy per-sample views (compat surface).
-
-        Views expose the legacy ``RRGraph`` interface; the backing store
-        stays the flat arena, so iterating the views costs nothing until a
-        caller asks for an ``adjacency`` dict.
-        """
-        if self._views is None:
-            self._views = [self.arena.view(i) for i in range(self.arena.n_samples)]
-        return self._views
 
     def materialize(
         self, budget: "object | None" = None, trace: "object | None" = None
@@ -239,7 +225,6 @@ class SharedSamplePool:
             )
         with self._lock:
             self.graph = graph
-            self._views = None
             self._segment = None  # any published segment is now stale
             old = self._arena
             if old is None:
@@ -290,7 +275,6 @@ class SharedSamplePool:
                 self._segment = arena.to_shared(name=name, extra=extra)
                 if adopt:
                     self._arena = RRArena.from_segment(self._segment)
-                    self._views = None
             return self._segment
 
     @classmethod
@@ -366,7 +350,6 @@ class SharedSamplePool:
             old = self._arena
             self.graph = graph
             self._arena = arena
-            self._views = None
             self._segment = None
             if old is not None and old is not arena:
                 old.detach()
@@ -403,13 +386,7 @@ class SharedSamplePool:
                 f"chain is over {chain.n} nodes but the pool's graph has "
                 f"{self.graph.n}"
             )
-        return compressed_cod(
-            self.graph,
-            chain,
-            k=k,
-            rr_graphs=self.arena,
-            n_samples=self.n_samples,
-        )
+        return compressed_cod(self.graph, chain, k=k, rr_graphs=self.arena)
 
     def influence_counts(self) -> dict[int, int]:
         """RR-occurrence counts of every node over the pool.

@@ -1,4 +1,4 @@
-"""Influence substrate: diffusion models, RR graphs, estimators."""
+"""Influence substrate: diffusion models, RR arenas, estimators."""
 
 from repro.influence.arena import (
     RRArena,
@@ -24,18 +24,14 @@ from repro.influence.models import (
     WeightedCascade,
 )
 from repro.influence.montecarlo import simulate_influence
-from repro.influence.rr import RRGraph, sample_rr_graph, sample_rr_graphs
 
 __all__ = [
     "InfluenceModel",
     "WeightedCascade",
     "UniformIC",
     "LinearThreshold",
-    "RRGraph",
     "RRArena",
     "RRView",
-    "sample_rr_graph",
-    "sample_rr_graphs",
     "sample_arena",
     "sample_arena_fast",
     "sample_arena_seeded_fast",

@@ -1,9 +1,9 @@
 """Flat CSR arena for batches of RR graphs — the sampling engine.
 
-One COD evaluation touches thousands of RR graphs; storing each as a
-Python ``dict`` of lists (:class:`repro.influence.rr.RRGraph`) makes the
-``|R|``/``vol(R)`` hot paths of Section III allocation-bound. The
-:class:`RRArena` stores a whole batch in shared CSR-style arrays instead:
+One COD evaluation touches thousands of RR graphs (Definitions 2-3);
+storing each as a Python ``dict`` of lists makes the ``|R|``/``vol(R)``
+hot paths of Section III allocation-bound. The :class:`RRArena` stores a
+whole batch in shared CSR-style arrays instead:
 
 * ``nodes`` — every activated node of every sample, concatenated in
   discovery order; ``node_offsets[i]:node_offsets[i+1]`` is sample ``i``'s
@@ -17,19 +17,25 @@ Python ``dict`` of lists (:class:`repro.influence.rr.RRGraph`) makes the
   back to their sample — the node→samples index behind the batched
   evaluators.
 
-:func:`sample_arena` draws a batch directly into these arrays. It is
-*stream-compatible* with the legacy per-dict sampler: for the same seed it
-consumes the RNG in exactly the same order and therefore produces
+:func:`sample_arena` draws a batch directly into these arrays. Its RNG
+stream is the paper's naive per-sample dict sampler's: for the same seed
+it consumes the RNG in exactly the same order and therefore produces
 bit-identical samples — the property the differential oracle suite
-(``tests/oracle``) pins. Evaluation (:meth:`RRArena.hfs_levels`,
-:meth:`RRArena.influence_counts`) is vectorized over the flat arrays; the
-minimax level assignment of Algorithm 1's HFS is computed by fixpoint
-relaxation over all edges of all samples at once instead of one
-heap-Dijkstra per sample.
+(``tests/oracle``) pins against a frozen reference sampler. Evaluation
+(:meth:`RRArena.hfs_levels`, :meth:`RRArena.influence_counts`) is
+vectorized over the flat arrays; the minimax level assignment of
+Algorithm 1's HFS is computed by bucketed relaxation over all edges of
+all samples at once instead of one heap-Dijkstra per sample.
 
-:class:`RRView` keeps the old ``RRGraph`` surface alive as a lazy,
-zero-copy window into the arena, so code (and tests) written against
-``.source`` / ``.adjacency`` / ``.reachable_within`` keeps working.
+Design note: when a node ``v`` is explored, every incident reverse edge is
+flipped exactly once, including edges toward already-active nodes.
+Dropping those flips (as a naive RR-set sampler does) would leave the
+induced graphs under-connected and bias community-level influence
+estimates downward (Theorem 2); ``tests/influence/test_rr.py`` pins this
+coupling on every arena sampler.
+
+:class:`RRView` is a lazy, zero-copy window onto one sample exposing
+``.source`` / ``.adjacency`` / ``.reachable_within``.
 """
 
 from __future__ import annotations
@@ -42,9 +48,26 @@ import numpy as np
 from repro.errors import InfluenceError
 from repro.graph.graph import AttributedGraph
 from repro.influence.models import InfluenceModel, UniformIC, WeightedCascade
-from repro.influence.rr import _normalize_allowed
 from repro.utils.faults import maybe_fail
 from repro.utils.rng import ensure_rng
+
+
+def _normalize_allowed(
+    allowed: "set[int] | frozenset[int] | np.ndarray",
+) -> "set[int] | frozenset[int]":
+    """Normalize a community's node collection to one hashed set.
+
+    Sets and frozensets pass through untouched (no per-call copy); arrays
+    and other iterables are converted element-wise to Python ints exactly
+    once. Probing an ``np.ndarray`` directly with ``in`` would be an O(n)
+    scan per probe — and, for ``float`` or mixed dtypes, a silent
+    wrong-answer hazard — so every membership test in
+    :meth:`RRArena.reachable_within` goes through this helper first.
+    """
+    if isinstance(allowed, (set, frozenset)):
+        return allowed
+    return set(int(v) for v in allowed)
+
 
 _EMPTY = np.empty(0, dtype=np.int64)
 # The module-wide empty is aliased into many arenas (empty repairs, zero-edge
@@ -113,9 +136,8 @@ def _group_by_value(items: np.ndarray, values: np.ndarray):
 class RRView:
     """A lazy, read-only view of one sample inside an :class:`RRArena`.
 
-    Interface-compatible with :class:`repro.influence.rr.RRGraph`; the
-    ``adjacency`` dict is materialized (and cached) only when asked for,
-    so arena-native callers never pay for it.
+    The ``adjacency`` dict is materialized (and cached) only when asked
+    for, so arena-native callers never pay for it.
     """
 
     __slots__ = ("_arena", "_index", "_adjacency")
@@ -131,7 +153,7 @@ class RRView:
 
     @property
     def adjacency(self) -> dict[int, list[int]]:
-        """The legacy dict-of-lists form, built on first access."""
+        """The sample as a dict of fired-target lists, built on first access."""
         if self._adjacency is None:
             self._adjacency = self._arena._adjacency_of(self._index)
         return self._adjacency
@@ -409,7 +431,7 @@ class RRArena:
             yield RRView(self, i)
 
     def _adjacency_of(self, index: int) -> dict[int, list[int]]:
-        """Rebuild one sample's legacy adjacency dict (insertion order)."""
+        """Rebuild one sample's adjacency dict (discovery order)."""
         a, b = self._bounds(index)
         nodes = self.nodes
         adjacency: dict[int, list[int]] = {}
@@ -611,8 +633,7 @@ class RRArena:
         return np.bincount(self.nodes, minlength=self.n)
 
     def influence_counts(self) -> dict[int, int]:
-        """Occurrence counts as a dict (nodes with count 0 omitted) —
-        drop-in for the legacy pool/estimator counting loops."""
+        """Occurrence counts as a dict (nodes with count 0 omitted)."""
         counts = self.node_counts()
         (present,) = np.nonzero(counts)
         return {int(v): int(counts[v]) for v in present}
@@ -640,11 +661,10 @@ class RRArena:
         exactly once, giving ``O(|R| + vol(R))`` total work regardless of
         path lengths (a Jacobi-style whole-edge-array relaxation re-sweeps
         ``vol(R)`` once per hop of the longest minimax path, which on
-        large samples dwarfs the legacy per-sample heap pass).
+        large samples dwarfs a per-sample heap pass).
 
         ``budget`` (duck-typed :class:`~repro.serving.budget.ExecutionBudget`)
-        is checked once per frontier expansion, matching the legacy
-        per-32-samples cooperative checkpoint in spirit.
+        is checked once per frontier expansion.
         """
         sentinel = int(n_levels)
         lvl = node_levels[self.nodes]
@@ -769,18 +789,18 @@ def sample_arena(
 ) -> RRArena:
     """Draw ``count`` RR graphs straight into a flat :class:`RRArena`.
 
-    Stream-compatible with the legacy sampler: sources are pre-drawn with
-    the same single vectorized call, and each sample explores nodes in the
-    same LIFO order with one Bernoulli block per explored node, so a given
-    seed yields exactly the samples ``sample_rr_graphs`` would produce
-    (the oracle suite's seed-for-seed guarantee). Weighted-cascade and
+    Stream-compatible with the paper's naive per-sample dict sampler:
+    sources are pre-drawn in one vectorized call, and each sample explores
+    nodes in LIFO order with one Bernoulli block per explored node, so a
+    given seed yields exactly the samples that sampler would produce (the
+    oracle suite pins this seed for seed against
+    ``tests/oracle/reference.py``). Weighted-cascade and
     uniform-IC draws run on a flattened CSR copy of the graph's adjacency;
     other models fall back to :meth:`InfluenceModel.reverse_sample` per
     node, which preserves their stream too.
 
     ``budget.tick()`` runs before each draw and the ``rr_sampling`` fault
-    site fires once per sample — the same checkpoints, at the same sites,
-    as the legacy path.
+    site fires once per sample.
 
     ``trace`` is an optional duck-typed span recorder (anything with a
     ``span(name, **meta)`` context manager, e.g.
@@ -873,7 +893,7 @@ def sample_arena(
                     # The built-in IC models draw one Bernoulli block per
                     # explored node (and nothing for isolated nodes) —
                     # matched here so the RNG stream stays identical to
-                    # the legacy sampler.
+                    # the reference sampler.
                     if deg == 0:
                         fired: list[int] = []
                     else:

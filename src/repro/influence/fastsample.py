@@ -1,8 +1,8 @@
 """Vectorized batch RR sampling — the explicitly stream-incompatible fast path.
 
 :func:`repro.influence.arena.sample_arena` is *stream-compatible* with the
-legacy per-dict sampler: it consumes the RNG one explored node at a time so
-a seed reproduces the historical sample stream bit for bit. That contract
+paper's naive per-dict sampler: it consumes the RNG one explored node at a
+time so a seed reproduces the historical sample stream bit for bit. That contract
 costs it the whole win of the flat arena — ``BENCH_arena.json`` showed raw
 sampling at 0.91x while pooled evaluation ran 3.96x. This module drops the
 contract and generates whole batches at once:
@@ -21,7 +21,7 @@ contract and generates whole batches at once:
   stays bounded by the chunk working set plus the (exact) output size.
 
 Because draw *order* and draw *count* both differ from the compatible
-sampler, a seed does **not** reproduce the legacy stream. The correctness
+sampler, a seed does **not** reproduce the compatible stream. The correctness
 story is statistical instead: every sampler here draws from exactly the
 same RR-graph distribution as the compatible one (each directed edge
 ``v -> u`` fires independently with ``p(v)`` when ``v`` is explored; the

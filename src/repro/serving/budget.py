@@ -2,7 +2,7 @@
 
 An :class:`ExecutionBudget` bounds one query's work along two axes: a
 wall-clock deadline and an RR-sample budget. The long-running primitives
-(:func:`repro.influence.rr.sample_rr_graphs`,
+(:func:`repro.influence.arena.sample_arena` and the other arena samplers,
 :func:`repro.core.compressed.compressed_cod`,
 :func:`repro.core.lore.lore_chain`, HIMOR construction) accept an optional
 ``budget`` and call :meth:`check` / :meth:`tick` at natural checkpoints —

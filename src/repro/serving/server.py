@@ -893,12 +893,10 @@ class CODServer:
                 samples = self._restricted_arena(
                     query.attribute, lore.c_ell_vertex, allowed, budget, trace
                 )
-                n_local = samples.n_samples
             else:
-                n_local = budget.clamp_samples(theta * len(allowed))
                 samples = self._sample(
                     self.graph,
-                    n_local,
+                    budget.clamp_samples(theta * len(allowed)),
                     model=self.model,
                     rng=self.rng,
                     allowed=allowed,
@@ -910,7 +908,6 @@ class CODServer:
                 inner_chain,
                 k=query.k,
                 rr_graphs=samples,
-                n_samples=n_local,
                 budget=budget,
                 trace=trace,
             )
@@ -968,12 +965,10 @@ class CODServer:
         if self.pool is not None:
             budget.check()
             samples: "RRArena" = self.pool.materialize(trace=trace)
-            n_samples = samples.n_samples
         else:
-            n_samples = budget.clamp_samples(theta * self.graph.n)
             samples = self._sample(
                 self.graph,
-                n_samples,
+                budget.clamp_samples(theta * self.graph.n),
                 model=self.model,
                 rng=self.rng,
                 budget=budget,
@@ -984,7 +979,6 @@ class CODServer:
             chain,
             k=k,
             rr_graphs=samples,
-            n_samples=n_samples,
             budget=budget,
             trace=trace,
         )

@@ -10,10 +10,13 @@ specified in the text; this edge set is consistent with every stated fact.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.graph.graph import AttributedGraph
 from repro.hierarchy.dendrogram import CommunityHierarchy
+from repro.influence.arena import RRArena, sample_arena, sample_arena_seeded
+from repro.influence.fastsample import sample_arena_fast, sample_arena_seeded_fast
 
 #: Attribute ids for the worked example.
 DB = 0
@@ -111,3 +114,59 @@ def two_cliques_graph() -> AttributedGraph:
     edges.append((3, 4))
     attrs = [[0]] * 4 + [[1]] * 4
     return AttributedGraph(8, edges, attributes=attrs)
+
+
+#: Every arena sampler as ``draw(graph, count, seed, model=None)``: the
+#: stream-compatible, vectorized, per-sample-seeded, and seeded-vectorized
+#: engines all promise the same RR-graph distribution (Definition 2).
+ARENA_SAMPLERS = {
+    "sample_arena": lambda g, count, seed, model=None: sample_arena(
+        g, count, model=model, rng=seed
+    ),
+    "sample_arena_fast": lambda g, count, seed, model=None: sample_arena_fast(
+        g, count, model=model, rng=seed
+    ),
+    "sample_arena_seeded": lambda g, count, seed, model=None: sample_arena_seeded(
+        g, count, base_seed=seed, model=model
+    ),
+    "sample_arena_seeded_fast": lambda g, count, seed, model=None: (
+        sample_arena_seeded_fast(g, count, base_seed=seed, model=model)
+    ),
+}
+
+
+def arena_from_dicts(
+    n: int, samples: "list[tuple[int, dict[int, list[int]]]]"
+) -> RRArena:
+    """An arena holding hand-written ``(source, adjacency)`` samples.
+
+    Each adjacency dict lists its sample's nodes in discovery order with
+    the source first, and maps every node to its fired targets — the
+    shape ``tests/oracle/reference.reference_rr_graphs`` returns.
+    """
+    sources, offsets, nodes = [], [0], []
+    edge_start, edge_count, edge_dst = [], [], []
+    for source, adjacency in samples:
+        assert next(iter(adjacency)) == source, "source must come first"
+        base = len(nodes)
+        entry = {v: base + i for i, v in enumerate(adjacency)}
+        for v, targets in adjacency.items():
+            nodes.append(v)
+            edge_start.append(len(edge_dst))
+            edge_count.append(len(targets))
+            edge_dst.extend(entry[u] for u in targets)
+        sources.append(source)
+        offsets.append(len(nodes))
+
+    def ints(values: list) -> np.ndarray:
+        return np.asarray(values, dtype=np.int64)
+
+    return RRArena(
+        n=n,
+        sources=ints(sources),
+        node_offsets=ints(offsets),
+        nodes=ints(nodes),
+        edge_start=ints(edge_start),
+        edge_count=ints(edge_count),
+        edge_dst_entry=ints(edge_dst),
+    )

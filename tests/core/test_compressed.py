@@ -3,16 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.core.compressed import _assign_to_buckets, compressed_cod
+from repro.core.compressed import compressed_cod
 from repro.errors import QueryError
 from repro.hierarchy.chain import CommunityChain
+from repro.influence.arena import sample_arena
 from repro.influence.estimator import estimate_influences_in_community
-from repro.influence.rr import RRGraph, sample_rr_graphs
+
+from tests.conftest import arena_from_dicts
 
 
 @pytest.fixture()
 def paper_chain(paper_hierarchy):
     return CommunityChain.from_hierarchy(paper_hierarchy, 0)
+
+
+def hfs_buckets(source, adjacency, chain):
+    """One hand-written RR graph's HFS charges, one dict per chain level."""
+    arena = arena_from_dicts(chain.n, [(source, adjacency)])
+    counts = arena.level_bucket_counts(chain.node_levels, len(chain))
+    return [{int(v): int(c) for v, c in enumerate(row) if c} for row in counts]
 
 
 class TestBucketAssignment:
@@ -21,50 +30,38 @@ class TestBucketAssignment:
 
     def test_simple_path(self, paper_chain):
         # Source 0 (level 0) -> 6 (level 1) -> 7 (level 1).
-        rr = RRGraph(source=0, adjacency={0: [6], 6: [7], 7: []})
-        buckets = [dict() for _ in range(4)]
-        _assign_to_buckets(rr, paper_chain.node_levels, buckets)
+        buckets = hfs_buckets(0, {0: [6], 6: [7], 7: []}, paper_chain)
         assert buckets[0] == {0: 1}
         assert buckets[1] == {6: 1, 7: 1}
 
     def test_detour_through_higher_level(self, paper_chain):
         # 1 is level 0 but only reachable through 4 (level 2), so it is
         # charged at level 2, not 0.
-        rr = RRGraph(source=0, adjacency={0: [4], 4: [1], 1: []})
-        buckets = [dict() for _ in range(4)]
-        _assign_to_buckets(rr, paper_chain.node_levels, buckets)
+        buckets = hfs_buckets(0, {0: [4], 4: [1], 1: []}, paper_chain)
         assert buckets[0] == {0: 1}
         assert buckets[2] == {4: 1, 1: 1}
 
     def test_minimax_prefers_low_path(self, paper_chain):
         # 3 reachable directly (level 0) and via 4 (level 2): charged at 0.
-        rr = RRGraph(source=0, adjacency={0: [3, 4], 4: [3], 3: []})
-        buckets = [dict() for _ in range(4)]
-        _assign_to_buckets(rr, paper_chain.node_levels, buckets)
+        buckets = hfs_buckets(0, {0: [3, 4], 4: [3], 3: []}, paper_chain)
         assert buckets[0] == {0: 1, 3: 1}
         assert buckets[2] == {4: 1}
 
     def test_source_at_higher_level(self, paper_chain):
         # Source 8 is level 3; everything it reaches is charged >= 3.
-        rr = RRGraph(source=8, adjacency={8: [6], 6: [0], 0: []})
-        buckets = [dict() for _ in range(4)]
-        _assign_to_buckets(rr, paper_chain.node_levels, buckets)
+        buckets = hfs_buckets(8, {8: [6], 6: [0], 0: []}, paper_chain)
         assert buckets[3] == {8: 1, 6: 1, 0: 1}
 
     def test_outside_source_skipped(self, paper_chain):
         prefix = paper_chain.prefix(2)
-        rr = RRGraph(source=8, adjacency={8: [6], 6: []})
-        buckets = [dict() for _ in range(2)]
-        _assign_to_buckets(rr, prefix.node_levels, buckets)
+        buckets = hfs_buckets(8, {8: [6], 6: []}, prefix)
         assert buckets[0] == {} and buckets[1] == {}
 
     def test_outside_nodes_not_traversed(self, paper_chain):
         # With the chain truncated at C3, node 4 is OUTSIDE and must not
         # act as a bridge: 0 -> 4 -> 3 contributes only node 0.
         prefix = paper_chain.prefix(2)
-        rr = RRGraph(source=0, adjacency={0: [4], 4: [3], 3: []})
-        buckets = [dict() for _ in range(2)]
-        _assign_to_buckets(rr, prefix.node_levels, buckets)
+        buckets = hfs_buckets(0, {0: [4], 4: [3], 3: []}, prefix)
         assert buckets[0] == {0: 1}
         assert buckets[1] == {}
 
@@ -72,12 +69,9 @@ class TestBucketAssignment:
         # Example 3: RR graph (2) from source v5 explores v4, v2, v0, v3,
         # v6 within C4 — all charged to B_4's level (level 2 for q = v0).
         chain = CommunityChain.from_hierarchy(paper_hierarchy, 0)
-        rr = RRGraph(
-            source=5,
-            adjacency={5: [4], 4: [2], 2: [0, 3], 0: [], 3: [6], 6: []},
+        buckets = hfs_buckets(
+            5, {5: [4], 4: [2], 2: [0, 3], 0: [], 3: [6], 6: []}, chain
         )
-        buckets = [dict() for _ in range(4)]
-        _assign_to_buckets(rr, chain.node_levels, buckets)
         assert buckets[2] == {5: 1, 4: 1, 2: 1, 0: 1, 3: 1, 6: 1}
 
 
@@ -108,7 +102,7 @@ class TestCompressedCod:
         assert sorted(ev.characteristic_community(10)) == list(range(10))
 
     def test_multi_k_consistent_with_single_k(self, paper_graph, paper_chain):
-        rrs = list(sample_rr_graphs(paper_graph, 400, rng=1))
+        rrs = sample_arena(paper_graph, 400, rng=1)
         multi = compressed_cod(paper_graph, paper_chain, k=[1, 3, 5],
                                rr_graphs=rrs)
         for k in (1, 3, 5):
@@ -140,11 +134,22 @@ class TestCompressedCod:
         assert ev.query_influence(3) >= 0.9
 
     def test_rr_graphs_without_explicit_count(self, paper_graph, paper_chain):
-        # An iterable of samples without n_samples must be materialized
-        # and counted.
-        rrs = sample_rr_graphs(paper_graph, 120, rng=7)
-        ev = compressed_cod(paper_graph, paper_chain, k=2, rr_graphs=rrs)
+        # A pre-drawn arena supplies its own sample count, whatever theta
+        # says.
+        rrs = sample_arena(paper_graph, 120, rng=7)
+        ev = compressed_cod(paper_graph, paper_chain, k=2, theta=3, rr_graphs=rrs)
         assert ev.n_samples == 120
+
+    def test_arena_over_other_graph_rejected(self, paper_graph, paper_chain,
+                                             triangle_graph):
+        arena = sample_arena(triangle_graph, 20, rng=0)
+        with pytest.raises(QueryError, match="sampled over 3 nodes"):
+            compressed_cod(paper_graph, paper_chain, k=2, rr_graphs=arena)
+
+    def test_non_arena_rr_graphs_rejected(self, paper_graph, paper_chain):
+        views = list(sample_arena(paper_graph, 20, rng=0))
+        with pytest.raises(QueryError, match="RRArena"):
+            compressed_cod(paper_graph, paper_chain, k=2, rr_graphs=views)
 
     def test_query_influence_requires_samples(self, paper_chain):
         from repro.core.compressed import CompressedEvaluation

@@ -6,6 +6,7 @@ import pytest
 from repro.core.himor import HimorIndex, himor_cod
 from repro.core.lore import lore_chain
 from repro.errors import IndexError_, QueryError
+from repro.influence.arena import sample_arena
 from repro.influence.estimator import estimate_influences_in_community
 
 from tests.conftest import C0, C1, C3, C4, C6, DB
@@ -34,6 +35,19 @@ class TestConstruction:
     def test_mismatched_graph_rejected(self, paper_hierarchy, triangle_graph):
         with pytest.raises(IndexError_):
             HimorIndex.build(triangle_graph, paper_hierarchy)
+
+    def test_arena_over_other_graph_rejected(self, paper_graph, paper_hierarchy,
+                                             triangle_graph):
+        # The 3-node arena's sources are all valid leaves of the 10-leaf
+        # tree, so only the node-count check stops a silently wrong index.
+        arena = sample_arena(triangle_graph, 30, rng=0)
+        with pytest.raises(IndexError_, match="sampled over 3 nodes"):
+            HimorIndex.build(paper_graph, paper_hierarchy, rr_graphs=arena)
+
+    def test_non_arena_rr_graphs_rejected(self, paper_graph, paper_hierarchy):
+        views = list(sample_arena(paper_graph, 30, rng=0))
+        with pytest.raises(IndexError_, match="RRArena"):
+            HimorIndex.build(paper_graph, paper_hierarchy, rr_graphs=views)
 
     def test_ranks_match_per_community_oracle(self, paper_graph, paper_hierarchy,
                                               paper_index):

@@ -13,13 +13,13 @@ class TestPoolBasics:
     def test_lazy_materialization(self, paper_graph):
         pool = SharedSamplePool(paper_graph, theta=5, seed=0)
         assert "lazy" in repr(pool)
-        _ = pool.samples
+        _ = pool.arena
         assert "materialized" in repr(pool)
 
     def test_sample_count(self, paper_graph):
         pool = SharedSamplePool(paper_graph, theta=5, seed=0)
         assert pool.n_samples == 50
-        assert len(pool.samples) == 50
+        assert pool.arena.n_samples == 50
 
     def test_eager(self, paper_graph):
         pool = SharedSamplePool(paper_graph, theta=2, seed=0, lazy=False)
@@ -44,8 +44,8 @@ class TestPoolBasics:
         monkeypatch.setattr(pool_module, "sample_arena", counting)
         pool = SharedSamplePool(paper_graph, theta=2, seed=0)
         assert calls == []  # lazy: nothing drawn yet
-        first = pool.samples
-        second = pool.samples
+        first = pool.arena
+        second = pool.arena
         pool.total_nodes()
         pool.influence_counts()
         assert calls == [1]  # one sampling pass serves every consumer
@@ -68,7 +68,7 @@ class TestPoolBasics:
     def test_deterministic(self, paper_graph):
         a = SharedSamplePool(paper_graph, theta=3, seed=5)
         b = SharedSamplePool(paper_graph, theta=3, seed=5)
-        assert [rr.source for rr in a.samples] == [rr.source for rr in b.samples]
+        assert a.arena.sources.tolist() == b.arena.sources.tolist()
 
 
 class TestPoolEvaluation:
@@ -76,10 +76,7 @@ class TestPoolEvaluation:
         pool = SharedSamplePool(paper_graph, theta=20, seed=1)
         chain = CommunityChain.from_hierarchy(paper_hierarchy, 0)
         pooled = pool.evaluate(chain, k=[1, 3])
-        direct = compressed_cod(
-            paper_graph, chain, k=[1, 3],
-            rr_graphs=pool.samples, n_samples=pool.n_samples,
-        )
+        direct = compressed_cod(paper_graph, chain, k=[1, 3], rr_graphs=pool.arena)
         assert pooled.query_counts == direct.query_counts
         assert pooled.thresholds == direct.thresholds
 
@@ -103,7 +100,7 @@ class TestPoolEvaluation:
         pool = SharedSamplePool(paper_graph, theta=10, seed=3)
         counts = pool.influence_counts()
         direct: dict[int, int] = {}
-        for rr in pool.samples:
+        for rr in pool.arena:
             for v in rr.adjacency:
                 direct[v] = direct.get(v, 0) + 1
         assert counts == direct
@@ -176,12 +173,12 @@ class TestSeededPool:
         assert np.array_equal(pool.arena.edge_dst_entry,
                               fresh.arena.edge_dst_entry)
 
-    def test_repair_invalidates_views(self, paper_graph):
+    def test_repair_replaces_arena(self, paper_graph):
         pool = SharedSamplePool(paper_graph, theta=2, seed=7,
                                 per_sample_seeds=True)
-        before = pool.samples
+        before = pool.arena
         pool.repair(self.updated(paper_graph), {2, 3})
-        assert pool.samples is not before
+        assert pool.arena is not before
 
     def test_stream_pool_repair_drops_arena(self, paper_graph):
         pool = SharedSamplePool(paper_graph, theta=2, seed=7)

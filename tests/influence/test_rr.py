@@ -1,171 +1,186 @@
-"""Unit tests for RR set / RR graph sampling, including the Theorem-2
-coupling property that compressed COD evaluation rests on."""
+"""Unit tests for RR graph sampling (Definitions 2-3) on every arena
+sampler, including the Theorem-2 coupling property that compressed COD
+evaluation rests on.
+
+The arena's own layout, views and evaluators are pinned in
+``tests/influence/test_arena.py``; these tests pin the RR-graph contract
+each sampler must uphold.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import InfluenceError
 from repro.graph.graph import AttributedGraph
-from repro.influence.models import UniformIC, WeightedCascade
-from repro.influence.rr import RRGraph, sample_rr_graph, sample_rr_graphs
+from repro.influence.arena import _normalize_allowed, sample_arena
+from repro.influence.fastsample import sample_arena_fast
+from repro.influence.models import UniformIC
+
+from tests.conftest import ARENA_SAMPLERS, arena_from_dicts
+
+
+#: The samplers that take explicit ``sources`` and an ``allowed`` set
+#: (the per-sample-seeded ones derive both from the seed).
+STREAM_SAMPLERS = [sample_arena, sample_arena_fast]
 
 
 class TestRRGraphStructure:
     def test_source_always_in_set(self, paper_graph):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            rr = sample_rr_graph(paper_graph, rng=rng)
-            assert rr.source in rr.adjacency
+        for draw in ARENA_SAMPLERS.values():
+            for rr in draw(paper_graph, 50, 0):
+                assert rr.source in rr.adjacency
+                assert rr.nodes[0] == rr.source
 
     def test_adjacency_targets_are_members(self, paper_graph):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            rr = sample_rr_graph(paper_graph, rng=rng)
-            for v, targets in rr.adjacency.items():
-                for u in targets:
-                    assert u in rr.adjacency
+        for draw in ARENA_SAMPLERS.values():
+            for rr in draw(paper_graph, 50, 1):
+                for v, targets in rr.adjacency.items():
+                    for u in targets:
+                        assert u in rr.adjacency
 
     def test_all_members_reachable_from_source(self, paper_graph):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            rr = sample_rr_graph(paper_graph, rng=rng)
-            reached = rr.reachable_within(set(rr.adjacency))
-            assert reached == set(rr.adjacency)
+        for draw in ARENA_SAMPLERS.values():
+            for rr in draw(paper_graph, 50, 2):
+                reached = rr.reachable_within(set(rr.adjacency))
+                assert reached == set(rr.adjacency)
 
     def test_edges_exist_in_graph(self, paper_graph):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            rr = sample_rr_graph(paper_graph, rng=rng)
-            for v, targets in rr.adjacency.items():
-                for u in targets:
-                    assert paper_graph.has_edge(v, u)
+        for draw in ARENA_SAMPLERS.values():
+            for rr in draw(paper_graph, 50, 3):
+                for v, targets in rr.adjacency.items():
+                    for u in targets:
+                        assert paper_graph.has_edge(v, u)
 
     def test_counts(self, paper_graph):
-        rr = sample_rr_graph(paper_graph, rng=0)
-        assert rr.n_nodes == len(rr.adjacency)
-        assert rr.n_edges == sum(len(t) for t in rr.adjacency.values())
+        for draw in ARENA_SAMPLERS.values():
+            for rr in draw(paper_graph, 20, 0):
+                assert rr.n_nodes == len(rr.adjacency)
+                assert rr.n_edges == sum(len(t) for t in rr.adjacency.values())
 
     def test_fixed_source(self, paper_graph):
-        rr = sample_rr_graph(paper_graph, rng=0, source=7)
-        assert rr.source == 7
+        for sample in STREAM_SAMPLERS:
+            assert sample(paper_graph, 1, rng=0, sources=[7]).view(0).source == 7
 
     def test_bad_source_rejected(self, paper_graph):
-        with pytest.raises(InfluenceError):
-            sample_rr_graph(paper_graph, source=99)
+        for sample in STREAM_SAMPLERS:
+            with pytest.raises(InfluenceError):
+                sample(paper_graph, 1, sources=[99])
 
     def test_p_one_reaches_component(self, paper_graph):
-        rr = sample_rr_graph(paper_graph, model=UniformIC(p=1.0), rng=0, source=0)
-        assert sorted(rr.adjacency) == list(range(10))
+        for draw in ARENA_SAMPLERS.values():
+            for rr in draw(paper_graph, 10, 0, model=UniformIC(p=1.0)):
+                assert sorted(rr.adjacency) == list(range(10))
 
 
 class TestRestrictedSampling:
     def test_members_confined(self, paper_graph):
         allowed = {0, 1, 2, 3}
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            rr = sample_rr_graph(paper_graph, rng=rng, allowed=allowed)
-            assert set(rr.adjacency) <= allowed
-            assert rr.source in allowed
+        for sample in STREAM_SAMPLERS:
+            for rr in sample(paper_graph, 50, rng=4, allowed=allowed):
+                assert set(rr.adjacency) <= allowed
+                assert rr.source in allowed
 
     def test_source_outside_rejected(self, paper_graph):
-        with pytest.raises(InfluenceError):
-            sample_rr_graph(paper_graph, source=9, allowed={0, 1})
+        for sample in STREAM_SAMPLERS:
+            with pytest.raises(InfluenceError):
+                sample(paper_graph, 1, sources=[9], allowed={0, 1})
 
     def test_probabilities_from_original_graph(self, paper_graph):
         # Restricted to {4, 5}: edge (4 <- 5) must fire with 1/deg_g(5),
         # not 1/deg_sub(5) = 1. deg_g(5) = 3 (neighbors 3, 4, 9).
-        rng = np.random.default_rng(5)
-        hits = 0
         trials = 6000
-        for _ in range(trials):
-            rr = sample_rr_graph(paper_graph, rng=rng, source=5, allowed={4, 5})
-            if 4 in rr.adjacency:
-                hits += 1
-        assert hits / trials == pytest.approx(1 / 3, abs=0.03)
+        for sample in STREAM_SAMPLERS:
+            arena = sample(
+                paper_graph, trials, rng=5, sources=[5] * trials, allowed={4, 5}
+            )
+            hits = sum(1 for rr in arena if 4 in rr.adjacency)
+            assert hits / trials == pytest.approx(1 / 3, abs=0.03)
 
 
 class TestSampleMany:
     def test_count(self, paper_graph):
-        rrs = list(sample_rr_graphs(paper_graph, 25, rng=0))
-        assert len(rrs) == 25
+        for draw in ARENA_SAMPLERS.values():
+            assert draw(paper_graph, 25, 0).n_samples == 25
 
     def test_sources_uniform(self, paper_graph):
-        rrs = list(sample_rr_graphs(paper_graph, 5000, rng=1))
-        sources = [rr.source for rr in rrs]
-        values, counts = np.unique(sources, return_counts=True)
-        assert len(values) == 10
-        assert counts.min() > 0.6 * counts.max()
+        for draw in ARENA_SAMPLERS.values():
+            sources = draw(paper_graph, 5000, 1).sources
+            values, counts = np.unique(sources, return_counts=True)
+            assert len(values) == 10
+            assert counts.min() > 0.6 * counts.max()
 
     def test_explicit_sources(self, paper_graph):
-        rrs = list(sample_rr_graphs(paper_graph, 3, rng=0, sources=[1, 1, 2]))
-        assert [rr.source for rr in rrs] == [1, 1, 2]
+        for sample in STREAM_SAMPLERS:
+            arena = sample(paper_graph, 3, rng=0, sources=[1, 1, 2])
+            assert arena.sources.tolist() == [1, 1, 2]
 
     def test_source_count_mismatch_rejected(self, paper_graph):
-        with pytest.raises(InfluenceError):
-            list(sample_rr_graphs(paper_graph, 3, sources=[0]))
+        for sample in STREAM_SAMPLERS:
+            with pytest.raises(InfluenceError):
+                sample(paper_graph, 3, sources=[0])
 
     def test_negative_count_rejected(self, paper_graph):
-        with pytest.raises(InfluenceError):
-            list(sample_rr_graphs(paper_graph, -1))
+        for draw in ARENA_SAMPLERS.values():
+            with pytest.raises(InfluenceError):
+                draw(paper_graph, -1, 0)
 
 
 class TestTheorem2Coupling:
     """Induced RR-graph reachability must match direct restricted sampling
     in distribution (Theorem 2): for a community C, the probability that a
     node is reachable from a C-source within the induced RR graph equals
-    the probability it appears in a restricted RR sample from the same
-    source."""
+    the probability it appears in a restricted RR sample from a C-source.
+    Both checks run on every arena sampler.
+
+    Global samples draw uniform sources, so those rooted in C are uniform
+    over C — the source law of restricted sampling."""
 
     def test_induced_matches_restricted_distribution(self, paper_graph):
         community = {0, 1, 2, 3, 6, 7}  # C3 of the worked example
         target = 7
-        source = 0
-        trials = 8000
+        trials = 20000
 
-        rng = np.random.default_rng(6)
-        induced_hits = 0
-        for _ in range(trials):
-            rr = sample_rr_graph(paper_graph, rng=rng, source=source)
-            if target in rr.reachable_within(community):
-                induced_hits += 1
+        restricted = sample_arena(paper_graph, trials, rng=7, allowed=community)
+        restricted_rate = sum(
+            1 for rr in restricted if target in rr.adjacency
+        ) / trials
 
-        rng = np.random.default_rng(7)
-        restricted_hits = 0
-        for _ in range(trials):
-            rr = sample_rr_graph(paper_graph, rng=rng, source=source,
-                                 allowed=community)
-            if target in rr.adjacency:
-                restricted_hits += 1
-
-        assert induced_hits / trials == pytest.approx(
-            restricted_hits / trials, abs=0.02
-        )
+        for name, draw in ARENA_SAMPLERS.items():
+            induced = [
+                rr for rr in draw(paper_graph, trials, 6)
+                if rr.source in community
+            ]
+            induced_rate = sum(
+                1 for rr in induced if target in rr.reachable_within(community)
+            ) / len(induced)
+            assert induced_rate == pytest.approx(restricted_rate, abs=0.02), name
 
     def test_flips_toward_active_nodes_are_recorded(self):
-        # Triangle with p = 1: starting at 0, all three nodes activate and
-        # *all six* directed edges must be recorded, including those toward
+        # Triangle with p = 1: every sample activates all three nodes and
+        # must record *all six* directed edges, including those toward
         # already-active nodes — dropping them would break induced
         # reachability for sub-communities.
         g = AttributedGraph(3, [(0, 1), (1, 2), (0, 2)])
-        rr = sample_rr_graph(g, model=UniformIC(p=1.0), rng=0, source=0)
-        assert rr.n_edges == 6
+        for name, draw in ARENA_SAMPLERS.items():
+            arena = draw(g, 20, 0, model=UniformIC(p=1.0))
+            assert [rr.n_edges for rr in arena] == [6] * 20, name
 
 
 class TestReachableWithin:
     def test_source_outside_is_empty(self):
-        rr = RRGraph(source=0, adjacency={0: [1], 1: []})
-        assert rr.reachable_within({1}) == set()
+        arena = arena_from_dicts(2, [(0, {0: [1], 1: []})])
+        assert arena.reachable_within(0, {1}) == set()
 
     def test_path_cut(self):
-        rr = RRGraph(source=0, adjacency={0: [1], 1: [2], 2: []})
-        assert rr.reachable_within({0, 2}) == {0}
-        assert rr.reachable_within({0, 1, 2}) == {0, 1, 2}
+        arena = arena_from_dicts(3, [(0, {0: [1], 1: [2], 2: []})])
+        assert arena.reachable_within(0, {0, 2}) == {0}
+        assert arena.reachable_within(0, {0, 1, 2}) == {0, 1, 2}
 
     def test_alternative_path_via_extra_edge(self):
         # 0 -> 1 -> 2 and the direct shortcut 0 -> 2: cutting node 1 keeps
         # 2 reachable only through the recorded shortcut.
-        rr = RRGraph(source=0, adjacency={0: [1, 2], 1: [2], 2: []})
-        assert rr.reachable_within({0, 2}) == {0, 2}
+        arena = arena_from_dicts(3, [(0, {0: [1, 2], 1: [2], 2: []})])
+        assert arena.reachable_within(0, {0, 2}) == {0, 2}
 
     @pytest.mark.parametrize(
         "dtype", [np.int64, np.int32, np.uint8, np.intp]
@@ -175,18 +190,19 @@ class TestReachableWithin:
         # array. Membership tests against raw arrays are O(n) *and* can
         # miss (python int vs np scalar hashing) — the array must be
         # normalized to a set of python ints first, for any integer dtype.
-        rr = RRGraph(source=0, adjacency={0: [1, 2], 1: [2], 2: [3], 3: []})
+        arena = arena_from_dicts(
+            4, [(0, {0: [1, 2], 1: [2], 2: [3], 3: []})]
+        )
         for allowed in ({0, 2}, {0, 1, 2, 3}, {0, 3}, {1, 2, 3}):
             arr = np.asarray(sorted(allowed), dtype=dtype)
-            assert rr.reachable_within(arr) == rr.reachable_within(allowed)
+            assert arena.reachable_within(0, arr) == \
+                arena.reachable_within(0, allowed)
 
     def test_generator_allowed_matches_set(self):
-        rr = RRGraph(source=0, adjacency={0: [1], 1: [2], 2: []})
-        assert rr.reachable_within(iter([0, 1])) == {0, 1}
+        arena = arena_from_dicts(3, [(0, {0: [1], 1: [2], 2: []})])
+        assert arena.reachable_within(0, iter([0, 1])) == {0, 1}
 
     def test_set_input_passes_through_unconverted(self):
-        from repro.influence.rr import _normalize_allowed
-
         allowed = {0, 1, 2}
         assert _normalize_allowed(allowed) is allowed
         frozen = frozenset(allowed)

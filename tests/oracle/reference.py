@@ -6,16 +6,18 @@ it must not be "optimized" or rewired to share code with
 it, seed for seed, against these implementations:
 
 * :func:`reference_rr_graphs` — the dict-based sampler exactly as the
-  paper describes it (and as ``repro.influence.rr`` originally shipped),
-  consuming the RNG one explored node at a time in LIFO order. Any
-  production sampler claiming stream compatibility must reproduce its
-  output bit for bit.
+  paper describes it, consuming the RNG one explored node at a time in
+  LIFO order. Any production sampler claiming stream compatibility must
+  reproduce its output bit for bit.
 * :func:`brute_reachable` — Definition-3 induced reachability recomputed
   from scratch with a plain BFS.
 * :func:`brute_force_cod` — Algorithm 1's *specification*: for every
   chain level, recount which samples reach each node inside that
   community and take top-k thresholds by sorting. No HFS, no buckets, no
   incremental pass.
+* :func:`brute_force_himor_ranks` — HIMOR's *specification*: every node's
+  rank in every ancestor community, by recounting induced reachability
+  per community. No tree HFS, no buckets, no bottom-up merge.
 * :func:`enumerate_exact_spread` — closed-form ``sigma_g(q)`` on tiny
   graphs by summing over every possible world (Theorem 1's left side).
 """
@@ -129,6 +131,36 @@ def brute_force_cod(
     return query_counts, thresholds
 
 
+def brute_force_himor_ranks(
+    hierarchy, samples: list[tuple[int, dict[int, list[int]]]]
+) -> list[list[int]]:
+    """HIMOR's rank table recomputed per community from first principles.
+
+    For every ancestor community ``C`` of a node ``v`` (deepest first, as
+    ``hierarchy.path_communities(v)`` lists them), ``count_C(u)`` is the
+    number of samples in which ``brute_reachable`` reaches ``u`` inside
+    ``C``, and ``rank_C(v) = 1 + #{u in C : count_C(u) > count_C(v)}``.
+    Returns one rank list per node, shaped like ``HimorIndex.ranks_of``.
+    """
+    counts_in: dict[int, dict[int, int]] = {}
+    ranks: list[list[int]] = []
+    for v in range(hierarchy.n_leaves):
+        row: list[int] = []
+        for community in hierarchy.path_communities(v):
+            community = int(community)
+            if community not in counts_in:
+                members = set(int(u) for u in hierarchy.members(community))
+                counts = {u: 0 for u in members}
+                for source, adjacency in samples:
+                    for u in brute_reachable(adjacency, source, members):
+                        counts[u] += 1
+                counts_in[community] = counts
+            counts = counts_in[community]
+            row.append(1 + sum(1 for c in counts.values() if c > counts[v]))
+        ranks.append(row)
+    return ranks
+
+
 def influence_counts_of(
     samples: list[tuple[int, dict[int, list[int]]]],
 ) -> dict[int, int]:
@@ -187,7 +219,7 @@ def digest_samples(samples: "list") -> str:
     """Canonical SHA-256 digest of a batch of RR graphs.
 
     Accepts reference ``(source, adjacency)`` pairs or any object with
-    ``.source``/``.adjacency`` (``RRGraph``, ``RRView``); the digest
+    ``.source``/``.adjacency`` (``RRView``); the digest
     covers sources, RR-set insertion order, and every adjacency list, so
     any silent change to the sample stream changes the hex."""
     h = hashlib.sha256()

@@ -1,10 +1,10 @@
-"""Differential tests: arena engine vs legacy sampler vs the naive oracle.
+"""Differential tests: the arena engine vs the naive oracle.
 
-Every test here is seed-for-seed: the arena sampler, the legacy dict
-sampler, and the frozen reference sampler in ``reference.py`` all consume
-the same RNG stream, so their outputs must be *identical*, not merely
-statistically close. 42 deterministic random graphs x 5 queries = 210
-(graph, query) cases for the COD comparison, plus per-graph sample-level
+Every test here is seed-for-seed: the arena sampler and the frozen
+reference sampler in ``reference.py`` consume the same RNG stream, so
+their outputs must be *identical*, not merely statistically close. 42
+deterministic random graphs x 5 queries = 210 (graph, query) cases for
+the COD comparison, plus per-graph sample-level and HIMOR rank
 comparisons across all three diffusion models.
 """
 
@@ -17,10 +17,11 @@ from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.arena import sample_arena
 from repro.influence.models import LinearThreshold, UniformIC, WeightedCascade
-from repro.influence.rr import sample_rr_graphs
 
+from tests.conftest import arena_from_dicts
 from tests.oracle.reference import (
     brute_force_cod,
+    brute_force_himor_ranks,
     influence_counts_of,
     random_case_graph,
     reference_rr_graphs,
@@ -43,7 +44,7 @@ def _queries_for(graph, seed: int) -> list[int]:
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)
 class TestSampleEquivalence:
-    """Arena and legacy samplers reproduce the reference stream exactly."""
+    """The arena sampler reproduces the reference stream exactly."""
 
     def test_arena_matches_reference(self, seed):
         graph = random_case_graph(seed)
@@ -58,17 +59,6 @@ class TestSampleEquivalence:
             # Same discovery order, same keys, same fired-target lists.
             assert list(got) == list(ref_adjacency)
             assert got == ref_adjacency
-
-    def test_legacy_matches_reference(self, seed):
-        graph = random_case_graph(seed)
-        model = _model_for(seed)
-        count = 3 * graph.n
-        expected = reference_rr_graphs(graph, count, model=model, rng=seed)
-        legacy = list(sample_rr_graphs(graph, count, model=model, rng=seed))
-        for rr, (ref_source, ref_adjacency) in zip(legacy, expected):
-            assert rr.source == ref_source
-            assert list(rr.adjacency) == list(ref_adjacency)
-            assert rr.adjacency == ref_adjacency
 
     def test_restricted_sampling_matches_reference(self, seed):
         graph = random_case_graph(seed)
@@ -101,10 +91,14 @@ class TestSampleEquivalence:
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)
 def test_compressed_cod_three_way(seed):
-    """Arena HFS == legacy dict HFS == brute-force recount, per query.
+    """Arena HFS on sampled samples == arena HFS on the reference samples
+    == brute-force recount, per query.
 
-    42 graphs x 5 queries = 210 seeded (graph, query) cases, each checked
-    on query counts, every top-k threshold, and the qualification verdict.
+    The second arm rebuilds the reference dicts into an arena in
+    dictionary order, so it also pins that the evaluator reads sample
+    content only, never the sampler's CSR storage order. 42 graphs x 5
+    queries = 210 seeded (graph, query) cases, each checked on query
+    counts, every top-k threshold, and the qualification verdict.
     """
     graph = random_case_graph(seed)
     model = _model_for(seed)
@@ -114,41 +108,38 @@ def test_compressed_cod_three_way(seed):
 
     samples = reference_rr_graphs(graph, count, model=model, rng=seed)
     arena = sample_arena(graph, count, model=model, rng=seed)
-    legacy = list(sample_rr_graphs(graph, count, model=model, rng=seed))
+    rebuilt = arena_from_dicts(graph.n, samples)
 
     for q in _queries_for(graph, seed):
         chain = CommunityChain.from_hierarchy(hierarchy, q)
-        via_arena = compressed_cod(
-            graph, chain, k=k_values, rr_graphs=arena, n_samples=count
-        )
-        via_legacy = compressed_cod(
-            graph, chain, k=k_values, rr_graphs=legacy, n_samples=count
-        )
+        via_arena = compressed_cod(graph, chain, k=k_values, rr_graphs=arena)
+        via_rebuilt = compressed_cod(graph, chain, k=k_values, rr_graphs=rebuilt)
         member_sets = [set(int(v) for v in chain.members(h))
                        for h in range(len(chain))]
         brute_counts, brute_thresholds = brute_force_cod(
             graph.n, q, member_sets, samples, tuple(k_values)
         )
 
-        assert via_arena.query_counts == via_legacy.query_counts == brute_counts
-        assert via_arena.thresholds == via_legacy.thresholds == brute_thresholds
+        assert via_arena.n_samples == via_rebuilt.n_samples == count
+        assert via_arena.query_counts == via_rebuilt.query_counts == brute_counts
+        assert via_arena.thresholds == via_rebuilt.thresholds == brute_thresholds
         for level in range(len(chain)):
             for k in k_values:
-                assert via_arena.qualifies(level, k) == via_legacy.qualifies(level, k)
+                assert via_arena.qualifies(level, k) == via_rebuilt.qualifies(level, k)
 
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS[::6])
-def test_himor_matches_legacy(seed):
-    """HIMOR ranks from the arena traversal equal the dict traversal's."""
+def test_himor_matches_brute_force(seed):
+    """HIMOR ranks from the tree HFS equal a per-community recount."""
     graph = random_case_graph(seed)
     model = _model_for(seed)
     hierarchy = agglomerative_hierarchy(graph)
     count = 4 * graph.n
 
+    samples = reference_rr_graphs(graph, count, model=model, rng=seed)
     arena = sample_arena(graph, count, model=model, rng=seed)
-    legacy = list(sample_rr_graphs(graph, count, model=model, rng=seed))
-    via_arena = HimorIndex.build(graph, hierarchy, rr_graphs=arena)
-    via_legacy = HimorIndex.build(graph, hierarchy, rr_graphs=legacy)
+    index = HimorIndex.build(graph, hierarchy, rr_graphs=arena)
+    expected = brute_force_himor_ranks(hierarchy, samples)
 
     for v in range(graph.n):
-        assert via_arena.ranks_of(v).tolist() == via_legacy.ranks_of(v).tolist()
+        assert index.ranks_of(v).tolist() == expected[v]

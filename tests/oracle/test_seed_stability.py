@@ -5,8 +5,9 @@ seed fully determines the sample set. These digests freeze the exact
 stream for the paper's 10-node graph at seed 7: if a refactor of the
 sampler (vectorization, reordering, a new fast path) changes a single
 fired edge, the hex changes and this test names the model it changed
-under. Both the arena engine and the legacy dict sampler must match the
-same digest — they share one RNG-stream contract.
+under. Both the arena engine and the frozen reference sampler in
+``tests/oracle/reference.py`` must match the same digest — they share one
+RNG-stream contract.
 
 If a change is *intentional* (a new stream contract), recompute the hexes
 with ``tests/oracle/reference.digest_samples`` and say so loudly in the
@@ -18,10 +19,9 @@ import pytest
 from repro.graph.graph import AttributedGraph
 from repro.influence.arena import sample_arena
 from repro.influence.models import LinearThreshold, UniformIC, WeightedCascade
-from repro.influence.rr import sample_rr_graphs
 
 from tests.conftest import PAPER_ATTRIBUTES, PAPER_EDGES
-from tests.oracle.reference import digest_samples
+from tests.oracle.reference import digest_samples, reference_rr_graphs
 
 SEED = 7
 COUNT = 50
@@ -51,9 +51,9 @@ def test_arena_stream_is_pinned(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_legacy_stream_is_pinned(name):
-    legacy = list(sample_rr_graphs(_graph(), COUNT, model=MODELS[name](), rng=SEED))
-    assert digest_samples(legacy) == GOLDEN[name]
+def test_reference_stream_is_pinned(name):
+    reference = reference_rr_graphs(_graph(), COUNT, model=MODELS[name](), rng=SEED)
+    assert digest_samples(reference) == GOLDEN[name]
 
 
 def test_digest_is_order_sensitive():

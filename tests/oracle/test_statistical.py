@@ -70,7 +70,6 @@ def test_community_spread_matches_enumeration():
         chain,
         k=1,
         rr_graphs=sample_arena(graph, THETA, model=model, rng=99),
-        n_samples=THETA,
     )
     for level in range(len(chain)):
         members = set(int(v) for v in chain.members(level))

@@ -11,31 +11,29 @@ from repro.core.lore import lore_chain, reclustering_scores
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.arena import sample_arena
-from repro.influence.rr import sample_rr_graphs
 
+from tests.conftest import ARENA_SAMPLERS
 from tests.property.test_hierarchy_props import random_connected_graphs
 
 
 class TestRRInvariants:
     """Structural invariants every RR sample must satisfy (Defs. 2-3).
 
-    Each property is checked on both the legacy dict sampler and the
-    arena engine's lazy views — the two code paths must uphold the same
-    contract, not just agree with each other.
+    Each property is checked on the views of every arena sampler — the
+    compatible, vectorized, and per-sample-seeded engines must uphold the
+    same contract, not just agree with each other in distribution.
     """
 
     @staticmethod
-    def _both_engines(g, count, seed):
-        legacy = list(sample_rr_graphs(g, count, rng=seed))
-        views = list(sample_arena(g, count, rng=seed))
-        return legacy + views
+    def _all_samplers(g, count, seed):
+        return [rr for draw in ARENA_SAMPLERS.values() for rr in draw(g, count, seed)]
 
     @given(random_connected_graphs(), st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
     def test_every_node_reachable_from_source(self, g, seed):
         """RR membership means reverse-reachability: every recorded node
         must be reachable from the source over the fired edges."""
-        for rr in self._both_engines(g, 3 * g.n, seed):
+        for rr in self._all_samplers(g, 3 * g.n, seed):
             everyone = set(rr.adjacency)
             reached = rr.reachable_within(everyone)
             assert reached == everyone
@@ -44,7 +42,7 @@ class TestRRInvariants:
     @settings(max_examples=20, deadline=None)
     def test_fired_edges_exist_in_graph(self, g, seed):
         """Reverse diffusion only flips edges the graph actually has."""
-        for rr in self._both_engines(g, 3 * g.n, seed):
+        for rr in self._all_samplers(g, 3 * g.n, seed):
             for v, targets in rr.adjacency.items():
                 for u in targets:
                     assert g.has_edge(int(v), int(u))
@@ -58,7 +56,7 @@ class TestRRInvariants:
         order = rng.permutation(g.n)
         inner = set(int(v) for v in order[: max(1, g.n // 3)])
         outer = inner | set(int(v) for v in order[: max(1, 2 * g.n // 3)])
-        for rr in self._both_engines(g, 2 * g.n, seed):
+        for rr in self._all_samplers(g, 2 * g.n, seed):
             r_inner = rr.reachable_within(inner)
             r_outer = rr.reachable_within(outer)
             assert r_inner <= r_outer
@@ -76,7 +74,7 @@ class TestCompressedProperties:
         rng = np.random.default_rng(seed)
         q = int(rng.integers(0, g.n))
         chain = CommunityChain.from_hierarchy(h, q)
-        rrs = list(sample_rr_graphs(g, 30 * g.n, rng=rng))
+        rrs = sample_arena(g, 30 * g.n, rng=rng)
         ks = [1, 2, 3]
         ev = compressed_cod(g, chain, k=ks, rr_graphs=rrs)
 
@@ -119,7 +117,7 @@ class TestCompressedProperties:
         rng = np.random.default_rng(seed)
         q = int(rng.integers(0, g.n))
         chain = CommunityChain.from_hierarchy(h, q)
-        rrs = list(sample_rr_graphs(g, 10 * g.n, rng=rng))
+        rrs = sample_arena(g, 10 * g.n, rng=rng)
         ev = compressed_cod(g, chain, k=1, rr_graphs=rrs)
         direct = sum(1 for rr in rrs if q in rr.adjacency)
         assert ev.query_counts[-1] == direct

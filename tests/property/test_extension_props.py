@@ -75,7 +75,7 @@ class TestPoolProperties:
         for level in range(len(chain)):
             members = set(int(v) for v in chain.members(level))
             direct = sum(
-                1 for rr in pool.samples if q in rr.reachable_within(members)
+                1 for rr in pool.arena if q in rr.reachable_within(members)
             )
             assert evaluation.query_counts[level] == direct
 

@@ -6,9 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.influence.arena import sample_arena
 from repro.influence.estimator import influence_ranks, rank_of
 from repro.influence.models import UniformIC, WeightedCascade
-from repro.influence.rr import sample_rr_graph
 
 from tests.property.test_hierarchy_props import random_connected_graphs
 
@@ -18,7 +18,7 @@ class TestRRProperties:
     @settings(max_examples=30, deadline=None)
     def test_rr_graph_closed_and_reachable(self, g, seed):
         rng = np.random.default_rng(seed)
-        rr = sample_rr_graph(g, rng=rng)
+        rr = sample_arena(g, 1, rng=rng).view(0)
         members = set(rr.adjacency)
         # Closed under recorded edges, every edge exists in g, and every
         # member is reachable from the source.
@@ -34,7 +34,7 @@ class TestRRProperties:
         """Reachability within a subset can only shrink as the subset
         shrinks — the monotonicity the bucket levels encode."""
         rng = np.random.default_rng(seed)
-        rr = sample_rr_graph(g, rng=rng)
+        rr = sample_arena(g, 1, rng=rng).view(0)
         members = sorted(rr.adjacency)
         full = rr.reachable_within(set(members))
         half = set(members[: max(1, len(members) // 2)])
@@ -48,14 +48,14 @@ class TestRRProperties:
         rng = np.random.default_rng(seed)
         size = max(1, g.n // 2)
         allowed = set(range(size))
-        rr = sample_rr_graph(g, rng=rng, source=0, allowed=allowed)
+        rr = sample_arena(g, 1, rng=rng, sources=[0], allowed=allowed).view(0)
         assert set(rr.adjacency) <= allowed
 
     @given(random_connected_graphs(), st.integers(0, 2**31))
     @settings(max_examples=15, deadline=None)
     def test_p1_rr_graph_covers_component(self, g, seed):
         rng = np.random.default_rng(seed)
-        rr = sample_rr_graph(g, model=UniformIC(p=1.0), rng=rng, source=0)
+        rr = sample_arena(g, 1, model=UniformIC(p=1.0), rng=rng, sources=[0]).view(0)
         assert sorted(rr.adjacency) == list(range(g.n))
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.compressed import compressed_cod
 from repro.core.lore import lore_chain
 from repro.errors import BudgetExhaustedError, DeadlineExceededError
-from repro.influence.rr import sample_rr_graphs
+from repro.influence.arena import sample_arena
 from repro.serving import BackoffPolicy, ExecutionBudget
 
 
@@ -118,12 +118,10 @@ class TestBackoffPolicy:
 class TestCheckpointThreading:
     def test_sampling_stops_at_budget(self, paper_graph):
         budget = ExecutionBudget(max_samples=3)
-        stream = sample_rr_graphs(paper_graph, 10, rng=0, budget=budget)
-        drawn = []
         with pytest.raises(BudgetExhaustedError):
-            for rr in stream:
-                drawn.append(rr)
-        assert len(drawn) == 3
+            sample_arena(paper_graph, 10, rng=0, budget=budget)
+        # The fourth draw's tick trips the budget before it samples.
+        assert budget.samples_drawn == 4
 
     def test_compressed_cod_respects_deadline(self, paper_graph, paper_hierarchy):
         from repro.hierarchy.chain import CommunityChain

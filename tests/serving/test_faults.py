@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InfluenceError
-from repro.influence.rr import sample_rr_graph
+from repro.influence.arena import sample_arena
 from repro.utils import faults
 from repro.utils.faults import FaultInjected, inject, maybe_fail
 
@@ -111,10 +111,10 @@ class TestProductionHooks:
     def test_rr_sampling_site_fires_in_sampler(self, triangle_graph):
         with inject(site="rr_sampling", rate=1.0, exc=InfluenceError):
             with pytest.raises(InfluenceError):
-                sample_rr_graph(triangle_graph, rng=0)
+                sample_arena(triangle_graph, 1, rng=0)
         # Disarmed: the sampler works again.
-        rr = sample_rr_graph(triangle_graph, rng=0)
-        assert rr.source in (0, 1, 2)
+        arena = sample_arena(triangle_graph, 1, rng=0)
+        assert arena.view(0).source in (0, 1, 2)
 
     def test_lore_site_fires_in_lore_chain(self, paper_graph, paper_hierarchy):
         from repro.core.lore import lore_chain

@@ -13,7 +13,8 @@ from repro.core.himor import (
     HimorIndex,
     build_fingerprint,
 )
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, IndexError_
+from repro.influence.arena import sample_arena
 from repro.utils.faults import corrupt_file, inject
 from repro.utils.persist import atomic_write_json, load_versioned_json
 
@@ -177,14 +178,13 @@ class TestFingerprint:
         assert base != build_fingerprint(two_cliques_graph, other_hierarchy,
                                          theta=3, n_samples=30, seed=1)
 
-    def test_legacy_iterable_with_checkpoint_rejected(self, paper_graph,
-                                                      paper_hierarchy,
-                                                      tmp_path):
-        from repro.influence.rr import sample_rr_graphs
-
-        legacy = list(sample_rr_graphs(paper_graph, 6, rng=0))
-        with pytest.raises(ValueError, match="arena"):
+    def test_non_arena_samples_with_checkpoint_rejected(self, paper_graph,
+                                                       paper_hierarchy,
+                                                       tmp_path):
+        views = list(sample_arena(paper_graph, 6, rng=0))
+        with pytest.raises(IndexError_, match="RRArena"):
             HimorIndex.build(
                 paper_graph, paper_hierarchy, theta=2, rng=0,
-                rr_graphs=legacy, checkpoint_path=tmp_path / "c.ckpt",
+                rr_graphs=views, checkpoint_path=tmp_path / "c.ckpt",
             )
+        assert not (tmp_path / "c.ckpt").exists()
