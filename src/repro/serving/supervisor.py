@@ -20,6 +20,12 @@ do. The moving parts:
   never re-freshens the worker, and an unseen beat freshens it only to
   the last moment its queue was observed empty, so a backlog of old
   beats drained after a silence cannot mask the silence.
+* **Event pump** — :meth:`~ServingSupervisor.poll` blocks on every live
+  worker's event pipe and process sentinel at once. It wakes on a
+  result or ready event (a worker is free: dispatch to it now), on a
+  worker exit (police the death in the same round), or at its deadline.
+  Heartbeats and epoch acks are handled as they arrive but do not end
+  the wait.
 * **Restart with backoff** — dead workers are respawned after a capped,
   jittered exponential delay
   (:class:`~repro.serving.budget.BackoffPolicy`); a worker that keeps
@@ -50,6 +56,7 @@ workers — see ``tests/serving/test_chaos.py`` for the invariant suite.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection as mp_connection
 import queue as stdlib_queue
 import time
 from collections import OrderedDict
@@ -100,6 +107,16 @@ W_IDLE = "idle"
 W_BUSY = "busy"
 W_RESTARTING = "restarting"
 W_DISABLED = "disabled"
+
+
+def _queue_reader(event_queue) -> "mp_connection.Connection":
+    """The pipe end behind a ``multiprocessing`` queue's ``get``.
+
+    ``mp_connection.wait`` needs it to block until the queue has data,
+    and ``mp.Queue`` has no public handle for it; the private
+    ``_reader`` is that ``Connection`` on CPython 3.10 through 3.12.
+    """
+    return event_queue._reader
 
 
 class ChaosSchedule:
@@ -1022,7 +1039,14 @@ class ServingSupervisor:
     # ----------------------------------------------------------- event pump
 
     def poll(self, wait_s: float = 0.05) -> None:
-        """One supervision round: reap events, police workers, dispatch."""
+        """One supervision round: reap events, police workers, dispatch.
+
+        The reap blocks for up to ``wait_s`` and ends early when a worker
+        is freed (a result or ready event) or a worker process exits, so
+        the freed worker gets its next task, or the dead one is handled,
+        in this same round. Heartbeats and epoch acks are handled as they
+        arrive but do not end the wait.
+        """
         self._reap_events(wait_s)
         self._police_workers()
         self._dispatch()
@@ -1032,35 +1056,53 @@ class ServingSupervisor:
         # mid-``put`` can only poison *its* queue (discarded at respawn),
         # never block its siblings on a shared write lock.
         deadline = time.monotonic() + wait_s
+        exited = False
         while True:
-            got_result = False
+            freed = False
             for slot in self._slots:
-                got_result |= self._drain_slot_events(slot)
-            # A result frees a worker: stop waiting so the caller can
-            # dispatch to it right away instead of idling out the window.
-            if got_result or time.monotonic() >= deadline:
+                freed |= self._drain_slot_events(slot)
+            remaining = deadline - time.monotonic()
+            if freed or exited or remaining <= 0:
                 return
-            time.sleep(0.005)
+            # Restarting and disabled slots have no process and no queue.
+            live = [slot for slot in self._slots if slot.proc is not None]
+            if not live:
+                time.sleep(remaining)
+                return
+            # A dead worker's sentinel stays ready, so ending the wait on
+            # it (and policing the death next) also keeps this from spinning.
+            sentinels = {slot.proc.sentinel: slot for slot in live}
+            readers = [_queue_reader(slot.event_queue) for slot in live]
+            for handle in mp_connection.wait(
+                readers + list(sentinels), timeout=remaining
+            ):
+                if handle in sentinels:
+                    # The sentinel fires as the child closes its files,
+                    # a moment before it can be reaped: join it so
+                    # ``is_alive()`` in _police_workers already says so.
+                    sentinels[handle].proc.join(timeout=1.0)
+                    exited = True
 
     def _drain_slot_events(self, slot: _WorkerSlot) -> bool:
-        """Drain one slot's event queue; True if a result was handled."""
+        """Drain one slot's event queue; True if an event freed a worker
+        (a result, or a ready signal from a starting worker)."""
         if slot.event_queue is None:
             return False
-        got_result = False
+        freed = False
         while True:
             try:
                 message = slot.event_queue.get_nowait()
             except stdlib_queue.Empty:
                 slot.queue_empty_at = time.monotonic()
-                return got_result
+                return freed
             except (EOFError, OSError):
                 self.transport_errors += 1
-                return got_result
+                return freed
             except Exception:  # noqa: BLE001 — a torn pickle must not stop the pump
                 self.transport_errors += 1
-                return got_result
+                return freed
             self._handle_event(message)
-            got_result |= message[0] == MSG_RESULT
+            freed |= message[0] in (MSG_RESULT, MSG_READY)
 
     def _handle_event(self, message: tuple) -> None:
         tag, worker_id, incarnation = message[0], message[1], message[2]

@@ -5,6 +5,10 @@ scenario keeps the workload small; the heavyweight scripted-fault drill
 lives in ``test_chaos.py``.
 """
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.core.problem import CODQuery
@@ -409,3 +413,65 @@ class TestAffinityDispatch:
         ) as supervisor:
             answers = supervisor.serve(queries, drain_timeout_s=60.0)
         assert [a.refused for a in answers] == [False] * 4
+
+
+class TestEventPump:
+    """``poll`` blocks on worker pipes and process exits, not a timer."""
+
+    @staticmethod
+    def _until_idle(supervisor, timeout_s=60.0):
+        deadline = time.monotonic() + timeout_s
+        while any(w["state"] != "idle"
+                  for w in supervisor.health()["workers"].values()):
+            assert time.monotonic() < deadline, "workers never became idle"
+            supervisor.poll(0.05)
+
+    @staticmethod
+    def _timed_poll(supervisor, wait_s):
+        wall, cpu = time.monotonic(), time.process_time()
+        supervisor.poll(wait_s)
+        return time.monotonic() - wall, time.process_time() - cpu
+
+    def test_ready_worker_ends_the_wait_and_gets_dispatched(self, paper_graph):
+        # The first query after start() waits only for the worker to come
+        # up, not for the rest of the poll window.
+        with ServingSupervisor(
+            paper_graph, n_workers=1, warm_index=False,
+            server_options={"theta": 3, "seed": 11}, **FAST,
+        ) as supervisor:
+            seq = supervisor.submit(make_queries(1)[0])
+            wall, _ = self._timed_poll(supervisor, 3.0)
+            assert wall < 1.5
+            assert supervisor._records[seq].dispatched_to == 0
+
+    def test_worker_exit_ends_the_wait(self, paper_graph):
+        with ServingSupervisor(
+            paper_graph, n_workers=1, warm_index=False,
+            server_options={"theta": 3, "seed": 11}, **FAST,
+        ) as supervisor:
+            self._until_idle(supervisor)
+            os.kill(supervisor._slots[0].proc.pid, signal.SIGKILL)
+            wall, _ = self._timed_poll(supervisor, 5.0)
+            assert wall < 1.0
+            worker = supervisor.health()["workers"]["0"]
+            assert worker["death_reasons"] == ["process exited"]
+
+    def test_idle_and_post_crash_waits_do_not_spin(self, paper_graph):
+        with ServingSupervisor(
+            paper_graph, n_workers=2, warm_index=False,
+            server_options={"theta": 3, "seed": 11}, **FAST,
+        ) as supervisor:
+            supervisor.serve(make_queries(4), drain_timeout_s=60.0)
+            self._until_idle(supervisor)
+            wall, cpu = self._timed_poll(supervisor, 0.5)
+            assert wall >= 0.45
+            assert cpu < 0.1
+            # A dead worker's pipe and sentinel must not keep waking the
+            # pump once the death has been policed.
+            os.kill(supervisor._slots[0].proc.pid, signal.SIGKILL)
+            supervisor._slots[0].proc.join(timeout=5.0)
+            supervisor.poll(0.0)
+            assert supervisor.health()["workers"]["0"]["death_reasons"]
+            wall, cpu = self._timed_poll(supervisor, 0.5)
+            assert wall >= 0.45
+            assert cpu < 0.1
