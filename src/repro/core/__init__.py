@@ -10,7 +10,12 @@ from repro.core.explain import (
 )
 from repro.core.himor import HimorIndex, himor_cod
 from repro.core.independent import independent_cod
-from repro.core.lore import LoreResult, lore_chain, reclustering_scores
+from repro.core.lore import (
+    LoreResult,
+    attribute_edge_lca_counts,
+    lore_chain,
+    reclustering_scores,
+)
 from repro.core.pipeline import CODL, CODR, CODU, CODLMinus, CODResult
 from repro.core.pool import SharedSamplePool
 from repro.core.problem import CODQuery
@@ -23,6 +28,7 @@ __all__ = [
     "compressed_cod",
     "CompressedEvaluation",
     "independent_cod",
+    "attribute_edge_lca_counts",
     "lore_chain",
     "reclustering_scores",
     "LoreResult",

@@ -14,14 +14,19 @@ too large for the node to be influential (Fig. 4). LORE instead:
 
 Score computation follows the Eq. 3 recursion: each query-attributed edge
 ``(u, v)`` whose LCA ``D = lca(u, v)`` is an ancestor of ``q`` contributes
-``dep(D)`` to the numerator of every ``C ⊇ D`` in ``H(q)``. One O(1) LCA
-query per edge gives all scores in O(|E|) (Theorem 5).
+``dep(D)`` to the numerator of every ``C ⊇ D`` in ``H(q)``. One vectorized
+LCA pass counts the edges at every hierarchy vertex in O(|E|) (Theorem 5);
+that count does not depend on ``q``, so with a memo it is paid once per
+attribute and each query reads its ``|H(q)|`` path entries. The local
+reclustering depends only on ``(attribute, C_l)`` and is memoized the
+same way.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,17 +66,41 @@ class LoreResult:
     scores: np.ndarray
 
 
+def attribute_edge_lca_counts(
+    graph: AttributedGraph,
+    hierarchy: CommunityHierarchy,
+    attribute: int,
+) -> np.ndarray:
+    """Query-attributed edges counted at their LCA vertex.
+
+    ``counts[D]`` is the number of edges ``(u, v)`` with both endpoints
+    carrying ``attribute`` and ``lca(u, v) == D``; the array has length
+    ``hierarchy.n_vertices``. It does not depend on the query node, so one
+    vectorized O(|E|) pass serves every query on ``attribute`` (Theorem 5).
+    """
+    u, v = graph.attribute_edge_arrays(attribute)
+    lcas = hierarchy.lca_many(u, v)
+    return np.bincount(lcas, minlength=hierarchy.n_vertices).astype(
+        np.int64, copy=False
+    )
+
+
 def reclustering_scores(
     graph: AttributedGraph,
     hierarchy: CommunityHierarchy,
     q: int,
     attribute: int,
     depth_weighted: bool = True,
+    edge_counts: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """``r(C)`` for every community of ``H(q)``, deepest first (Eq. 2/3).
 
-    Runs in O(|E|) total: one pass over the query-attributed edges with an
-    O(1) LCA each, then a prefix accumulation along ``H(q)``.
+    ``delta[level]``, the number of query-attributed edges whose LCA is
+    exactly the level-th community of ``H(q)``, is read from
+    ``edge_counts`` (:func:`attribute_edge_lca_counts`, computed here when
+    not given); edges with LCAs off the path do not involve ``q``'s
+    hierarchy and drop out. A prefix accumulation along ``H(q)`` then
+    gives every score, O(|H(q)|) per query once the counts exist.
 
     ``depth_weighted=False`` replaces the Definition-4 depth weights with a
     plain edge count (every divided edge contributes 1) — the ablation
@@ -80,17 +109,9 @@ def reclustering_scores(
     path = hierarchy.path_communities(q)
     if not path:
         raise QueryError(f"query node {q} has no ancestor communities")
-    level_of_vertex = {vertex: level for level, vertex in enumerate(path)}
-
-    # delta[level] = number of query-attributed edges whose LCA is exactly
-    # the level-th community of H(q); edges with LCAs off the path do not
-    # involve q's hierarchy and are skipped.
-    delta = np.zeros(len(path), dtype=np.int64)
-    for u, v in graph.attribute_edges(attribute):
-        lca = hierarchy.lca(u, v)
-        level = level_of_vertex.get(lca)
-        if level is not None:
-            delta[level] += 1
+    if edge_counts is None:
+        edge_counts = attribute_edge_lca_counts(graph, hierarchy, attribute)
+    delta = edge_counts[np.asarray(path, dtype=np.int64)]
 
     if depth_weighted:
         weights = np.asarray(
@@ -131,6 +152,7 @@ def lore_chain(
     depth_weighted: bool = True,
     budget: "object | None" = None,
     trace: "object | None" = None,
+    memo: "object | None" = None,
 ) -> LoreResult:
     """Run LORE end-to-end: score, select ``C_l``, recluster, splice.
 
@@ -149,50 +171,78 @@ def lore_chain(
     trace:
         Optional duck-typed span recorder (``span(name, **meta)`` context
         manager, e.g. ``repro.obs.QueryTrace``): the whole run nests in a
-        ``lore`` span annotated with the chosen level and chain length.
+        ``lore`` span annotated with the chosen level, the chain length and
+        whether the edge counts and the local hierarchy came from ``memo``.
         Tracing never changes the result.
+    memo:
+        Optional duck-typed ``get_or_create(key, factory)`` store (e.g.
+        :class:`repro.utils.cache.LRUCache`) for LORE's query-independent
+        work: the edge counts under ``(attribute, "edges")`` and the local
+        reclustering of ``C_l`` under ``(attribute, c_ell)``. Entries are
+        pure functions of the graph, the hierarchy, the weighting and the
+        linkage, so the caller must drop them when any of those change —
+        every key starts with the attribute, so an attribute-scoped change
+        drops only that attribute's entries. The result is bit-identical
+        with or without a memo.
     """
     span_cm = trace.span("lore") if trace is not None else nullcontext()
     with span_cm as span:
         maybe_fail("lore")
         if budget is not None:
             budget.check()
+        edge_counts, edges_memo = _memoized(
+            memo,
+            (attribute, "edges"),
+            lambda: attribute_edge_lca_counts(graph, hierarchy, attribute),
+        )
         scores = reclustering_scores(
-            graph, hierarchy, q, attribute, depth_weighted=depth_weighted
+            graph,
+            hierarchy,
+            q,
+            attribute,
+            depth_weighted=depth_weighted,
+            edge_counts=edge_counts,
         )
         path = hierarchy.path_communities(q)
         c_ell, c_ell_level = select_reclustering_community(scores, path)
 
-        if weighted_graph is None:
-            weighted_graph = attribute_weighted_graph(graph, attribute, weighting)
-
-        # Recluster g_l induced on C_l; the local subgraph may be
-        # disconnected even when g is connected, so components are stacked
-        # under the root.
         if budget is not None:
             budget.check()
-        members = hierarchy.members(c_ell)
-        view = induced_subgraph(weighted_graph, members, keep_weights=True)
-        local = agglomerative_hierarchy(
-            view.graph, linkage=linkage, on_disconnected="merge"
-        )
+
+        def recluster() -> _LocalRecluster:
+            # Recluster g_l induced on C_l; the local subgraph may be
+            # disconnected even when g is connected, so components are
+            # stacked under the root.
+            g_l = weighted_graph
+            if g_l is None:
+                g_l = attribute_weighted_graph(graph, attribute, weighting)
+            view = induced_subgraph(
+                g_l, hierarchy.members(c_ell), keep_weights=True
+            )
+            local_hierarchy = agglomerative_hierarchy(
+                view.graph, linkage=linkage, on_disconnected="merge"
+            )
+            return _LocalRecluster(view.to_parent, view.to_sub, local_hierarchy)
+
+        local, local_memo = _memoized(memo, (attribute, c_ell), recluster)
+        to_parent, to_sub, local_hierarchy = local
 
         # Reclustered communities strictly inside C_l containing q, deepest
         # first, translated back to parent ids. The local root equals C_l
         # and is dropped (C_l re-enters from the original hierarchy).
-        q_local = view.to_sub[q]
-        member_lists: list[list[int]] = []
+        c_ell_size = hierarchy.size(c_ell)
+        member_lists: list[np.ndarray] = []
         depths: list[int] = []
         c_ell_depth = hierarchy.depth(c_ell)
-        for vertex in local.path_communities(q_local):
-            if local.size(vertex) >= len(members):
+        for vertex in local_hierarchy.path_communities(to_sub[q]):
+            if local_hierarchy.size(vertex) >= c_ell_size:
                 continue
-            member_lists.append(view.parent_ids(local.members(vertex)))
-            depths.append(c_ell_depth + local.depth(vertex) - 1)
+            member_lists.append(to_parent[local_hierarchy.members(vertex)])
+            depths.append(c_ell_depth + local_hierarchy.depth(vertex) - 1)
 
         c_ell_chain_level = len(member_lists)
         for vertex in [c_ell, *hierarchy.ancestors(c_ell)]:
-            member_lists.append([int(v) for v in hierarchy.members(vertex)])
+            member_lists.append(hierarchy.members(vertex))
             depths.append(hierarchy.depth(vertex))
 
         chain = CommunityChain.from_member_lists(graph.n, q, member_lists, depths)
@@ -200,7 +250,9 @@ def lore_chain(
             span.note(
                 chain=len(chain),
                 c_ell_level=int(c_ell_level),
-                c_ell_size=int(len(members)),
+                c_ell_size=c_ell_size,
+                edge_counts="memo" if edges_memo else "built",
+                local_hierarchy="memo" if local_memo else "built",
             )
         return LoreResult(
             chain=chain,
@@ -208,3 +260,29 @@ def lore_chain(
             c_ell_chain_level=c_ell_chain_level,
             scores=scores,
         )
+
+
+class _LocalRecluster(NamedTuple):
+    """The query-independent part of reclustering ``C_l``.
+
+    Holds only the id maps and the local hierarchy, not the induced
+    weighted subgraph, so a memo of these stays small.
+    """
+
+    to_parent: np.ndarray
+    to_sub: dict[int, int]
+    hierarchy: CommunityHierarchy
+
+
+def _memoized(memo: "object | None", key: tuple, factory) -> tuple[object, bool]:
+    """``(value, served_from_memo)`` for ``key``; no memo means build."""
+    if memo is None:
+        return factory(), False
+    built = False
+
+    def build() -> object:
+        nonlocal built
+        built = True
+        return factory()
+
+    return memo.get_or_create(key, build), not built

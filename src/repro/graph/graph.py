@@ -236,19 +236,28 @@ class AttributedGraph:
         """All attribute ids present on at least one node."""
         return frozenset(self._attribute_index)
 
-    def attribute_edges(self, attribute: int) -> Iterator[tuple[int, int]]:
-        """Edges whose *both* endpoints carry ``attribute``.
+    def attribute_edge_arrays(self, attribute: int) -> tuple[np.ndarray, np.ndarray]:
+        """Edges whose *both* endpoints carry ``attribute``, as arrays.
 
-        These are the "query-attributed edges" of LORE's reclustering score
-        (Definition 4 of the paper).
+        Returns ``(u, v)`` int64 arrays with ``u[i] < v[i]``, ordered by
+        ``u`` then ``v``. These are the "query-attributed edges" of LORE's
+        reclustering score (Definition 4 of the paper).
         """
-        carriers = set(int(v) for v in self.nodes_with_attribute(attribute))
-        for u in sorted(carriers):
-            row = self._adjacency[u]
-            start = int(np.searchsorted(row, u + 1))
-            for v in row[start:]:
-                if int(v) in carriers:
-                    yield u, int(v)
+        carriers = np.unique(self.nodes_with_attribute(attribute))
+        if not len(carriers):
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy()
+        is_carrier = np.zeros(self._n, dtype=bool)
+        is_carrier[carriers] = True
+        u = np.repeat(carriers, self._degrees[carriers])
+        v = np.concatenate([self._adjacency[c] for c in carriers.tolist()])
+        keep = (v > u) & is_carrier[v]
+        return u[keep], v[keep]
+
+    def attribute_edges(self, attribute: int) -> Iterator[tuple[int, int]]:
+        """Iterate :meth:`attribute_edge_arrays` as ``(u, v)`` int pairs."""
+        u, v = self.attribute_edge_arrays(attribute)
+        yield from zip(u.tolist(), v.tolist())
 
     # ---------------------------------------------------------- connectivity
 

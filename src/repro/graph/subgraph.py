@@ -38,7 +38,7 @@ class SubgraphView:
 
     def parent_ids(self, sub_nodes: Sequence[int]) -> list[int]:
         """Translate subgraph node ids back to parent ids."""
-        return [int(self.to_parent[v]) for v in sub_nodes]
+        return self.to_parent[np.asarray(sub_nodes, dtype=np.int64)].tolist()
 
 
 def induced_subgraph(

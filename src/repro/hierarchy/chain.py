@@ -98,8 +98,7 @@ class CommunityChain:
         ``node_level`` is computed by painting levels from largest to
         smallest, O(sum |C_i|).
         """
-        members = [np.asarray(sorted(set(int(v) for v in ms)), dtype=np.int64)
-                   for ms in member_lists]
+        members = [np.unique(np.asarray(ms, dtype=np.int64)) for ms in member_lists]
         node_level = np.full(n, cls.OUTSIDE, dtype=np.int64)
         for level in range(len(members) - 1, -1, -1):
             node_level[members[level]] = level

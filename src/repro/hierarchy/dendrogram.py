@@ -181,11 +181,19 @@ class CommunityHierarchy:
         The first call builds an Euler-tour sparse table
         (:class:`repro.hierarchy.lca.LcaIndex`) lazily.
         """
+        return self._lca().lca(a, b)
+
+    def lca_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Element-wise :meth:`lca` over two vertex arrays, vectorized."""
+        return self._lca().lca_many(a, b)
+
+    def _lca(self) -> "LcaIndex":  # noqa: F821
+        """The Euler-tour LCA index, built on first use."""
         if self._lca_index is None:
             from repro.hierarchy.lca import LcaIndex
 
             self._lca_index = LcaIndex(self)
-        return self._lca_index.lca(a, b)
+        return self._lca_index
 
     def is_ancestor(self, ancestor: int, descendant: int) -> bool:
         """Whether ``ancestor`` contains ``descendant`` (self counts)."""

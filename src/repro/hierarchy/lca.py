@@ -3,7 +3,8 @@
 Implements the classic Euler-tour + sparse-table reduction of LCA to range
 minimum (Bender et al. [48] in the paper): one O(T log T) preprocessing
 pass, then O(1) per query. Both the LORE score computation (Theorem 5) and
-HIMOR construction (Theorem 6) rely on O(1) ``lca``.
+HIMOR construction (Theorem 6) rely on O(1) ``lca``; :meth:`LcaIndex.lca_many`
+answers a whole array of pairs in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class LcaIndex:
         depth_arr = np.asarray(depths, dtype=np.int64)
 
         t = len(tour)
-        # table[j][i] is the tour index of the minimum depth in the window
+        # table[j, i] is the tour index of the minimum depth in the window
         # [i, i + 2^j). Entries with i > t - 2^j are built with a clamped
         # right half; queries never touch them (both query windows fit).
         table = [np.arange(t, dtype=np.int64)]
@@ -54,7 +55,7 @@ class LcaIndex:
             choose_right = depth_arr[right] < depth_arr[prev]
             table.append(np.where(choose_right, right, prev))
             span *= 2
-        self._table = table
+        self._table = np.stack(table)
         self._log = np.zeros(t + 1, dtype=np.int64)
         for i in range(2, t + 1):
             self._log[i] = self._log[i // 2] + 1
@@ -66,16 +67,47 @@ class LcaIndex:
         total = len(self._first)
         if not (0 <= a < total) or not (0 <= b < total):
             raise HierarchyError(f"lca arguments ({a}, {b}) out of range 0..{total - 1}")
-        i = int(self._first[a])
-        j = int(self._first[b])
+        i = self._first.item(a)
+        j = self._first.item(b)
         if i > j:
             i, j = j, i
         length = j - i + 1
-        k = int(self._log[length])
+        k = self._log.item(length)
         if k >= len(self._table):
             k = len(self._table) - 1
-        left = int(self._table[k][i])
-        right = int(self._table[k][j - (1 << k) + 1])
+        left = self._table.item(k, i)
+        right = self._table.item(k, j - (1 << k) + 1)
         depths = self._depths
-        best = left if depths[left] <= depths[right] else right
-        return int(self._tour[best])
+        best = left if depths.item(left) <= depths.item(right) else right
+        return self._tour.item(best)
+
+    def lca_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Element-wise :meth:`lca` over two equally long vertex arrays.
+
+        Returns an int64 array with ``out[i] == lca(a[i], b[i])``, ties
+        broken exactly as the scalar query breaks them.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if a.shape != b.shape:
+            raise HierarchyError(
+                f"lca_many arguments differ in shape: {a.shape} vs {b.shape}"
+            )
+        total = len(self._first)
+        for side in (a, b):
+            bad = (side < 0) | (side >= total)
+            if bad.any():
+                raise HierarchyError(
+                    f"lca_many argument {int(side[bad][0])} out of range "
+                    f"0..{total - 1}"
+                )
+        first_a = self._first[a]
+        first_b = self._first[b]
+        i = np.minimum(first_a, first_b)
+        j = np.maximum(first_a, first_b)
+        k = np.minimum(self._log[j - i + 1], len(self._table) - 1)
+        left = self._table[k, i]
+        right = self._table[k, j - (np.int64(1) << k) + 1]
+        depths = self._depths
+        best = np.where(depths[left] <= depths[right], left, right)
+        return self._tour[best]

@@ -207,9 +207,10 @@ class CODServer:
         mode (nothing is drawn); deadlines still apply.
     cache_capacity:
         Bound for each of the server's internal LRU caches (weighted
-        graphs, LORE chains, restricted arenas). Hit/miss/eviction
-        counters surface in :meth:`health` under ``"caches"`` and, with a
-        registry attached, as ``cache.<name>.*`` metrics.
+        graphs, LORE chains, LORE's per-attribute parts, restricted
+        arenas). Hit/miss/eviction counters surface in :meth:`health`
+        under ``"caches"`` and, with a registry attached, as
+        ``cache.<name>.*`` metrics.
     fast_sampling:
         When true, fresh per-query draws use the vectorized batch
         sampler (:func:`~repro.influence.fastsample.sample_arena_fast`)
@@ -322,6 +323,13 @@ class CODServer:
         )
         self._lore_cache = LRUCache(
             self.cache_capacity, name="lore", metrics=metrics
+        )
+        #: LORE's query-independent parts, shared across query nodes:
+        #: per-attribute edge-LCA counts and per-(attribute, C_l) local
+        #: reclusterings (see ``lore_chain(memo=)``). Invalidated together
+        #: with ``_lore_cache`` by :meth:`_invalidate_lore`.
+        self._lore_local = LRUCache(
+            self.cache_capacity, name="lore_local", metrics=metrics
         )
         self._restricted_cache = LRUCache(
             self.cache_capacity, name="restricted", metrics=metrics
@@ -579,7 +587,7 @@ class CODServer:
             index_action = "none"
             if structural:
                 invalidated += self._weighted_cache.rebind(new_graph)
-                invalidated += self._lore_cache.clear()
+                invalidated += self._invalidate_lore()
                 invalidated += self._restricted_cache.clear()
                 rep = None
                 if self.pool is not None:
@@ -601,11 +609,9 @@ class CODServer:
                 if self.weighting.scheme == "jaccard":
                     # Jaccard weights read every node's full attribute set,
                     # so no cached chain is provably untouched.
-                    invalidated += self._lore_cache.clear()
+                    invalidated += self._invalidate_lore()
                 else:
-                    invalidated += self._lore_cache.invalidate(
-                        lambda key: key[1] in t_attrs
-                    )
+                    invalidated += self._invalidate_lore(t_attrs)
                 # Restricted arenas and HIMOR ranks are topology-only;
                 # attribute flips cannot stale them.
                 if self.pool is not None:
@@ -722,7 +728,7 @@ class CODServer:
             )
         target = self.epoch + 1 if epoch is None else int(epoch)
         invalidated = self._weighted_cache.rebind(graph)
-        invalidated += self._lore_cache.clear()
+        invalidated += self._invalidate_lore()
         invalidated += self._restricted_cache.clear()
         self.pool.adopt(graph, arena)
         old_graph = self.graph
@@ -822,6 +828,7 @@ class CODServer:
         snapshot["caches"] = {
             "weighted": self._weighted_cache.stats(),
             "lore": self._lore_cache.stats(),
+            "lore_local": self._lore_local.stats(),
             "restricted": self._restricted_cache.stats(),
         }
         if self.pool is not None:
@@ -1069,7 +1076,7 @@ class CODServer:
                 # hierarchy-derived memos (LORE chains keyed by its vertex
                 # ids, restricted arenas) are stale the moment it changes.
                 if self._hierarchy is not index.hierarchy:
-                    self._lore_cache.clear()
+                    self._invalidate_lore()
                     self._restricted_cache.clear()
                 self._hierarchy = index.hierarchy
                 return index
@@ -1129,6 +1136,21 @@ class CODServer:
         assert self.index_path is not None
         return self.index_path.with_name(self.index_path.name + ".ckpt")
 
+    def _invalidate_lore(self, attributes: "set[int] | None" = None) -> int:
+        """Drop LORE memos: every entry, or only ``attributes``' entries.
+
+        The one invalidation path for both LORE caches, so the finished
+        chains (keyed ``(node, attribute)``) and their query-independent
+        parts (keyed ``(attribute, ...)``) cannot drift apart. Returns the
+        number of finished chains dropped; the parts are rebuilt lazily
+        and are not counted.
+        """
+        if attributes is None:
+            self._lore_local.clear()
+            return self._lore_cache.clear()
+        self._lore_local.invalidate(lambda key: key[0] in attributes)
+        return self._lore_cache.invalidate(lambda key: key[1] in attributes)
+
     def _guarded_lore(
         self,
         query: CODQuery,
@@ -1139,8 +1161,10 @@ class CODServer:
 
         The chain is a deterministic function of (graph, hierarchy, node,
         attribute, weighting), so a cached hit — checked before the
-        breaker — returns the same result a fresh run would. The cache is
-        invalidated whenever the hierarchy changes (index adoption).
+        breaker — returns the same result a fresh run would. A miss reuses
+        the attribute's edge counts and ``C_l``'s local reclustering from
+        ``_lore_local`` when present. Both caches are invalidated through
+        :meth:`_invalidate_lore` whenever the graph or hierarchy changes.
         """
         key = (query.node, query.attribute)
         cached = self._lore_cache.get(key)
@@ -1159,6 +1183,7 @@ class CODServer:
                 weighted_graph=self._weighted(query.attribute),
                 budget=budget,
                 trace=trace,
+                memo=self._lore_local,
             )
         except (DeadlineExceededError, BudgetExhaustedError):
             raise  # a spent budget is not LORE's fault

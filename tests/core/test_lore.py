@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.lore import (
+    attribute_edge_lca_counts,
     lore_chain,
     reclustering_scores,
     select_reclustering_community,
@@ -11,7 +12,9 @@ from repro.core.lore import (
 from repro.errors import QueryError
 from repro.graph.weighting import AttributeWeighting
 
-from tests.conftest import C0, C3, C4, C6, DB
+from repro.utils.cache import LRUCache
+
+from tests.conftest import C0, C1, C3, C4, C6, DB
 
 
 class TestReclusteringScores:
@@ -51,6 +54,40 @@ class TestReclusteringScores:
         # H(v8) = [C5, C6]; DB-DB edges with lca C6: none (all inside C4).
         assert scores[0] == pytest.approx(0.0)
         assert scores[1] == pytest.approx(0.0)
+
+
+class TestEdgeLcaCounts:
+    def test_paper_example_counts(self, paper_graph, paper_hierarchy):
+        # DB-DB edges: (2,4) and (3,5) meet at C4, (3,7) at C3, (4,5) at C1.
+        counts = attribute_edge_lca_counts(paper_graph, paper_hierarchy, DB)
+        assert counts.dtype == np.int64
+        assert len(counts) == paper_hierarchy.n_vertices
+        expected = np.zeros(paper_hierarchy.n_vertices, dtype=np.int64)
+        expected[[C4, C3, C1]] = [2, 1, 1]
+        assert np.array_equal(counts, expected)
+
+    def test_scores_from_given_counts(self, paper_graph, paper_hierarchy):
+        counts = attribute_edge_lca_counts(paper_graph, paper_hierarchy, DB)
+        for q in range(paper_graph.n):
+            for depth_weighted in (True, False):
+                assert np.array_equal(
+                    reclustering_scores(
+                        paper_graph, paper_hierarchy, q, DB,
+                        depth_weighted=depth_weighted, edge_counts=counts,
+                    ),
+                    reclustering_scores(
+                        paper_graph, paper_hierarchy, q, DB,
+                        depth_weighted=depth_weighted,
+                    ),
+                )
+
+    def test_no_attributed_edges_gives_zero_counts(self):
+        from repro.graph.graph import AttributedGraph
+        from repro.hierarchy.nnchain import agglomerative_hierarchy
+
+        g = AttributedGraph(4, [(0, 1), (1, 2), (2, 3)], attributes=[[5], [], [5], []])
+        h = agglomerative_hierarchy(g)
+        assert not attribute_edge_lca_counts(g, h, 5).any()
 
 
 class TestSelection:
@@ -123,6 +160,35 @@ class TestLoreChain:
         a = lore_chain(paper_graph, paper_hierarchy, 0, DB)
         b = lore_chain(paper_graph, paper_hierarchy, 0, DB, weighted_graph=weighted)
         assert list(a.chain.sizes) == list(b.chain.sizes)
+
+
+class TestMemo:
+    def test_memo_keys_start_with_the_attribute(self, paper_graph, paper_hierarchy):
+        memo = LRUCache(16, name="lore_local")
+        result = lore_chain(paper_graph, paper_hierarchy, 0, DB, memo=memo)
+        assert set(memo._entries) == {(DB, "edges"), (DB, result.c_ell_vertex)}
+
+    def test_memo_hit_reuses_parts_and_matches(self, paper_graph, paper_hierarchy):
+        memo = LRUCache(16, name="lore_local")
+        for q in range(paper_graph.n):
+            memoized = lore_chain(paper_graph, paper_hierarchy, q, DB, memo=memo)
+            fresh = lore_chain(paper_graph, paper_hierarchy, q, DB)
+            assert memoized.c_ell_vertex == fresh.c_ell_vertex
+            assert np.array_equal(memoized.scores, fresh.scores)
+            assert np.array_equal(
+                memoized.chain.node_levels, fresh.chain.node_levels
+            )
+        # Counts built once; later queries sharing a C_l reuse its recluster.
+        assert memo.misses == 1 + len(
+            [key for key in memo._entries if key[1] != "edges"]
+        )
+        assert memo.hits >= paper_graph.n - 1
+
+    def test_failed_build_caches_nothing(self, paper_graph, paper_hierarchy):
+        memo = LRUCache(16, name="lore_local")
+        with pytest.raises(Exception):
+            lore_chain(paper_graph, paper_hierarchy, 0, 99, memo=memo)
+        assert len(memo) == 0
 
 
 class TestEq2VsEq3:

@@ -156,6 +156,51 @@ class TestAttributes:
         # (3, 7) is DB-DB; (0, 3) is ML-DB and must be excluded.
         assert (0, 3) not in set(paper_graph.attribute_edges(0))
 
+    def test_attribute_edges_order_unchanged(self, paper_graph):
+        # By u, then v: the order the per-node loop used to yield.
+        assert list(paper_graph.attribute_edges(0)) == [
+            (2, 4), (3, 5), (3, 7), (4, 5)
+        ]
+        assert all(
+            type(u) is int and type(v) is int
+            for u, v in paper_graph.attribute_edges(1)
+        )
+
+    def test_attribute_edge_arrays_match_edges(self, paper_graph):
+        for attribute in (0, 1):
+            u, v = paper_graph.attribute_edge_arrays(attribute)
+            assert u.dtype == np.int64 and v.dtype == np.int64
+            assert list(zip(u.tolist(), v.tolist())) == list(
+                paper_graph.attribute_edges(attribute)
+            )
+
+    def test_attribute_edge_arrays_on_random_graph(self):
+        rng = np.random.default_rng(3)
+        n = 60
+        edges = {tuple(sorted(map(int, rng.choice(n, 2, replace=False))))
+                 for _ in range(240)}
+        attrs = [[int(a) for a in np.flatnonzero(rng.random(3) < 0.4)]
+                 for _ in range(n)]
+        g = AttributedGraph(n, sorted(edges), attributes=attrs)
+        for attribute in sorted(g.attribute_universe):
+            carriers = set(int(v) for v in g.nodes_with_attribute(attribute))
+            expected = sorted(
+                (u, v) for u, v in edges if u in carriers and v in carriers
+            )
+            assert list(g.attribute_edges(attribute)) == expected
+
+    def test_attribute_edges_without_edges(self):
+        g = AttributedGraph(3, [(0, 1)], attributes=[[5], [], [5]])
+        u, v = g.attribute_edge_arrays(5)
+        assert len(u) == len(v) == 0
+        assert list(g.attribute_edges(5)) == []
+
+    def test_attribute_edges_unknown_attribute_raises(self, paper_graph):
+        with pytest.raises(AttributeNotFoundError):
+            paper_graph.attribute_edge_arrays(99)
+        with pytest.raises(AttributeNotFoundError):
+            list(paper_graph.attribute_edges(99))
+
     def test_multi_attribute_nodes(self):
         g = AttributedGraph(2, [(0, 1)], attributes=[[0, 1, 2], [1]])
         assert g.attributes_of(0) == frozenset({0, 1, 2})

@@ -82,6 +82,37 @@ class TestFromMemberLists:
         assert list(chain.sizes) == [2, 3]
 
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_list_and_array_input_agree(self, seed):
+        # Unsorted members with duplicates, as lists and as int32/int64
+        # arrays, must give the same chain.
+        rng = np.random.default_rng(seed)
+        n = 30
+        order = [0, *rng.permutation(np.arange(1, n)).tolist()]
+        sizes = sorted(rng.choice(np.arange(2, n + 1), size=4, replace=False))
+        member_lists = []
+        for size in sizes:
+            ms = rng.permutation(order[:size]).tolist()
+            member_lists.append(ms + ms[: size // 3])
+        depths = [7, 5, 3, 1]
+        as_lists = CommunityChain.from_member_lists(n, 0, member_lists, depths)
+        for dtype in (np.int64, np.int32):
+            as_arrays = CommunityChain.from_member_lists(
+                n, 0, [np.asarray(ms, dtype=dtype) for ms in member_lists], depths
+            )
+            assert np.array_equal(as_arrays.node_levels, as_lists.node_levels)
+            for level in range(len(as_lists)):
+                assert as_arrays.members(level).dtype == np.int64
+                assert np.array_equal(
+                    as_arrays.members(level), as_lists.members(level)
+                )
+                assert as_arrays.members(level).tolist() == sorted(
+                    set(member_lists[level])
+                )
+                assert as_arrays.depth(level) == as_lists.depth(level)
+        as_lists.validate_nesting()
+
+
 class TestPrefix:
     def test_prefix_truncates(self, paper_hierarchy):
         chain = CommunityChain.from_hierarchy(paper_hierarchy, 0)

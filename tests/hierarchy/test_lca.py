@@ -75,3 +75,50 @@ class TestLcaIndex:
         # Leaf k joined at merge vertex n + k - 1 for k >= 2.
         assert index.lca(0, 100) == n + 99
         assert index.lca(57, 400) == n + 399
+
+
+class TestLcaMany:
+    def test_every_pair_of_paper_tree(self, paper_hierarchy):
+        index = LcaIndex(paper_hierarchy)
+        total = paper_hierarchy.n_vertices
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(total), np.arange(total)))
+        got = index.lca_many(a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == [index.lca(int(x), int(y)) for x, y in zip(a, b)]
+
+    def test_hierarchy_method_builds_index_lazily(self, paper_hierarchy):
+        got = paper_hierarchy.lca_many(np.array([0, 4, 3]), np.array([6, 5, 3]))
+        assert got.tolist() == [
+            paper_hierarchy.lca(0, 6), paper_hierarchy.lca(4, 5), 3
+        ]
+
+    def test_random_pairs_on_a_hub_heavy_graph(self):
+        from repro.datasets import load_dataset
+        from repro.hierarchy.nnchain import agglomerative_hierarchy
+
+        graph = load_dataset("pubmed", scale=2.0, seed=7).graph
+        h = agglomerative_hierarchy(graph)
+        rng = np.random.default_rng(2)
+        # Leaf/leaf, leaf/internal, internal/internal and a == b pairs.
+        a = rng.integers(0, h.n_vertices, size=4000)
+        b = rng.integers(0, h.n_vertices, size=4000)
+        leaves = rng.integers(0, h.n_leaves, size=2000)
+        a = np.concatenate([a, leaves, leaves, [h.root, 0]])
+        b = np.concatenate([b, rng.integers(0, h.n_leaves, size=2000), leaves,
+                            [h.root, h.root]])
+        got = h.lca_many(a, b)
+        assert got.tolist() == [h.lca(int(x), int(y)) for x, y in zip(a, b)]
+
+    def test_empty_input(self, paper_hierarchy):
+        got = paper_hierarchy.lca_many(np.array([], dtype=np.int64),
+                                       np.array([], dtype=np.int64))
+        assert got.dtype == np.int64 and len(got) == 0
+
+    @pytest.mark.parametrize("a,b", [([0, 99], [1, 2]), ([0], [-1]), ([20], [0])])
+    def test_out_of_range_rejected(self, paper_hierarchy, a, b):
+        with pytest.raises(HierarchyError):
+            paper_hierarchy.lca_many(np.array(a), np.array(b))
+
+    def test_shape_mismatch_rejected(self, paper_hierarchy):
+        with pytest.raises(HierarchyError):
+            paper_hierarchy.lca_many(np.array([0, 1]), np.array([2]))

@@ -20,6 +20,11 @@ it, seed for seed, against these implementations:
   per community. No tree HFS, no buckets, no bottom-up merge.
 * :func:`enumerate_exact_spread` — closed-form ``sigma_g(q)`` on tiny
   graphs by summing over every possible world (Theorem 1's left side).
+* :func:`reference_lore_chain` — LORE (Algorithm 2) run per query from
+  scratch: one scalar LCA per query-attributed edge for the scores
+  (:func:`reference_reclustering_scores`), a fresh local reclustering of
+  ``C_l``, and the chain assembled from boxed-int member sets. Memoized
+  production chains must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +34,12 @@ from itertools import product
 
 import numpy as np
 
+from repro.core.lore import LoreResult, select_reclustering_community
 from repro.graph.graph import AttributedGraph
+from repro.graph.subgraph import induced_subgraph
+from repro.graph.weighting import attribute_weighted_graph
+from repro.hierarchy.chain import CommunityChain
+from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.rng import ensure_rng
 
@@ -250,3 +260,94 @@ def random_case_graph(seed: int) -> AttributedGraph:
             edges.add((min(u, v), max(u, v)))
     attrs = [[int(rng.integers(0, 3))] for _ in range(n)]
     return AttributedGraph(n, sorted(edges), attributes=attrs)
+
+
+def reference_attribute_edges(
+    graph: AttributedGraph, attribute: int
+) -> list[tuple[int, int]]:
+    """Edges with both endpoints carrying ``attribute``, ``u < v``, by ``u``."""
+    carriers = set(int(v) for v in graph.nodes_with_attribute(attribute))
+    edges = []
+    for u in sorted(carriers):
+        for v in graph.neighbors(u):
+            if int(v) > u and int(v) in carriers:
+                edges.append((u, int(v)))
+    return edges
+
+
+def reference_reclustering_scores(
+    graph: AttributedGraph,
+    hierarchy,
+    q: int,
+    attribute: int,
+    depth_weighted: bool = True,
+) -> np.ndarray:
+    """``r(C)`` along ``H(q)`` with one scalar LCA per attributed edge."""
+    path = hierarchy.path_communities(q)
+    level_of_vertex = {vertex: level for level, vertex in enumerate(path)}
+    delta = np.zeros(len(path), dtype=np.int64)
+    for u, v in reference_attribute_edges(graph, attribute):
+        level = level_of_vertex.get(hierarchy.lca(u, v))
+        if level is not None:
+            delta[level] += 1
+    if depth_weighted:
+        weights = np.asarray(
+            [hierarchy.depth(vertex) for vertex in path], dtype=np.int64
+        )
+    else:
+        weights = np.ones(len(path), dtype=np.int64)
+    sizes = np.asarray([hierarchy.size(vertex) for vertex in path], dtype=np.int64)
+    return np.cumsum(delta * weights) / sizes
+
+
+def reference_lore_chain(
+    graph: AttributedGraph,
+    hierarchy,
+    q: int,
+    attribute: int,
+    weighting=None,
+    linkage=None,
+    weighted_graph: "AttributedGraph | None" = None,
+    depth_weighted: bool = True,
+) -> LoreResult:
+    """Algorithm 2 for one query, nothing shared with any other query.
+
+    ``weighted_graph`` is an optional precomputed ``g_l`` for ``attribute``.
+    """
+    scores = reference_reclustering_scores(
+        graph, hierarchy, q, attribute, depth_weighted=depth_weighted
+    )
+    path = hierarchy.path_communities(q)
+    c_ell, _ = select_reclustering_community(scores, path)
+    if weighted_graph is None:
+        weighted_graph = attribute_weighted_graph(graph, attribute, weighting)
+    members = hierarchy.members(c_ell)
+    view = induced_subgraph(weighted_graph, members, keep_weights=True)
+    local = agglomerative_hierarchy(
+        view.graph, linkage=linkage, on_disconnected="merge"
+    )
+
+    member_lists: list[list[int]] = []
+    depths: list[int] = []
+    for vertex in local.path_communities(view.to_sub[q]):
+        if local.size(vertex) >= len(members):
+            continue
+        member_lists.append([int(view.to_parent[v]) for v in local.members(vertex)])
+        depths.append(hierarchy.depth(c_ell) + local.depth(vertex) - 1)
+    c_ell_chain_level = len(member_lists)
+    for vertex in [c_ell, *hierarchy.ancestors(c_ell)]:
+        member_lists.append([int(v) for v in hierarchy.members(vertex)])
+        depths.append(hierarchy.depth(vertex))
+
+    chain_members = [
+        np.asarray(sorted(set(ms)), dtype=np.int64) for ms in member_lists
+    ]
+    node_level = np.full(graph.n, CommunityChain.OUTSIDE, dtype=np.int64)
+    for level in range(len(chain_members) - 1, -1, -1):
+        node_level[chain_members[level]] = level
+    return LoreResult(
+        chain=CommunityChain(graph.n, q, chain_members, node_level, depths),
+        c_ell_vertex=c_ell,
+        c_ell_chain_level=c_ell_chain_level,
+        scores=scores,
+    )

@@ -1,0 +1,166 @@
+"""Invalidation of the server's LORE memo (``CODServer._lore_local``).
+
+The memo holds LORE's query-independent parts: per-attribute edge-LCA
+counts under ``(attribute, "edges")`` and local reclusterings under
+``(attribute, C_l)``. They are pure functions of the graph, the hierarchy
+and the weighting, so every event that changes one of those must drop
+them along with the finished-chain cache — and answers afterwards must
+equal a cold server's on the same graph.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.himor import HimorIndex
+from repro.core.lore import lore_chain
+from repro.core.pool import SharedSamplePool
+from repro.core.problem import CODQuery
+from repro.dynamic import AttrUpdate, EdgeUpdate
+from repro.dynamic.updates import apply_updates as apply_graph
+from repro.graph.weighting import AttributeWeighting
+from repro.obs import QueryTrace
+from repro.serving.server import CODServer
+from repro.utils.faults import inject
+
+THETA = 4
+SEED = 11
+K = 3
+
+
+def seeded_server(graph, **kwargs):
+    pool = SharedSamplePool(graph, theta=THETA, seed=SEED, per_sample_seeds=True)
+    return CODServer(graph, theta=THETA, seed=SEED, pool=pool, **kwargs)
+
+
+def memo_keys(server) -> set:
+    return set(server._lore_local._entries)
+
+
+def fill(server, attributes=(0, 1)) -> None:
+    for attribute in attributes:
+        for q in range(server.graph.n):
+            server.answer(CODQuery(q, attribute, K))
+
+
+def assert_matches_cold(server, **kwargs) -> None:
+    cold = seeded_server(server.graph, **kwargs)
+    for attribute in (0, 1):
+        for q in range(server.graph.n):
+            query = CODQuery(q, attribute, K)
+            served, expected = server.answer(query), cold.answer(query)
+            assert served.rung == expected.rung, query
+            if expected.members is None:
+                assert served.members is None, query
+            else:
+                assert np.array_equal(served.members, expected.members), query
+
+
+class TestInvalidation:
+    def test_memo_fills_with_both_key_kinds(self, paper_graph):
+        server = seeded_server(paper_graph)
+        fill(server)
+        keys = memo_keys(server)
+        assert {(0, "edges"), (1, "edges")} <= keys
+        assert any(isinstance(key[1], int) for key in keys)
+        assert server.health()["caches"]["lore_local"]["entries"] == len(keys)
+
+    def test_attribute_batch_drops_only_that_attribute(self, paper_graph):
+        server = seeded_server(paper_graph)
+        fill(server)
+        kept = {key for key in memo_keys(server) if key[0] == 0}
+        assert kept and any(key[0] == 1 for key in memo_keys(server))
+        server.apply_updates([AttrUpdate(9, 1, add=False)])
+        assert memo_keys(server) == kept
+        assert_matches_cold(server)
+
+    def test_jaccard_attribute_batch_clears_everything(self, paper_graph):
+        weighting = AttributeWeighting(scheme="jaccard")
+        server = seeded_server(paper_graph, weighting=weighting)
+        fill(server)
+        assert memo_keys(server)
+        server.apply_updates([AttrUpdate(9, 1, add=False)])
+        assert memo_keys(server) == set()
+        assert_matches_cold(server, weighting=weighting)
+
+    def test_structural_batch_clears_everything(self, paper_graph):
+        server = seeded_server(paper_graph)
+        fill(server)
+        server.apply_updates([EdgeUpdate(2, 3), EdgeUpdate(5, 7)])
+        assert memo_keys(server) == set()
+        assert_matches_cold(server)
+
+    def test_adopt_shared_clears_everything(self, paper_graph):
+        server = seeded_server(paper_graph)
+        fill(server)
+        new_graph = apply_graph(paper_graph, [EdgeUpdate(2, 3)])
+        builder = SharedSamplePool(
+            new_graph, theta=THETA, seed=SEED, per_sample_seeds=True
+        )
+        builder.materialize()
+        server.adopt_shared(new_graph, builder.arena, epoch=1)
+        assert memo_keys(server) == set()
+        assert_matches_cold(server)
+
+    def test_index_load_hierarchy_swap_clears_everything(self, paper_graph,
+                                                         tmp_path):
+        path = tmp_path / "himor.json"
+        server = seeded_server(paper_graph, index_path=path)
+        # With the index build failing, CODL- answers from LORE over the
+        # server's own hierarchy and fills the memo.
+        with inject(site="himor_build", rate=1.0):
+            server.answer(CODQuery(0, 0, K))
+        assert memo_keys(server)
+        assert server._index is None
+        # Another server persists an index; loading it swaps in its
+        # hierarchy object, which must drop every hierarchy-keyed entry.
+        seeded_server(paper_graph, index_path=path).warm()
+        before = server._lore_local.invalidations
+        server.answer(CODQuery(0, 0, K))
+        assert server._hierarchy is server._index.hierarchy
+        assert isinstance(server._index, HimorIndex)
+        assert server._lore_local.invalidations > before
+        assert_matches_cold(server)
+
+
+class TestTraceNotes:
+    def test_lore_span_says_where_parts_came_from(self, paper_graph):
+        server = seeded_server(paper_graph)
+        first = QueryTrace()
+        server.answer(CODQuery(0, 0, K), trace=first)
+        meta = first.find("lore").meta
+        assert meta["edge_counts"] == "built"
+        assert meta["local_hierarchy"] == "built"
+
+        # Same attribute and the same C_l, another query node: both parts
+        # come from the memo while the finished-chain cache misses.
+        hierarchy = server._hierarchy
+        c_ell = server._lore_cache.get((0, 0)).c_ell_vertex
+        other = next(
+            q for q in hierarchy.members(c_ell).tolist()
+            if q != 0
+            and lore_chain(paper_graph, hierarchy, q, 0).c_ell_vertex == c_ell
+        )
+        second = QueryTrace()
+        server.answer(CODQuery(other, 0, K), trace=second)
+        meta = second.find("lore").meta
+        assert meta["edge_counts"] == "memo"
+        assert meta["local_hierarchy"] == "memo"
+
+        # A repeated query is served by the finished-chain cache: no
+        # ``lore`` span at all.
+        third = QueryTrace()
+        server.answer(CODQuery(0, 0, K), trace=third)
+        assert third.find("lore") is None
+
+    @pytest.mark.parametrize("attribute", [0, 1])
+    def test_memo_does_not_change_answers(self, paper_graph, attribute):
+        warm = seeded_server(paper_graph)
+        fill(warm)
+        for q in range(paper_graph.n):
+            cold = seeded_server(paper_graph)
+            query = CODQuery(q, attribute, K)
+            served, expected = warm.answer(query), cold.answer(query)
+            if expected.members is None:
+                assert served.members is None
+            else:
+                assert np.array_equal(served.members, expected.members)
