@@ -190,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "'at' (default: batches spread evenly) and bumps "
                         "the serving epoch")
     p.add_argument("--cache-capacity", type=int, default=64, metavar="N",
-                   help="bound for the per-attribute LRU caches (weighted "
-                        "graphs, LORE chains, restricted arenas; "
-                        "default 64)")
+                   help="bound for the per-attribute LRU caches (LORE "
+                        "chains, LORE's local reclusterings, restricted "
+                        "arenas; default 64)")
     p.add_argument("--state-dir", type=str, default=None, metavar="DIR",
                    help="durable state directory (WAL + epoch snapshots): "
                         "startup recovers the newest proven state, every "

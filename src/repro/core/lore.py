@@ -32,8 +32,7 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.graph.graph import AttributedGraph
-from repro.graph.subgraph import induced_subgraph
-from repro.graph.weighting import AttributeWeighting, attribute_weighted_graph
+from repro.graph.weighting import AttributeWeighting, attribute_weighted_subgraph
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.hierarchy.linkage import Linkage
@@ -148,7 +147,6 @@ def lore_chain(
     attribute: int,
     weighting: AttributeWeighting | None = None,
     linkage: Linkage | None = None,
-    weighted_graph: AttributedGraph | None = None,
     depth_weighted: bool = True,
     budget: "object | None" = None,
     trace: "object | None" = None,
@@ -158,9 +156,6 @@ def lore_chain(
 
     Parameters
     ----------
-    weighted_graph:
-        Optional precomputed ``g_l`` (must match ``attribute``); avoids
-        rebuilding the weighting per query in experiment sweeps.
     depth_weighted:
         Reclustering-score variant; see :func:`reclustering_scores`.
     budget:
@@ -171,9 +166,11 @@ def lore_chain(
     trace:
         Optional duck-typed span recorder (``span(name, **meta)`` context
         manager, e.g. ``repro.obs.QueryTrace``): the whole run nests in a
-        ``lore`` span annotated with the chosen level, the chain length and
-        whether the edge counts and the local hierarchy came from ``memo``.
-        Tracing never changes the result.
+        ``lore`` span annotated with the chosen level, the chain length,
+        whether the edge counts and the local hierarchy came from ``memo``,
+        and ``weighted_edges``, the number of ``C_l``'s induced edges
+        weighted by this run (0 when the local hierarchy came from
+        ``memo``). Tracing never changes the result.
     memo:
         Optional duck-typed ``get_or_create(key, factory)`` store (e.g.
         :class:`repro.utils.cache.LRUCache`) for LORE's query-independent
@@ -209,16 +206,17 @@ def lore_chain(
         if budget is not None:
             budget.check()
 
+        weighted_edges = 0
+
         def recluster() -> _LocalRecluster:
-            # Recluster g_l induced on C_l; the local subgraph may be
-            # disconnected even when g is connected, so components are
-            # stacked under the root.
-            g_l = weighted_graph
-            if g_l is None:
-                g_l = attribute_weighted_graph(graph, attribute, weighting)
-            view = induced_subgraph(
-                g_l, hierarchy.members(c_ell), keep_weights=True
+            # Recluster g_l induced on C_l, weighting only C_l's edges; the
+            # local subgraph may be disconnected even when g is connected,
+            # so components are stacked under the root.
+            nonlocal weighted_edges
+            view = attribute_weighted_subgraph(
+                graph, hierarchy.members(c_ell), attribute, weighting
             )
+            weighted_edges = view.graph.m
             local_hierarchy = agglomerative_hierarchy(
                 view.graph, linkage=linkage, on_disconnected="merge"
             )
@@ -253,6 +251,7 @@ def lore_chain(
                 c_ell_size=c_ell_size,
                 edge_counts="memo" if edges_memo else "built",
                 local_hierarchy="memo" if local_memo else "built",
+                weighted_edges=weighted_edges,
             )
         return LoreResult(
             chain=chain,

@@ -27,11 +27,7 @@ from repro.core.lore import lore_chain
 from repro.core.problem import CODQuery
 from repro.errors import QueryError
 from repro.graph.graph import AttributedGraph
-from repro.graph.weighting import (
-    AttributeWeighting,
-    WeightedGraphCache,
-    attribute_weighted_graph,
-)
+from repro.graph.weighting import AttributeWeighting, attribute_weighted_graph
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.hierarchy.linkage import Linkage
@@ -297,17 +293,9 @@ class CODLMinus(_BasePipeline):
 
     method_name = "CODL-"
 
-    def __init__(
-        self,
-        graph: AttributedGraph,
-        cache_capacity: int = 32,
-        **kwargs: object,
-    ) -> None:
+    def __init__(self, graph: AttributedGraph, **kwargs: object) -> None:
         super().__init__(graph, **kwargs)  # type: ignore[arg-type]
         self._hierarchy: CommunityHierarchy | None = None
-        self._weighted_cache = WeightedGraphCache(
-            graph, self.weighting, capacity=cache_capacity
-        )
 
     @property
     def hierarchy(self) -> CommunityHierarchy:
@@ -315,9 +303,6 @@ class CODLMinus(_BasePipeline):
         if self._hierarchy is None:
             self._hierarchy = self._build_hierarchy(self.graph)
         return self._hierarchy
-
-    def _weighted(self, attribute: int) -> AttributedGraph:
-        return self._weighted_cache.get(attribute)
 
     def discover_multi(
         self, node: int, attribute: "int | None", ks: "list[int]"
@@ -335,7 +320,6 @@ class CODLMinus(_BasePipeline):
             attribute,
             weighting=self.weighting,
             linkage=self.linkage,
-            weighted_graph=self._weighted(attribute),
         )
         evaluation = compressed_cod(
             self.graph, lore.chain, k=ks, theta=self.theta, model=self.model, rng=self.rng
@@ -394,7 +378,6 @@ class CODL(CODLMinus):
             attribute,
             weighting=self.weighting,
             linkage=self.linkage,
-            weighted_graph=self._weighted(attribute),
         )
 
         # Algorithm 3, answering all budgets jointly: the index scan

@@ -89,8 +89,8 @@ class DynamicCOD:
         ``apply_updates(batch)``). When set, stale answers come from the
         server instead of a private CODL pipeline, and the rebuild path
         replays the pending update batches through
-        ``server.apply_updates`` — which rebinds/invalidate the server's
-        weighted/LORE/restricted LRU caches and repairs its sample pool,
+        ``server.apply_updates`` — which invalidates the server's
+        LORE/restricted LRU caches and repairs its sample pool,
         so the server never keeps serving cache entries from a graph the
         session has already moved past.
     """
@@ -157,10 +157,9 @@ class DynamicCOD:
     def _rebuild(self) -> None:
         if self.server is not None:
             # Replay the pending batches through the server's epoch
-            # machinery: each apply rebinds the weighted-graph cache,
-            # invalidates stale LORE/restricted entries, and repairs the
-            # sample pool — the server's caches and the session's live
-            # graph re-converge here.
+            # machinery: each apply invalidates stale LORE/restricted
+            # entries and repairs the sample pool — the server's caches
+            # and the session's live graph re-converge here.
             for batch in self._pending_batches:
                 self.server.apply_updates(batch)
             self._pending_batches = []

@@ -35,11 +35,7 @@ from repro.eval.measures import (
     oracle_rank,
 )
 from repro.graph.metrics import conductance
-from repro.graph.weighting import (
-    AttributeWeighting,
-    WeightedGraphCache,
-    attribute_weighted_graph,
-)
+from repro.graph.weighting import AttributeWeighting, attribute_weighted_graph
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.utils.cache import LRUCache
@@ -69,8 +65,8 @@ class ExperimentConfig:
     scale: float = 1.0
     oracle_samples_per_node: int = 100
     weighting: AttributeWeighting = field(default_factory=AttributeWeighting)
-    #: Bound for the drivers' per-attribute memos (weighted graphs,
-    #: reclustered hierarchies) — LRU-evicted beyond this.
+    #: Bound for the experiments' per-attribute memos of reclustered
+    #: hierarchies — LRU-evicted beyond this.
     cache_capacity: int = 64
 
 
@@ -131,20 +127,14 @@ def fig4_hierarchy_skew(
         )
         base = agglomerative_hierarchy(graph)
 
-        # One bounded cache pair per dataset — the same WeightedGraphCache
-        # the server's LORE path uses, so both layers are guaranteed to
-        # weight a given attribute identically.
-        weighted_cache = WeightedGraphCache(
-            graph, config.weighting, capacity=config.cache_capacity
-        )
         recl_cache = LRUCache(config.cache_capacity, name="recl")
-
-        def weighted(attribute: int):
-            return weighted_cache.get(attribute)
 
         def reclustered(attribute: int):
             return recl_cache.get_or_create(
-                attribute, lambda: agglomerative_hierarchy(weighted(attribute))
+                attribute,
+                lambda: agglomerative_hierarchy(
+                    attribute_weighted_graph(graph, attribute, config.weighting)
+                ),
             )
 
         per_method: dict[str, list[float]] = {m: [] for m in COD_METHODS}
@@ -153,8 +143,7 @@ def fig4_hierarchy_skew(
             chain_u = CommunityChain.from_hierarchy(base, q)
             chain_r = CommunityChain.from_hierarchy(reclustered(attribute), q)
             chain_l = lore_chain(
-                graph, base, q, attribute,
-                weighting=config.weighting, weighted_graph=weighted(attribute),
+                graph, base, q, attribute, weighting=config.weighting
             ).chain
             for method, chain in (
                 ("CODU", chain_u), ("CODR", chain_r), ("CODL", chain_l)
@@ -306,16 +295,15 @@ def fig8_compressed_vs_independent(
         graph = data.graph
         queries = generate_queries(graph, count=config.n_queries, rng=config.query_seed)
 
-        weighted_cache = WeightedGraphCache(
-            graph, config.weighting, capacity=config.cache_capacity
-        )
         hierarchies = LRUCache(config.cache_capacity, name="fig8.hierarchies")
 
         def chain_for(query: CODQuery) -> CommunityChain:
             attribute = query.attribute
             hierarchy = hierarchies.get_or_create(
                 attribute,
-                lambda: agglomerative_hierarchy(weighted_cache.get(attribute)),
+                lambda: agglomerative_hierarchy(
+                    attribute_weighted_graph(graph, attribute, config.weighting)
+                ),
             )
             return CommunityChain.from_hierarchy(hierarchy, query.node)
 

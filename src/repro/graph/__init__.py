@@ -13,6 +13,7 @@ from repro.graph.subgraph import induced_subgraph
 from repro.graph.weighting import (
     AttributeWeighting,
     attribute_weighted_graph,
+    attribute_weighted_subgraph,
 )
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "graph_from_networkx_like",
     "induced_subgraph",
     "attribute_weighted_graph",
+    "attribute_weighted_subgraph",
     "AttributeWeighting",
     "topology_density",
     "attribute_density",

@@ -119,14 +119,7 @@ class AttributedGraph:
                 attr_sets.append(frozenset(int(a) for a in node_attrs))
             attr_sets.extend([frozenset()] * (self._n - len(attr_sets)))
         self._attributes: tuple[frozenset[int], ...] = tuple(attr_sets)
-
-        index: dict[int, list[int]] = {}
-        for v, attrs in enumerate(self._attributes):
-            for a in attrs:
-                index.setdefault(a, []).append(v)
-        self._attribute_index: dict[int, np.ndarray] = {
-            a: np.asarray(nodes, dtype=np.int64) for a, nodes in index.items()
-        }
+        self._attribute_index = _index_attributes(self._attributes)
 
     # ------------------------------------------------------------------ size
 
@@ -370,6 +363,47 @@ class AttributedGraph:
         )
 
     @classmethod
+    def from_csr(
+        cls,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        attributes: Sequence[frozenset[int]],
+        weights: "np.ndarray | None" = None,
+        attribute_index: "dict[int, np.ndarray] | None" = None,
+    ) -> "AttributedGraph":
+        """A graph over flat CSR arrays, trusted as given.
+
+        ``indices[indptr[v]:indptr[v + 1]]`` must already be ``v``'s
+        sorted, loop-free neighbor row, with every edge stored in both
+        endpoints' rows; ``weights``, when given, is aligned with
+        ``indices``. Nothing is re-validated and every row is a zero-copy
+        slice, which is how derived graphs (shared-memory attachments,
+        weighted induced subgraphs) skip the constructor's per-edge work.
+        """
+        n = len(indptr) - 1
+        graph = object.__new__(cls)
+        graph._n = n
+        graph._shm = None
+        graph._adjacency = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
+        degrees = np.diff(indptr)
+        degrees.setflags(write=False)
+        graph._degrees = degrees
+        graph._m = int(degrees.sum()) // 2
+        graph._is_weighted = weights is not None
+        graph._weights = (
+            None
+            if weights is None
+            else [weights[indptr[v]:indptr[v + 1]] for v in range(n)]
+        )
+        graph._attributes = tuple(attributes)
+        graph._attribute_index = (
+            _index_attributes(graph._attributes)
+            if attribute_index is None
+            else attribute_index
+        )
+        return graph
+
+    @classmethod
     def from_segment(cls, segment) -> "AttributedGraph":
         """Rebuild a graph over a mapped ``attributed-graph`` segment.
 
@@ -380,39 +414,27 @@ class AttributedGraph:
         """
         arr = segment.arrays
         n = int(segment.extra["n"])
-        indptr = arr["indptr"]
-        indices = arr["indices"]
-        graph = object.__new__(cls)
-        graph._n = n
-        graph._m = int(segment.extra["m"])
-        graph._adjacency = [
-            indices[indptr[v]:indptr[v + 1]] for v in range(n)
-        ]
-        degrees = np.diff(indptr)
-        degrees.setflags(write=False)
-        graph._degrees = degrees
-        graph._is_weighted = bool(segment.extra["weighted"])
-        if graph._is_weighted:
-            weights = arr["weights"]
-            graph._weights = [
-                weights[indptr[v]:indptr[v + 1]] for v in range(n)
-            ]
-        else:
-            graph._weights = None
         attr_indptr = arr["attr_indptr"]
         attr_values = arr["attr_values"]
-        graph._attributes = tuple(
+        attributes = [
             frozenset(
                 int(a) for a in attr_values[attr_indptr[v]:attr_indptr[v + 1]]
             )
             for v in range(n)
-        )
+        ]
         index_indptr = arr["attr_index_indptr"]
         index_nodes = arr["attr_index_nodes"]
-        graph._attribute_index = {
+        attribute_index = {
             int(key): index_nodes[index_indptr[i]:index_indptr[i + 1]]
             for i, key in enumerate(arr["attr_keys"])
         }
+        graph = cls.from_csr(
+            arr["indptr"],
+            arr["indices"],
+            attributes,
+            weights=arr["weights"] if segment.extra["weighted"] else None,
+            attribute_index=attribute_index,
+        )
         graph._shm = segment
         return graph
 
@@ -443,3 +465,14 @@ class AttributedGraph:
     def _check_node(self, v: int) -> None:
         if not (0 <= v < self._n):
             raise NodeNotFoundError(v, self._n)
+
+
+def _index_attributes(
+    attributes: Sequence[frozenset[int]],
+) -> dict[int, np.ndarray]:
+    """The inverted index ``attribute -> sorted carrier nodes``."""
+    index: dict[int, list[int]] = {}
+    for v, attrs in enumerate(attributes):
+        for a in attrs:
+            index.setdefault(a, []).append(v)
+    return {a: np.asarray(nodes, dtype=np.int64) for a, nodes in index.items()}

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import GraphError
+from repro.errors import GraphError, NodeNotFoundError
 from repro.graph.graph import AttributedGraph
 
 
@@ -41,12 +41,11 @@ class SubgraphView:
         return self.to_parent[np.asarray(sub_nodes, dtype=np.int64)].tolist()
 
 
-def induced_subgraph(
-    graph: AttributedGraph,
-    members: Sequence[int],
-    keep_weights: bool = False,
-) -> SubgraphView:
-    """Extract the subgraph induced by ``members``.
+def induced_subgraph(graph: AttributedGraph, members: Sequence[int]) -> SubgraphView:
+    """Extract the unweighted subgraph induced by ``members``.
+
+    The attribute-weighted ``g_l`` induced on a node set comes from
+    :func:`repro.graph.weighting.attribute_weighted_subgraph` instead.
 
     Parameters
     ----------
@@ -54,38 +53,46 @@ def induced_subgraph(
         Parent graph.
     members:
         Node ids to keep; duplicates are rejected to surface caller bugs.
-    keep_weights:
-        When true and the parent is weighted, edge weights are carried over.
     """
-    member_list = [int(v) for v in members]
-    member_set = set(member_list)
-    if len(member_set) != len(member_list):
+    return _induce(graph, members)
+
+
+def _induce(graph: AttributedGraph, members: Sequence[int], weigh=None) -> SubgraphView:
+    """The subgraph induced by ``members``, optionally weighted.
+
+    Every member's neighbor row is gathered, filtered to members through a
+    position array and relabeled; members are numbered in parent-id order,
+    so the relabeled rows stay sorted. ``weigh(u, v)``, when given, maps
+    the kept edges' parent endpoint arrays to their weights.
+    """
+    ids = np.fromiter(members, dtype=np.int64)
+    ordered = np.unique(ids)
+    if len(ordered) != len(ids):
         raise GraphError("members contains duplicate node ids")
-    if not member_list:
+    if not len(ordered):
         raise GraphError("cannot induce a subgraph on an empty node set")
-
-    ordered = sorted(member_set)
-    to_sub = {v: i for i, v in enumerate(ordered)}
-    to_parent = np.asarray(ordered, dtype=np.int64)
-
-    edges: list[tuple[int, int]] = []
-    weights: dict[tuple[int, int], float] = {}
-    for u in ordered:
-        row = graph.neighbors(u)
-        wrow = graph.neighbor_weights(u) if keep_weights else None
-        for i, v in enumerate(row):
-            v = int(v)
-            if v > u and v in member_set:
-                su, sv = to_sub[u], to_sub[v]
-                edges.append((su, sv))
-                if wrow is not None:
-                    weights[(min(su, sv), max(su, sv))] = float(wrow[i])
-
-    attributes = [graph.attributes_of(v) for v in ordered]
-    sub = AttributedGraph(
-        len(ordered),
-        edges,
-        attributes=attributes,
-        edge_weights=weights if keep_weights and graph.is_weighted else None,
+    for node in (int(ordered[0]), int(ordered[-1])):
+        if not 0 <= node < graph.n:
+            raise NodeNotFoundError(node, graph.n)
+    k = len(ordered)
+    position = np.full(graph.n, -1, dtype=np.int64)
+    position[ordered] = np.arange(k, dtype=np.int64)
+    degrees = graph.degrees[ordered]
+    rows = np.repeat(np.arange(k, dtype=np.int64), degrees)
+    u = np.repeat(ordered, degrees)
+    v = (
+        np.concatenate([graph.neighbors(node) for node in ordered.tolist()])
+        if int(degrees.sum())
+        else np.empty(0, dtype=np.int64)
     )
-    return SubgraphView(graph=sub, to_parent=to_parent, to_sub=to_sub)
+    keep = position[v] >= 0
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=k), out=indptr[1:])
+    sub = AttributedGraph.from_csr(
+        indptr,
+        position[v[keep]],
+        [graph.attributes_of(node) for node in ordered.tolist()],
+        weights=None if weigh is None else weigh(u[keep], v[keep]),
+    )
+    to_sub = dict(zip(ordered.tolist(), range(k)))
+    return SubgraphView(graph=sub, to_parent=ordered, to_sub=to_sub)

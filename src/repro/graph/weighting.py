@@ -12,10 +12,13 @@ edges" — plus two variants for ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.errors import InfluenceError
+import numpy as np
+
+from repro.errors import InfluenceError, NodeNotFoundError
 from repro.graph.graph import AttributedGraph
-from repro.utils.cache import LRUCache
+from repro.graph.subgraph import SubgraphView, _induce
 
 #: Recognized weighting schemes.
 SCHEMES = ("both_endpoints", "endpoint_average", "jaccard")
@@ -52,19 +55,68 @@ class AttributeWeighting:
 
     def edge_weight(self, graph: AttributedGraph, u: int, v: int, attribute: int) -> float:
         """Weight assigned to edge ``(u, v)`` for query attribute ``attribute``."""
+        for node in (u, v):
+            if not 0 <= node < graph.n:
+                raise NodeNotFoundError(node, graph.n)
+        ends = np.asarray([u, v], dtype=np.int64)
+        return float(self.edge_weights(graph, ends[:1], ends[1:], attribute)[0])
+
+    def edge_weights(
+        self,
+        graph: AttributedGraph,
+        u: np.ndarray,
+        v: np.ndarray,
+        attribute: int,
+    ) -> np.ndarray:
+        """Weights of the edges ``(u[i], v[i])`` for ``attribute``.
+
+        One formula per scheme, shared by every caller. The float
+        operations run in the order the per-edge definitions above state
+        them, so a weight does not depend on which edges are weighted
+        together. An attribute no node carries gives no bonus.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if self.scheme == "jaccard":
+            bonus = np.zeros(len(u), dtype=np.float64)
+            for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+                a_u = graph.attributes_of(a)
+                a_v = graph.attributes_of(b)
+                union = a_u | a_v
+                if union:
+                    bonus[i] = self.beta * (len(a_u & a_v) / len(union))
+            return 1.0 + bonus
+        carries = np.zeros(graph.n, dtype=bool)
+        if attribute in graph.attribute_universe:
+            carries[graph.nodes_with_attribute(attribute)] = True
         if self.scheme == "both_endpoints":
-            bonus = self.beta if (
-                graph.has_attribute(u, attribute) and graph.has_attribute(v, attribute)
-            ) else 0.0
-        elif self.scheme == "endpoint_average":
-            c = int(graph.has_attribute(u, attribute)) + int(graph.has_attribute(v, attribute))
-            bonus = self.beta * c / 2.0
-        else:  # jaccard
-            a_u = graph.attributes_of(u)
-            a_v = graph.attributes_of(v)
-            union = a_u | a_v
-            bonus = self.beta * (len(a_u & a_v) / len(union)) if union else 0.0
-        return 1.0 + bonus
+            return np.where(carries[u] & carries[v], 1.0 + self.beta, 1.0)
+        # endpoint_average
+        c = carries[u].astype(np.int64) + carries[v].astype(np.int64)
+        return 1.0 + self.beta * c / 2.0
+
+
+def attribute_weighted_subgraph(
+    graph: AttributedGraph,
+    members: Sequence[int],
+    attribute: int,
+    weighting: AttributeWeighting | None = None,
+) -> SubgraphView:
+    """``g_l`` induced on ``members``, weighting only the induced edges.
+
+    Equal to inducing :func:`attribute_weighted_graph` on ``members`` with
+    its weights kept, but never materializes the whole ``g_l``: the
+    induced edges are gathered as in
+    :func:`~repro.graph.subgraph.induced_subgraph` and weighted in one
+    :meth:`AttributeWeighting.edge_weights` call. This is what LORE
+    reclusters (Algorithm 2, lines 2–3).
+    """
+    weighting = weighting or AttributeWeighting()
+    return _induce(
+        graph,
+        members,
+        lambda u, v: weighting.edge_weights(graph, u, v, attribute),
+    )
 
 
 def attribute_weighted_graph(
@@ -75,85 +127,11 @@ def attribute_weighted_graph(
     """Materialize ``g_l`` for ``attribute`` under ``weighting``.
 
     The result has the same topology and attributes as ``graph`` but carries
-    edge weights; it is what CODR clusters globally and what LORE clusters
-    locally inside the selected community ``C_l``.
+    edge weights; it is what CODR clusters globally. LORE reclusters only
+    ``C_l`` and weights just its induced edges
+    (:func:`attribute_weighted_subgraph`); this is that function's
+    all-nodes case.
     """
-    weighting = weighting or AttributeWeighting()
-    weights: dict[tuple[int, int], float] = {}
-    for u, v in graph.edges():
-        w = weighting.edge_weight(graph, u, v, attribute)
-        if w != 1.0:
-            weights[(u, v)] = w
-    return graph.with_edge_weights(weights)
-
-
-class WeightedGraphCache:
-    """Bounded per-attribute memo of :func:`attribute_weighted_graph`.
-
-    ``g_l`` is a deterministic function of (graph, attribute, weighting),
-    so every layer that repeatedly needs it — the server's LORE path, the
-    CODL-/CODR pipelines, the experiment drivers — can share this one
-    cache class and be guaranteed to produce the same weighted graph for
-    the same attribute. Backed by :class:`repro.utils.cache.LRUCache`, so
-    a long diverse workload holds at most ``capacity`` weighted graphs
-    resident (the unbounded-dict leak this replaced).
-    """
-
-    def __init__(
-        self,
-        graph: AttributedGraph,
-        weighting: "AttributeWeighting | None" = None,
-        capacity: int = 64,
-        metrics: "object | None" = None,
-        name: str = "weighted",
-    ) -> None:
-        self.graph = graph
-        self.weighting = weighting or AttributeWeighting()
-        self._cache = LRUCache(capacity, name=name, metrics=metrics)
-
-    def get(self, attribute: int) -> AttributedGraph:
-        """``g_l`` for ``attribute``, built on first use."""
-        return self._cache.get_or_create(
-            attribute,
-            lambda: attribute_weighted_graph(
-                self.graph, attribute, self.weighting
-            ),
-        )
-
-    def rebind(self, graph: AttributedGraph) -> int:
-        """Adopt a post-update graph, dropping every cached ``g_l``.
-
-        The topology-change path: an edge insert/delete perturbs every
-        attribute's weighted graph, so nothing cached survives. Returns
-        the number of entries dropped.
-        """
-        self.graph = graph
-        return self._cache.clear()
-
-    def invalidate_attributes(
-        self, graph: AttributedGraph, attributes: "set[int]"
-    ) -> int:
-        """Adopt a post-update graph, dropping only affected ``g_l``.
-
-        The attribute-only-change path: under ``both_endpoints`` /
-        ``endpoint_average``, ``g_l``'s weights read only attribute
-        ``l``'s carrier set, so entries for untouched attributes stay
-        valid and keep serving. ``jaccard`` weights read every node's
-        full attribute set, so any attribute change invalidates all
-        entries. Returns the number dropped.
-        """
-        self.graph = graph
-        if self.weighting.scheme == "jaccard":
-            return self._cache.clear()
-        affected = set(attributes)
-        return self._cache.invalidate(lambda key: key in affected)
-
-    def __contains__(self, attribute: int) -> bool:
-        return attribute in self._cache
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def stats(self) -> dict:
-        """The underlying cache counters (see :meth:`LRUCache.stats`)."""
-        return self._cache.stats()
+    return attribute_weighted_subgraph(
+        graph, np.arange(graph.n, dtype=np.int64), attribute, weighting
+    ).graph

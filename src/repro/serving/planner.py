@@ -3,14 +3,14 @@
 RR samples depend only on the graph and the diffusion model — never on
 the query (the Theorem-2 observation behind
 :class:`~repro.core.pool.SharedSamplePool`) — and every *per-attribute*
-structure a query needs (attribute-weighted graph, LORE chain, restricted
-arena) is a deterministic function of the graph and the attribute. A
+structure a query needs (LORE's edge counts and local reclustering, LORE
+chain, restricted arena) is a deterministic function of the graph and the attribute. A
 workload of admitted queries therefore factors cleanly:
 
 * **group** the workload by query attribute (first-appearance order,
   input order within a group),
 * **build once per group** — the group's first query populates the
-  server's bounded LRU caches (weighted graph, LORE, restricted arenas)
+  server's bounded LRU caches (LORE, restricted arenas)
   and every later query in the group hits them, and
 * **share one pool** — with a :class:`SharedSamplePool` attached to the
   server, all compressed evaluations read the same materialized

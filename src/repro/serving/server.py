@@ -57,7 +57,7 @@ from repro.errors import (
     ServingError,
 )
 from repro.graph.graph import AttributedGraph
-from repro.graph.weighting import AttributeWeighting, WeightedGraphCache
+from repro.graph.weighting import AttributeWeighting
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.hierarchy.linkage import Linkage
@@ -206,9 +206,8 @@ class CODServer:
         correlated. The ``sample_budget`` axis does not tick in pooled
         mode (nothing is drawn); deadlines still apply.
     cache_capacity:
-        Bound for each of the server's internal LRU caches (weighted
-        graphs, LORE chains, LORE's per-attribute parts, restricted
-        arenas). Hit/miss/eviction counters surface in :meth:`health`
+        Bound for each of the server's internal LRU caches (LORE chains,
+        LORE's per-attribute parts, restricted arenas). Hit/miss/eviction counters surface in :meth:`health`
         under ``"caches"`` and, with a registry attached, as
         ``cache.<name>.*`` metrics.
     fast_sampling:
@@ -315,12 +314,6 @@ class CODServer:
         self._repaired_samples = 0
         self._hierarchy: "CommunityHierarchy | None" = None
         self._index: "HimorIndex | None" = None
-        self._weighted_cache = WeightedGraphCache(
-            graph,
-            self.weighting,
-            capacity=self.cache_capacity,
-            metrics=metrics,
-        )
         self._lore_cache = LRUCache(
             self.cache_capacity, name="lore", metrics=metrics
         )
@@ -468,7 +461,8 @@ class CODServer:
         """Answer a workload through the batch planner.
 
         The planner groups queries by attribute so per-attribute
-        structures (weighted graph, LORE chain, restricted arenas) are
+        structures (LORE's edge counts and local reclusterings, LORE
+        chains, restricted arenas) are
         built once per group; with a :class:`SharedSamplePool` attached it
         also executes group-by-group, which is safe because pooled answers
         do not depend on query order. Answers come back in input order
@@ -523,17 +517,17 @@ class CODServer:
         by enqueueing update directives on the same FIFO queue as tasks).
         Repair instead of rebuild:
 
-        * **structural batches** (any edge update) rebind the weighted-
-          graph cache and drop LORE/restricted memos; an attached
-          per-sample-seeded pool is incrementally repaired (only samples
-          that activated a touched node are redrawn — bit-identical to a
-          from-scratch draw); the HIMOR index is delta-repaired when the
+        * **structural batches** (any edge update) drop the LORE and
+          restricted memos; an attached per-sample-seeded pool is
+          incrementally repaired (only samples that activated a touched
+          node are redrawn — bit-identical to a from-scratch draw); the
+          HIMOR index is delta-repaired when the
           post-update hierarchy is unchanged, else rebuilt from the
           repaired pool (no fresh sampling), else dropped for lazy
           rebuild.
         * **attribute-only batches** leave topology-derived state (pool
           samples, hierarchy, HIMOR ranks) untouched and invalidate only
-          cache entries scoped to the touched attributes (the ``jaccard``
+          LORE entries scoped to the touched attributes (the ``jaccard``
           weighting scheme reads full attribute sets, so it drops all).
 
         ``epoch`` pins the post-apply epoch (workers replaying a
@@ -586,7 +580,6 @@ class CODServer:
             repaired = 0
             index_action = "none"
             if structural:
-                invalidated += self._weighted_cache.rebind(new_graph)
                 invalidated += self._invalidate_lore()
                 invalidated += self._restricted_cache.clear()
                 rep = None
@@ -603,9 +596,6 @@ class CODServer:
                     )
                     self._hierarchy = new_hierarchy
             else:
-                invalidated += self._weighted_cache.invalidate_attributes(
-                    new_graph, t_attrs
-                )
                 if self.weighting.scheme == "jaccard":
                     # Jaccard weights read every node's full attribute set,
                     # so no cached chain is provably untouched.
@@ -716,10 +706,10 @@ class CODServer:
         configured identically to this worker's, the adopted state is
         bit-identical to what a local apply + repair would have produced.
 
-        Conservative on derived state: the weighted cache rebinds, LORE
-        and restricted memos drop, and the hierarchy/HIMOR index are
-        discarded for lazy rebuild (the supervisor does not ship index
-        deltas; CODL rebuilds from the adopted pool without resampling).
+        Conservative on derived state: the LORE and restricted memos drop,
+        and the hierarchy/HIMOR index are discarded for lazy rebuild (the
+        supervisor does not ship index deltas; CODL rebuilds from the
+        adopted pool without resampling).
         """
         if self.pool is None:
             raise ServingError(
@@ -727,8 +717,7 @@ class CODServer:
                 "with use_pool disabled"
             )
         target = self.epoch + 1 if epoch is None else int(epoch)
-        invalidated = self._weighted_cache.rebind(graph)
-        invalidated += self._invalidate_lore()
+        invalidated = self._invalidate_lore()
         invalidated += self._restricted_cache.clear()
         self.pool.adopt(graph, arena)
         old_graph = self.graph
@@ -826,7 +815,6 @@ class CODServer:
             "cache_invalidated": self._cache_invalidated,
         }
         snapshot["caches"] = {
-            "weighted": self._weighted_cache.stats(),
             "lore": self._lore_cache.stats(),
             "lore_local": self._lore_local.stats(),
             "restricted": self._restricted_cache.stats(),
@@ -1180,7 +1168,6 @@ class CODServer:
                 query.attribute,
                 weighting=self.weighting,
                 linkage=self.linkage,
-                weighted_graph=self._weighted(query.attribute),
                 budget=budget,
                 trace=trace,
                 memo=self._lore_local,
@@ -1193,9 +1180,6 @@ class CODServer:
         self.breaker.record_success()
         self._lore_cache.put(key, result)
         return result
-
-    def _weighted(self, attribute: int) -> AttributedGraph:
-        return self._weighted_cache.get(attribute)
 
     def _restricted_arena(
         self,

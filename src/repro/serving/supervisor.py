@@ -1275,8 +1275,8 @@ class ServingSupervisor:
     def _next_dispatchable(self, slot: "_WorkerSlot | None" = None) -> "int | None":
         """Next admitted query for ``slot``: requeued work first, then the
         admission queue — preferring, when affinity dispatch is on,
-        queries whose attribute this slot already serves (so its weighted
-        graph / LORE / restricted-arena caches stay hot). Preference is
+        queries whose attribute this slot already serves (so its LORE /
+        restricted-arena caches stay hot). Preference is
         scored, not boolean: an attribute whose *restricted shard* is
         routed to this slot outranks (2) a mere sticky-claim/unclaimed
         match (1), so shard-covered work gravitates to the one worker

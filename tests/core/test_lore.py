@@ -153,14 +153,6 @@ class TestLoreChain:
             result.chain.validate_nesting()
             assert result.chain.sizes[-1] == 10
 
-    def test_precomputed_weighted_graph(self, paper_graph, paper_hierarchy):
-        from repro.graph.weighting import attribute_weighted_graph
-
-        weighted = attribute_weighted_graph(paper_graph, DB)
-        a = lore_chain(paper_graph, paper_hierarchy, 0, DB)
-        b = lore_chain(paper_graph, paper_hierarchy, 0, DB, weighted_graph=weighted)
-        assert list(a.chain.sizes) == list(b.chain.sizes)
-
 
 class TestMemo:
     def test_memo_keys_start_with_the_attribute(self, paper_graph, paper_hierarchy):

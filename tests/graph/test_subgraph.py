@@ -47,13 +47,6 @@ class TestInducedSubgraph:
         view = induced_subgraph(weighted, [0, 1, 2])
         assert not view.graph.is_weighted
 
-    def test_weights_kept_on_request(self, paper_graph):
-        weighted = paper_graph.with_edge_weights({(0, 1): 4.0})
-        view = induced_subgraph(weighted, [0, 1, 2], keep_weights=True)
-        assert view.graph.is_weighted
-        su, sv = view.to_sub[0], view.to_sub[1]
-        assert view.graph.edge_weight(su, sv) == 4.0
-
     def test_degrees_never_exceed_parent(self, paper_graph):
         view = induced_subgraph(paper_graph, [0, 1, 2, 3, 6, 7])
         for sub_id in range(view.graph.n):

@@ -20,11 +20,17 @@ it, seed for seed, against these implementations:
   per community. No tree HFS, no buckets, no bottom-up merge.
 * :func:`enumerate_exact_spread` — closed-form ``sigma_g(q)`` on tiny
   graphs by summing over every possible world (Theorem 1's left side).
+* :func:`reference_weighted_graph` — ``g_l`` as a per-edge loop over
+  the scalar weighting formulas, and :func:`reference_induced_subgraph`,
+  the edge-by-edge induced subgraph that keeps those weights. Together
+  they are the whole-graph-then-cut path that production's
+  ``attribute_weighted_subgraph`` must reproduce bit for bit.
 * :func:`reference_lore_chain` — LORE (Algorithm 2) run per query from
   scratch: one scalar LCA per query-attributed edge for the scores
   (:func:`reference_reclustering_scores`), a fresh local reclustering of
-  ``C_l``, and the chain assembled from boxed-int member sets. Memoized
-  production chains must match it bit for bit.
+  ``C_l`` on the reference weighted subgraph, and the chain assembled
+  from boxed-int member sets. Memoized production chains must match it
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ import numpy as np
 
 from repro.core.lore import LoreResult, select_reclustering_community
 from repro.graph.graph import AttributedGraph
-from repro.graph.subgraph import induced_subgraph
-from repro.graph.weighting import attribute_weighted_graph
+from repro.graph.subgraph import SubgraphView
+from repro.graph.weighting import AttributeWeighting
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.models import InfluenceModel, WeightedCascade
@@ -275,6 +281,65 @@ def reference_attribute_edges(
     return edges
 
 
+def reference_edge_weight(
+    graph: AttributedGraph, u: int, v: int, attribute: int, weighting
+) -> float:
+    """The ``g_l`` weight of edge ``(u, v)``, one scalar formula per scheme."""
+    if weighting.scheme == "both_endpoints":
+        bonus = weighting.beta if (
+            graph.has_attribute(u, attribute) and graph.has_attribute(v, attribute)
+        ) else 0.0
+    elif weighting.scheme == "endpoint_average":
+        c = int(graph.has_attribute(u, attribute)) + int(graph.has_attribute(v, attribute))
+        bonus = weighting.beta * c / 2.0
+    else:  # jaccard
+        a_u = graph.attributes_of(u)
+        a_v = graph.attributes_of(v)
+        union = a_u | a_v
+        bonus = weighting.beta * (len(a_u & a_v) / len(union)) if union else 0.0
+    return 1.0 + bonus
+
+
+def reference_weighted_graph(
+    graph: AttributedGraph, attribute: int, weighting=None
+) -> AttributedGraph:
+    """The whole ``g_l``, weighted one edge at a time."""
+    weighting = weighting or AttributeWeighting()
+    weights: dict[tuple[int, int], float] = {}
+    for u, v in graph.edges():
+        w = reference_edge_weight(graph, u, v, attribute, weighting)
+        if w != 1.0:
+            weights[(u, v)] = w
+    return graph.with_edge_weights(weights)
+
+
+def reference_induced_subgraph(graph: AttributedGraph, members) -> SubgraphView:
+    """The subgraph induced by ``members``, carrying the parent's weights."""
+    ordered = sorted(int(v) for v in members)
+    member_set = set(ordered)
+    to_sub = {v: i for i, v in enumerate(ordered)}
+    edges: list[tuple[int, int]] = []
+    weights: dict[tuple[int, int], float] = {}
+    for u in ordered:
+        row = graph.neighbors(u)
+        wrow = graph.neighbor_weights(u)
+        for i, v in enumerate(row):
+            v = int(v)
+            if v > u and v in member_set:
+                su, sv = to_sub[u], to_sub[v]
+                edges.append((su, sv))
+                weights[(min(su, sv), max(su, sv))] = float(wrow[i])
+    sub = AttributedGraph(
+        len(ordered),
+        edges,
+        attributes=[graph.attributes_of(v) for v in ordered],
+        edge_weights=weights,
+    )
+    return SubgraphView(
+        graph=sub, to_parent=np.asarray(ordered, dtype=np.int64), to_sub=to_sub
+    )
+
+
 def reference_reclustering_scores(
     graph: AttributedGraph,
     hierarchy,
@@ -312,7 +377,8 @@ def reference_lore_chain(
 ) -> LoreResult:
     """Algorithm 2 for one query, nothing shared with any other query.
 
-    ``weighted_graph`` is an optional precomputed ``g_l`` for ``attribute``.
+    ``weighted_graph`` is an optional precomputed
+    :func:`reference_weighted_graph` for ``attribute`` under ``weighting``.
     """
     scores = reference_reclustering_scores(
         graph, hierarchy, q, attribute, depth_weighted=depth_weighted
@@ -320,9 +386,9 @@ def reference_lore_chain(
     path = hierarchy.path_communities(q)
     c_ell, _ = select_reclustering_community(scores, path)
     if weighted_graph is None:
-        weighted_graph = attribute_weighted_graph(graph, attribute, weighting)
+        weighted_graph = reference_weighted_graph(graph, attribute, weighting)
     members = hierarchy.members(c_ell)
-    view = induced_subgraph(weighted_graph, members, keep_weights=True)
+    view = reference_induced_subgraph(weighted_graph, members)
     local = agglomerative_hierarchy(
         view.graph, linkage=linkage, on_disconnected="merge"
     )

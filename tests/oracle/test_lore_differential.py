@@ -7,7 +7,9 @@ through *one* memo (later queries hit what earlier ones built) and
 requires the result to equal :func:`reference_lore_chain`, which starts
 from scratch for every query: the same ``C_l`` vertex and chain level,
 bit-identical scores, and the same members, node levels and depths at
-every chain level.
+every chain level. The reference weights the whole ``g_l`` edge by edge
+and then induces it on ``C_l``; production weights only ``C_l``'s induced
+edges, so the weighting tests run every scheme at ``beta`` 0 and 4.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from repro.core.lore import lore_chain, reclustering_scores
 from repro.datasets import load_dataset
-from repro.graph.weighting import attribute_weighted_graph
+from repro.graph.weighting import SCHEMES, AttributeWeighting
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.utils.cache import LRUCache
 
@@ -23,6 +25,7 @@ from tests.oracle.reference import (
     random_case_graph,
     reference_lore_chain,
     reference_reclustering_scores,
+    reference_weighted_graph,
 )
 
 #: Carrier queries per attribute on the hub-heavy ``pubmed`` analogue.
@@ -30,6 +33,13 @@ PUBMED_QUERIES_PER_ATTRIBUTE = 150
 #: Small registry graphs: (name, scale). Every attribute is queried.
 SMALL_REGISTRY = [("cora", 0.1), ("citeseer", 0.1), ("amazon", 0.02), ("lfr", 0.1)]
 SMALL_QUERIES_PER_ATTRIBUTE = 12
+#: Every weighting scheme with and without an attribute bonus.
+WEIGHTINGS = [
+    AttributeWeighting(beta=beta, scheme=scheme)
+    for scheme in SCHEMES
+    for beta in (0.0, 4.0)
+]
+WEIGHTING_IDS = [f"{w.scheme}-{w.beta:g}" for w in WEIGHTINGS]
 
 
 def assert_same_lore(got, expected, context) -> None:
@@ -45,24 +55,18 @@ def assert_same_lore(got, expected, context) -> None:
         assert got.chain.depth(level) == expected.chain.depth(level), (context, level)
 
 
-def run_differential(graph, hierarchy, queries, memo, precompute=True, **kwargs):
+def run_differential(graph, hierarchy, queries, memo, **kwargs):
     """Memoized chains for ``queries`` against the reference, in order."""
     weighted = {}
     for q, attribute in queries:
-        if precompute and attribute not in weighted:
-            weighted[attribute] = attribute_weighted_graph(graph, attribute)
-        got = lore_chain(
-            graph,
-            hierarchy,
-            q,
-            attribute,
-            weighted_graph=weighted.get(attribute),
-            memo=memo,
-            **kwargs,
-        )
+        if attribute not in weighted:
+            weighted[attribute] = reference_weighted_graph(
+                graph, attribute, kwargs.get("weighting")
+            )
+        got = lore_chain(graph, hierarchy, q, attribute, memo=memo, **kwargs)
         expected = reference_lore_chain(
             graph, hierarchy, q, attribute,
-            weighted_graph=weighted.get(attribute), **kwargs,
+            weighted_graph=weighted[attribute], **kwargs,
         )
         assert_same_lore(got, expected, (q, attribute))
         got.chain.validate_nesting()
@@ -94,14 +98,6 @@ class TestPaperGraph:
             depth_weighted=depth_weighted,
         )
         assert memo.hits > 0
-
-    def test_memo_without_precomputed_weighted_graph(self, paper_graph,
-                                                     paper_hierarchy):
-        memo = LRUCache(64, name="lore_local")
-        queries = [(q, 0) for q in range(paper_graph.n)]
-        run_differential(
-            paper_graph, paper_hierarchy, queries, memo, precompute=False
-        )
 
     def test_tiny_memo_evicts_and_still_matches(self, paper_graph,
                                                 paper_hierarchy):
@@ -161,3 +157,41 @@ class TestPubmedHubs:
                         graph, hierarchy, int(q), attribute
                     ),
                 )
+
+
+class TestWeightingSchemes:
+    """Every scheme and ``beta``: local weighting == whole-graph-then-cut."""
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS, ids=WEIGHTING_IDS)
+    def test_paper_graph(self, paper_graph, paper_hierarchy, weighting):
+        memo = LRUCache(64, name="lore_local")
+        queries = [
+            (q, attribute)
+            for attribute in sorted(paper_graph.attribute_universe)
+            for q in range(paper_graph.n)
+        ]
+        run_differential(
+            paper_graph, paper_hierarchy, queries, memo, weighting=weighting
+        )
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS, ids=WEIGHTING_IDS)
+    def test_random_case_graphs(self, weighting):
+        for seed in range(42):
+            graph = random_case_graph(seed)
+            hierarchy = agglomerative_hierarchy(graph)
+            memo = LRUCache(64, name="lore_local")
+            queries = [
+                (q, attribute)
+                for q in range(graph.n)
+                for attribute in sorted(graph.attribute_universe)
+            ]
+            run_differential(graph, hierarchy, queries, memo, weighting=weighting)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS, ids=WEIGHTING_IDS)
+    @pytest.mark.parametrize("name,scale", SMALL_REGISTRY)
+    def test_small_registry_graphs(self, name, scale, weighting):
+        graph = load_dataset(name, scale=scale, seed=7).graph
+        hierarchy = agglomerative_hierarchy(graph)
+        memo = LRUCache(64, name="lore_local")
+        queries = carrier_queries(graph, SMALL_QUERIES_PER_ATTRIBUTE, seed=3)
+        run_differential(graph, hierarchy, queries, memo, weighting=weighting)

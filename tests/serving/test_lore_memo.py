@@ -5,8 +5,11 @@ counts under ``(attribute, "edges")`` and local reclusterings under
 ``(attribute, C_l)``. They are pure functions of the graph, the hierarchy
 and the weighting, so every event that changes one of those must drop
 them along with the finished-chain cache — and answers afterwards must
-equal a cold server's on the same graph.
+equal a cold server's on the same graph. LORE weights only ``C_l``'s
+induced edges, so serving never builds a whole-graph ``g_l``.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +18,11 @@ from repro.core.himor import HimorIndex
 from repro.core.lore import lore_chain
 from repro.core.pool import SharedSamplePool
 from repro.core.problem import CODQuery
+from repro.datasets import load_dataset
 from repro.dynamic import AttrUpdate, EdgeUpdate
 from repro.dynamic.updates import apply_updates as apply_graph
+from repro.graph import weighting as weighting_module
+from repro.graph.subgraph import induced_subgraph
 from repro.graph.weighting import AttributeWeighting
 from repro.obs import QueryTrace
 from repro.serving.server import CODServer
@@ -130,11 +136,15 @@ class TestTraceNotes:
         meta = first.find("lore").meta
         assert meta["edge_counts"] == "built"
         assert meta["local_hierarchy"] == "built"
+        # The miss weighted exactly C_l's induced edges.
+        hierarchy = server._hierarchy
+        c_ell = server._lore_cache.get((0, 0)).c_ell_vertex
+        induced = induced_subgraph(paper_graph, hierarchy.members(c_ell))
+        assert induced.graph.m > 0
+        assert meta["weighted_edges"] == induced.graph.m
 
         # Same attribute and the same C_l, another query node: both parts
         # come from the memo while the finished-chain cache misses.
-        hierarchy = server._hierarchy
-        c_ell = server._lore_cache.get((0, 0)).c_ell_vertex
         other = next(
             q for q in hierarchy.members(c_ell).tolist()
             if q != 0
@@ -145,6 +155,7 @@ class TestTraceNotes:
         meta = second.find("lore").meta
         assert meta["edge_counts"] == "memo"
         assert meta["local_hierarchy"] == "memo"
+        assert meta["weighted_edges"] == 0
 
         # A repeated query is served by the finished-chain cache: no
         # ``lore`` span at all.
@@ -164,3 +175,65 @@ class TestTraceNotes:
                 assert served.members is None
             else:
                 assert np.array_equal(served.members, expected.members)
+
+
+class TestNoWholeGraphWeighting:
+    """Serving weights ``C_l``'s induced edges only, on every path."""
+
+    @pytest.fixture
+    def forbid_whole_graph(self, monkeypatch):
+        real = weighting_module.attribute_weighted_graph
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a whole-graph g_l was built while serving")
+
+        # Every module that bound the name (the defining module, the
+        # ``repro.graph`` re-export, the pipelines, ...) gets the trap.
+        for module in list(sys.modules.values()):
+            if vars(module).get("attribute_weighted_graph") is real:
+                monkeypatch.setattr(module, "attribute_weighted_graph", forbidden)
+
+    def test_answers_updates_and_adopt_never_weight_the_whole_graph(
+        self, forbid_whole_graph
+    ):
+        graph = load_dataset("cora", scale=0.1, seed=7).graph
+        attributes = sorted(graph.attribute_universe)
+        assert len(attributes) >= 3
+        rng = np.random.default_rng(3)
+        nodes = sorted(rng.choice(graph.n, size=12, replace=False).tolist())
+        queries = [CODQuery(q, a, K) for a in attributes for q in nodes]
+
+        def check(server) -> None:
+            cold = seeded_server(server.graph)
+            for query in queries:
+                served, expected = server.answer(query), cold.answer(query)
+                # A trap that fired would degrade LORE to a lower rung on
+                # both servers alike, so require the full method too.
+                assert served.rung == expected.rung == "CODL", query
+                assert not served.notes and not expected.notes, query
+                if expected.members is None:
+                    assert served.members is None, query
+                else:
+                    assert np.array_equal(served.members, expected.members), query
+
+        server = seeded_server(graph)
+        check(server)
+        assert memo_keys(server)
+
+        u = nodes[0]
+        v = next(w for w in nodes[1:] if not graph.has_edge(u, w))
+        server.apply_updates([EdgeUpdate(u, v)])
+        check(server)
+
+        node = int(graph.nodes_with_attribute(attributes[0])[0])
+        server.apply_updates([AttrUpdate(node, attributes[0], add=False)])
+        check(server)
+
+        new_graph = apply_graph(server.graph, [EdgeUpdate(u, v, add=False)])
+        builder = SharedSamplePool(
+            new_graph, theta=THETA, seed=SEED, per_sample_seeds=True
+        )
+        builder.materialize()
+        server.adopt_shared(new_graph, builder.arena, epoch=server.epoch + 1)
+        check(server)
+        assert "weighted" not in server.health()["caches"]

@@ -4,8 +4,8 @@ Covers the cache contract itself (capacity/byte bounds, recency
 semantics, counters, metrics mirroring) plus the properties the adopting
 modules rely on: :class:`~repro.core.pipeline.CODR`'s timing-exclusion
 peek, the server's 1k-attribute soak staying under capacity, and the
-three weighted-graph call sites producing identical graphs through the
-shared :class:`~repro.graph.weighting.WeightedGraphCache`.
+two remaining whole-graph ``g_l`` call sites (CODR's global recluster and
+the experiment sweeps) weighting exactly as the frozen oracle does.
 """
 
 from __future__ import annotations
@@ -13,11 +13,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.pipeline import CODR, CODLMinus
-from repro.graph.weighting import WeightedGraphCache, attribute_weighted_graph
+import repro.core.pipeline as pipeline_module
+from repro.core.pipeline import CODR
+from repro.core.problem import CODQuery
+from repro.eval import experiments
+from repro.graph.graph import AttributedGraph
+from repro.graph.weighting import AttributeWeighting
 from repro.obs import MetricsRegistry
 from repro.serving.server import CODServer
 from repro.utils.cache import LRUCache, default_sizeof
+from tests.oracle.reference import reference_weighted_graph
 
 DB = 0
 ML = 1
@@ -180,17 +185,34 @@ class TestMetricsMirror:
 
 
 class TestBoundedAdopters:
-    def test_server_weighted_cache_soak_stays_bounded(self, paper_graph):
-        # Regression for the unbounded `CODServer._weighted_cache` dict:
-        # 1000 distinct query attributes must not grow 1000 entries.
-        server = CODServer(paper_graph, theta=2, seed=5, cache_capacity=8)
+    def test_server_health_has_no_weighted_cache(self, paper_graph):
+        # LORE weights only C_l's induced edges, so the server keeps no
+        # whole-graph g_l copies to report.
+        server = CODServer(paper_graph, theta=2, seed=5)
+        server.answer(CODQuery(3, DB, 2))
+        caches = server.health()["caches"]
+        assert "weighted" not in caches
+        assert set(caches) == {"lore", "lore_local", "restricted"}
+
+    def test_server_lore_local_soak_stays_bounded(self, paper_graph):
+        # 1000 distinct query attributes must not grow 2000 LORE parts
+        # (one edge-count array and one local reclustering each).
+        attributes = [
+            [a for a in range(1000) if a % 10 in (v, (v + 1) % 10)]
+            for v in range(10)
+        ]
+        graph = AttributedGraph(
+            10, list(paper_graph.edges()), attributes=attributes
+        )
+        server = CODServer(graph, theta=2, seed=5, cache_capacity=8)
         for attribute in range(1000):
-            server._weighted(attribute)
-        stats = server._weighted_cache.stats()
+            server.answer(CODQuery(attribute % 10, attribute, 2))
+        stats = server._lore_local.stats()
         assert stats["entries"] <= 8
-        assert stats["evictions"] >= 1000 - 8
+        assert stats["evictions"] >= 2 * 1000 - 8
         health = server.health()
-        assert health["caches"]["weighted"]["entries"] <= 8
+        assert health["caches"]["lore_local"]["entries"] <= 8
+        assert health["caches"]["lore"]["entries"] <= 8
 
     def test_codr_hierarchy_cache_bounded(self, paper_graph):
         # Regression for the unbounded `CODR._cache` dict.
@@ -205,41 +227,57 @@ class TestBoundedAdopters:
         pipeline.hierarchy_for(resident)
         assert pipeline._cache.hits == before + 1
 
-    def test_codl_minus_weighted_cache_bounded(self, paper_graph):
-        pipeline = CODLMinus(paper_graph, theta=2, seed=1, cache_capacity=3)
-        for attribute in range(9):
-            pipeline._weighted(attribute)
-        assert len(pipeline._weighted_cache) <= 3
+
+def spy_weighting(monkeypatch, module) -> list:
+    """Record every ``attribute_weighted_graph`` call ``module`` makes."""
+    calls = []
+    real = module.attribute_weighted_graph
+
+    def spy(graph, attribute, weighting=None):
+        weighted = real(graph, attribute, weighting)
+        calls.append((graph, attribute, weighting, weighted))
+        return weighted
+
+    monkeypatch.setattr(module, "attribute_weighted_graph", spy)
+    return calls
+
+
+def assert_weighted_as_reference(calls) -> None:
+    assert calls
+    for graph, attribute, weighting, weighted in calls:
+        reference = reference_weighted_graph(graph, attribute, weighting)
+        assert weighted.is_weighted
+        assert list(weighted.edges()) == list(reference.edges())
+        for v in range(reference.n):
+            assert np.array_equal(
+                weighted.neighbor_weights(v), reference.neighbor_weights(v)
+            )
 
 
 class TestCrossModuleEquivalence:
-    def test_all_weighted_call_sites_agree(self, paper_graph):
-        # The server, the standalone cache, and CODLMinus must produce the
-        # same attribute-weighted graph as the uncached builder.
-        server = CODServer(paper_graph, theta=2, seed=5)
-        shared = WeightedGraphCache(paper_graph)
-        pipeline = CODLMinus(paper_graph, theta=2, seed=1)
-        for attribute in (DB, ML):
-            reference = attribute_weighted_graph(paper_graph, attribute)
-            for candidate in (
-                server._weighted(attribute),
-                shared.get(attribute),
-                pipeline._weighted(attribute),
-            ):
-                assert candidate.n == reference.n
-                assert list(candidate.edges()) == list(reference.edges())
-                for v in range(reference.n):
-                    np.testing.assert_allclose(
-                        candidate.neighbor_weights(v),
-                        reference.neighbor_weights(v),
-                    )
+    def test_codr_and_experiment_weighting_match_reference(
+        self, paper_graph, monkeypatch
+    ):
+        # CODR's global recluster and the experiment sweeps still build
+        # the whole g_l; it must be the oracle's edge-by-edge g_l.
+        codr_calls = spy_weighting(monkeypatch, pipeline_module)
+        for weighting in (
+            AttributeWeighting(),
+            AttributeWeighting(beta=1.5, scheme="endpoint_average"),
+            AttributeWeighting(scheme="jaccard"),
+        ):
+            pipeline = CODR(paper_graph, theta=2, seed=1, weighting=weighting)
+            for attribute in (DB, ML):
+                pipeline.hierarchy_for(attribute)
+        assert_weighted_as_reference(codr_calls)
 
-    def test_shared_cache_stats_surface(self, paper_graph):
-        shared = WeightedGraphCache(paper_graph, capacity=2)
-        shared.get(DB)
-        shared.get(DB)
-        stats = shared.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert DB in shared
-        assert len(shared) == 1
+        sweep_calls = spy_weighting(monkeypatch, experiments)
+        config = experiments.ExperimentConfig(
+            n_queries=3, theta=4, ks=(1, 5), scale=0.15,
+            oracle_samples_per_node=20,
+        )
+        experiments.fig4_hierarchy_skew(names=("cora",), config=config)
+        experiments.fig8_compressed_vs_independent(
+            names=("cora",), thetas=(4,), config=config
+        )
+        assert_weighted_as_reference(sweep_calls)
