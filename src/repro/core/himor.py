@@ -19,7 +19,6 @@ every member's rank. Total work matches Theorem 6:
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from contextlib import nullcontext
 from pathlib import Path
@@ -32,7 +31,7 @@ from repro.core.lore import LoreResult
 from repro.errors import CheckpointError, IndexError_, QueryError
 from repro.graph.graph import AttributedGraph
 from repro.hierarchy.dendrogram import CommunityHierarchy
-from repro.influence.arena import RRArena, sample_arena
+from repro.influence.arena import RRArena, _ragged_ranges, sample_arena
 from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.faults import maybe_fail
 from repro.utils.persist import (
@@ -358,7 +357,7 @@ class HimorIndex:
             "theta": self.theta,
             "n_samples": self.n_samples,
             "n_leaves": self.hierarchy.n_leaves,
-            "parent": [self.hierarchy.parent(v) for v in range(self.hierarchy.n_vertices)],
+            "parent": self.hierarchy.parents.tolist(),
             "ranks": [r.tolist() for r in self._ranks],
             "graph_sha": self.graph_sha,
         }
@@ -474,7 +473,7 @@ def same_hierarchy(a: CommunityHierarchy, b: CommunityHierarchy) -> bool:
     """
     if a.n_leaves != b.n_leaves or a.n_vertices != b.n_vertices:
         return False
-    return all(a.parent(v) == b.parent(v) for v in range(a.n_vertices))
+    return bool(np.array_equal(a.parents, b.parents))
 
 
 def build_fingerprint(
@@ -502,7 +501,7 @@ def build_fingerprint(
         "n": graph.n,
         "m": graph.m,
         "edges_sha": graph_checksum(graph),
-        "parent": [int(hierarchy.parent(v)) for v in range(hierarchy.n_vertices)],
+        "parent": hierarchy.parents.tolist(),
         "theta": int(theta),
         "n_samples": int(n_samples),
         "seed": seed,
@@ -563,6 +562,11 @@ def _load_checkpoint(
 # ---------------------------------------------------------------- internals
 
 
+#: Most samples one vectorized tree-HFS chunk traverses at once; bounds
+#: the per-chunk working arrays and the time between budget checks.
+_HFS_CHUNK = 1024
+
+
 def _tree_hfs_arena(
     hierarchy: CommunityHierarchy,
     arena: RRArena,
@@ -576,56 +580,131 @@ def _tree_hfs_arena(
     community containing its best path from the source.
 
     The tag of a node ``u`` reached from a node tagged ``C`` is
-    ``lca(u, C)``; tags only move up the tree along a path, so a
-    depth-keyed heap (deepest first) pops every node with its final tag.
-    Adjacency comes from the arena's CSR slices; the entry id carried in
-    each heap item is a function of the node within one sample, so it
-    never reorders pops.
+    ``lca(u, C)``, and the source's tag is its parent community. The
+    traversal rests on a root-path invariant: every tag of a sample is an
+    ancestor of that sample's source, because the first tag is
+    ``parent(source)`` and ``lca`` only moves up. Two consequences make
+    it vectorizable:
 
+    * the tags of one sample are totally ordered by depth, so "deepest
+      tag" is a plain integer maximum of the key ``depth * V + tag``
+      (distinct vertices on one root path have distinct depths);
+    * for a tag ``C`` on the source's root path, ``lca(u, C)`` is the
+      shallower of ``C`` and ``lca(u, source)``, so each entry's cap —
+      ``lca(u, source)``, or ``parent(source)`` for the source itself —
+      is one :meth:`~CommunityHierarchy.lca_many` pass per chunk.
+
+    A node's final tag is then the widest-path fixpoint
+    ``key[u] = max over in-edges (min(key[v], cap[u]))`` seeded with the
+    source's cap, which is exactly the tag a depth-keyed heap (deepest
+    first) would pop it with. The fixpoint runs over up to
+    :data:`_HFS_CHUNK` samples at once: each round gathers the out-edges
+    of the entries whose key changed and applies ``np.maximum.at``.
+
+    ``maybe_fail("himor_sample")`` runs once per sample before its chunk
+    is charged, and ``budget.check()`` before every chunk.
     ``start``/``buckets`` resume a traversal from checkpointed progress
     (samples ``0..start-1`` already charged into ``buckets``); with
-    ``checkpoint_every`` set, ``on_checkpoint(next_sample, buckets)``
-    fires after every that-many samples.
+    ``checkpoint_every`` set, chunks end on every multiple of it and
+    ``on_checkpoint(next_sample, buckets)`` fires there.
     """
     buckets = {} if buckets is None else buckets
-    nodes = arena.nodes
-    offsets = arena.node_offsets
-    edge_start = arena.edge_start
-    edge_count = arena.edge_count
-    edge_dst = arena.edge_dst_entry
-    for i in range(start, arena.n_samples):
-        maybe_fail("himor_sample")
-        if budget is not None and i % 32 == 0:
+    n_samples = arena.n_samples
+    # Charges are kept as ``tag * n_leaves + node`` keys (one int64 per
+    # reached entry) and folded into the bucket dicts only where a caller
+    # reads them: one fold dedupes pairs that recur across chunks, which
+    # costs far less than a dict update per chunk.
+    charged: list[np.ndarray] = []
+    i = start
+    while i < n_samples:
+        end = min(i + _HFS_CHUNK, n_samples)
+        if checkpoint_every is not None:
+            end = min(end, (i // checkpoint_every + 1) * checkpoint_every)
+        if budget is not None:
             budget.check()
-        source = int(arena.sources[i])
-        start_tag = hierarchy.parent(source)
-        assigned: set[int] = set()
-        heap: list[tuple[int, int, int, int]] = [
-            (-hierarchy.depth(start_tag), source, start_tag, int(offsets[i]))
-        ]
-        while heap:
-            neg_depth, v, tag, entry = heapq.heappop(heap)
-            if v in assigned:
-                continue
-            assigned.add(v)
-            bucket = buckets.setdefault(tag, {})
-            bucket[v] = bucket.get(v, 0) + 1
-            s = int(edge_start[entry])
-            for dst in edge_dst[s: s + int(edge_count[entry])]:
-                dst = int(dst)
-                u = int(nodes[dst])
-                if u in assigned:
-                    continue
-                u_tag = hierarchy.lca(u, tag)
-                heapq.heappush(heap, (-hierarchy.depth(u_tag), u, u_tag, dst))
+        for _ in range(i, end):
+            maybe_fail("himor_sample")
+        charged.append(_chunk_charges(hierarchy, arena, i, end))
+        i = end
         if (
             checkpoint_every is not None
             and on_checkpoint is not None
-            and (i + 1) % checkpoint_every == 0
-            and (i + 1) < arena.n_samples
+            and end % checkpoint_every == 0
+            and end < n_samples
         ):
-            on_checkpoint(i + 1, buckets)
+            _fold_charges(charged, hierarchy.n_leaves, buckets)
+            on_checkpoint(end, buckets)
+    _fold_charges(charged, hierarchy.n_leaves, buckets)
     return buckets
+
+
+def _fold_charges(
+    charged: list[np.ndarray], n: int, buckets: dict[int, dict[int, int]]
+) -> None:
+    """Add the ``tag * n + node`` charge keys in ``charged`` to ``buckets``
+    and empty the list."""
+    if not charged:
+        return
+    pairs, counts = np.unique(np.concatenate(charged), return_counts=True)
+    charged.clear()
+    tags = pairs // n
+    nodes = (pairs % n).tolist()
+    counts = counts.tolist()
+    cuts = (np.flatnonzero(np.diff(tags)) + 1).tolist()
+    for s, e in zip([0, *cuts], [*cuts, len(nodes)]):
+        tag = int(tags[s])
+        bucket = buckets.get(tag)
+        if bucket is None:
+            # Built in one go, a new bucket is sized to its contents;
+            # most tags are first seen here, so this keeps both the fold
+            # and the index's resident buckets small.
+            buckets[tag] = dict(zip(nodes[s:e], counts[s:e]))
+            continue
+        for node, count in zip(nodes[s:e], counts[s:e]):
+            bucket[node] = bucket.get(node, 0) + count
+
+
+def _chunk_charges(
+    hierarchy: CommunityHierarchy, arena: RRArena, lo: int, hi: int
+) -> np.ndarray:
+    """Charge keys ``tag * n_leaves + node`` of samples ``lo..hi-1``, one
+    per reached entry (see :func:`_tree_hfs_arena`)."""
+    offsets = arena.node_offsets
+    e0 = int(offsets[lo])
+    e1 = int(offsets[hi])
+    nodes = arena.nodes[e0:e1]
+    n_vertices = hierarchy.n_vertices
+    depths = hierarchy.depths
+    sources = arena.sources[lo:hi]
+    roots = offsets[lo:hi] - e0
+    sizes = np.diff(offsets[lo:hi + 1])
+    caps = hierarchy.lca_many(nodes, np.repeat(sources, sizes))
+    caps[roots] = hierarchy.parents[sources]
+    cap_key = depths[caps] * n_vertices + caps
+
+    key = np.full(e1 - e0, -1, dtype=np.int64)
+    key[roots] = cap_key[roots]
+    edge_start = arena.edge_start
+    edge_count = arena.edge_count
+    edge_dst = arena.edge_dst_entry
+    changed = np.zeros(e1 - e0, dtype=bool)
+    frontier = roots
+    while len(frontier):
+        counts = edge_count[frontier + e0]
+        idx = _ragged_ranges(edge_start[frontier + e0], counts)
+        if not len(idx):
+            break
+        dst = edge_dst[idx] - e0
+        value = np.minimum(np.repeat(key[frontier], counts), cap_key[dst])
+        improves = value > key[dst]
+        dst = dst[improves]
+        np.maximum.at(key, dst, value[improves])
+        changed[dst] = True
+        frontier = np.flatnonzero(changed)
+        changed[frontier] = False
+
+    reached = key >= 0
+    return (key[reached] % n_vertices) * hierarchy.n_leaves + nodes[reached]
 
 
 def _bottom_up_ranks(
@@ -640,15 +719,15 @@ def _bottom_up_ranks(
     below every scored node).
     """
     n = hierarchy.n_leaves
-    depth_of = [len(hierarchy.path_communities(v)) for v in range(n)]
-    ranks = [np.zeros(d, dtype=np.int64) for d in depth_of]
+    depths = hierarchy.depths
+    # A leaf's path holds every ancestor: one fewer than its depth.
+    ranks = [np.zeros(d - 1, dtype=np.int64) for d in depths[:n].tolist()]
     position = [0] * n  # next path slot to fill, per leaf (deepest first)
 
     cumulative: dict[int, dict[int, int]] = {}
-    order = sorted(
-        hierarchy.internal_vertices(), key=hierarchy.depth, reverse=True
-    )
-    for vertex in order:
+    # Deepest first; a stable sort keeps equal depths in ascending id order.
+    order = n + np.argsort(-depths[n:], kind="stable")
+    for vertex in order.tolist():
         merged: dict[int, int] = {}
         for child in hierarchy.children(vertex):
             child_counts = cumulative.pop(child, None)

@@ -132,6 +132,21 @@ class CommunityHierarchy:
         self._check_vertex(vertex)
         return int(self._depth[vertex])
 
+    @property
+    def parents(self) -> np.ndarray:
+        """The parent of every vertex as one int64 array, ``-1`` at the
+        root (do not mutate)."""
+        return self._parent
+
+    @property
+    def depths(self) -> np.ndarray:
+        """``dep`` of every vertex as one int64 array (do not mutate).
+
+        The bulk form of :meth:`depth` for build loops that would
+        otherwise validate one vertex at a time.
+        """
+        return self._depth
+
     def size(self, vertex: int) -> int:
         """Number of leaves below ``vertex`` (1 for leaves)."""
         self._check_vertex(vertex)

@@ -27,7 +27,7 @@ def save_hierarchy(hierarchy: CommunityHierarchy, path: str | Path) -> None:
     maybe_fail("hierarchy_save")
     payload = {
         "n_leaves": hierarchy.n_leaves,
-        "parent": [hierarchy.parent(v) for v in range(hierarchy.n_vertices)],
+        "parent": hierarchy.parents.tolist(),
     }
     atomic_write_json(path, payload, kind=HIERARCHY_FORMAT)
 

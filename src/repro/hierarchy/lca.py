@@ -21,9 +21,11 @@ class LcaIndex:
 
     def __init__(self, hierarchy: "CommunityHierarchy") -> None:  # noqa: F821
         total = hierarchy.n_vertices
+        # The tour walks the hierarchy's own child lists (ascending ids)
+        # rather than the validated per-vertex accessors.
+        children = hierarchy._children
         tour: list[int] = []
-        depths: list[int] = []
-        first = np.full(total, -1, dtype=np.int64)
+        first = [-1] * total
 
         # Iterative Euler tour: re-visit a vertex after each child subtree.
         stack: list[tuple[int, int]] = [(hierarchy.root, 0)]
@@ -32,15 +34,14 @@ class LcaIndex:
             if first[vertex] == -1:
                 first[vertex] = len(tour)
             tour.append(vertex)
-            depths.append(hierarchy.depth(vertex))
-            kids = hierarchy.children(vertex)
+            kids = children[vertex]
             if child_index < len(kids):
                 stack.append((vertex, child_index + 1))
                 stack.append((kids[child_index], 0))
 
-        self._first = first
+        self._first = np.asarray(first, dtype=np.int64)
         self._tour = np.asarray(tour, dtype=np.int64)
-        depth_arr = np.asarray(depths, dtype=np.int64)
+        depth_arr = hierarchy.depths[self._tour]
 
         t = len(tour)
         # table[j, i] is the tour index of the minimum depth in the window
@@ -56,9 +57,13 @@ class LcaIndex:
             table.append(np.where(choose_right, right, prev))
             span *= 2
         self._table = np.stack(table)
+        # _log[i] = floor(log2(i)) for i >= 1 (and 0 at i = 0): the value
+        # k fills the run [2^k, 2^(k+1)).
         self._log = np.zeros(t + 1, dtype=np.int64)
-        for i in range(2, t + 1):
-            self._log[i] = self._log[i // 2] + 1
+        k = 1
+        while (1 << k) <= t:
+            self._log[1 << k: 1 << (k + 1)] = k
+            k += 1
         # Depth is consulted at query time through the tour.
         self._depths = depth_arr
 

@@ -10,7 +10,9 @@ pair" dendrogram, in near-linear time on sparse graphs.
 
 Clusters are only ever compared when an edge connects them (similarity 0
 otherwise), so the working state is a quotient-graph adjacency map that
-shrinks as merges proceed.
+shrinks as merges proceed. An empty chain is seeded from a cursor that
+walks cluster ids upward, so finding seeds costs O(n) over the whole run
+rather than one scan of every live cluster per seed.
 """
 
 from __future__ import annotations
@@ -70,8 +72,12 @@ def agglomerative_hierarchy(
 
     merges: list[tuple[int, int]] = []
     next_id = n
-    active: set[int] = set(range(n))
     chain: list[int] = []
+    # Seed cursor: every id below it is merged away or has no neighbor
+    # left, and neither ever becomes a seed again (ids only grow and an
+    # isolated cluster never regains a neighbor), so the first live id at
+    # or above it is the smallest cluster that still has a neighbor.
+    cursor = 0
 
     def nearest(cluster: int) -> tuple[int, float] | None:
         best: tuple[float, int] | None = None
@@ -89,10 +95,11 @@ def agglomerative_hierarchy(
         if not chain:
             # Seed the chain with the smallest cluster that still has a
             # neighbor; when none exists, every component is fully merged.
-            candidates = [c for c in active if neighbor_weight[c]]
-            if not candidates:
+            while cursor < next_id and not neighbor_weight.get(cursor):
+                cursor += 1
+            if cursor == next_id:
                 break
-            chain.append(min(candidates))
+            chain.append(cursor)
         tail = chain[-1]
         found = nearest(tail)
         if found is None:
@@ -106,14 +113,12 @@ def agglomerative_hierarchy(
             new_id = next_id
             next_id += 1
             _merge(neighbor_weight, size, linkage, a, b, new_id)
-            active.discard(a)
-            active.discard(b)
-            active.add(new_id)
             merges.append((a, b))
         else:
             chain.append(candidate)
 
-    remaining = sorted(active, key=lambda c: (-size[c], c))
+    # The quotient graph's keys are exactly the clusters still alive.
+    remaining = sorted(neighbor_weight, key=lambda c: (-size[c], c))
     if len(remaining) > 1:
         if on_disconnected == "error":
             raise DisconnectedGraphError(

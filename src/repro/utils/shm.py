@@ -17,11 +17,14 @@ for long-lived servers):
 
 * **Ownership is explicit.** The creating process owns the segment and
   is responsible for unlinking it; attaching processes only ever map it
-  read-only. Python's ``resource_tracker`` is told to forget every
-  segment we create *or* attach — its automatic cleanup unlinks a
-  segment as soon as any attaching process exits (the well-known
-  CPython tracker bug), which would yank arenas out from under a
-  half-alive fleet.
+  read-only. Python's ``resource_tracker`` must not manage any of our
+  segments — its automatic cleanup unlinks a segment as soon as any
+  attaching process exits (the well-known CPython tracker bug), which
+  would yank arenas out from under a half-alive fleet. A created
+  segment is unregistered right after creation; an attach maps the
+  segment itself and never registers at all, because the fleet's
+  processes share one tracker whose name set would drop one of two
+  concurrent attachers' registrations and fail the second unregister.
 * **Refcounted handles.** Within one process, handles to the same name
   share one mapping; :meth:`SharedSegment.close` drops the mapping on
   last close, and an *owner's* last close also unlinks the name
@@ -43,6 +46,7 @@ old mapping mid-query.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import re
 import secrets
@@ -89,11 +93,12 @@ def default_segment_name(kind: str) -> str:
 
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Tell the resource tracker to forget ``shm`` — we own its lifecycle.
+    """Tell the resource tracker to forget a segment we just created —
+    we own its lifecycle.
 
-    Without this, the tracker of *any* process that merely attached a
-    segment unlinks it when that process exits, destroying the fleet's
-    shared state on the first worker death.
+    Without this, the tracker unlinks the segment when the creating
+    process's tracker shuts down, independent of our unlink-on-last-close.
+    The name is fresh and pid-tagged, so no other process registers it.
     """
     try:  # pragma: no cover - tracker internals vary across versions
         from multiprocessing import resource_tracker
@@ -103,12 +108,51 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
+class _AttachedMemory:
+    """A mapping of an existing POSIX segment the resource tracker never
+    sees — the part of :class:`~multiprocessing.shared_memory.SharedMemory`
+    an attacher uses (``buf``, ``size``, ``close``, ``_name``), without
+    its register-on-open."""
+
+    __slots__ = ("_name", "_mmap", "buf", "size")
+
+    def __init__(self, name: str) -> None:
+        self._name = "/" + name
+        fd = shared_memory._posixshmem.shm_open(self._name, os.O_RDWR)
+        try:
+            self.size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, self.size)
+        finally:
+            os.close(fd)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Unmap; raises ``BufferError`` while numpy views are alive."""
+        if self.buf is not None:
+            self.buf.release()
+            self.buf = None
+        if self._mmap is not None:
+            self._mmap.close()
+            self._mmap = None
+
+
+def _open_existing(name: str) -> "shared_memory.SharedMemory | _AttachedMemory":
+    """Map an existing segment without registering it with the tracker.
+
+    Off POSIX the standard class never registers, so it is used as is.
+    """
+    if getattr(shared_memory, "_posixshmem", None) is None:  # pragma: no cover
+        return shared_memory.SharedMemory(name=name, create=False)
+    return _AttachedMemory(name)
+
+
 def _quiet_unlink(shm: shared_memory.SharedMemory) -> None:
     """Unlink the name without a second resource-tracker unregister.
 
     ``SharedMemory.unlink`` also unregisters the name with the tracker,
-    but :func:`_untrack` already did at map time — the duplicate message
-    makes the tracker process print a ``KeyError`` traceback on exit.
+    but none of our names is registered (:func:`_untrack` ran at
+    creation; attaches never register) — the stray message makes the
+    tracker process print a ``KeyError`` traceback on exit.
     """
     posixshmem = getattr(shared_memory, "_posixshmem", None)
     try:
@@ -395,7 +439,7 @@ def attach_segment(name: str, kind: "str | None" = None) -> SharedSegment:
             shm = mapping.shm
         else:
             try:
-                shm = shared_memory.SharedMemory(name=name, create=False)
+                shm = _open_existing(name)
             except FileNotFoundError as exc:
                 raise ShmError(
                     f"shared segment {name!r} does not exist (owner gone or "
@@ -405,7 +449,6 @@ def attach_segment(name: str, kind: "str | None" = None) -> SharedSegment:
                 raise ShmError(
                     f"cannot attach shared segment {name!r}: {exc}"
                 ) from exc
-            _untrack(shm)
             mapping = _Mapping(shm, owner=False)
             mapping.refs = 1
             registry[name] = mapping
@@ -469,10 +512,9 @@ def segment_exists(name: str, shm_dir: "str | Path" = SHM_DIR) -> bool:
     if Path(shm_dir).is_dir():
         return path.exists()
     try:  # pragma: no cover - non-/dev/shm platforms
-        shm = shared_memory.SharedMemory(name=name, create=False)
+        shm = _open_existing(name)
     except OSError:
         return False
-    _untrack(shm)
     shm.close()
     return True
 

@@ -31,20 +31,35 @@ it, seed for seed, against these implementations:
   ``C_l`` on the reference weighted subgraph, and the chain assembled
   from boxed-int member sets. Memoized production chains must match it
   bit for bit.
+* :func:`reference_agglomerative_hierarchy` — NN-chain clustering that
+  seeds every empty chain by rescanning all live clusters for the
+  smallest one with a neighbor. Production's cursor-seeded clustering
+  must reproduce its merges (and so its vertex ids) exactly.
+* :func:`reference_lca_tables` — the Euler tour, sparse table and log
+  table of :class:`~repro.hierarchy.lca.LcaIndex` built one validated
+  ``depth``/``children`` call per tour step and one ``log`` entry per
+  Python iteration.
+* :func:`reference_tree_hfs` — HIMOR's tree HFS with one depth-keyed
+  heap per sample and a scalar ``lca``/``depth`` call per pushed edge.
+  Production's vectorized frontier fixpoint must produce ``==`` buckets.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 from itertools import product
 
 import numpy as np
 
 from repro.core.lore import LoreResult, select_reclustering_community
+from repro.errors import DisconnectedGraphError
 from repro.graph.graph import AttributedGraph
 from repro.graph.subgraph import SubgraphView
 from repro.graph.weighting import AttributeWeighting
 from repro.hierarchy.chain import CommunityChain
+from repro.hierarchy.dendrogram import CommunityHierarchy
+from repro.hierarchy.linkage import UnweightedAverageLinkage
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.rng import ensure_rng
@@ -417,3 +432,163 @@ def reference_lore_chain(
         c_ell_chain_level=c_ell_chain_level,
         scores=scores,
     )
+
+
+def reference_agglomerative_hierarchy(
+    graph: AttributedGraph, linkage=None, on_disconnected: str = "merge"
+) -> CommunityHierarchy:
+    """NN-chain clustering, seeding each empty chain by a full rescan.
+
+    Every time the chain empties, all live clusters are scanned and the
+    smallest id that still has a neighbor seeds it. Exhausted components
+    are stacked under one root, largest first (ties by smallest id).
+    """
+    linkage = linkage or UnweightedAverageLinkage()
+    n = graph.n
+    neighbor_weight: dict[int, dict[int, float]] = {}
+    size: dict[int, int] = {}
+    for v in range(n):
+        neighbor_weight[v] = {
+            int(u): float(w)
+            for u, w in zip(graph.neighbors(v), graph.neighbor_weights(v))
+        }
+        size[v] = 1
+
+    merges: list[tuple[int, int]] = []
+    next_id = n
+    active: set[int] = set(range(n))
+    chain: list[int] = []
+
+    def nearest(cluster: int):
+        best = None
+        for other, weight in neighbor_weight[cluster].items():
+            sim = linkage.similarity(weight, size[cluster], size[other])
+            if best is None or sim > best[0] or (sim == best[0] and other < best[1]):
+                best = (sim, other)
+        return None if best is None else best[1]
+
+    while True:
+        if not chain:
+            candidates = [c for c in active if neighbor_weight[c]]
+            if not candidates:
+                break
+            chain.append(min(candidates))
+        candidate = nearest(chain[-1])
+        if candidate is None:
+            chain.pop()
+            continue
+        if len(chain) >= 2 and candidate == chain[-2]:
+            a = chain.pop()
+            b = chain.pop()
+            new_id = next_id
+            next_id += 1
+            wa = neighbor_weight.pop(a)
+            wb = neighbor_weight.pop(b)
+            wa.pop(b, None)
+            wb.pop(a, None)
+            if len(wa) < len(wb):
+                wa, wb = wb, wa
+            for other, weight in wb.items():
+                wa[other] = linkage.combine(wa[other], weight) if other in wa else weight
+            for other in wa:
+                row = neighbor_weight[other]
+                w_to_a = row.pop(a, None)
+                w_to_b = row.pop(b, None)
+                if w_to_a is not None and w_to_b is not None:
+                    row[new_id] = linkage.combine(w_to_a, w_to_b)
+                elif w_to_a is not None:
+                    row[new_id] = w_to_a
+                elif w_to_b is not None:
+                    row[new_id] = w_to_b
+            neighbor_weight[new_id] = wa
+            size[new_id] = size.pop(a) + size.pop(b)
+            active.discard(a)
+            active.discard(b)
+            active.add(new_id)
+            merges.append((a, b))
+        else:
+            chain.append(candidate)
+
+    remaining = sorted(active, key=lambda c: (-size[c], c))
+    if len(remaining) > 1:
+        if on_disconnected == "error":
+            raise DisconnectedGraphError(f"graph has {len(remaining)} components")
+        current = remaining[0]
+        for other in remaining[1:]:
+            merges.append((current, other))
+            current = next_id
+            next_id += 1
+    return CommunityHierarchy.from_merges(n, merges)
+
+
+def reference_tree_hfs(hierarchy, arena, start: int = 0, buckets=None,
+                       checkpoint_every=None, on_checkpoint=None):
+    """HIMOR's tree HFS, one depth-keyed heap per sample.
+
+    Each sample's source is charged to its parent community; a node
+    reached from a node tagged ``C`` gets ``lca(u, C)``, and the heap pops
+    deepest tags first, so every node is charged once, to its final tag.
+    ``on_checkpoint(i, buckets)`` fires after every ``checkpoint_every``
+    samples (absolute counts), except after the last one.
+    """
+    buckets = {} if buckets is None else buckets
+    for i in range(start, arena.n_samples):
+        source = int(arena.sources[i])
+        start_tag = hierarchy.parent(source)
+        assigned: set[int] = set()
+        heap = [(-hierarchy.depth(start_tag), source, start_tag, int(arena.node_offsets[i]))]
+        while heap:
+            _, v, tag, entry = heapq.heappop(heap)
+            if v in assigned:
+                continue
+            assigned.add(v)
+            bucket = buckets.setdefault(tag, {})
+            bucket[v] = bucket.get(v, 0) + 1
+            s = int(arena.edge_start[entry])
+            for dst in arena.edge_dst_entry[s: s + int(arena.edge_count[entry])]:
+                u = int(arena.nodes[int(dst)])
+                if u in assigned:
+                    continue
+                u_tag = hierarchy.lca(u, tag)
+                heapq.heappush(heap, (-hierarchy.depth(u_tag), u, u_tag, int(dst)))
+        if (
+            checkpoint_every is not None
+            and on_checkpoint is not None
+            and (i + 1) % checkpoint_every == 0
+            and (i + 1) < arena.n_samples
+        ):
+            on_checkpoint(i + 1, buckets)
+    return buckets
+
+
+def reference_lca_tables(hierarchy):
+    """``(first, tour, table, log)`` of an Euler-tour sparse-table LCA index."""
+    total = hierarchy.n_vertices
+    tour: list[int] = []
+    depths: list[int] = []
+    first = np.full(total, -1, dtype=np.int64)
+    stack = [(hierarchy.root, 0)]
+    while stack:
+        vertex, child_index = stack.pop()
+        if first[vertex] == -1:
+            first[vertex] = len(tour)
+        tour.append(vertex)
+        depths.append(hierarchy.depth(vertex))
+        kids = hierarchy.children(vertex)
+        if child_index < len(kids):
+            stack.append((vertex, child_index + 1))
+            stack.append((kids[child_index], 0))
+    depth_arr = np.asarray(depths, dtype=np.int64)
+    t = len(tour)
+    table = [np.arange(t, dtype=np.int64)]
+    span = 1
+    positions = np.arange(t, dtype=np.int64)
+    while span * 2 <= t:
+        prev = table[-1]
+        right = prev[np.minimum(positions + span, t - 1)]
+        table.append(np.where(depth_arr[right] < depth_arr[prev], right, prev))
+        span *= 2
+    log = np.zeros(t + 1, dtype=np.int64)
+    for i in range(2, t + 1):
+        log[i] = log[i // 2] + 1
+    return first, np.asarray(tour, dtype=np.int64), np.stack(table), log

@@ -259,3 +259,52 @@ class TestTwoProcess:
             outcome = result_queue.get(timeout=30)
             child.join(timeout=30)
             assert outcome is True, outcome
+
+
+class TestResourceTracker:
+    """An attach must never talk to the resource tracker: the fleet's
+    processes share one tracker, whose name set drops one of two
+    concurrent attachers' registrations, so the second unregister failed
+    with a ``KeyError`` inside the tracker."""
+
+    @staticmethod
+    def _attach_and_report(name, calls, result_queue) -> None:
+        try:
+            reader = attach_segment(name, kind="tracked")
+            ok = bool(np.array_equal(reader.arrays["x"], np.arange(5)))
+            reader.close()
+            result_queue.put((ok, [c for c in calls if name in c[1]]))
+        except Exception as exc:  # pragma: no cover - failure reporting
+            result_queue.put((repr(exc), []))
+
+    def test_attach_neither_registers_nor_unregisters(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork to inherit the patched tracker")
+        from multiprocessing import resource_tracker
+
+        calls: list = []
+        with create_segment(
+            {"x": np.arange(5, dtype=np.int64)}, kind="tracked"
+        ) as segment:
+            # Patched after creation; a forked child inherits the patch
+            # and has an empty mapping registry, so its attach opens the
+            # segment for real.
+            monkeypatch.setattr(
+                resource_tracker, "register",
+                lambda name, rtype: calls.append(("register", name, rtype)),
+            )
+            monkeypatch.setattr(
+                resource_tracker, "unregister",
+                lambda name, rtype: calls.append(("unregister", name, rtype)),
+            )
+            ctx = multiprocessing.get_context("fork")
+            result_queue = ctx.Queue()
+            child = ctx.Process(
+                target=self._attach_and_report,
+                args=(segment.name, calls, result_queue),
+            )
+            child.start()
+            ok, tracker_calls = result_queue.get(timeout=30)
+            child.join(timeout=30)
+        assert ok is True, ok
+        assert tracker_calls == []
