@@ -582,7 +582,8 @@ def _cmd_serve_sim(args: argparse.Namespace):
               f"misses={stats['misses']} evictions={stats['evictions']}")
     if planner is not None and planner.last_plan is not None:
         plan = planner.last_plan.describe()
-        print(f"  planner            : batches={planner.batches} "
+        batches = server.metrics.counter("planner.batches").value
+        print(f"  planner            : batches={batches} "
               f"last_groups={plan['groups']} "
               f"grouped={plan['grouped_execution']}")
     if state_store is not None:

@@ -73,6 +73,12 @@ class HimorIndex:
         #: legacy artifacts); lets a server reject a stale persisted index
         #: after the graph moved to a new epoch.
         self.graph_sha = graph_sha
+        #: The sample stream the ranks were counted over (see
+        #: :func:`build_fingerprint`), set by :meth:`build` and
+        #: :meth:`load`; ``None`` when unknown, e.g. on artifacts saved
+        #: before the stream was recorded. A server only serves (and later
+        #: delta-repairs) an index drawn from its own stream.
+        self.sample_mode: "str | None" = None
         #: Per-tag HFS own-charges, kept (when available) so
         #: :meth:`repair` can delta-update instead of re-traversing the
         #: whole pool.
@@ -206,6 +212,7 @@ class HimorIndex:
                 buckets=buckets, graph_sha=graph_checksum(graph),
             )
             index.resumed_from = resumed_from
+            index.sample_mode = sample_mode
             if span is not None:
                 span.note(
                     n_samples=int(n_samples),
@@ -360,6 +367,7 @@ class HimorIndex:
             "parent": self.hierarchy.parents.tolist(),
             "ranks": [r.tolist() for r in self._ranks],
             "graph_sha": self.graph_sha,
+            "sample_mode": self.sample_mode,
         }
         if self._buckets is not None:
             # Persisting the HFS buckets keeps a reloaded index repairable
@@ -393,7 +401,7 @@ class HimorIndex:
                                for node, count in bucket.items()}
                     for tag, bucket in payload["buckets"].items()
                 }
-            return cls(
+            index = cls(
                 hierarchy, ranks,
                 theta=int(payload["theta"]),
                 n_samples=int(payload["n_samples"]),
@@ -402,6 +410,8 @@ class HimorIndex:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise IndexError_(f"malformed HIMOR index in {path}: {exc}") from exc
+        index.sample_mode = payload.get("sample_mode")
+        return index
 
 
 def himor_cod(
@@ -492,10 +502,11 @@ def build_fingerprint(
     ``None`` when the caller sampled from an opaque generator — such
     builds still checkpoint, but the fingerprint then cannot distinguish
     two different sample streams, so pass an integer seed whenever
-    resume-equals-fresh matters. ``sample_mode`` separates the shared
-    stream sampler (``"stream"``) from per-sample-seeded pools
-    (``"per-sample"``): the two draw different arenas from the same seed,
-    so their checkpoints must never cross-resume.
+    resume-equals-fresh matters. ``sample_mode`` names the sample stream:
+    the shared stream sampler (``"stream"``), or a per-sample-seeded pool
+    drawing with SeedSequence children (``"per-sample"``) or the hashed
+    fast stream (``"per-sample-fast"``). The three draw different arenas
+    from the same seed, so their checkpoints must never cross-resume.
     """
     payload = {
         "n": graph.n,

@@ -5,8 +5,9 @@ Everything here is plain Python (stdlib only) and JSON-friendly. A
 :meth:`MetricsRegistry.snapshot` renders the whole registry as one
 JSON-serializable dict, and :meth:`MetricsRegistry.merge_snapshots`
 combines snapshots from independent processes (the supervisor's fleet
-rollup): counters and gauges sum, histograms pool their streaming
-aggregates exactly and their reservoirs approximately.
+rollup): counters and amount gauges sum, level gauges
+(:data:`LEVEL_GAUGES`) take the largest reading, histograms pool their
+streaming aggregates exactly and their reservoirs approximately.
 
 Histograms are **bounded**: they keep exact streaming ``count``, ``sum``,
 ``min``, and ``max``, plus a fixed-capacity uniform reservoir (Vitter's
@@ -25,6 +26,17 @@ from typing import Iterable, Sequence
 
 #: Snapshot sections, in render order.
 _SECTIONS = ("counters", "gauges", "histograms")
+
+#: Gauges that every process reports about one shared fleet state, so a
+#: fleet rollup takes the largest reading instead of the sum: two workers
+#: at epoch 1 are a fleet at epoch 1, not 2. Every other gauge is an
+#: amount (entries, bytes) and sums.
+LEVEL_GAUGES = frozenset({
+    "epoch",
+    "recovery.epoch",
+    "snapshot.epoch",
+    "shm.shard.manifest",
+})
 
 
 class Counter:
@@ -208,8 +220,9 @@ class MetricsRegistry:
     def merge_snapshots(snapshots: Iterable["dict | None"]) -> dict:
         """Combine snapshots from independent registries (fleet rollup).
 
-        Counters and gauges sum (a fleet-wide gauge is the sum of the
-        per-worker readings). Histograms combine their streaming
+        Counters sum, and so do gauges, except the :data:`LEVEL_GAUGES`,
+        which take the largest reading (the newest epoch any worker
+        reports). Histograms combine their streaming
         ``count``/``sum``/``min``/``max`` exactly; the merged reservoir is
         a deterministic count-weighted subsample of the parts, bounded by
         the largest part capacity, from which ``mean``/``p50``/``p95``
@@ -225,10 +238,14 @@ class MetricsRegistry:
                 merged["counters"][name] = (
                     merged["counters"].get(name, 0) + int(value)
                 )
+            gauges = merged["gauges"]
             for name, value in snap.get("gauges", {}).items():
-                merged["gauges"][name] = (
-                    merged["gauges"].get(name, 0.0) + float(value)
-                )
+                if name not in gauges:
+                    gauges[name] = float(value)
+                elif name in LEVEL_GAUGES:
+                    gauges[name] = max(gauges[name], float(value))
+                else:
+                    gauges[name] += float(value)
             for name, part in snap.get("histograms", {}).items():
                 hist_parts.setdefault(name, []).append(part)
         for name, parts in hist_parts.items():

@@ -35,7 +35,6 @@ from repro.serving.queue import (
     AdmissionQueue,
 )
 from repro.serving.server import CODServer, ServedAnswer
-from repro.serving.stats import ServerStats
 from repro.serving.supervisor import ChaosSchedule, ServingSupervisor
 from repro.serving.worker import UpdateDirective
 
@@ -59,7 +58,6 @@ __all__ = [
     "PRIORITY_BATCH",
     "PRIORITY_INTERACTIVE",
     "ServedAnswer",
-    "ServerStats",
     "ServingSupervisor",
     "UpdateDirective",
 ]

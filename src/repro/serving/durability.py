@@ -66,13 +66,13 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.core.himor import graph_checksum
 from repro.dynamic.log import UpdateBatch
 from repro.dynamic.updates import apply_updates
 from repro.errors import PersistError, RecoveryError, WalError
 from repro.graph.graph import AttributedGraph
+from repro.obs.registry import MetricsRegistry
 from repro.utils import faults
 from repro.utils.persist import (
     atomic_write_json,
@@ -80,9 +80,6 @@ from repro.utils.persist import (
     fsync_dir,
     load_versioned_json,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs import MetricsRegistry
 
 #: Envelope ``kind`` of snapshot files (verified on load).
 SNAPSHOT_KIND = "cod-state-snapshot"
@@ -148,12 +145,16 @@ class WriteAheadLog:
     *inside* the prefix — a bad line followed by a good one, or a
     contiguity gap — raises :class:`~repro.errors.WalError` because an
     acknowledged record can only be missing through real corruption.
+    Its ``wal.*`` counters live in ``metrics`` (else a private registry).
     """
 
     def __init__(self, path: "str | Path",
                  metrics: "MetricsRegistry | None" = None) -> None:
         self.path = Path(path)
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
+        self._appends = self.metrics.counter("wal.appends")
+        self._fsyncs = self.metrics.counter("wal.fsyncs")
+        self._compactions = self.metrics.counter("wal.compactions")
         self.floor = 0
         self.records: list[WalRecord] = []
         self.truncated_records = 0
@@ -164,10 +165,7 @@ class WriteAheadLog:
         if created:
             # The file's directory entry must survive a crash too.
             fsync_dir(self.path.parent or ".")
-        if self.metrics is not None and self.truncated_records:
-            self.metrics.counter("wal.truncated_records").inc(
-                self.truncated_records
-            )
+        self.metrics.counter("wal.truncated_records").inc(self.truncated_records)
 
     # ------------------------------------------------------------- open/scan
 
@@ -303,9 +301,8 @@ class WriteAheadLog:
         self.records.append(
             WalRecord(epoch=epoch, batch=batch, graph_sha=graph_sha)
         )
-        if self.metrics is not None:
-            self.metrics.counter("wal.appends").inc()
-            self.metrics.counter("wal.fsyncs").inc()
+        self._appends.inc()
+        self._fsyncs.inc()
         return epoch
 
     # -------------------------------------------------------------- compact
@@ -356,8 +353,7 @@ class WriteAheadLog:
                 self._fh = open(self.path, "ab")
         self.floor = through_epoch
         self.records = kept
-        if self.metrics is not None:
-            self.metrics.counter("wal.compactions").inc()
+        self._compactions.inc()
         return dropped
 
     def close(self) -> None:
@@ -376,14 +372,21 @@ class SnapshotStore:
     attribute tables, and an optional manifest (HIMOR/pool descriptors)
     — so recovery from it needs no history at all. Corrupt snapshots are
     quarantined by rename, never deleted: the bytes stay on disk for a
-    human to inspect, and the loader never trips over them twice.
+    human to inspect, and the loader never trips over them twice. Its
+    ``snapshot.*`` instruments live in ``metrics`` (else a private
+    registry).
     """
 
     def __init__(self, directory: "str | Path", keep: int = 2,
                  metrics: "MetricsRegistry | None" = None) -> None:
         self.directory = Path(directory)
         self.keep = max(1, int(keep))
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
+        self._saves = self.metrics.counter("snapshot.saves")
+        self._epoch = self.metrics.gauge("snapshot.epoch")
+        self._seconds = self.metrics.histogram("snapshot.seconds")
+        self._pruned = self.metrics.counter("snapshot.pruned")
+        self._quarantines = self.metrics.counter("snapshot.quarantined")
         self.quarantined: list[Path] = []
 
     def _path_for(self, epoch: int) -> Path:
@@ -417,12 +420,9 @@ class SnapshotStore:
         path = self._path_for(epoch)
         atomic_write_json(path, payload, kind=SNAPSHOT_KIND)
         self._prune()
-        if self.metrics is not None:
-            self.metrics.counter("snapshot.saves").inc()
-            self.metrics.gauge("snapshot.epoch").set(int(epoch))
-            self.metrics.histogram("snapshot.seconds").record(
-                time.perf_counter() - start
-            )
+        self._saves.inc()
+        self._epoch.set(int(epoch))
+        self._seconds.record(time.perf_counter() - start)
         return path
 
     def _prune(self) -> None:
@@ -432,8 +432,7 @@ class SnapshotStore:
                 self._path_for(epoch).unlink()
             except OSError:
                 continue
-            if self.metrics is not None:
-                self.metrics.counter("snapshot.pruned").inc()
+            self._pruned.inc()
 
     # ----------------------------------------------------------------- load
 
@@ -473,8 +472,7 @@ class SnapshotStore:
         except OSError:
             return
         self.quarantined.append(target)
-        if self.metrics is not None:
-            self.metrics.counter("snapshot.quarantined").inc()
+        self._quarantines.inc()
 
 
 # ---------------------------------------------------------------- recovery
@@ -533,7 +531,7 @@ class RecoveryManager:
     def __init__(self, state_dir: "str | Path",
                  metrics: "MetricsRegistry | None" = None) -> None:
         self.state_dir = Path(state_dir)
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
 
     def recover(
         self, base_graph: "AttributedGraph | None" = None
@@ -618,11 +616,10 @@ class RecoveryManager:
             seconds=seconds,
             replayed=replayed,
         )
-        if self.metrics is not None:
-            self.metrics.counter("recovery.runs").inc()
-            self.metrics.gauge("recovery.replayed_epochs").set(len(replayed))
-            self.metrics.gauge("recovery.epoch").set(epoch)
-            self.metrics.histogram("recovery.seconds").record(seconds)
+        self.metrics.counter("recovery.runs").inc()
+        self.metrics.gauge("recovery.replayed_epochs").set(len(replayed))
+        self.metrics.gauge("recovery.epoch").set(epoch)
+        self.metrics.histogram("recovery.seconds").record(seconds)
         return result, wal
 
 
@@ -649,9 +646,10 @@ class DurableStateStore:
         self.snapshot_every = (
             None if not snapshot_every else max(1, int(snapshot_every))
         )
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
         self.snapshots = SnapshotStore(
-            self.state_dir / SNAPSHOT_DIR, keep=keep_snapshots, metrics=metrics
+            self.state_dir / SNAPSHOT_DIR, keep=keep_snapshots,
+            metrics=self.metrics,
         )
         self._wal: "WriteAheadLog | None" = None
         self.last_recovery: "RecoveryResult | None" = None

@@ -31,7 +31,7 @@ on the same server, which the differential suite
 **Failure isolation.** A query that raises — even a caller error like an
 invalid node — becomes a refused :class:`ServedAnswer` carrying the
 error, and its *actual* elapsed time (measured on the server's clock) is
-what enters the refusal-latency reservoir. The previous inline batch
+what enters the ``query.seconds`` latency reservoir. The previous inline batch
 loop recorded a fabricated ``0.0`` for such failures, silently dragging
 refusal p50/p95 toward zero.
 
@@ -123,17 +123,24 @@ class BatchPlan:
 class BatchPlanner:
     """Plan and execute query workloads against one :class:`CODServer`.
 
-    The planner owns no state beyond counters and the last plan; all
-    reuse lives in the server's bounded caches and (optionally) its
-    sample pool, so interleaving planned batches with direct
-    :meth:`CODServer.answer` calls is safe.
+    The planner owns no state beyond the last plan: its ``planner.*``
+    counters live in the server's registry, and all reuse lives in the
+    server's bounded caches and (optionally) its sample pool, so
+    interleaving planned batches with direct :meth:`CODServer.answer`
+    calls is safe.
     """
 
     def __init__(self, server: "CODServer") -> None:
         self.server = server
         self.last_plan: "BatchPlan | None" = None
-        self.batches = 0
-        self.queries = 0
+        metrics = server.metrics
+        self._batches = metrics.counter("planner.batches")
+        self._groups = metrics.counter("planner.groups")
+        self._queries = metrics.counter("planner.queries")
+        self._shard_groups = metrics.counter("planner.shard_groups")
+        self._last_groups = metrics.gauge("planner.last_groups")
+        self._query_errors = metrics.counter("query.errors")
+        self._latency = metrics.histogram("query.seconds")
 
     def plan(self, queries: "Iterable[CODQuery]") -> BatchPlan:
         """Group a window by attribute, preserving input order per group."""
@@ -179,9 +186,11 @@ class BatchPlanner:
             chunk = queries[start : start + window]
             plan = self.plan(chunk)
             self.last_plan = plan
-            self.batches += 1
-            self.queries += plan.n_queries
-            self._record_plan(plan)
+            self._batches.inc()
+            self._groups.inc(plan.n_groups)
+            self._queries.inc(plan.n_queries)
+            self._shard_groups.inc(plan.shard_covered)
+            self._last_groups.set(plan.n_groups)
             for local_index, query in plan.order():
                 answers[start + local_index] = self._answer_isolated(query)
         return [a for a in answers if a is not None]
@@ -196,8 +205,8 @@ class BatchPlanner:
             return self.server.answer(query)
         except Exception as exc:  # noqa: BLE001 — isolate, never abort
             elapsed = clock() - start
-            self.server.stats.query_errors += 1
-            self.server.stats.record_refusal(elapsed)
+            self._query_errors.inc()
+            self._latency.record(elapsed)
             return ServedAnswer(
                 query=query,
                 members=None,
@@ -208,19 +217,9 @@ class BatchPlanner:
                 epoch=self.server.epoch,
             )
 
-    def _record_plan(self, plan: BatchPlan) -> None:
-        metrics = self.server.metrics
-        if metrics is None:
-            return
-        metrics.counter("planner.batches").inc()
-        metrics.counter("planner.groups").inc(plan.n_groups)
-        metrics.counter("planner.queries").inc(plan.n_queries)
-        if plan.shard_covered:
-            metrics.counter("planner.shard_groups").inc(plan.shard_covered)
-        metrics.gauge("planner.last_groups").set(plan.n_groups)
-
     def __repr__(self) -> str:
         return (
-            f"BatchPlanner(batches={self.batches}, queries={self.queries}, "
+            f"BatchPlanner(batches={self._batches.value}, "
+            f"queries={self._queries.value}, "
             f"pooled={self.server.pool is not None})"
         )

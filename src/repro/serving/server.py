@@ -20,7 +20,8 @@ serving deployment needs:
   short-circuits the two LORE-based rungs straight to CODU for a
   cool-down window.
 * **Health counters** — answered-per-rung, retries, breaker state, and
-  p50/p95 latency via :meth:`CODServer.health`.
+  p50/p95 latency via :meth:`CODServer.health`, a view over the server's
+  one :class:`~repro.obs.MetricsRegistry` (see :data:`HEALTH_COUNTERS`).
 * **Observability** — :meth:`CODServer.answer` accepts an optional
   duck-typed ``trace`` (e.g. :class:`~repro.obs.QueryTrace`) that records
   a span per stage (rungs, sampling, LORE, compressed evaluation, HIMOR
@@ -66,10 +67,9 @@ from repro.core.pool import SharedSamplePool
 from repro.influence.arena import RRArena, allowed_fingerprint, sample_arena
 from repro.influence.fastsample import sample_arena_fast
 from repro.influence.models import InfluenceModel, WeightedCascade
-from repro.obs import StageProfiler, TeeTrace
+from repro.obs import Histogram, MetricsRegistry, StageProfiler, TeeTrace
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.budget import BackoffPolicy, ExecutionBudget
-from repro.serving.stats import ServerStats
 from repro.utils.cache import LRUCache
 from repro.utils.persist import clean_stale_tmp
 from repro.utils.rng import ensure_rng
@@ -85,6 +85,36 @@ REFUSED_OVERLOAD = "refused_overload"
 REFUSED_CRASH = "refused_crash"
 
 LADDER = (RUNG_CODL, RUNG_CODL_MINUS, RUNG_CODU)
+
+#: Latency reservoir bound: memory stays O(1) in the query count while
+#: percentiles remain exact for the first ``LATENCY_CAPACITY`` queries
+#: and unbiased estimates afterwards.
+LATENCY_CAPACITY = 2048
+
+#: Flat :meth:`CODServer.health` counters, by the registry counter each
+#: one reads. Answered-per-rung, ``refused`` and ``queries`` read the
+#: ``rung.<rung>`` counters plus ``query.errors``.
+HEALTH_COUNTERS = {
+    "retries": "ladder.retries",
+    "deadline_exceeded": "ladder.deadline_exceeded",
+    "budget_exhausted": "ladder.budget_exhausted",
+    "breaker_short_circuits": "breaker.short_circuits",
+    "index_rebuilds": "index.builds",
+    "index_load_failures": "index.load_failures",
+    "index_builds_resumed": "index.builds_resumed",
+    "query_errors": "query.errors",
+}
+
+
+def latency_summary(latency: Histogram) -> dict:
+    """The ``health()["latency"]`` block over a latency histogram."""
+    p50, p95 = latency.percentiles((0.50, 0.95))
+    return {
+        "p50_s": p50,
+        "p95_s": p95,
+        "mean_s": latency.mean,
+        "max_s": latency.max_value or 0.0,
+    }
 
 
 @dataclass
@@ -188,11 +218,12 @@ class CODServer:
         Monotonic time source shared by budgets and the breaker
         (injectable for tests).
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`. When set, every
-        answer is profiled: stage spans feed ``stage.<name>.seconds``
-        histograms and ``stage.<name>.calls`` counters, and the server
-        records ``queries``, ``rung.<rung>``, and ``query.seconds``
-        directly. The snapshot rides :meth:`health` under ``"metrics"``.
+        Optional :class:`~repro.obs.MetricsRegistry`. The server always
+        counts into one registry (this one, else a private one) and
+        :meth:`health` reads it. Passing one turns on profiling: stage
+        spans feed ``stage.<name>.seconds`` histograms and
+        ``stage.<name>.calls`` counters, and the registry snapshot rides
+        :meth:`health` under ``"metrics"``.
     pool:
         Optional :class:`~repro.core.pool.SharedSamplePool` over the same
         graph. When set, every compressed evaluation (and CODL's
@@ -207,9 +238,9 @@ class CODServer:
         mode (nothing is drawn); deadlines still apply.
     cache_capacity:
         Bound for each of the server's internal LRU caches (LORE chains,
-        LORE's per-attribute parts, restricted arenas). Hit/miss/eviction counters surface in :meth:`health`
-        under ``"caches"`` and, with a registry attached, as
-        ``cache.<name>.*`` metrics.
+        LORE's per-attribute parts, restricted arenas). Their
+        ``cache.<name>.*`` counters live in the server's registry and
+        surface in :meth:`health` under ``"caches"``.
     fast_sampling:
         When true, fresh per-query draws use the vectorized batch
         sampler (:func:`~repro.influence.fastsample.sample_arena_fast`)
@@ -277,11 +308,31 @@ class CODServer:
                 self.index_path.parent, prefix=self._checkpoint_path().name
             )
         self._clock = clock
-        self.metrics = metrics
+        #: Profiling is on when the caller passed a registry; either way
+        #: every counter below lives in ``self.metrics``.
+        self._profiled = metrics is not None
+        self.metrics = metrics or MetricsRegistry()
+        m = self.metrics
+        self._queries = m.counter("queries")
+        self._rungs = {rung: m.counter(f"rung.{rung}") for rung in (*LADDER, REFUSED)}
+        self._latency = m.histogram("query.seconds", capacity=LATENCY_CAPACITY)
+        self._health = {key: m.counter(name) for key, name in HEALTH_COUNTERS.items()}
+        self._update_batches = m.counter("updates.batches")
+        self._updates_applied = m.counter("updates.applied")
+        self._repaired_samples = m.counter("arena.repaired_samples")
+        self._cache_invalidated = m.counter("cache.invalidated_entries")
+        self._shard_attaches = m.counter("shm.shard.attaches")
+        self._shard_hits = m.counter("shm.shard.hits")
+        self._shard_misses = m.counter("shm.shard.misses")
+        self._shard_rejects = m.counter("shm.shard.rejects")
+        #: Local ``pool.restricted()`` builds actually executed — the
+        #: per-worker restrict work ``benchmarks/bench_shard.py`` gates on.
+        self._local_restricts = m.counter("pool.restricts")
+        self._epoch_gauge = m.gauge("epoch")
+        self._manifest_gauge = m.gauge("shm.shard.manifest")
         self._backoff = BackoffPolicy(
             base_s=self.backoff_s, factor=2.0, cap_s=float("inf"), jitter=0.0
         )
-        self.stats = ServerStats()
         self.breaker = CircuitBreaker(
             failure_threshold=breaker_threshold,
             cooldown_s=breaker_cooldown_s,
@@ -305,27 +356,21 @@ class CODServer:
                 f"cache_capacity must be >= 1, got {cache_capacity!r}"
             )
         self.cache_capacity = int(cache_capacity)
-        #: Graph version: 0 = the construction-time graph; bumped by every
-        #: :meth:`apply_updates` batch. Stamped on every answer.
         self.epoch = 0
-        self._update_batches = 0
-        self._updates_applied = 0
-        self._cache_invalidated = 0
-        self._repaired_samples = 0
         self._hierarchy: "CommunityHierarchy | None" = None
         self._index: "HimorIndex | None" = None
         self._lore_cache = LRUCache(
-            self.cache_capacity, name="lore", metrics=metrics
+            self.cache_capacity, name="lore", metrics=m
         )
         #: LORE's query-independent parts, shared across query nodes:
         #: per-attribute edge-LCA counts and per-(attribute, C_l) local
         #: reclusterings (see ``lore_chain(memo=)``). Invalidated together
         #: with ``_lore_cache`` by :meth:`_invalidate_lore`.
         self._lore_local = LRUCache(
-            self.cache_capacity, name="lore_local", metrics=metrics
+            self.cache_capacity, name="lore_local", metrics=m
         )
         self._restricted_cache = LRUCache(
-            self.cache_capacity, name="restricted", metrics=metrics
+            self.cache_capacity, name="restricted", metrics=m
         )
         #: Published restricted-shard manifest: ``{attribute: entry}`` where
         #: entry carries ``name``/``vertex``/``epoch``/``allowed_sha``/
@@ -335,13 +380,18 @@ class CODServer:
         #: Attached shard arenas keyed by segment name (lazy, detached on
         #: rotation).
         self._shard_arenas: "dict[str, RRArena]" = {}
-        self.shard_attaches = 0
-        self.shard_hits = 0
-        self.shard_misses = 0
-        self.shard_rejects = 0
-        #: Local ``pool.restricted()`` builds actually executed — the
-        #: per-worker restrict work ``benchmarks/bench_shard.py`` gates on.
-        self.local_restricts = 0
+
+    @property
+    def epoch(self) -> int:
+        """Graph version: 0 = the construction-time graph; bumped by every
+        :meth:`apply_updates` batch. Stamped on every answer and mirrored
+        in the ``epoch`` gauge."""
+        return self._epoch
+
+    @epoch.setter
+    def epoch(self, value: int) -> None:
+        self._epoch = int(value)
+        self._epoch_gauge.set(self._epoch)
 
     # ----------------------------------------------------------- public API
 
@@ -364,7 +414,7 @@ class CODServer:
         :class:`~repro.obs.TeeTrace`. Tracing never changes the answer.
         """
         query.validate(self.graph)
-        if self.metrics is not None:
+        if self._profiled:
             profiler = StageProfiler(self.metrics)
             trace = profiler if trace is None else TeeTrace(trace, profiler)
         budget = ExecutionBudget(
@@ -406,16 +456,16 @@ class CODServer:
                         answer.notes.append(f"{rung}: {exc}")
                         last_error = exc
                         if isinstance(exc, DeadlineExceededError):
-                            self.stats.deadline_exceeded += 1
+                            self._health["deadline_exceeded"].inc()
                         else:
-                            self.stats.budget_exhausted += 1
+                            self._health["budget_exhausted"].inc()
                         break
                     except CircuitOpenError as exc:
                         if rung_span is not None:
                             rung_span.note(outcome="breaker_open")
                         answer.notes.append(f"{rung}: {exc}")
                         last_error = exc
-                        self.stats.breaker_short_circuits += 1
+                        self._health["breaker_short_circuits"].inc()
                         continue
                     except Exception as exc:  # rung failed — degrade, never leak
                         if rung_span is not None:
@@ -444,13 +494,9 @@ class CODServer:
 
         if answer.refused:
             answer.error = last_error
-            self.stats.record_refusal(answer.elapsed)
-        else:
-            self.stats.record_answer(answer.rung, answer.elapsed)
-        if self.metrics is not None:
-            self.metrics.counter("queries").inc()
-            self.metrics.counter(f"rung.{answer.rung}").inc()
-            self.metrics.histogram("query.seconds").record(answer.elapsed)
+        self._queries.inc()
+        self._rungs[answer.rung].inc()
+        self._latency.record(answer.elapsed)
         return answer
 
     def answer_batch(
@@ -471,9 +517,9 @@ class CODServer:
         Failures are isolated per query: one query raising — even a
         caller error like an invalid node — yields a refused
         :class:`ServedAnswer` with the error recorded (and counted in
-        ``stats.query_errors``) instead of aborting the rest of the
+        ``query.errors``) instead of aborting the rest of the
         batch. The failed query's *actual* elapsed time is charged to the
-        refusal-latency reservoir (never a fabricated zero).
+        ``query.seconds`` latency reservoir (never a fabricated zero).
 
         ``batch_size`` optionally windows the workload: each consecutive
         window of that many queries is planned independently, bounding
@@ -492,7 +538,7 @@ class CODServer:
         pool attached it is materialized too; pass ``pool=False`` to warm
         the index only (e.g. to time pool sampling separately).
         """
-        trace = StageProfiler(self.metrics) if self.metrics is not None else None
+        trace = StageProfiler(self.metrics) if self._profiled else None
         self._ensure_index(ExecutionBudget(clock=self._clock), trace)
         if pool and self.pool is not None:
             self.pool.materialize(trace=trace)
@@ -608,26 +654,16 @@ class CODServer:
                     self.pool.repair(new_graph, set())
                 self.graph = new_graph
             self.epoch = self.epoch + 1 if epoch is None else int(epoch)
-            self._update_batches += 1
-            self._updates_applied += len(batch)
-            self._cache_invalidated += invalidated
-            self._repaired_samples += repaired
+            self._update_batches.inc()
+            self._updates_applied.inc(len(batch))
+            self._cache_invalidated.inc(invalidated)
+            self._repaired_samples.inc(repaired)
             if span is not None:
                 span.note(
                     epoch=self.epoch,
                     structural=structural,
                     repaired_samples=repaired,
                     index=index_action,
-                )
-        if self.metrics is not None:
-            self.metrics.gauge("epoch").set(self.epoch)
-            self.metrics.counter("updates.batches").inc()
-            self.metrics.counter("updates.applied").inc(len(batch))
-            if repaired:
-                self.metrics.counter("arena.repaired_samples").inc(repaired)
-            if invalidated:
-                self.metrics.counter("cache.invalidated_entries").inc(
-                    invalidated
                 )
         if self.state_store is not None:
             self.state_store.maybe_snapshot(self.graph, self.epoch)
@@ -674,9 +710,9 @@ class CODServer:
                 model=self.model,
                 rr_graphs=self.pool.arena,
                 trace=trace,
-                sample_mode="per-sample",
+                sample_mode=self._index_sample_mode(),
             )
-            self.stats.index_rebuilds += 1
+            self._health["index_rebuilds"].inc()
             action = "rebuilt"
         else:
             # Without a repairable pool the old ranks reflect stale
@@ -734,20 +770,11 @@ class CODServer:
         # the epoch's shard manifest so post-update queries attach the
         # rotated shards instead of re-restricting locally.
         self.adopt_shards(shards)
-        self._update_batches += 1
-        self._updates_applied += int(n_updates)
-        self._cache_invalidated += invalidated
+        self._update_batches.inc()
+        self._updates_applied.inc(int(n_updates))
+        self._cache_invalidated.inc(invalidated)
         if old_graph is not graph and old_graph.is_shared:
             old_graph.detach_shared()
-        if self.metrics is not None:
-            self.metrics.gauge("epoch").set(self.epoch)
-            self.metrics.counter("updates.batches").inc()
-            if n_updates:
-                self.metrics.counter("updates.applied").inc(int(n_updates))
-            if invalidated:
-                self.metrics.counter("cache.invalidated_entries").inc(
-                    invalidated
-                )
         return {
             "epoch": self.epoch,
             "updates": int(n_updates),
@@ -795,29 +822,44 @@ class CODServer:
                 arena.detach()
                 del self._shard_arenas[name]
         self._shard_manifest = cleaned
-        if self.metrics is not None:
-            self.metrics.gauge("shm.shard.manifest").set(len(cleaned))
+        self._manifest_gauge.set(len(cleaned))
         return invalidated
 
     def health(self) -> dict:
-        """Health/stats snapshot for the CLI (see :class:`ServerStats`).
+        """Health/stats snapshot for the CLI, read from :attr:`metrics`.
 
-        With a metrics registry attached, the snapshot also carries the
-        registry under ``"metrics"`` — this is what the supervisor folds
-        into its fleet-wide rollup.
+        Every number is the current value of one registry instrument
+        (:data:`HEALTH_COUNTERS`, ``rung.*``, ``query.seconds``,
+        ``updates.*``, ``cache.*``, ``shm.shard.*``, ``pool.restricts``).
+        When profiling, the snapshot also carries the registry under
+        ``"metrics"`` — this is what the supervisor folds into its
+        fleet-wide rollup.
         """
-        snapshot = self.stats.as_dict(breaker_state=self.breaker.state)
-        snapshot["epoch"] = self.epoch
-        snapshot["updates"] = {
-            "batches_applied": self._update_batches,
-            "updates_applied": self._updates_applied,
-            "repaired_samples": self._repaired_samples,
-            "cache_invalidated": self._cache_invalidated,
+        answered = {
+            rung: counter.value
+            for rung, counter in self._rungs.items()
+            if rung != REFUSED and counter.value
         }
-        snapshot["caches"] = {
-            "lore": self._lore_cache.stats(),
-            "lore_local": self._lore_local.stats(),
-            "restricted": self._restricted_cache.stats(),
+        refused = self._rungs[REFUSED].value + self._health["query_errors"].value
+        snapshot = {
+            "queries": sum(answered.values()) + refused,
+            "answered_per_rung": answered,
+            "refused": refused,
+            **{key: counter.value for key, counter in self._health.items()},
+            "latency": latency_summary(self._latency),
+            "breaker_state": self.breaker.state,
+            "epoch": self.epoch,
+            "updates": {
+                "batches_applied": self._update_batches.value,
+                "updates_applied": self._updates_applied.value,
+                "repaired_samples": self._repaired_samples.value,
+                "cache_invalidated": self._cache_invalidated.value,
+            },
+            "caches": {
+                "lore": self._lore_cache.stats(),
+                "lore_local": self._lore_local.stats(),
+                "restricted": self._restricted_cache.stats(),
+            },
         }
         if self.pool is not None:
             snapshot["pool"] = {
@@ -829,13 +871,13 @@ class CODServer:
         snapshot["shards"] = {
             "manifest": len(self._shard_manifest),
             "attached": len(self._shard_arenas),
-            "attaches": self.shard_attaches,
-            "hits": self.shard_hits,
-            "misses": self.shard_misses,
-            "rejects": self.shard_rejects,
-            "local_restricts": self.local_restricts,
+            "attaches": self._shard_attaches.value,
+            "hits": self._shard_hits.value,
+            "misses": self._shard_misses.value,
+            "rejects": self._shard_rejects.value,
+            "local_restricts": self._local_restricts.value,
         }
-        if self.metrics is not None:
+        if self._profiled:
             snapshot["metrics"] = self.metrics.snapshot()
         return snapshot
 
@@ -1005,7 +1047,7 @@ class CODServer:
                     f"({exc}); retrying with theta={max(self.min_theta, int(theta * self.theta_shrink))}"
                 )
                 answer.retries += 1
-                self.stats.retries += 1
+                self._health["retries"].inc()
                 self._sleep_backoff(attempt, budget)
                 theta = int(theta * self.theta_shrink)
         raise AssertionError("unreachable")  # pragma: no cover
@@ -1048,6 +1090,15 @@ class CODServer:
                         f"persisted index covers {index.hierarchy.n_leaves} "
                         f"nodes but the served graph has {self.graph.n}"
                     )
+                if index.sample_mode != self._index_sample_mode():
+                    # Ranks counted over another sample stream: serving
+                    # them differs from a build over our own samples, and
+                    # a delta repair would subtract samples never counted.
+                    raise IndexError_(
+                        f"persisted index was built over the "
+                        f"{index.sample_mode!r} sample stream, not "
+                        f"{self._index_sample_mode()!r}; rebuilding"
+                    )
                 if (
                     index.graph_sha is not None
                     and index.graph_sha != graph_checksum(self.graph)
@@ -1069,7 +1120,7 @@ class CODServer:
                 self._hierarchy = index.hierarchy
                 return index
             except IndexError_:
-                self.stats.index_load_failures += 1
+                self._health["index_load_failures"].inc()
                 if not self.auto_rebuild_index:
                     raise
         budget.check()
@@ -1081,8 +1132,8 @@ class CODServer:
             # Build over the pool's per-sample-seeded arena: the index then
             # shares the pool's samples exactly, which is what lets a graph
             # update delta-repair it from the pool's repair report. The
-            # ``per-sample`` fingerprint mode keeps these checkpoints from
-            # cross-resuming with stream-sampled builds.
+            # sample mode keeps these checkpoints and artifacts from
+            # crossing over to builds over another sample stream.
             index = HimorIndex.build(
                 self.graph,
                 hierarchy,
@@ -1094,7 +1145,7 @@ class CODServer:
                 checkpoint_path=checkpoint_path,
                 checkpoint_every=self.checkpoint_every or 256,
                 trace=trace,
-                sample_mode="per-sample",
+                sample_mode=self._index_sample_mode(),
             )
         else:
             index = HimorIndex.build(
@@ -1112,12 +1163,18 @@ class CODServer:
                 trace=trace,
             )
         self._index = index
-        self.stats.index_rebuilds += 1
+        self._health["index_rebuilds"].inc()
         if index.resumed_from:
-            self.stats.index_builds_resumed += 1
+            self._health["index_builds_resumed"].inc()
         if self.index_path is not None:
             self._index.save(self.index_path)
         return self._index
+
+    def _index_sample_mode(self) -> str:
+        """The sample stream this server's HIMOR builds count over."""
+        if self.pool is not None and self.pool.per_sample_seeds:
+            return "per-sample-fast" if self.pool.fast else "per-sample"
+        return "stream"
 
     def _checkpoint_path(self) -> Path:
         """Where mid-build HIMOR checkpoints live for this server."""
@@ -1217,9 +1274,7 @@ class CODServer:
             shard = self._attach_shard(attribute, floor_vertex, allowed)
             if shard is not None:
                 return shard
-            self.local_restricts += 1
-            if self.metrics is not None:
-                self.metrics.counter("pool.restricts").inc()
+            self._local_restricts.inc()
             restrict_cm = (
                 trace.span("pool_restrict", vertex=int(floor_vertex))
                 if trace is not None
@@ -1248,15 +1303,11 @@ class CODServer:
             return None
         entry = self._shard_manifest.get(int(attribute))
         if entry is None or entry.get("vertex") != int(floor_vertex):
-            self.shard_misses += 1
-            if self.metrics is not None:
-                self.metrics.counter("shm.shard.misses").inc()
+            self._shard_misses.inc()
             return None
 
         def reject() -> None:
-            self.shard_rejects += 1
-            if self.metrics is not None:
-                self.metrics.counter("shm.shard.rejects").inc()
+            self._shard_rejects.inc()
 
         if entry.get("epoch") != self.epoch:
             reject()
@@ -1282,10 +1333,6 @@ class CODServer:
                 reject()
                 return None
             self._shard_arenas[name] = arena
-            self.shard_attaches += 1
-            if self.metrics is not None:
-                self.metrics.counter("shm.shard.attaches").inc()
-        self.shard_hits += 1
-        if self.metrics is not None:
-            self.metrics.counter("shm.shard.hits").inc()
+            self._shard_attaches.inc()
+        self._shard_hits.inc()
         return arena

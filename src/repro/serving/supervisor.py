@@ -39,7 +39,8 @@ do. The moving parts:
   ``index_dir`` with mid-build checkpoints; a worker respawned mid-build
   resumes the build from its checkpoint instead of starting over.
 * **Aggregated health** — :meth:`health` merges supervisor counters
-  (restarts, sheds, queue depth, end-to-end latency percentiles) with
+  (restarts, sheds, queue depth, end-to-end latency percentiles), read
+  from the supervisor's one :class:`~repro.obs.MetricsRegistry`, with
   each worker's last self-reported :meth:`CODServer.health` snapshot.
   With ``profile=True`` every worker's server also carries a
   :class:`~repro.obs.MetricsRegistry`; per-worker snapshots (current and
@@ -73,12 +74,15 @@ from repro.obs import MetricsRegistry
 from repro.serving.budget import BackoffPolicy
 from repro.serving.queue import PRIORITY_BATCH, AdmissionQueue
 from repro.serving.server import (
+    HEALTH_COUNTERS,
+    LADDER,
+    LATENCY_CAPACITY,
     REFUSED,
     REFUSED_CRASH,
     REFUSED_OVERLOAD,
     ServedAnswer,
+    latency_summary,
 )
-from repro.serving.stats import ServerStats
 from repro.serving.worker import (
     CHAOS_KILL,
     CHAOS_WEDGE,
@@ -100,6 +104,19 @@ from repro.utils.persist import clean_stale_tmp
 CHAOS_CORRUPT_CHECKPOINT = "corrupt-checkpoint"
 
 CHAOS_ACTIONS = (CHAOS_KILL, CHAOS_WEDGE, CHAOS_CORRUPT_CHECKPOINT)
+
+#: Flat :meth:`ServingSupervisor.health` counters, by the registry
+#: counter each one reads. None reuses a worker metric name, because
+#: ``merge_snapshots`` pools same-named instruments in ``fleet_metrics``.
+FLEET_COUNTERS = {
+    "refused_overload": "supervisor.refused_overload",
+    "refused_crash": "supervisor.refused_crash",
+    "restarts": "supervisor.restarts",
+    "wedge_kills": "supervisor.wedge_kills",
+    "heartbeat_kills": "supervisor.heartbeat_kills",
+    "duplicate_results": "supervisor.duplicate_results",
+    "transport_errors": "supervisor.transport_errors",
+}
 
 #: Worker lifecycle states surfaced in :meth:`ServingSupervisor.health`.
 W_STARTING = "starting"
@@ -259,7 +276,8 @@ class ServingSupervisor:
         Give every worker's server a :class:`~repro.obs.MetricsRegistry`
         (opt-in stage profiling); snapshots ride each result's health
         report and :meth:`health` merges them — across incarnations —
-        into the fleet-wide ``fleet_metrics`` view.
+        with the supervisor's own registry into the fleet-wide
+        ``fleet_metrics`` view.
     affinity:
         Attribute-affinity dispatch (default on): each attribute is
         sticky-claimed by the first slot to serve it, and an idle slot
@@ -446,13 +464,34 @@ class ServingSupervisor:
         self.update_log = UpdateLog()
         self.state_store = None
         self.recovery = None
-        # Metrics exist whenever something fleet-wide reports through them:
-        # the durable store's counters or the shared-pool shm gauges.
-        self.metrics: "MetricsRegistry | None" = (
-            MetricsRegistry()
-            if (state_dir is not None or self.shared_pool)
-            else None
+        # The supervisor's one counter store: its own health counters, the
+        # shm and affinity instruments, and the durable store's.
+        self.metrics = MetricsRegistry()
+        m = self.metrics
+        self._rungs = {
+            rung: m.counter(f"supervisor.rung.{rung}") for rung in LADDER
+        }
+        self._refused = m.counter("supervisor.rung.refused")
+        self._latency = m.histogram(
+            "supervisor.answer.seconds", capacity=LATENCY_CAPACITY
         )
+        self._fleet = {key: m.counter(name) for key, name in FLEET_COUNTERS.items()}
+        self._update_acks = m.counter("supervisor.update_acks")
+        self._updates_skipped = m.counter("supervisor.updates_skipped")
+        self._shm_attaches = m.counter("shm.attaches")
+        self._shm_publishes = m.counter("shm.publishes")
+        self._shm_sweeps = m.counter("shm.sweeps")
+        self._shm_swept = m.counter("shm.swept_segments")
+        self._shm_bytes = m.gauge("shm.segment_bytes")
+        self._shard_publishes = m.counter("shm.shard.publishes")
+        self._shard_rotations = m.counter("shm.shard.rotations")
+        self._shard_bytes = m.gauge("shm.shard.segment_bytes")
+        self._affinity_claims = m.counter("affinity.claims")
+        self._affinity_hits = m.counter("affinity.hits")
+        self._affinity_misses = m.counter("affinity.misses")
+        self._affinity_evictions = m.counter("affinity.evictions")
+        self._affinity_shard_hits = m.counter("affinity.shard_hits")
+        self._affinity_shard_misses = m.counter("affinity.shard_misses")
         if state_dir is not None:
             # Cold start = recovery, even on an empty directory: the
             # supervisor's graph and epoch come from the newest proven
@@ -475,10 +514,6 @@ class ServingSupervisor:
         self._shm_segments: "dict[str, object]" = {}
         self._pool_shards: "list[int] | None" = None
         self._shm_attach_counts: dict[str, int] = {}
-        self.shm_attaches = 0
-        self.shm_publishes = 0
-        self.shm_sweeps = 0
-        self.shm_swept_segments = 0
         # Restricted-shard state: per-attribute published segments, the
         # manifest workers adopt, the hierarchy the builder derives floor
         # vertices from, the per-attribute query-node histogram that
@@ -489,42 +524,13 @@ class ServingSupervisor:
         self._shard_failed: set[int] = set()
         self._builder_hierarchy = None
         self._attr_hot: "dict[int, dict[int, int]]" = {}
-        self.shard_publishes = 0
-        self.shard_rotations = 0
-        self.affinity_shard_hits = 0
-        self.affinity_shard_misses = 0
-        self.affinity_evictions = 0
-        if self.metrics is not None and self.shard_enabled:
-            # Pre-create the shard counters so the metrics schema carries
-            # them (at zero) even on workloads that never go hot.
-            for key in (
-                "shm.shard.publishes",
-                "shm.shard.rotations",
-                "affinity.shard_hits",
-                "affinity.shard_misses",
-                "affinity.evictions",
-            ):
-                self.metrics.counter(key)
-        self.update_acks = 0
-        self.updates_skipped = 0
         self._epoch_reports: dict[int, dict] = {}
-        self.stats = ServerStats()
-        self.restarts_total = 0
-        self.wedge_kills = 0
-        self.heartbeat_kills = 0
-        self.refused_overload = 0
-        self.refused_crash = 0
-        self.duplicate_results = 0
-        self.transport_errors = 0
         # Attribute-affinity dispatch: sticky attribute → slot claims in
         # LRU order, bounded by ``affinity_max_claims`` and dropped when
         # their slot dies (see _account_affinity / _on_worker_death) —
         # an unbounded claim dict once grew forever with distinct
         # attributes and kept routing to slots that no longer existed.
         self._affinity_slots: "OrderedDict[object, int]" = OrderedDict()
-        self.affinity_claims = 0
-        self.affinity_hits = 0
-        self.affinity_misses = 0
 
     # ------------------------------------------------------------ lifecycle
 
@@ -667,12 +673,8 @@ class ServingSupervisor:
             name=default_segment_name(f"arena-e{self.epoch}"), extra=extra
         )
         self._shm_segments = {"graph": graph_segment, "arena": arena_segment}
-        self.shm_publishes += 1
-        if self.metrics is not None:
-            self.metrics.counter("shm.publishes").inc()
-            self.metrics.gauge("shm.segment_bytes").set(
-                graph_segment.nbytes + arena_segment.nbytes
-            )
+        self._shm_publishes.inc()
+        self._shm_bytes.set(graph_segment.nbytes + arena_segment.nbytes)
         for segment in old.values():
             if segment is not graph_segment and segment is not arena_segment:
                 segment.destroy()
@@ -682,12 +684,8 @@ class ServingSupervisor:
         from repro.utils.shm import sweep_stale_segments
 
         swept = sweep_stale_segments()
-        self.shm_sweeps += 1
-        self.shm_swept_segments += len(swept)
-        if self.metrics is not None:
-            self.metrics.counter("shm.sweeps").inc()
-            if swept:
-                self.metrics.counter("shm.swept_segments").inc(len(swept))
+        self._shm_sweeps.inc()
+        self._shm_swept.inc(len(swept))
 
     def _release_segments(self) -> None:
         """Unlink and unmap every supervisor-owned segment (shutdown)."""
@@ -707,10 +705,8 @@ class ServingSupervisor:
         self._shard_manifest = {}
         self._shard_slots = {}
         self._builder_hierarchy = None
-        if self.metrics is not None and self.shared_pool:
-            self.metrics.gauge("shm.segment_bytes").set(0)
-            if self.shard_enabled:
-                self.metrics.gauge("shm.shard.segment_bytes").set(0)
+        self._shm_bytes.set(0)
+        self._shard_bytes.set(0)
 
     # ------------------------------------------------------- shard building
 
@@ -810,12 +806,10 @@ class ServingSupervisor:
             "samples": int(restricted.n_samples),
         }
         self._shard_manifest[attr] = entry
-        self.shard_publishes += 1
-        if self.metrics is not None:
-            self.metrics.counter("shm.shard.publishes").inc()
-            self.metrics.gauge("shm.shard.segment_bytes").set(
-                sum(s.nbytes for s in self._shard_segments_by_attr.values())
-            )
+        self._shard_publishes.inc()
+        self._shard_bytes.set(
+            sum(s.nbytes for s in self._shard_segments_by_attr.values())
+        )
         self._assign_shard_slot(attr)
         return entry
 
@@ -850,7 +844,7 @@ class ServingSupervisor:
             try:
                 slot.task_queue.put(directive)
             except Exception:  # noqa: BLE001 — broken pipe = the worker is dead
-                self.transport_errors += 1
+                self._fleet["transport_errors"].inc()
                 self._on_worker_death(slot, "task queue broken (shard directive)")
 
     def _rotate_shards(self) -> None:
@@ -873,12 +867,7 @@ class ServingSupervisor:
                 segment.destroy()
             except Exception:  # noqa: BLE001 — rotation must not abort mid-way
                 pass
-        if old_segments:
-            self.shard_rotations += len(old_segments)
-            if self.metrics is not None:
-                self.metrics.counter("shm.shard.rotations").inc(
-                    len(old_segments)
-                )
+        self._shard_rotations.inc(len(old_segments))
 
     # ------------------------------------------------------------ admission
 
@@ -979,7 +968,7 @@ class ServingSupervisor:
             try:
                 slot.task_queue.put(directive)
             except Exception:  # noqa: BLE001 — broken pipe = the worker is dead
-                self.transport_errors += 1
+                self._fleet["transport_errors"].inc()
                 self._on_worker_death(slot, "task queue broken (update directive)")
         return self.epoch
 
@@ -1096,10 +1085,10 @@ class ServingSupervisor:
                 slot.queue_empty_at = time.monotonic()
                 return freed
             except (EOFError, OSError):
-                self.transport_errors += 1
+                self._fleet["transport_errors"].inc()
                 return freed
             except Exception:  # noqa: BLE001 — a torn pickle must not stop the pump
-                self.transport_errors += 1
+                self._fleet["transport_errors"].inc()
                 return freed
             self._handle_event(message)
             freed |= message[0] in (MSG_RESULT, MSG_READY)
@@ -1128,22 +1117,20 @@ class ServingSupervisor:
                 slot.state = W_IDLE
                 if len(message) > 3 and isinstance(message[3], dict):
                     attached = list(message[3].get("attached", ()))
-                    self.shm_attaches += len(attached)
+                    self._shm_attaches.inc(len(attached))
                     for name in attached:
                         self._shm_attach_counts[name] = (
                             self._shm_attach_counts.get(name, 0) + 1
                         )
-                    if attached and self.metrics is not None:
-                        self.metrics.counter("shm.attaches").inc(len(attached))
             return
         if tag == MSG_EPOCH:
             if current_incarnation:
                 epoch, report = int(message[3]), message[4]
                 slot.epoch = epoch
                 if report.get("skipped"):
-                    self.updates_skipped += 1
+                    self._updates_skipped.inc()
                 else:
-                    self.update_acks += 1
+                    self._update_acks.inc()
                     agg = self._epoch_reports.setdefault(
                         epoch,
                         {
@@ -1180,7 +1167,7 @@ class ServingSupervisor:
                 # We already refused/requeued-and-answered this query; a
                 # late result from a worker we gave up on is dropped to
                 # preserve exactly-once delivery.
-                self.duplicate_results += 1
+                self._fleet["duplicate_results"].inc()
                 return
             record = self._records[seq]
             answer = decode_answer(wire, record.query)
@@ -1205,7 +1192,7 @@ class ServingSupervisor:
                 slot.state == W_BUSY
                 and now - slot.dispatched_at > self.task_timeout_s
             ):
-                self.wedge_kills += 1
+                self._fleet["wedge_kills"].inc()
                 self._kill(slot)
                 self._on_worker_death(
                     slot,
@@ -1220,7 +1207,7 @@ class ServingSupervisor:
                     slot, f"start timeout after {self.start_timeout_s}s"
                 )
             elif now - slot.last_seen > self.heartbeat_timeout_s:
-                self.heartbeat_kills += 1
+                self._fleet["heartbeat_kills"].inc()
                 self._kill(slot)
                 self._on_worker_death(slot, "heartbeat went stale")
         if self.outstanding and all(
@@ -1269,7 +1256,7 @@ class ServingSupervisor:
             try:
                 slot.task_queue.put(task)
             except Exception:  # noqa: BLE001 — broken pipe = the worker is dead
-                self.transport_errors += 1
+                self._fleet["transport_errors"].inc()
                 self._on_worker_death(slot, "task queue broken")
 
     def _next_dispatchable(self, slot: "_WorkerSlot | None" = None) -> "int | None":
@@ -1328,31 +1315,22 @@ class ServingSupervisor:
         shard_slot = self._shard_slots.get(attribute)
         if shard_slot is not None:
             if shard_slot == slot.slot:
-                self.affinity_shard_hits += 1
-                if self.metrics is not None:
-                    self.metrics.counter("affinity.shard_hits").inc()
+                self._affinity_shard_hits.inc()
             else:
-                self.affinity_shard_misses += 1
-                if self.metrics is not None:
-                    self.metrics.counter("affinity.shard_misses").inc()
+                self._affinity_shard_misses.inc()
         claimed = self._affinity_slots.get(attribute)
         if claimed is None:
             self._affinity_slots[attribute] = slot.slot
-            self.affinity_claims += 1
+            self._affinity_claims.inc()
             while len(self._affinity_slots) > self.affinity_max_claims:
                 self._affinity_slots.popitem(last=False)
-                self._count_affinity_evictions(1)
+                self._affinity_evictions.inc()
         else:
             self._affinity_slots.move_to_end(attribute)
             if claimed == slot.slot:
-                self.affinity_hits += 1
+                self._affinity_hits.inc()
             else:
-                self.affinity_misses += 1
-
-    def _count_affinity_evictions(self, n: int) -> None:
-        self.affinity_evictions += n
-        if self.metrics is not None:
-            self.metrics.counter("affinity.evictions").inc(n)
+                self._affinity_misses.inc()
 
     # ------------------------------------------------------- fault handling
 
@@ -1460,7 +1438,7 @@ class ServingSupervisor:
         for attribute in stale:
             del self._affinity_slots[attribute]
         if stale:
-            self._count_affinity_evictions(len(stale))
+            self._affinity_evictions.inc(len(stale))
         for attr, routed in list(self._shard_slots.items()):
             if routed == slot.slot:
                 survivors = [
@@ -1482,7 +1460,7 @@ class ServingSupervisor:
         if task is not None and task.seq not in self._answers:
             record = self._records[task.seq]
             if record.requeued:
-                self.refused_crash += 1
+                self._fleet["refused_crash"].inc()
                 self._deliver_refusal(
                     task.seq,
                     REFUSED_CRASH,
@@ -1498,7 +1476,7 @@ class ServingSupervisor:
                 record.attempt += 1
                 self._requeue.append(task.seq)
         slot.restarts += 1
-        self.restarts_total += 1
+        self._fleet["restarts"].inc()
         if slot.restarts > self.max_restarts:
             slot.state = W_DISABLED
             return
@@ -1520,9 +1498,10 @@ class ServingSupervisor:
         assert seq not in self._answers, f"duplicate terminal answer for {seq}"
         self._answers[seq] = answer
         if answer.refused:
-            self.stats.record_refusal(answer.elapsed)
+            self._refused.inc()
         else:
-            self.stats.record_answer(answer.rung, answer.elapsed)
+            self._rungs[answer.rung].inc()
+        self._latency.record(answer.elapsed)
 
     def _deliver_refusal(
         self, seq: int, rung: str, error: Exception, note: str
@@ -1541,7 +1520,7 @@ class ServingSupervisor:
         )
 
     def _deliver_overload(self, seq: int, priority: int) -> None:
-        self.refused_overload += 1
+        self._fleet["refused_overload"].inc()
         self._deliver_refusal(
             seq,
             REFUSED_OVERLOAD,
@@ -1558,9 +1537,24 @@ class ServingSupervisor:
         Combines supervisor-side end-to-end stats (per-rung counts,
         latency percentiles over *delivered* answers, shed/crash/refusal
         counters, queue depth, restarts) with each worker's last
-        self-reported :meth:`CODServer.health` snapshot.
+        self-reported :meth:`CODServer.health` snapshot. Every supervisor
+        number reads an instrument of :attr:`metrics`. The in-process
+        ladder counters (``retries``, ``index_rebuilds``, ...) keep their
+        keys and read zero here; the workers' own sit under ``workers``.
         """
-        snapshot = self.stats.as_dict()
+        answered = {
+            rung: counter.value
+            for rung, counter in self._rungs.items()
+            if counter.value
+        }
+        refused = self._refused.value
+        snapshot = {
+            "queries": sum(answered.values()) + refused,
+            "answered_per_rung": answered,
+            "refused": refused,
+            **dict.fromkeys(HEALTH_COUNTERS, 0),
+            "latency": latency_summary(self._latency),
+        }
         worker_retries = 0
         resumed_builds = 0
         per_worker: dict[str, dict] = {}
@@ -1597,23 +1591,17 @@ class ServingSupervisor:
                 "outstanding": self.outstanding,
                 "queue_depth": self.queue.depth + len(self._requeue),
                 "shed": self.queue.shed_queued + self.queue.refused_incoming,
-                "refused_overload": self.refused_overload,
-                "refused_crash": self.refused_crash,
-                "restarts": self.restarts_total,
-                "wedge_kills": self.wedge_kills,
-                "heartbeat_kills": self.heartbeat_kills,
-                "duplicate_results": self.duplicate_results,
-                "transport_errors": self.transport_errors,
+                **{key: counter.value for key, counter in self._fleet.items()},
                 "affinity": {
                     "enabled": self.affinity,
                     "attributes": len(self._affinity_slots),
-                    "claims": self.affinity_claims,
-                    "hits": self.affinity_hits,
-                    "misses": self.affinity_misses,
-                    "evictions": self.affinity_evictions,
+                    "claims": self._affinity_claims.value,
+                    "hits": self._affinity_hits.value,
+                    "misses": self._affinity_misses.value,
+                    "evictions": self._affinity_evictions.value,
                     "max_claims": self.affinity_max_claims,
-                    "shard_hits": self.affinity_shard_hits,
-                    "shard_misses": self.affinity_shard_misses,
+                    "shard_hits": self._affinity_shard_hits.value,
+                    "shard_misses": self._affinity_shard_misses.value,
                     "shard_slots": {
                         str(attr): slot_id
                         for attr, slot_id in sorted(self._shard_slots.items())
@@ -1624,8 +1612,8 @@ class ServingSupervisor:
                 "epoch": self.epoch,
                 "updates": {
                     "batches_submitted": self.update_log.epoch,
-                    "acks": self.update_acks,
-                    "skipped": self.updates_skipped,
+                    "acks": self._update_acks.value,
+                    "skipped": self._updates_skipped.value,
                     "per_epoch": {
                         str(epoch): dict(report)
                         for epoch, report in sorted(self._epoch_reports.items())
@@ -1649,10 +1637,10 @@ class ServingSupervisor:
                         segment.nbytes
                         for segment in self._shm_segments.values()
                     ),
-                    "attaches": self.shm_attaches,
-                    "publishes": self.shm_publishes,
-                    "sweeps": self.shm_sweeps,
-                    "swept_segments": self.shm_swept_segments,
+                    "attaches": self._shm_attaches.value,
+                    "publishes": self._shm_publishes.value,
+                    "sweeps": self._shm_sweeps.value,
+                    "swept_segments": self._shm_swept.value,
                     "shard_offsets": self._pool_shards,
                     "shards": {
                         "enabled": self.shard_enabled,
@@ -1674,16 +1662,21 @@ class ServingSupervisor:
                             s.nbytes
                             for s in self._shard_segments_by_attr.values()
                         ),
-                        "publishes": self.shard_publishes,
-                        "rotations": self.shard_rotations,
+                        "publishes": self._shard_publishes.value,
+                        "rotations": self._shard_rotations.value,
                     },
                 },
                 # Fleet-wide metrics rollup: dead incarnations' folded
-                # snapshots plus each live worker's latest, merged —
-                # including the supervisor's own durability registry.
+                # snapshots plus each live worker's latest, merged — with
+                # the supervisor's own registry once a fleet subsystem
+                # (shared pool, durable store) reports through it.
                 "fleet_metrics": MetricsRegistry.merge_snapshots(
                     metrics_parts
-                    + ([self.metrics.snapshot()] if self.metrics else [])
+                    + (
+                        [self.metrics.snapshot()]
+                        if self.shared_pool or self.state_store is not None
+                        else []
+                    )
                 ),
             }
         )

@@ -14,16 +14,15 @@ bounded ``Histogram`` reservoir fixed for latency samples.
   ``sys.getsizeof``); inserts evict LRU entries until the estimate fits
   under ``max_bytes``. A single value larger than the whole budget is
   simply not cached (counted under ``oversized``).
-* **counters** — hits, misses, evictions, and oversized rejections are
-  tracked on the instance and, when a metrics registry is attached,
-  mirrored to ``cache.<name>.hits`` / ``.misses`` / ``.evictions``
-  counters plus ``cache.<name>.entries`` / ``.bytes`` gauges so
-  ``health()`` and the fleet rollup can see cache behaviour.
+* **counters** — hits, misses, evictions, oversized rejections, and
+  invalidations are ``cache.<name>.*`` counters, next to
+  ``cache.<name>.entries`` / ``.bytes`` gauges, in one
+  :class:`~repro.obs.MetricsRegistry`: the caller's (so ``health()``
+  and the fleet rollup see cache behaviour) or a private one.
+  :meth:`LRUCache.stats` reads them back; there is no second copy.
 
 The class is thread-safe (one lock around every operation) so a server
-and its introspection endpoints can share an instance. ``metrics`` is
-duck-typed: anything with ``counter(name).inc()`` and
-``gauge(name).set(v)`` works (e.g. :class:`repro.obs.MetricsRegistry`).
+and its introspection endpoints can share an instance.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ import sys
 import threading
 from collections import OrderedDict
 from typing import Callable, Hashable, TypeVar
+
+from repro.obs.registry import MetricsRegistry
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -73,7 +74,8 @@ class LRUCache:
         Label used in :meth:`stats` and metrics keys
         (``cache.<name>.*``).
     metrics:
-        Optional duck-typed metrics registry mirroring the counters.
+        Registry holding the counters; ``None`` gives the cache a
+        private one.
     """
 
     def __init__(
@@ -82,7 +84,7 @@ class LRUCache:
         max_bytes: "int | None" = None,
         sizeof: "Callable[[object], int] | None" = None,
         name: str = "cache",
-        metrics: "object | None" = None,
+        metrics: "MetricsRegistry | None" = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
@@ -91,16 +93,23 @@ class LRUCache:
         self.capacity = int(capacity)
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self.name = str(name)
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
         self._sizeof = sizeof or default_sizeof
         self._entries: "OrderedDict[Hashable, tuple[object, int]]" = OrderedDict()
         self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.oversized = 0
-        self.invalidations = 0
         self.current_bytes = 0
+        prefix = f"cache.{self.name}"
+        self._hits = self.metrics.counter(f"{prefix}.hits")
+        self._misses = self.metrics.counter(f"{prefix}.misses")
+        self._evictions = self.metrics.counter(f"{prefix}.evictions")
+        self._oversized = self.metrics.counter(f"{prefix}.oversized")
+        self._invalidations = self.metrics.counter(f"{prefix}.invalidations")
+        self._entries_gauge = self.metrics.gauge(f"{prefix}.entries")
+        self._bytes_gauge = (
+            self.metrics.gauge(f"{prefix}.bytes")
+            if self.max_bytes is not None
+            else None
+        )
 
     # ------------------------------------------------------------- mapping
 
@@ -118,12 +127,10 @@ class LRUCache:
         with self._lock:
             entry = self._entries.get(key, _MISSING)
             if entry is _MISSING:
-                self.misses += 1
-                self._emit("misses")
+                self._misses.inc()
                 return default
             self._entries.move_to_end(key)
-            self.hits += 1
-            self._emit("hits")
+            self._hits.inc()
             return entry[0]
 
     def put(self, key: Hashable, value: object) -> None:
@@ -136,9 +143,8 @@ class LRUCache:
                 stale = self._entries.pop(key, _MISSING)
                 if stale is not _MISSING:
                     self.current_bytes -= stale[1]
-                self.oversized += 1
-                self._emit("oversized")
-                self._emit_gauges()
+                self._oversized.inc()
+                self._set_gauges()
                 return
             old = self._entries.pop(key, _MISSING)
             if old is not _MISSING:
@@ -150,9 +156,8 @@ class LRUCache:
             ):
                 _, (_, evicted_size) = self._entries.popitem(last=False)
                 self.current_bytes -= evicted_size
-                self.evictions += 1
-                self._emit("evictions")
-            self._emit_gauges()
+                self._evictions.inc()
+            self._set_gauges()
 
     def get_or_create(self, key: Hashable, factory: Callable[[], object]) -> object:
         """Return the cached value, building and caching it on a miss.
@@ -165,11 +170,9 @@ class LRUCache:
             entry = self._entries.get(key, _MISSING)
             if entry is not _MISSING:
                 self._entries.move_to_end(key)
-                self.hits += 1
-                self._emit("hits")
+                self._hits.inc()
                 return entry[0]
-            self.misses += 1
-            self._emit("misses")
+            self._misses.inc()
         value = factory()
         self.put(key, value)
         return value
@@ -180,10 +183,8 @@ class LRUCache:
             dropped = len(self._entries)
             self._entries.clear()
             self.current_bytes = 0
-            if dropped:
-                self.invalidations += dropped
-                self._emit("invalidations", dropped)
-            self._emit_gauges()
+            self._invalidations.inc(dropped)
+            self._set_gauges()
             return dropped
 
     def invalidate(self, predicate: "Callable[[Hashable], bool]") -> int:
@@ -191,51 +192,44 @@ class LRUCache:
 
         The epoch-scoped invalidation primitive: graph updates call this
         with a key predicate ("LORE entries for attribute 3") so entries
-        untouched by an update keep serving. Returns the number dropped;
-        counted under ``invalidations`` and mirrored to
-        ``cache.<name>.invalidations`` when metrics are attached.
+        untouched by an update keep serving. Returns the number dropped,
+        counted in ``cache.<name>.invalidations``.
         """
         with self._lock:
             doomed = [key for key in self._entries if predicate(key)]
             for key in doomed:
                 _, size = self._entries.pop(key)
                 self.current_bytes -= size
-            if doomed:
-                self.invalidations += len(doomed)
-                self._emit("invalidations", len(doomed))
-            self._emit_gauges()
+            self._invalidations.inc(len(doomed))
+            self._set_gauges()
             return len(doomed)
 
     # ------------------------------------------------------------ reporting
 
     def stats(self) -> dict:
-        """Snapshot for ``health()`` reports and tests."""
+        """Snapshot for ``health()`` reports and tests, read from the registry."""
         with self._lock:
             return {
                 "name": self.name,
                 "capacity": self.capacity,
                 "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "oversized": self.oversized,
-                "invalidations": self.invalidations,
+                "hits": self._hits.value,
+                "misses": self._misses.value,
+                "evictions": self._evictions.value,
+                "oversized": self._oversized.value,
+                "invalidations": self._invalidations.value,
                 "current_bytes": self.current_bytes,
                 "max_bytes": self.max_bytes,
             }
 
-    def _emit(self, event: str, n: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(f"cache.{self.name}.{event}").inc(n)
-
-    def _emit_gauges(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(f"cache.{self.name}.entries").set(len(self._entries))
-            if self.max_bytes is not None:
-                self.metrics.gauge(f"cache.{self.name}.bytes").set(self.current_bytes)
+    def _set_gauges(self) -> None:
+        self._entries_gauge.set(len(self._entries))
+        if self._bytes_gauge is not None:
+            self._bytes_gauge.set(self.current_bytes)
 
     def __repr__(self) -> str:
         return (
             f"LRUCache(name={self.name!r}, entries={len(self)}/{self.capacity}, "
-            f"hits={self.hits}, misses={self.misses}, evictions={self.evictions})"
+            f"hits={self._hits.value}, misses={self._misses.value}, "
+            f"evictions={self._evictions.value})"
         )

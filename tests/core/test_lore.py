@@ -171,10 +171,10 @@ class TestMemo:
                 memoized.chain.node_levels, fresh.chain.node_levels
             )
         # Counts built once; later queries sharing a C_l reuse its recluster.
-        assert memo.misses == 1 + len(
+        assert memo.stats()["misses"] == 1 + len(
             [key for key in memo._entries if key[1] != "edges"]
         )
-        assert memo.hits >= paper_graph.n - 1
+        assert memo.stats()["hits"] >= paper_graph.n - 1
 
     def test_failed_build_caches_nothing(self, paper_graph, paper_hierarchy):
         memo = LRUCache(16, name="lore_local")

@@ -242,7 +242,7 @@ class TestServerBackedSession:
         answer = session.query(CODQuery(0, 0, 10))
         assert answer.found
         assert answer.verified_rank <= 10
-        assert sum(server.stats.answered_per_rung.values()) >= 1
+        assert sum(server.health()["answered_per_rung"].values()) >= 1
 
     def test_rebuild_replays_batches_through_server(self, session, server):
         session.apply([EdgeUpdate(2, 3)])

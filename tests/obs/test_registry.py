@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import LEVEL_GAUGES
 
 
 class TestCounter:
@@ -119,6 +120,23 @@ class TestMerge:
         assert merged["counters"]["queries"] == 7
         assert merged["counters"]["only_b"] == 1
         assert merged["gauges"]["load"] == 3.5
+
+    def test_level_gauges_take_the_largest_reading(self):
+        # Regression: two workers at epoch 1 once rolled up to a fleet at
+        # epoch 2, and the shard manifest size doubled the same way.
+        a, b, dead = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        for registry, epoch in ((a, 1), (b, 1), (dead, 0)):
+            registry.gauge("epoch").set(epoch)
+            registry.gauge("shm.shard.manifest").set(3 if epoch else 1)
+            registry.gauge("cache.lore.entries").set(5)
+        merged = MetricsRegistry.merge_snapshots(
+            [dead.snapshot(), a.snapshot(), b.snapshot()]
+        )
+        assert merged["gauges"]["epoch"] == 1.0
+        assert merged["gauges"]["shm.shard.manifest"] == 3.0
+        # Amount gauges keep summing.
+        assert merged["gauges"]["cache.lore.entries"] == 15.0
+        assert {"epoch", "shm.shard.manifest"} <= LEVEL_GAUGES
 
     def test_histogram_streaming_aggregates_pool_exactly(self):
         a, b = MetricsRegistry(), MetricsRegistry()

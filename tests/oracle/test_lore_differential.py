@@ -97,14 +97,14 @@ class TestPaperGraph:
             paper_graph, paper_hierarchy, queries, memo,
             depth_weighted=depth_weighted,
         )
-        assert memo.hits > 0
+        assert memo.stats()["hits"] > 0
 
     def test_tiny_memo_evicts_and_still_matches(self, paper_graph,
                                                 paper_hierarchy):
         memo = LRUCache(1, name="lore_local")
         queries = [(q, a) for q in range(paper_graph.n) for a in (0, 1)]
         run_differential(paper_graph, paper_hierarchy, queries, memo)
-        assert memo.evictions > 0
+        assert memo.stats()["evictions"] > 0
 
 
 @pytest.mark.parametrize("seed", range(42))
@@ -127,7 +127,7 @@ def test_small_registry_graphs(name, scale):
     memo = LRUCache(64, name="lore_local")
     queries = carrier_queries(graph, SMALL_QUERIES_PER_ATTRIBUTE, seed=3)
     run_differential(graph, hierarchy, queries, memo)
-    assert memo.hits > 0
+    assert memo.stats()["hits"] > 0
 
 
 class TestPubmedHubs:
@@ -144,7 +144,7 @@ class TestPubmedHubs:
         queries = carrier_queries(graph, PUBMED_QUERIES_PER_ATTRIBUTE, seed=7)
         run_differential(graph, hierarchy, queries, memo)
         # Counts are built once per attribute; the rest are memo hits.
-        assert memo.hits >= len(queries) - len(graph.attribute_universe)
+        assert memo.stats()["hits"] >= len(queries) - len(graph.attribute_universe)
 
     def test_scores_match_per_edge_loop(self, pubmed):
         graph, hierarchy = pubmed

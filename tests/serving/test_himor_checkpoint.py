@@ -188,3 +188,75 @@ class TestFingerprint:
                 rr_graphs=views, checkpoint_path=tmp_path / "c.ckpt",
             )
         assert not (tmp_path / "c.ckpt").exists()
+
+
+class TestSampleStreamGuard:
+    """A HIMOR checkpoint or artifact only serves a build over its own
+    sample stream: per-sample pools drawing SeedSequence children and the
+    hashed fast stream share seed, theta and sample count, but not one
+    sample, so neither may resume or load the other's work."""
+
+    @pytest.fixture()
+    def cora(self):
+        from repro.datasets import load_dataset
+
+        return load_dataset("cora", scale=0.05, seed=SEED).graph
+
+    def _server(self, graph, fast, index_path=None):
+        from repro.core.pool import SharedSamplePool
+        from repro.serving import CODServer
+
+        pool = SharedSamplePool(graph, theta=THETA, seed=SEED,
+                                per_sample_seeds=True, fast=fast)
+        return CODServer(graph, theta=THETA, seed=SEED, pool=pool,
+                         index_path=index_path, checkpoint_every=20)
+
+    def _crash_at_40(self, graph, fast, index_path):
+        with inject(site="himor_sample", after=40, exc=RuntimeError):
+            with pytest.raises(RuntimeError):
+                self._server(graph, fast, index_path).warm()
+        assert index_path.with_name(index_path.name + ".ckpt").exists()
+
+    def test_checkpoint_resumes_only_into_its_own_stream(self, cora, tmp_path):
+        own = tmp_path / "own.json"
+        self._crash_at_40(cora, True, own)
+        resumed = self._server(cora, True, own)
+        resumed.warm()
+        assert resumed._index.resumed_from == 40  # the checkpoint is good
+
+        other = tmp_path / "other.json"
+        self._crash_at_40(cora, True, other)
+        server = self._server(cora, False, other)
+        server.warm()
+        assert server._index.resumed_from == 0
+        assert server.health()["index_builds_resumed"] == 0
+        fresh = self._server(cora, False)
+        fresh.warm()
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(server._index._ranks, fresh._index._ranks)
+        )
+
+    def test_artifact_from_another_stream_is_rebuilt(self, cora, tmp_path):
+        path = tmp_path / "index.json"
+        self._server(cora, True, path).warm()
+        assert HimorIndex.load(path).sample_mode == "per-sample-fast"
+
+        server = self._server(cora, False, path)
+        server.warm()
+        health = server.health()
+        assert health["index_load_failures"] == 1
+        assert health["index_rebuilds"] == 1
+        assert server._index.sample_mode == "per-sample"
+        fresh = self._server(cora, False)
+        fresh.warm()
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(server._index._ranks, fresh._index._ranks)
+        )
+        # The rebuilt artifact replaced the other stream's on disk and
+        # now loads cleanly into a server over the same stream.
+        reloaded = self._server(cora, False, path)
+        reloaded.warm()
+        assert reloaded.health()["index_load_failures"] == 0
+        assert reloaded.health()["index_rebuilds"] == 0

@@ -120,11 +120,11 @@ class TestInvalidation:
         # Another server persists an index; loading it swaps in its
         # hierarchy object, which must drop every hierarchy-keyed entry.
         seeded_server(paper_graph, index_path=path).warm()
-        before = server._lore_local.invalidations
+        before = server._lore_local.stats()["invalidations"]
         server.answer(CODQuery(0, 0, K))
         assert server._hierarchy is server._index.hierarchy
         assert isinstance(server._index, HimorIndex)
-        assert server._lore_local.invalidations > before
+        assert server._lore_local.stats()["invalidations"] > before
         assert_matches_cold(server)
 
 

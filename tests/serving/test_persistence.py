@@ -240,12 +240,12 @@ class TestServerIndexPersistence:
         answer = first.answer(CODQuery(3, DB, 2))
         assert answer.rung == "CODL"
         assert path.exists()
-        assert first.stats.index_rebuilds == 1
+        assert first.health()["index_rebuilds"] == 1
 
         second = CODServer(paper_graph, theta=3, seed=11, index_path=path)
         answer = second.answer(CODQuery(3, DB, 2))
         assert answer.rung == "CODL"
-        assert second.stats.index_rebuilds == 0  # loaded, not rebuilt
+        assert second.health()["index_rebuilds"] == 0  # loaded, not rebuilt
 
     def test_corrupt_index_auto_rebuilds(self, paper_graph, tmp_path):
         path = tmp_path / "index.json"
@@ -254,8 +254,8 @@ class TestServerIndexPersistence:
                            auto_rebuild_index=True)
         answer = server.answer(CODQuery(3, DB, 2))
         assert answer.rung == "CODL"
-        assert server.stats.index_load_failures == 1
-        assert server.stats.index_rebuilds == 1
+        assert server.health()["index_load_failures"] == 1
+        assert server.health()["index_rebuilds"] == 1
         # The rebuilt index was re-persisted in valid form.
         assert HimorIndex.load(path).hierarchy.n_leaves == paper_graph.n
 
@@ -276,7 +276,7 @@ class TestServerIndexPersistence:
         server = CODServer(paper_graph, theta=3, seed=11, index_path=path)
         answer = server.answer(CODQuery(3, DB, 2))
         assert answer.rung == "CODL"
-        assert server.stats.index_load_failures == 1
+        assert server.health()["index_load_failures"] == 1
 
     def test_injected_load_fault_degrades(self, paper_graph, index, tmp_path):
         path = tmp_path / "index.json"

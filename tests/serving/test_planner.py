@@ -187,9 +187,9 @@ class TestRefusalLatency:
         answers = server.answer_batch([CODQuery(99, DB, 2)])
         assert answers[0].refused
         assert answers[0].elapsed > 0.0
-        assert server.stats.refused == 1
-        assert server.stats.latency_percentile(0.50) > 0.0
-        assert server.stats.latency_percentile(0.95) > 0.0
+        assert server.health()["refused"] == 1
+        assert server.health()["latency"]["p50_s"] > 0.0
+        assert server.health()["latency"]["p95_s"] > 0.0
 
 
 class TestPlanning:
@@ -252,10 +252,8 @@ class TestPlanning:
         answers = planner.execute(queries, batch_size=2)
         assert len(answers) == 5
         assert [a.query.node for a in answers] == [3, 2, 7, 5, 4]
-        assert planner.batches == 3  # windows of 2, 2, 1
-        assert planner.queries == 5
         snapshot = metrics.snapshot()
-        assert snapshot["counters"]["planner.batches"] == 3
+        assert snapshot["counters"]["planner.batches"] == 3  # windows of 2, 2, 1
         assert snapshot["counters"]["planner.queries"] == 5
         assert snapshot["gauges"]["planner.last_groups"] >= 1
 
@@ -265,9 +263,10 @@ class TestPlanning:
             planner.execute([CODQuery(3, DB, 2)], batch_size=0)
 
     def test_empty_workload(self, paper_graph):
-        planner = BatchPlanner(CODServer(paper_graph, theta=2, seed=5))
+        server = CODServer(paper_graph, theta=2, seed=5)
+        planner = BatchPlanner(server)
         assert planner.execute([]) == []
-        assert planner.batches == 0
+        assert server.metrics.counter("planner.batches").value == 0
 
     def test_answer_batch_delegates_to_planner(self, paper_graph):
         def make() -> CODServer:

@@ -111,7 +111,7 @@ class TestRetries:
         assert not answer.refused
         assert answer.rung == "CODL-"
         assert answer.retries == 1
-        assert server.stats.retries == 1
+        assert server.health()["retries"] == 1
         assert any("retrying with theta=" in note for note in answer.notes)
 
     def test_retries_exhausted_propagates_to_next_rung(self, paper_graph, query):
@@ -212,7 +212,6 @@ class TestBatch:
         assert poisoned.refused
         assert isinstance(poisoned.error, QueryError)
         assert any("batch: QueryError" in note for note in poisoned.notes)
-        assert server.stats.query_errors == 1
         assert server.health()["query_errors"] == 1
         # The refusal is counted in the aggregate stats like any other.
         assert server.health()["refused"] == 1
@@ -222,4 +221,4 @@ class TestBatch:
         queries = [CODQuery(99, DB, 2), CODQuery(-1, DB, 2)]
         answers = server.answer_batch(queries)
         assert all(a.refused for a in answers)
-        assert server.stats.query_errors == 2
+        assert server.health()["query_errors"] == 2

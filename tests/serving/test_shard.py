@@ -95,8 +95,8 @@ class TestRestrictedCacheKeying:
             pooled_server.adopt_shards({0: entry})
             shard = pooled_server._restricted_arena(0, vertex, allowed, budget)
             local = pooled_server._restricted_arena(1, vertex, allowed, budget)
-            assert pooled_server.shard_hits == 1
-            assert pooled_server.local_restricts == 1
+            assert pooled_server.health()["shards"]["hits"] == 1
+            assert pooled_server.health()["shards"]["local_restricts"] == 1
             # Attribute 0's shard rotates away; attribute 1's locally
             # restricted entry (same vertex!) must survive untouched.
             dropped = pooled_server.adopt_shards({})
@@ -125,7 +125,7 @@ class TestRestrictedCacheKeying:
         try:
             pooled_server.adopt_shards({0: entry})
             shard = pooled_server._restricted_arena(0, vertex, allowed, budget)
-            assert pooled_server.shard_attaches == 1
+            assert pooled_server.health()["shards"]["attaches"] == 1
             assert shard.is_shared and shard.is_readonly
             assert shard.n_samples == oracle.n_samples
             assert (shard.sources == oracle.sources).all()
@@ -150,9 +150,9 @@ class TestShardVerification:
         try:
             pooled_server.adopt_shards({0: entry})
             arena = pooled_server._restricted_arena(0, vertex, allowed, budget)
-            assert pooled_server.shard_rejects == 1
-            assert pooled_server.shard_hits == 0
-            assert pooled_server.local_restricts == 1
+            assert pooled_server.health()["shards"]["rejects"] == 1
+            assert pooled_server.health()["shards"]["hits"] == 0
+            assert pooled_server.health()["shards"]["local_restricts"] == 1
             oracle = pooled_server.pool.restricted(set(allowed))
             assert (arena.nodes == oracle.nodes).all()
         finally:
@@ -165,8 +165,8 @@ class TestShardVerification:
         try:
             pooled_server.adopt_shards({0: entry})
             pooled_server._restricted_arena(0, 5, allowed, budget)
-            assert pooled_server.shard_rejects == 1
-            assert pooled_server.shard_hits == 0
+            assert pooled_server.health()["shards"]["rejects"] == 1
+            assert pooled_server.health()["shards"]["hits"] == 0
         finally:
             segment.destroy()
 
@@ -177,8 +177,8 @@ class TestShardVerification:
         try:
             pooled_server.adopt_shards({0: entry})
             pooled_server._restricted_arena(0, 9, allowed, budget)
-            assert pooled_server.shard_misses == 1
-            assert pooled_server.local_restricts == 1
+            assert pooled_server.health()["shards"]["misses"] == 1
+            assert pooled_server.health()["shards"]["local_restricts"] == 1
         finally:
             segment.destroy()
 
@@ -191,7 +191,7 @@ class TestShardVerification:
         segment.destroy()
         pooled_server.adopt_shards({0: entry})
         arena = pooled_server._restricted_arena(0, 5, allowed, budget)
-        assert pooled_server.shard_rejects == 1
+        assert pooled_server.health()["shards"]["rejects"] == 1
         assert arena.n_samples == pooled_server.pool.restricted(
             set(allowed)
         ).n_samples
@@ -233,7 +233,6 @@ class TestAffinityClaims:
         for attribute in range(4):
             self._dispatch(supervisor, attribute, 0)
         assert len(supervisor._affinity_slots) == 2
-        assert supervisor.affinity_evictions == 2
         # The two most recently used claims survive.
         assert set(supervisor._affinity_slots) == {2, 3}
         affinity = supervisor.health()["affinity"]
@@ -256,7 +255,6 @@ class TestAffinityClaims:
         supervisor._on_worker_death(supervisor._slots[0], "test kill")
         # Slot 0's claims are gone; slot 1's survives.
         assert set(supervisor._affinity_slots) == {2}
-        assert supervisor.affinity_evictions == 2
         assert supervisor.health()["affinity"]["evictions"] == 2
 
     def test_worker_death_reroutes_its_shards(self, paper_graph):

@@ -135,7 +135,7 @@ class TestServerApplyUpdates:
         fresh = seeded_server(new_graph, index_path=path)
         fresh.warm()
         assert fresh._index.graph_sha != stale_sha
-        assert fresh.stats.index_rebuilds >= 1
+        assert fresh.health()["index_rebuilds"] >= 1
 
     def test_health_and_metrics_surface_updates(self, paper_graph):
         metrics = MetricsRegistry()

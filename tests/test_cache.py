@@ -38,7 +38,7 @@ class TestLRUBasics:
         assert "a" not in cache
         assert cache.get("b") == 2
         assert cache.get("c") == 3
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_get_refreshes_recency(self):
         cache = LRUCache(2)
@@ -58,8 +58,8 @@ class TestLRUBasics:
         assert "a" in cache  # peek: "a" stays the LRU entry
         cache.put("c", 3)
         assert "a" not in cache
-        assert cache.hits == 0
-        assert cache.misses == 0
+        assert cache.stats()["hits"] == 0
+        assert cache.stats()["misses"] == 0
 
     def test_replace_updates_value_without_eviction(self):
         cache = LRUCache(2)
@@ -67,7 +67,7 @@ class TestLRUBasics:
         cache.put("a", 10)
         assert cache.get("a") == 10
         assert len(cache) == 1
-        assert cache.evictions == 0
+        assert cache.stats()["evictions"] == 0
 
     def test_get_default_and_counters(self):
         cache = LRUCache(2)
@@ -75,8 +75,8 @@ class TestLRUBasics:
         assert cache.get("nope", default=7) == 7
         cache.put("a", 1)
         cache.get("a")
-        assert cache.misses == 2
-        assert cache.hits == 1
+        assert cache.stats()["misses"] == 2
+        assert cache.stats()["hits"] == 1
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -94,13 +94,13 @@ class TestByteBound:
         assert "a" not in cache
         assert len(cache) == 2
         assert cache.current_bytes == 80
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_oversized_value_not_cached(self):
         cache = LRUCache(10, max_bytes=100, sizeof=lambda v: v)
         cache.put("big", 500)
         assert "big" not in cache
-        assert cache.oversized == 1
+        assert cache.stats()["oversized"] == 1
         assert cache.current_bytes == 0
 
     def test_oversized_replacement_removes_stale_entry(self):
@@ -110,7 +110,7 @@ class TestByteBound:
         cache.put("k", "grown")  # now oversized: stale entry must go too
         assert "k" not in cache
         assert cache.current_bytes == 0
-        assert cache.oversized == 1
+        assert cache.stats()["oversized"] == 1
 
     def test_default_sizeof_prefers_memory_bytes(self):
         class Sized:
@@ -129,8 +129,8 @@ class TestGetOrCreate:
         assert cache.get_or_create("k", build) == "v"
         assert cache.get_or_create("k", build) == "v"
         assert len(calls) == 1
-        assert cache.hits == 1
-        assert cache.misses == 1
+        assert cache.stats()["hits"] == 1
+        assert cache.stats()["misses"] == 1
 
     def test_factory_failure_caches_nothing(self):
         cache = LRUCache(4)
@@ -141,7 +141,7 @@ class TestGetOrCreate:
         with pytest.raises(RuntimeError):
             cache.get_or_create("k", boom)
         assert "k" not in cache
-        assert cache.misses == 1
+        assert cache.stats()["misses"] == 1
         # A later successful build fills the slot normally.
         assert cache.get_or_create("k", lambda: 3) == 3
 
@@ -151,7 +151,7 @@ class TestGetOrCreate:
         cache.get("a")
         cache.clear()
         assert len(cache) == 0
-        assert cache.hits == 1
+        assert cache.stats()["hits"] == 1
         stats = cache.stats()
         assert stats["entries"] == 0
         assert stats["hits"] == 1
@@ -220,12 +220,12 @@ class TestBoundedAdopters:
         for attribute in range(12):
             pipeline.hierarchy_for(attribute)
         assert len(pipeline._cache) <= 4
-        assert pipeline._cache.evictions >= 8
+        assert pipeline._cache.stats()["evictions"] >= 8
         # Repeats of a resident attribute still hit.
         resident = 11
-        before = pipeline._cache.hits
+        before = pipeline._cache.stats()["hits"]
         pipeline.hierarchy_for(resident)
-        assert pipeline._cache.hits == before + 1
+        assert pipeline._cache.stats()["hits"] == before + 1
 
 
 def spy_weighting(monkeypatch, module) -> list:
