@@ -8,16 +8,19 @@ Two stages over one shared pool of RR graphs, held in a flat
    *smallest* chain community within which ``v`` is reachable from the
    source — the minimax over source-to-``v`` paths of the largest node
    level on the path. :meth:`RRArena.level_bucket_counts` computes that
-   assignment for every sample at once with one bucket per chain level
-   (levels only grow along a path, so an entry's first activation is
-   final), which realizes the paper's level-ordered queues.
+   assignment for every sample at once with one label-correcting frontier
+   over all levels: an entry takes ``max(predecessor's value, own level)``
+   over the best edge seen so far and is re-expanded whenever a later
+   edge lowers it. Every value is realized by a real path and at
+   the fixpoint no edge improves, so the result is exactly the paper's
+   level-ordered queues' assignment.
 
 2. **Top-k evaluation.** One pass over the buckets from the deepest
    community to the root, maintaining cumulative counts ``tau``. ``q`` is
    top-k in ``C_h`` iff ``tau(q) >= m_k`` where ``m_k`` is the k-th
    largest cumulative count. Theorem 3 guarantees the incremental top-k
-   of the paper equals this global top-k, so reading ``m_k`` off the
-   sorted cumulative counts gives the same thresholds.
+   of the paper equals this global top-k, so reading ``m_k`` off a
+   partition of the cumulative counts gives the same thresholds.
 
 The evaluator answers *all* ranks ``1..k_max`` in one pass (the experiments
 sweep ``k``).
@@ -189,7 +192,7 @@ def _evaluate_arena(
     Stage 1 is the vectorized minimax relaxation
     (:meth:`RRArena.level_bucket_counts`); stage 2 folds the per-level
     count rows into cumulative counts and reads the k-th largest positive
-    cumulative count per level.
+    cumulative count per level (a partial partition, not a full sort).
     """
     n_levels = len(chain)
     counts = arena.level_bucket_counts(chain.node_levels, n_levels, budget=budget)
@@ -203,9 +206,16 @@ def _evaluate_arena(
     cumulative = np.zeros(graph.n, dtype=np.int64)
     for h in range(n_levels):
         cumulative += counts[h]
-        scored = np.sort(cumulative[cumulative > 0])[::-1]
+        scored = cumulative[cumulative > 0]
+        m = len(scored)
+        # The kv-th largest sits at ascending position m - kv; a partial
+        # partition (in place, on the fresh masked copy) places exactly
+        # those positions.
+        ranks = [m - kv for kv in k_values if kv <= m]
+        if ranks:
+            scored.partition(ranks)
         evaluation.thresholds.append(
-            [int(scored[kv - 1]) if kv <= len(scored) else 0 for kv in k_values]
+            [int(scored[m - kv]) if kv <= m else 0 for kv in k_values]
         )
         evaluation.query_counts.append(int(cumulative[q]))
     return evaluation

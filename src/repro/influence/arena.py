@@ -24,8 +24,10 @@ bit-identical samples — the property the differential oracle suite
 (``tests/oracle``) pins against a frozen reference sampler. Evaluation
 (:meth:`RRArena.hfs_levels`, :meth:`RRArena.influence_counts`) is
 vectorized over the flat arrays; the minimax level assignment of
-Algorithm 1's HFS is computed by bucketed relaxation over all edges of
-all samples at once instead of one heap-Dijkstra per sample.
+Algorithm 1's HFS is computed for all samples at once by one
+label-correcting frontier over every chain level (an entry is
+re-expanded whenever a later edge lowers its level) instead of one
+heap-Dijkstra per sample.
 
 Design note: when a node ``v`` is explored, every incident reverse edge is
 flipped exactly once, including edges toward already-active nodes.
@@ -117,20 +119,6 @@ def _ragged_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     idx = np.arange(total, dtype=np.int64)
     idx += np.repeat(starts - offsets + counts, counts)
     return idx
-
-
-def _group_by_value(items: np.ndarray, values: np.ndarray):
-    """Yield ``(value, items_with_that_value)`` pairs (one sort, no dicts)."""
-    if not len(items):
-        return
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    sorted_items = items[order]
-    bounds = np.flatnonzero(np.diff(sorted_values)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(sorted_values)]))
-    for s, e in zip(starts, ends):
-        yield int(sorted_values[s]), sorted_items[s:e]
 
 
 class RRView:
@@ -655,13 +643,17 @@ class RRArena:
 
         The minimax assignment satisfies the Bellman fixpoint
         ``a[u] = min over in-edges (max(a[v], level(u)))`` with
-        ``a[source] = level(source)``. Levels are small integers, so we
-        run Dial's algorithm with one bucket per chain level: entries
-        activate in ascending level order and their out-edges are gathered
-        exactly once, giving ``O(|R| + vol(R))`` total work regardless of
-        path lengths (a Jacobi-style whole-edge-array relaxation re-sweeps
-        ``vol(R)`` once per hop of the longest minimax path, which on
-        large samples dwarfs a per-sample heap pass).
+        ``a[source] = level(source)``. One label-correcting frontier
+        covers all levels at once: it starts at the in-chain sources, and
+        each round gathers the frontier's out-edges, keeps the targets
+        whose value ``max(a[src], level(dst))`` improves them (duplicates
+        reduced by minimum), and makes those targets the next frontier.
+        Every value is realized by a real path, so none is below the
+        minimax level; at termination no edge improves, so by induction
+        along an optimal path none is above it either. Each entry
+        improves at most ``n_levels`` times, so the work is
+        ``O(n_levels * vol(R))`` in the worst case, and the rounds number
+        the most hops any entry's best path needs.
 
         ``budget`` (duck-typed :class:`~repro.serving.budget.ExecutionBudget`)
         is checked once per frontier expansion.
@@ -673,55 +665,27 @@ class RRArena:
         if sentinel == 0 or self.total_nodes == 0:
             return assigned
 
-        edge_start = self.edge_start
-        edge_count = self.edge_count
-        edge_dst = self.edge_dst_entry
-
-        # Seed the buckets with every sample's source entry (a source
-        # outside the chain stays at the sentinel and never propagates).
-        buckets: list[list[np.ndarray]] = [[] for _ in range(sentinel)]
+        # A source outside the chain stays at the sentinel and never
+        # propagates.
         roots = self.node_offsets[:-1]
-        root_lvl = lvl[roots]
-        live = roots[root_lvl < sentinel]
-        if len(live):
-            assigned[live] = lvl[live]
-            for h, chunk in _group_by_value(live, lvl[live]):
-                buckets[h].append(chunk)
-
-        expanded = np.zeros(self.total_nodes, dtype=bool)
-        for h in range(sentinel):
-            pending = [c for c in buckets[h] if len(c)]
-            buckets[h] = []
-            if not pending:
-                continue
-            frontier = np.unique(np.concatenate(pending))
-            frontier = frontier[
-                (assigned[frontier] == h) & ~expanded[frontier]
+        frontier = roots[lvl[roots] < sentinel]
+        assigned[frontier] = lvl[frontier]
+        pending = np.zeros(self.total_nodes, dtype=bool)
+        while len(frontier):
+            if budget is not None:
+                budget.check()
+            counts = self.edge_count[frontier]
+            targets = self.edge_dst_entry[
+                _ragged_ranges(self.edge_start[frontier], counts)
             ]
-            while len(frontier):
-                if budget is not None:
-                    budget.check()
-                expanded[frontier] = True
-                counts = edge_count[frontier]
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                # Ragged gather of every out-edge of the frontier.
-                offsets = np.cumsum(counts)
-                idx = np.arange(total, dtype=np.int64)
-                idx += np.repeat(edge_start[frontier] - offsets + counts, counts)
-                targets = edge_dst[idx]
-                value = np.maximum(lvl[targets], h)
-                improves = value < assigned[targets]
-                targets = targets[improves]
-                value = value[improves]
-                assigned[targets] = value
-                now = value == h
-                frontier = np.unique(targets[now])
-                for level, chunk in _group_by_value(
-                    targets[~now], value[~now]
-                ):
-                    buckets[level].append(chunk)
+            value = np.maximum(np.repeat(assigned[frontier], counts), lvl[targets])
+            improves = value < assigned[targets]
+            targets = targets[improves]
+            np.minimum.at(assigned, targets, value[improves])
+            # Deduplicate through a mark array rather than a sort.
+            pending[targets] = True
+            frontier = np.flatnonzero(pending)
+            pending[frontier] = False
         return assigned
 
     def level_bucket_counts(

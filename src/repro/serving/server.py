@@ -923,20 +923,20 @@ class CODServer:
         if lore.c_ell_chain_level == 0:
             return None, len(lore.chain)
         inner_chain = lore.chain.prefix(lore.c_ell_chain_level)
-        allowed = set(int(v) for v in index.hierarchy.members(lore.c_ell_vertex))
+        members = index.hierarchy.members(lore.c_ell_vertex)
 
         def evaluate(theta: int) -> "np.ndarray | None":
             if self.pool is not None:
                 samples = self._restricted_arena(
-                    query.attribute, lore.c_ell_vertex, allowed, budget, trace
+                    query.attribute, lore.c_ell_vertex, members, budget, trace
                 )
             else:
                 samples = self._sample(
                     self.graph,
-                    budget.clamp_samples(theta * len(allowed)),
+                    budget.clamp_samples(theta * len(members)),
                     model=self.model,
                     rng=self.rng,
-                    allowed=allowed,
+                    allowed=set(int(v) for v in members),
                     budget=budget,
                     trace=trace,
                 )
@@ -1242,11 +1242,14 @@ class CODServer:
         self,
         attribute: "int | None",
         floor_vertex: int,
-        allowed: set[int],
+        members: "set[int] | np.ndarray",
         budget: ExecutionBudget,
         trace: "object | None" = None,
     ) -> "RRArena":
-        """Pool induced on one hierarchy vertex's members, memoized.
+        """Pool induced on one hierarchy vertex's ``members``, memoized.
+
+        The members' hashed set is built only on a cache miss, for the
+        shard check and the local restrict; a hit never touches them.
 
         Keyed by ``(attribute, vertex)`` — *not* the vertex alone. Two
         attributes can share a floor vertex, and an entry's provenance is
@@ -1271,6 +1274,7 @@ class CODServer:
 
         def build() -> "RRArena":
             budget.check()
+            allowed = set(int(v) for v in members)
             shard = self._attach_shard(attribute, floor_vertex, allowed)
             if shard is not None:
                 return shard

@@ -42,6 +42,12 @@ it, seed for seed, against these implementations:
 * :func:`reference_tree_hfs` — HIMOR's tree HFS with one depth-keyed
   heap per sample and a scalar ``lca``/``depth`` call per pushed edge.
   Production's vectorized frontier fixpoint must produce ``==`` buckets.
+* :func:`reference_hfs_levels` — Algorithm 1's HFS as Dial's algorithm:
+  one bucket per chain level, entries activated in ascending level order
+  so an entry's first activation is final.
+  :func:`reference_level_bucket_counts` tallies its assignment one entry
+  at a time. Production's one-frontier label-correcting relaxation must
+  produce ``==`` arrays.
 """
 
 from __future__ import annotations
@@ -592,3 +598,96 @@ def reference_lca_tables(hierarchy):
     for i in range(2, t + 1):
         log[i] = log[i // 2] + 1
     return first, np.asarray(tour, dtype=np.int64), np.stack(table), log
+
+
+def _group_by_value(items: np.ndarray, values: np.ndarray):
+    """Yield ``(value, items_with_that_value)`` pairs (one sort, no dicts)."""
+    if not len(items):
+        return
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    sorted_items = items[order]
+    bounds = np.flatnonzero(np.diff(sorted_values)) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [len(sorted_values)]))
+    for s, e in zip(starts, ends):
+        yield int(sorted_values[s]), sorted_items[s:e]
+
+
+def reference_hfs_levels(arena, node_levels: np.ndarray, n_levels: int,
+                         budget=None) -> np.ndarray:
+    """Per-entry minimax chain level by Dial's algorithm.
+
+    One bucket per chain level: entries activate in ascending level order
+    and their out-edges are gathered exactly once, so an entry's first
+    activation is final. ``n_levels`` marks "unreachable inside the
+    chain"; ``budget`` is checked once per frontier expansion.
+    """
+    sentinel = int(n_levels)
+    lvl = node_levels[arena.nodes]
+    lvl = np.where((lvl < 0) | (lvl >= sentinel), sentinel, lvl)
+    assigned = np.full(arena.total_nodes, sentinel, dtype=np.int64)
+    if sentinel == 0 or arena.total_nodes == 0:
+        return assigned
+
+    edge_start = arena.edge_start
+    edge_count = arena.edge_count
+    edge_dst = arena.edge_dst_entry
+
+    # Seed the buckets with every sample's source entry (a source
+    # outside the chain stays at the sentinel and never propagates).
+    buckets: list[list[np.ndarray]] = [[] for _ in range(sentinel)]
+    roots = arena.node_offsets[:-1]
+    root_lvl = lvl[roots]
+    live = roots[root_lvl < sentinel]
+    if len(live):
+        assigned[live] = lvl[live]
+        for h, chunk in _group_by_value(live, lvl[live]):
+            buckets[h].append(chunk)
+
+    expanded = np.zeros(arena.total_nodes, dtype=bool)
+    for h in range(sentinel):
+        pending = [c for c in buckets[h] if len(c)]
+        buckets[h] = []
+        if not pending:
+            continue
+        frontier = np.unique(np.concatenate(pending))
+        frontier = frontier[
+            (assigned[frontier] == h) & ~expanded[frontier]
+        ]
+        while len(frontier):
+            if budget is not None:
+                budget.check()
+            expanded[frontier] = True
+            counts = edge_count[frontier]
+            total = int(counts.sum())
+            if total == 0:
+                break
+            # Ragged gather of every out-edge of the frontier.
+            offsets = np.cumsum(counts)
+            idx = np.arange(total, dtype=np.int64)
+            idx += np.repeat(edge_start[frontier] - offsets + counts, counts)
+            targets = edge_dst[idx]
+            value = np.maximum(lvl[targets], h)
+            improves = value < assigned[targets]
+            targets = targets[improves]
+            value = value[improves]
+            assigned[targets] = value
+            now = value == h
+            frontier = np.unique(targets[now])
+            for level, chunk in _group_by_value(
+                targets[~now], value[~now]
+            ):
+                buckets[level].append(chunk)
+    return assigned
+
+
+def reference_level_bucket_counts(arena, node_levels: np.ndarray,
+                                  n_levels: int) -> np.ndarray:
+    """``counts[h, v]``: samples charging node ``v`` to level ``h``, one entry at a time."""
+    counts = np.zeros((int(n_levels), arena.n), dtype=np.int64)
+    assigned = reference_hfs_levels(arena, node_levels, n_levels)
+    for entry, level in enumerate(assigned):
+        if level < n_levels:
+            counts[int(level), int(arena.nodes[entry])] += 1
+    return counts

@@ -133,6 +133,26 @@ class TestCheckpointThreading:
         with pytest.raises(DeadlineExceededError):
             compressed_cod(paper_graph, chain, k=2, theta=2, rng=0, budget=budget)
 
+    def test_compressed_cod_hfs_respects_deadline(self, paper_graph, paper_hierarchy):
+        """A pre-drawn arena skips sampling, so only the HFS loop's
+        per-expansion checks can observe the deadline."""
+        from repro.hierarchy.chain import CommunityChain
+
+        reads = []
+
+        def clock() -> float:
+            reads.append(1)
+            # Construction and the first check read 0; later reads are late.
+            return 0.0 if len(reads) <= 2 else 10.0
+
+        arena = sample_arena(paper_graph, 40, rng=5)
+        chain = CommunityChain.from_hierarchy(paper_hierarchy, 0)
+        budget = ExecutionBudget(deadline_s=1.0, clock=clock)
+        with pytest.raises(DeadlineExceededError):
+            compressed_cod(paper_graph, chain, k=2, rr_graphs=arena, budget=budget)
+        # The first expansion passed its check; the second one raised.
+        assert len(reads) == 3
+
     def test_lore_respects_deadline(self, paper_graph, paper_hierarchy):
         clock = FakeClock()
         budget = ExecutionBudget(deadline_s=1.0, clock=clock)
