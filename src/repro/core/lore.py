@@ -91,6 +91,7 @@ def reclustering_scores(
     attribute: int,
     depth_weighted: bool = True,
     edge_counts: "np.ndarray | None" = None,
+    path: "list[int] | None" = None,
 ) -> np.ndarray:
     """``r(C)`` for every community of ``H(q)``, deepest first (Eq. 2/3).
 
@@ -104,23 +105,22 @@ def reclustering_scores(
     ``depth_weighted=False`` replaces the Definition-4 depth weights with a
     plain edge count (every divided edge contributes 1) — the ablation
     variant that ignores proximity to the query node.
+
+    ``path`` is ``hierarchy.path_communities(q)`` when the caller already
+    holds it; it is read here when not given.
     """
-    path = hierarchy.path_communities(q)
+    if path is None:
+        path = hierarchy.path_communities(q)
     if not path:
         raise QueryError(f"query node {q} has no ancestor communities")
     if edge_counts is None:
         edge_counts = attribute_edge_lca_counts(graph, hierarchy, attribute)
-    delta = edge_counts[np.asarray(path, dtype=np.int64)]
-
+    delta = edge_counts[path]
     if depth_weighted:
-        weights = np.asarray(
-            [hierarchy.depth(vertex) for vertex in path], dtype=np.int64
-        )
+        weights = hierarchy.depths[path]
     else:
         weights = np.ones(len(path), dtype=np.int64)
-    sizes = np.asarray([hierarchy.size(vertex) for vertex in path], dtype=np.int64)
-    numerators = np.cumsum(delta * weights)
-    return numerators / sizes
+    return np.cumsum(delta * weights) / hierarchy.sizes[path]
 
 
 def select_reclustering_community(
@@ -192,6 +192,7 @@ def lore_chain(
             (attribute, "edges"),
             lambda: attribute_edge_lca_counts(graph, hierarchy, attribute),
         )
+        path = hierarchy.path_communities(q)
         scores = reclustering_scores(
             graph,
             hierarchy,
@@ -199,8 +200,8 @@ def lore_chain(
             attribute,
             depth_weighted=depth_weighted,
             edge_counts=edge_counts,
+            path=path,
         )
-        path = hierarchy.path_communities(q)
         c_ell, c_ell_level = select_reclustering_community(scores, path)
 
         if budget is not None:
@@ -225,30 +226,33 @@ def lore_chain(
         local, local_memo = _memoized(memo, (attribute, c_ell), recluster)
         to_parent, to_sub, local_hierarchy = local
 
-        # Reclustered communities strictly inside C_l containing q, deepest
-        # first, translated back to parent ids. The local root equals C_l
+        # H_l(q) as one level array: C_l and its original ancestors are
+        # levels c_ell_chain_level.., painted first; the reclustered
+        # communities strictly inside C_l containing q, deepest first, are
+        # painted over them through to_parent. The local root equals C_l
         # and is dropped (C_l re-enters from the original hierarchy).
-        c_ell_size = hierarchy.size(c_ell)
-        member_lists: list[np.ndarray] = []
-        depths: list[int] = []
+        outer = path[c_ell_level:]
+        inner = local_hierarchy.path_communities(to_sub[q])[:-1]
+        c_ell_chain_level = len(inner)
+        node_levels = hierarchy.leaf_levels(outer)
+        node_levels[node_levels >= 0] += c_ell_chain_level
+        inner_levels = local_hierarchy.leaf_levels(inner)
+        inside = inner_levels >= 0
+        node_levels[to_parent[inside]] = inner_levels[inside]
         c_ell_depth = hierarchy.depth(c_ell)
-        for vertex in local_hierarchy.path_communities(to_sub[q]):
-            if local_hierarchy.size(vertex) >= c_ell_size:
-                continue
-            member_lists.append(to_parent[local_hierarchy.members(vertex)])
-            depths.append(c_ell_depth + local_hierarchy.depth(vertex) - 1)
-
-        c_ell_chain_level = len(member_lists)
-        for vertex in [c_ell, *hierarchy.ancestors(c_ell)]:
-            member_lists.append(hierarchy.members(vertex))
-            depths.append(hierarchy.depth(vertex))
-
-        chain = CommunityChain.from_member_lists(graph.n, q, member_lists, depths)
+        chain = CommunityChain(
+            q,
+            node_levels,
+            np.concatenate([local_hierarchy.sizes[inner], hierarchy.sizes[outer]]),
+            np.concatenate(
+                [c_ell_depth + local_hierarchy.depths[inner] - 1, hierarchy.depths[outer]]
+            ),
+        )
         if span is not None:
             span.note(
                 chain=len(chain),
                 c_ell_level=int(c_ell_level),
-                c_ell_size=c_ell_size,
+                c_ell_size=hierarchy.size(c_ell),
                 edge_counts="memo" if edges_memo else "built",
                 local_hierarchy="memo" if local_memo else "built",
                 weighted_edges=weighted_edges,

@@ -147,6 +147,12 @@ class CommunityHierarchy:
         """
         return self._depth
 
+    @property
+    def sizes(self) -> np.ndarray:
+        """Leaf count of every vertex as one int64 array (do not mutate);
+        the bulk form of :meth:`size`."""
+        return self._size
+
     def size(self, vertex: int) -> int:
         """Number of leaves below ``vertex`` (1 for leaves)."""
         self._check_vertex(vertex)
@@ -189,6 +195,27 @@ class CommunityHierarchy:
         if not (0 <= leaf < self._n_leaves):
             raise HierarchyError(f"{leaf} is not a leaf id")
         return list(self.ancestors(leaf, include_self=False))
+
+    def leaf_levels(self, path: Sequence[int]) -> np.ndarray:
+        """Index in ``path`` of the first vertex containing each leaf.
+
+        ``path`` must be nested, smallest first (e.g. a slice of
+        :meth:`path_communities`), so its leaf-order slices only widen.
+        Their bounds cut the leaf order into rings: outside, level
+        ``L-1``'s left part, ..., level 0, ..., level ``L-1``'s right
+        part, outside. One ``repeat`` paints the rings and one scatter
+        through the leaf order indexes them by leaf id: O(n + |path|).
+        Leaves outside every vertex get ``-1``.
+        """
+        path = np.asarray(path, dtype=np.int64)
+        bounds = np.concatenate(
+            ([0], self._range_lo[path][::-1], self._range_hi[path], [self._n_leaves])
+        )
+        rings = np.abs(np.arange(-len(path), len(path) + 1))
+        rings[rings == len(path)] = -1
+        levels = np.empty(self._n_leaves, dtype=np.int64)
+        levels[self._leaf_order] = np.repeat(rings, np.diff(bounds))
+        return levels
 
     def lca(self, a: int, b: int) -> int:
         """Lowest common ancestor of two tree vertices in O(1).

@@ -1,4 +1,4 @@
-"""Unit tests for CommunityChain."""
+"""Unit tests for CommunityChain and its frozen member-list reference."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from repro.errors import HierarchyError
 from repro.hierarchy.chain import CommunityChain
 
 from tests.conftest import C0, C3, C4, C6
+from tests.oracle.reference import ReferenceChain
 
 
 class TestFromHierarchy:
@@ -44,9 +45,66 @@ class TestFromHierarchy:
             CommunityChain.from_hierarchy(paper_hierarchy, C0)
 
 
-class TestFromMemberLists:
+class TestConstructor:
+    """The level-array constructor: node levels, sizes and depths."""
+
     def test_basic(self):
-        chain = CommunityChain.from_member_lists(
+        chain = CommunityChain(2, [2, 1, 0, 0, 2, 2], [2, 3, 6], [3, 2, 1])
+        assert len(chain) == 3
+        assert chain.n == 6
+        assert chain.level_of(2) == 0
+        assert chain.level_of(1) == 1
+        assert chain.level_of(5) == 2
+        assert chain.members(1).tolist() == [1, 2, 3]
+        chain.validate_nesting()
+
+    def test_outside_nodes(self):
+        chain = CommunityChain(2, [-1, 1, 0, 0, -1, -1], [2, 3], [2, 1])
+        assert chain.level_of(5) == CommunityChain.OUTSIDE
+        assert chain.level_of(0) == CommunityChain.OUTSIDE
+        assert chain.members(1).tolist() == [1, 2, 3]
+        chain.validate_nesting()
+
+    def test_members_ascending(self):
+        chain = CommunityChain(4, [1, -1, 0, 1, 0, 0], [3, 5], [2, 1])
+        assert chain.members(0).tolist() == [2, 4, 5]
+        assert chain.members(1).tolist() == [0, 2, 3, 4, 5]
+        assert chain.members(1).dtype == np.int64
+
+    def test_query_not_at_level_zero_rejected(self):
+        with pytest.raises(HierarchyError, match="level 0"):
+            CommunityChain(0, [1, 0, 0, 1], [2, 4], [2, 1])
+
+    def test_non_growing_sizes_rejected(self):
+        with pytest.raises(HierarchyError, match="strictly grow"):
+            CommunityChain(0, [0, 0, 1, -1], [2, 2], [2, 1])
+
+    def test_empty_chain_rejected(self):
+        with pytest.raises(HierarchyError, match="at least one"):
+            CommunityChain(0, [0, -1], [], [])
+
+    def test_depths_must_align(self):
+        with pytest.raises(HierarchyError, match="different lengths"):
+            CommunityChain(0, [0, 0, 1], [2, 3], [1])
+
+    def test_sizes_disagreeing_with_levels_detected_by_validator(self):
+        # Levels give cumulative sizes [2, 4]; the chain claims [2, 3].
+        chain = CommunityChain(0, [0, 0, 1, 1, -1, -1], [2, 3], [2, 1])
+        with pytest.raises(HierarchyError, match="disagree"):
+            chain.validate_nesting()
+
+    @pytest.mark.parametrize("bad", [-2, 2])
+    def test_level_out_of_range_detected_by_validator(self, bad):
+        chain = CommunityChain(0, [0, 0, 1, bad], [2, 3], [2, 1])
+        with pytest.raises(HierarchyError, match="must lie in"):
+            chain.validate_nesting()
+
+
+class TestFromMemberLists:
+    """The frozen member-list constructor the differential tests trust."""
+
+    def test_basic(self):
+        chain = ReferenceChain.from_member_lists(
             6, 2, [[2, 3], [1, 2, 3], [0, 1, 2, 3, 4, 5]]
         )
         assert len(chain) == 3
@@ -56,29 +114,29 @@ class TestFromMemberLists:
         chain.validate_nesting()
 
     def test_outside_nodes(self):
-        chain = CommunityChain.from_member_lists(6, 2, [[2, 3], [1, 2, 3]])
-        assert chain.level_of(5) == CommunityChain.OUTSIDE
-        assert chain.level_of(0) == CommunityChain.OUTSIDE
+        chain = ReferenceChain.from_member_lists(6, 2, [[2, 3], [1, 2, 3]])
+        assert chain.level_of(5) == ReferenceChain.OUTSIDE
+        assert chain.level_of(0) == ReferenceChain.OUTSIDE
 
     def test_synthetic_depths_descend(self):
-        chain = CommunityChain.from_member_lists(4, 0, [[0, 1], [0, 1, 2, 3]])
+        chain = ReferenceChain.from_member_lists(4, 0, [[0, 1], [0, 1, 2, 3]])
         assert chain.depth(0) > chain.depth(1)
 
     def test_query_not_in_deepest_rejected(self):
         with pytest.raises(HierarchyError):
-            CommunityChain.from_member_lists(4, 0, [[1, 2], [0, 1, 2, 3]])
+            ReferenceChain.from_member_lists(4, 0, [[1, 2], [0, 1, 2, 3]])
 
     def test_non_growing_sizes_rejected(self):
         with pytest.raises(HierarchyError, match="strictly grow"):
-            CommunityChain.from_member_lists(4, 0, [[0, 1], [0, 2]])
+            ReferenceChain.from_member_lists(4, 0, [[0, 1], [0, 2]])
 
     def test_non_nested_detected_by_validator(self):
-        chain = CommunityChain.from_member_lists(6, 0, [[0, 1], [0, 2, 3]])
+        chain = ReferenceChain.from_member_lists(6, 0, [[0, 1], [0, 2, 3]])
         with pytest.raises(HierarchyError, match="does not contain"):
             chain.validate_nesting()
 
     def test_duplicate_members_collapse(self):
-        chain = CommunityChain.from_member_lists(4, 0, [[0, 0, 1], [0, 1, 2]])
+        chain = ReferenceChain.from_member_lists(4, 0, [[0, 0, 1], [0, 1, 2]])
         assert list(chain.sizes) == [2, 3]
 
 
@@ -95,9 +153,9 @@ class TestFromMemberLists:
             ms = rng.permutation(order[:size]).tolist()
             member_lists.append(ms + ms[: size // 3])
         depths = [7, 5, 3, 1]
-        as_lists = CommunityChain.from_member_lists(n, 0, member_lists, depths)
+        as_lists = ReferenceChain.from_member_lists(n, 0, member_lists, depths)
         for dtype in (np.int64, np.int32):
-            as_arrays = CommunityChain.from_member_lists(
+            as_arrays = ReferenceChain.from_member_lists(
                 n, 0, [np.asarray(ms, dtype=dtype) for ms in member_lists], depths
             )
             assert np.array_equal(as_arrays.node_levels, as_lists.node_levels)

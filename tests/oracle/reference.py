@@ -31,6 +31,12 @@ it, seed for seed, against these implementations:
   ``C_l`` on the reference weighted subgraph, and the chain assembled
   from boxed-int member sets. Memoized production chains must match it
   bit for bit.
+* :class:`ReferenceChain` — ``CommunityChain`` in member-list form:
+  sorted member arrays stored per level, built by
+  :meth:`ReferenceChain.from_member_lists` (``np.unique`` per level,
+  painted largest first) or :meth:`ReferenceChain.from_hierarchy` (one
+  scalar ``lca(u, q)`` per node). Production chains must give equal
+  node levels, sizes, depths and members.
 * :func:`reference_agglomerative_hierarchy` — NN-chain clustering that
   seeds every empty chain by rescanning all live clusters for the
   smallest one with a neighbor. Production's cursor-seeded clustering
@@ -59,11 +65,10 @@ from itertools import product
 import numpy as np
 
 from repro.core.lore import LoreResult, select_reclustering_community
-from repro.errors import DisconnectedGraphError
+from repro.errors import DisconnectedGraphError, HierarchyError
 from repro.graph.graph import AttributedGraph
 from repro.graph.subgraph import SubgraphView
 from repro.graph.weighting import AttributeWeighting
-from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.hierarchy.linkage import UnweightedAverageLinkage
 from repro.hierarchy.nnchain import agglomerative_hierarchy
@@ -426,18 +431,132 @@ def reference_lore_chain(
         member_lists.append([int(v) for v in hierarchy.members(vertex)])
         depths.append(hierarchy.depth(vertex))
 
-    chain_members = [
-        np.asarray(sorted(set(ms)), dtype=np.int64) for ms in member_lists
-    ]
-    node_level = np.full(graph.n, CommunityChain.OUTSIDE, dtype=np.int64)
-    for level in range(len(chain_members) - 1, -1, -1):
-        node_level[chain_members[level]] = level
     return LoreResult(
-        chain=CommunityChain(graph.n, q, chain_members, node_level, depths),
+        chain=ReferenceChain.from_member_lists(graph.n, q, member_lists, depths),
         c_ell_vertex=c_ell,
         c_ell_chain_level=c_ell_chain_level,
         scores=scores,
     )
+
+
+class ReferenceChain:
+    """A nested chain with its sorted member arrays stored per level.
+
+    The member-list form of ``CommunityChain``, frozen: same interface
+    (``len``, ``sizes``, ``members``, ``depth``, ``level_of``,
+    ``node_levels``, ``prefix``, ``validate_nesting``) and the same
+    ``HierarchyError`` checks, computed the slow, obvious way.
+    """
+
+    OUTSIDE = -1
+
+    def __init__(self, n, q, members, node_level, depths=None) -> None:
+        self.n = int(n)
+        self.q = int(q)
+        self._members = members
+        self._sizes = np.asarray([len(m) for m in members], dtype=np.int64)
+        self._node_level = node_level
+        if depths is None:
+            # Synthetic depths: deepest community first, root-most last.
+            depths = list(range(len(members), 0, -1))
+        self._depths = list(int(d) for d in depths)
+        self._validate()
+
+    @classmethod
+    def from_hierarchy(cls, hierarchy, q: int) -> "ReferenceChain":
+        """``H(q)`` with one scalar ``lca(u, q)`` per node."""
+        path = hierarchy.path_communities(q)
+        if not path:
+            raise HierarchyError(f"leaf {q} has no ancestor communities")
+        level_of_vertex = {vertex: i for i, vertex in enumerate(path)}
+        level_of_vertex[q] = 0  # lca(q, q) is the leaf itself.
+        n = hierarchy.n_leaves
+        node_level = np.empty(n, dtype=np.int64)
+        for u in range(n):
+            node_level[u] = level_of_vertex[hierarchy.lca(u, q)]
+        members = [hierarchy.members(vertex) for vertex in path]
+        depths = [hierarchy.depth(vertex) for vertex in path]
+        return cls(n, q, members, node_level, depths)
+
+    @classmethod
+    def from_member_lists(cls, n, q, member_lists, depths=None) -> "ReferenceChain":
+        """Nested member lists, smallest first; painted largest first."""
+        members = [np.unique(np.asarray(ms, dtype=np.int64)) for ms in member_lists]
+        node_level = np.full(n, cls.OUTSIDE, dtype=np.int64)
+        for level in range(len(members) - 1, -1, -1):
+            node_level[members[level]] = level
+        return cls(n, q, members, node_level, depths)
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self._sizes
+
+    def members(self, level: int) -> np.ndarray:
+        return self._members[level]
+
+    def depth(self, level: int) -> int:
+        return self._depths[level]
+
+    def level_of(self, node: int) -> int:
+        return int(self._node_level[node])
+
+    @property
+    def node_levels(self) -> np.ndarray:
+        return self._node_level
+
+    def prefix(self, length: int) -> "ReferenceChain":
+        if not (1 <= length <= len(self._members)):
+            raise HierarchyError(
+                f"prefix length {length} out of range 1..{len(self._members)}"
+            )
+        node_level = self._node_level.copy()
+        node_level[node_level >= length] = self.OUTSIDE
+        return ReferenceChain(
+            self.n, self.q, self._members[:length], node_level, self._depths[:length]
+        )
+
+    def _validate(self) -> None:
+        if not self._members:
+            raise HierarchyError("a community chain must contain at least one community")
+        if len(self._depths) != len(self._members):
+            raise HierarchyError("depths and members have different lengths")
+        if len(self._node_level) != self.n:
+            raise HierarchyError("node_level length differs from n")
+        if not (0 <= self.q < self.n):
+            raise HierarchyError(f"query node {self.q} out of range")
+        if self._node_level[self.q] != 0:
+            raise HierarchyError("query node must be at level 0 (the deepest community)")
+        for level in range(1, len(self._sizes)):
+            if self._sizes[level] <= self._sizes[level - 1]:
+                raise HierarchyError(
+                    f"chain communities must strictly grow; level {level} has size "
+                    f"{int(self._sizes[level])} after {int(self._sizes[level - 1])}"
+                )
+
+    def validate_nesting(self) -> None:
+        """Prove strict nesting and node_level consistency by member sets."""
+        previous: set[int] | None = None
+        smallest_level = np.full(self.n, self.OUTSIDE, dtype=np.int64)
+        for level in range(len(self._members) - 1, -1, -1):
+            smallest_level[self._members[level]] = level
+        if not np.array_equal(smallest_level, self._node_level):
+            raise HierarchyError("node_level disagrees with the member lists")
+        for level, ms in enumerate(self._members):
+            member_set = set(int(v) for v in ms)
+            if len(member_set) != len(ms):
+                raise HierarchyError(f"community at level {level} has duplicate members")
+            if self.q not in member_set:
+                raise HierarchyError(
+                    f"community at level {level} does not contain the query node {self.q}"
+                )
+            if previous is not None and not previous <= member_set:
+                raise HierarchyError(
+                    f"community at level {level} does not contain level {level - 1}"
+                )
+            previous = member_set
 
 
 def reference_agglomerative_hierarchy(

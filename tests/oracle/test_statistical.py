@@ -16,11 +16,10 @@ import pytest
 
 from repro.core.compressed import compressed_cod
 from repro.graph.graph import AttributedGraph
-from repro.hierarchy.chain import CommunityChain
 from repro.influence.arena import sample_arena
 from repro.influence.models import UniformIC, WeightedCascade
 
-from tests.oracle.reference import enumerate_exact_spread
+from tests.oracle.reference import ReferenceChain, enumerate_exact_spread
 
 THETA = 40_000
 
@@ -62,7 +61,7 @@ def test_community_spread_matches_enumeration():
     graph = AttributedGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
     model = UniformIC(0.5)
     q = 1
-    chain = CommunityChain.from_member_lists(
+    chain = ReferenceChain.from_member_lists(
         graph.n, q, [[0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4]]
     )
     evaluation = compressed_cod(
