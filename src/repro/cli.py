@@ -190,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "'at' (default: batches spread evenly) and bumps "
                         "the serving epoch")
     p.add_argument("--cache-capacity", type=int, default=64, metavar="N",
-                   help="bound for the per-attribute LRU caches (LORE "
-                        "chains, LORE's local reclusterings, restricted "
-                        "arenas; default 64)")
+                   help="entry bound for the LORE chain and restricted "
+                        "arena LRU caches (default 64); LORE's local "
+                        "reclusterings are bounded by bytes instead")
     p.add_argument("--state-dir", type=str, default=None, metavar="DIR",
                    help="durable state directory (WAL + epoch snapshots): "
                         "startup recovers the newest proven state, every "
@@ -577,8 +577,12 @@ def _cmd_serve_sim(args: argparse.Namespace):
     print(f"  latency p50/p95    : {latency['p50_s'] * 1000:.1f}ms / "
           f"{latency['p95_s'] * 1000:.1f}ms")
     for name, stats in sorted(health["caches"].items()):
-        print(f"  cache {name:12s} : entries={stats['entries']}/"
-              f"{stats['capacity']} hits={stats['hits']} "
+        bound = (
+            f"entries={stats['entries']}/{stats['capacity']}"
+            if stats["capacity"] is not None
+            else f"bytes={stats['current_bytes']}/{stats['max_bytes']}"
+        )
+        print(f"  cache {name:12s} : {bound} hits={stats['hits']} "
               f"misses={stats['misses']} evictions={stats['evictions']}")
     if planner is not None and planner.last_plan is not None:
         plan = planner.last_plan.describe()

@@ -179,8 +179,11 @@ def lore_chain(
         pure functions of the graph, the hierarchy, the weighting and the
         linkage, so the caller must drop them when any of those change —
         every key starts with the attribute, so an attribute-scoped change
-        drops only that attribute's entries. The result is bit-identical
-        with or without a memo.
+        drops only that attribute's entries. A local reclustering reports
+        its size through ``memory_bytes()`` (at most
+        :func:`local_recluster_bytes` of ``|C_l|``), so a byte-bounded memo
+        charges what it holds. The result is bit-identical with or without
+        a memo.
     """
     span_cm = trace.span("lore") if trace is not None else nullcontext()
     with span_cm as span:
@@ -221,18 +224,20 @@ def lore_chain(
             local_hierarchy = agglomerative_hierarchy(
                 view.graph, linkage=linkage, on_disconnected="merge"
             )
-            return _LocalRecluster(view.to_parent, view.to_sub, local_hierarchy)
+            return _LocalRecluster(view.to_parent, local_hierarchy)
 
         local, local_memo = _memoized(memo, (attribute, c_ell), recluster)
-        to_parent, to_sub, local_hierarchy = local
+        to_parent, local_hierarchy = local
 
         # H_l(q) as one level array: C_l and its original ancestors are
         # levels c_ell_chain_level.., painted first; the reclustered
         # communities strictly inside C_l containing q, deepest first, are
         # painted over them through to_parent. The local root equals C_l
         # and is dropped (C_l re-enters from the original hierarchy).
+        # to_parent is sorted, so q's local id is its position there.
         outer = path[c_ell_level:]
-        inner = local_hierarchy.path_communities(to_sub[q])[:-1]
+        q_local = int(np.searchsorted(to_parent, q))
+        inner = local_hierarchy.path_communities(q_local)[:-1]
         c_ell_chain_level = len(inner)
         node_levels = hierarchy.leaf_levels(outer)
         node_levels[node_levels >= 0] += c_ell_chain_level
@@ -268,13 +273,26 @@ def lore_chain(
 class _LocalRecluster(NamedTuple):
     """The query-independent part of reclustering ``C_l``.
 
-    Holds only the id maps and the local hierarchy, not the induced
-    weighted subgraph, so a memo of these stays small.
+    Holds only the sorted local-to-parent id map and the local hierarchy,
+    not the induced weighted subgraph, so a memo of these stays small.
     """
 
     to_parent: np.ndarray
-    to_sub: dict[int, int]
     hierarchy: CommunityHierarchy
+
+    def memory_bytes(self) -> int:
+        """Resident size, charged by a byte-bounded memo."""
+        return self.to_parent.nbytes + self.hierarchy.memory_bytes()
+
+
+def local_recluster_bytes(n: int) -> int:
+    """The most a local reclustering of an ``n``-node ``C_l`` holds.
+
+    An upper bound on the ``memory_bytes()`` of a memoized reclustering
+    (an int64 id map and an agglomerative hierarchy over ``n`` leaves);
+    ``n = graph.n`` sizes the whole-graph reclustering, the largest one.
+    """
+    return 8 * n + CommunityHierarchy.binary_memory_bytes(n)
 
 
 def _memoized(memo: "object | None", key: tuple, factory) -> tuple[object, bool]:

@@ -303,6 +303,19 @@ class CommunityHierarchy:
         total += sum(8 * len(kids) for kids in self._children)
         return total
 
+    @staticmethod
+    def binary_memory_bytes(n_leaves: int) -> int:
+        """:meth:`memory_bytes` of a binary hierarchy over ``n_leaves`` leaves.
+
+        A binary hierarchy has ``2 * n_leaves - 1`` vertices and
+        ``2 * n_leaves - 2`` child links: five int64 arrays per vertex, two
+        per leaf and one id per link. Agglomerative clustering joins at
+        least two clusters per merge, so no hierarchy it builds over
+        ``n_leaves`` leaves holds more.
+        """
+        n_vertices = 2 * n_leaves - 1
+        return 8 * (5 * n_vertices + 2 * n_leaves + (n_vertices - 1))
+
     def __repr__(self) -> str:
         return (
             f"CommunityHierarchy(leaves={self._n_leaves}, "

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.core.compressed import compressed_cod
 from repro.core.himor import HimorIndex, graph_checksum, same_hierarchy
-from repro.core.lore import LoreResult, lore_chain
+from repro.core.lore import LoreResult, local_recluster_bytes, lore_chain
 from repro.core.problem import CODQuery
 from repro.errors import (
     BudgetExhaustedError,
@@ -90,6 +90,10 @@ LADDER = (RUNG_CODL, RUNG_CODL_MINUS, RUNG_CODU)
 #: percentiles remain exact for the first ``LATENCY_CAPACITY`` queries
 #: and unbiased estimates afterwards.
 LATENCY_CAPACITY = 2048
+
+#: Byte budget of LORE's local memo, in whole-graph local reclusterings
+#: (about 4.6 MB at 2,400 nodes).
+LORE_LOCAL_RECLUSTERINGS = 16
 
 #: Flat :meth:`CODServer.health` counters, by the registry counter each
 #: one reads. Answered-per-rung, ``refused`` and ``queries`` read the
@@ -237,10 +241,12 @@ class CODServer:
         correlated. The ``sample_budget`` axis does not tick in pooled
         mode (nothing is drawn); deadlines still apply.
     cache_capacity:
-        Bound for each of the server's internal LRU caches (LORE chains,
-        LORE's per-attribute parts, restricted arenas). Their
-        ``cache.<name>.*`` counters live in the server's registry and
-        surface in :meth:`health` under ``"caches"``.
+        Entry bound for the finished LORE chain cache (``lore``) and the
+        restricted-arena cache (``restricted``). LORE's query-independent
+        parts (``lore_local``) are bounded by bytes instead: room for
+        16 whole-graph local reclusterings, sized from ``graph.n`` here.
+        Every cache's ``cache.<name>.*`` counters live in the server's
+        registry and surface in :meth:`health` under ``"caches"``.
     fast_sampling:
         When true, fresh per-query draws use the vectorized batch
         sampler (:func:`~repro.influence.fastsample.sample_arena_fast`)
@@ -365,9 +371,15 @@ class CODServer:
         #: LORE's query-independent parts, shared across query nodes:
         #: per-attribute edge-LCA counts and per-(attribute, C_l) local
         #: reclusterings (see ``lore_chain(memo=)``). Invalidated together
-        #: with ``_lore_cache`` by :meth:`_invalidate_lore`.
+        #: with ``_lore_cache`` by :meth:`_invalidate_lore`. Bounded by bytes
+        #: only: entries range from a few nodes to the whole graph, and an
+        #: entry count would let cheap small ones evict the costly large
+        #: ones between their uses.
         self._lore_local = LRUCache(
-            self.cache_capacity, name="lore_local", metrics=m
+            None,
+            max_bytes=LORE_LOCAL_RECLUSTERINGS * local_recluster_bytes(graph.n),
+            name="lore_local",
+            metrics=m,
         )
         self._restricted_cache = LRUCache(
             self.cache_capacity, name="restricted", metrics=m

@@ -9,7 +9,7 @@ bounded ``Histogram`` reservoir fixed for latency samples.
 * **capacity bound** — at most ``capacity`` entries are resident; the
   least-recently-*used* entry is evicted first (reads refresh recency,
   :meth:`__contains__` peeks do not).
-* **byte bound** (optional) — entries are charged an estimated size
+* **byte bound** — entries are charged an estimated size
   (``value.memory_bytes()`` when the value offers it, else
   ``sys.getsizeof``); inserts evict LRU entries until the estimate fits
   under ``max_bytes``. A single value larger than the whole budget is
@@ -20,6 +20,11 @@ bounded ``Histogram`` reservoir fixed for latency samples.
   :class:`~repro.obs.MetricsRegistry`: the caller's (so ``health()``
   and the fleet rollup see cache behaviour) or a private one.
   :meth:`LRUCache.stats` reads them back; there is no second copy.
+
+Either bound may be ``None`` (unbounded on that axis), but not both. A
+byte-only cache suits values whose sizes differ by orders of magnitude,
+where an entry count would let many small entries evict a few large,
+expensive ones.
 
 The class is thread-safe (one lock around every operation) so a server
 and its introspection endpoints can share an instance.
@@ -63,7 +68,8 @@ class LRUCache:
     Parameters
     ----------
     capacity:
-        Maximum resident entries (>= 1).
+        Maximum resident entries (>= 1); ``None`` means unbounded on
+        that axis, which requires ``max_bytes``.
     max_bytes:
         Optional cap on the summed size estimates of resident values;
         ``None`` means unbounded on that axis.
@@ -80,17 +86,19 @@ class LRUCache:
 
     def __init__(
         self,
-        capacity: int,
+        capacity: "int | None",
         max_bytes: "int | None" = None,
         sizeof: "Callable[[object], int] | None" = None,
         name: str = "cache",
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
-        if capacity < 1:
+        if capacity is None and max_bytes is None:
+            raise ValueError("capacity and max_bytes cannot both be None")
+        if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         if max_bytes is not None and max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes!r}")
-        self.capacity = int(capacity)
+        self.capacity = None if capacity is None else int(capacity)
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self.name = str(name)
         self.metrics = metrics or MetricsRegistry()
@@ -151,9 +159,9 @@ class LRUCache:
                 self.current_bytes -= old[1]
             self._entries[key] = (value, size)
             self.current_bytes += size
-            while len(self._entries) > self.capacity or (
-                self.max_bytes is not None and self.current_bytes > self.max_bytes
-            ):
+            while (
+                self.capacity is not None and len(self._entries) > self.capacity
+            ) or (self.max_bytes is not None and self.current_bytes > self.max_bytes):
                 _, (_, evicted_size) = self._entries.popitem(last=False)
                 self.current_bytes -= evicted_size
                 self._evictions.inc()

@@ -211,5 +211,25 @@ class TestLayout:
     def test_memory_bytes_positive(self, paper_hierarchy):
         assert paper_hierarchy.memory_bytes() > 0
 
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_binary_memory_bytes_is_a_binary_hierarchys_footprint(self, n):
+        caterpillar = [(0, 1)] + [(n + leaf - 2, leaf) for leaf in range(2, n)]
+        balanced = []
+        frontier = list(range(n))
+        nxt = n
+        while len(frontier) > 1:
+            balanced.append((frontier.pop(0), frontier.pop(0)))
+            frontier.append(nxt)
+            nxt += 1
+        for merges in (caterpillar, balanced):
+            h = CommunityHierarchy.from_merges(n, merges)
+            assert h.memory_bytes() == CommunityHierarchy.binary_memory_bytes(n)
+
+    def test_binary_memory_bytes_bounds_wider_merges(self, paper_hierarchy):
+        # C_0 holds four leaves: fewer vertices than a binary tree.
+        assert paper_hierarchy.memory_bytes() < CommunityHierarchy.binary_memory_bytes(
+            paper_hierarchy.n_leaves
+        )
+
     def test_repr(self, paper_hierarchy):
         assert "leaves=10" in repr(paper_hierarchy)

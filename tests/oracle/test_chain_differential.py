@@ -64,7 +64,8 @@ def stitched_reference(hierarchy, q, lore, memo, attribute) -> ReferenceChain:
     Reads the memoized local reclustering of ``C_l`` that produced
     ``lore``, so only the chain assembly differs from production.
     """
-    to_parent, to_sub, local = memo.get((attribute, lore.c_ell_vertex))
+    to_parent, local = memo.get((attribute, lore.c_ell_vertex))
+    to_sub = {int(v): i for i, v in enumerate(to_parent)}
     c_ell = lore.c_ell_vertex
     c_ell_size = hierarchy.size(c_ell)
     member_lists, depths = [], []

@@ -15,7 +15,7 @@ edges, so the weighting tests run every scheme at ``beta`` 0 and 4.
 import numpy as np
 import pytest
 
-from repro.core.lore import lore_chain, reclustering_scores
+from repro.core.lore import local_recluster_bytes, lore_chain, reclustering_scores
 from repro.datasets import load_dataset
 from repro.graph.weighting import SCHEMES, AttributeWeighting
 from repro.hierarchy.nnchain import agglomerative_hierarchy
@@ -30,6 +30,8 @@ from tests.oracle.reference import (
 
 #: Carrier queries per attribute on the hub-heavy ``pubmed`` analogue.
 PUBMED_QUERIES_PER_ATTRIBUTE = 150
+#: Carrier queries per attribute under a tight byte budget.
+PUBMED_TIGHT_QUERIES_PER_ATTRIBUTE = 50
 #: Small registry graphs: (name, scale). Every attribute is queried.
 SMALL_REGISTRY = [("cora", 0.1), ("citeseer", 0.1), ("amazon", 0.02), ("lfr", 0.1)]
 SMALL_QUERIES_PER_ATTRIBUTE = 12
@@ -145,6 +147,22 @@ class TestPubmedHubs:
         run_differential(graph, hierarchy, queries, memo)
         # Counts are built once per attribute; the rest are memo hits.
         assert memo.stats()["hits"] >= len(queries) - len(graph.attribute_universe)
+
+    @pytest.mark.parametrize(
+        "whole_graphs,counter", [(1.5, "evictions"), (0.5, "oversized")]
+    )
+    def test_tight_byte_budget(self, pubmed, whole_graphs, counter):
+        # Room for less than two whole-graph reclusterings: large entries
+        # evict each other (1.5) or are served uncached (0.5).
+        graph, hierarchy = pubmed
+        memo = LRUCache(
+            None,
+            max_bytes=int(whole_graphs * local_recluster_bytes(graph.n)),
+            name="lore_local",
+        )
+        queries = carrier_queries(graph, PUBMED_TIGHT_QUERIES_PER_ATTRIBUTE, seed=5)
+        run_differential(graph, hierarchy, queries, memo)
+        assert memo.stats()[counter] > 0
 
     def test_scores_match_per_edge_loop(self, pubmed):
         graph, hierarchy = pubmed

@@ -6,7 +6,9 @@ counts under ``(attribute, "edges")`` and local reclusterings under
 and the weighting, so every event that changes one of those must drop
 them along with the finished-chain cache — and answers afterwards must
 equal a cold server's on the same graph. LORE weights only ``C_l``'s
-induced edges, so serving never builds a whole-graph ``g_l``.
+induced edges, so serving never builds a whole-graph ``g_l``. The memo is
+bounded by bytes, so a flood of small reclusterings cannot evict a
+whole-graph one that fits.
 """
 
 import sys
@@ -15,7 +17,12 @@ import numpy as np
 import pytest
 
 from repro.core.himor import HimorIndex
-from repro.core.lore import lore_chain
+from repro.core.lore import (
+    local_recluster_bytes,
+    lore_chain,
+    reclustering_scores,
+    select_reclustering_community,
+)
 from repro.core.pool import SharedSamplePool
 from repro.core.problem import CODQuery
 from repro.datasets import load_dataset
@@ -25,7 +32,7 @@ from repro.graph import weighting as weighting_module
 from repro.graph.subgraph import induced_subgraph
 from repro.graph.weighting import AttributeWeighting
 from repro.obs import QueryTrace
-from repro.serving.server import CODServer
+from repro.serving.server import LORE_LOCAL_RECLUSTERINGS, CODServer
 from repro.utils.faults import inject
 
 THETA = 4
@@ -237,3 +244,99 @@ class TestNoWholeGraphWeighting:
         server.adopt_shared(new_graph, builder.arena, epoch=server.epoch + 1)
         check(server)
         assert "weighted" not in server.health()["caches"]
+
+
+# ------------------------------------------------------------ byte budget
+
+
+@pytest.fixture(scope="module")
+def pubmed():
+    """The ``cold-hubs`` graph: some carriers' ``C_l`` is the whole graph."""
+    return load_dataset("pubmed", scale=2.0, seed=7).graph
+
+
+def pubmed_server(graph) -> CODServer:
+    pool = SharedSamplePool(
+        graph, theta=1, seed=SEED, per_sample_seeds=True, fast=True
+    )
+    server = CODServer(graph, theta=1, seed=SEED, pool=pool)
+    server.warm()
+    return server
+
+
+def c_ell_of(graph, hierarchy, q, attribute) -> int:
+    path = hierarchy.path_communities(q)
+    scores = reclustering_scores(graph, hierarchy, q, attribute, path=path)
+    return select_reclustering_community(scores, path)[0]
+
+
+def carrier_c_ells(graph, hierarchy):
+    """``(q, attribute, C_l)`` for every carrier, attribute by attribute."""
+    for attribute in sorted(graph.attribute_universe):
+        for q in graph.nodes_with_attribute(attribute).tolist():
+            yield q, attribute, c_ell_of(graph, hierarchy, q, attribute)
+
+
+class TestByteBudget:
+    def test_budget_is_sixteen_whole_graph_reclusterings(self, paper_graph):
+        server = seeded_server(paper_graph, cache_capacity=2)
+        stats = server.health()["caches"]
+        assert stats["lore_local"]["capacity"] is None
+        assert stats["lore_local"]["max_bytes"] == (
+            LORE_LOCAL_RECLUSTERINGS * local_recluster_bytes(paper_graph.n)
+        )
+        assert stats["lore"]["capacity"] == stats["restricted"]["capacity"] == 2
+
+    def test_whole_graph_entry_survives_a_flood_of_small_ones(self, pubmed):
+        server = pubmed_server(pubmed)
+        hierarchy = server._hierarchy
+        whole, flood, small_keys = [], [], set()
+        for q, attribute, c_ell in carrier_c_ells(pubmed, hierarchy):
+            if c_ell == hierarchy.root:
+                whole.append((q, attribute))
+            elif hierarchy.size(c_ell) <= 8 and (attribute, c_ell) not in small_keys:
+                small_keys.add((attribute, c_ell))
+                flood.append((q, attribute))
+        (q0, attribute), (q1, _) = [
+            pair for pair in whole if pair[1] == whole[0][1]
+        ][:2]
+        # More distinct small reclusterings than the old 64-entry bound.
+        assert len(flood) >= 100
+        flood = flood[:100]
+
+        first = QueryTrace()
+        server.answer(CODQuery(q0, attribute, K), trace=first)
+        assert first.find("lore").meta["local_hierarchy"] == "built"
+        for q, a in flood:
+            server.answer(CODQuery(q, a, K))
+        # Another node with the same whole-graph C_l: the finished-chain
+        # cache misses, the local reclustering is still resident.
+        repeat = QueryTrace()
+        server.answer(CODQuery(q1, attribute, K), trace=repeat)
+        meta = repeat.find("lore").meta
+        assert meta["c_ell_size"] == pubmed.n
+        assert meta["local_hierarchy"] == "memo"
+        assert server._lore_local.stats()["evictions"] == 0
+
+    @pytest.mark.parametrize("which", ["paper", "pubmed"])
+    def test_whole_graph_entry_is_never_oversized(self, which, request):
+        if which == "paper":
+            graph = request.getfixturevalue("paper_graph")
+            server = seeded_server(graph)
+            server.warm()
+        else:
+            graph = request.getfixturevalue("pubmed")
+            server = pubmed_server(graph)
+        hierarchy = server._hierarchy
+        q, attribute = next(
+            (q, attribute)
+            for q, attribute, c_ell in carrier_c_ells(graph, hierarchy)
+            if c_ell == hierarchy.root
+        )
+        server.answer(CODQuery(q, attribute, K))
+        local = server._lore_local.get((attribute, hierarchy.root))
+        assert local is not None
+        assert local.memory_bytes() <= local_recluster_bytes(graph.n)
+        stats = server._lore_local.stats()
+        assert stats["oversized"] == 0
+        assert stats["current_bytes"] <= stats["max_bytes"]

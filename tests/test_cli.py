@@ -96,6 +96,11 @@ class TestServeSimCommand:
         assert "health report" in out
         assert "answered via CODL" in out
         assert "breaker state" in out
+        # Entry-bounded caches print entries, the byte-bounded LORE memo
+        # prints bytes.
+        assert "cache lore         : entries=" in out
+        assert "cache lore_local   : bytes=" in out
+        assert "/None" not in out
 
     def test_injected_lore_faults_degrade_to_codu(self, capsys):
         code = main(["serve-sim", "cora", "--scale", "0.15", "--queries", "3",
