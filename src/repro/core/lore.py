@@ -35,7 +35,6 @@ from repro.graph.graph import AttributedGraph
 from repro.graph.weighting import AttributeWeighting, attribute_weighted_subgraph
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
-from repro.hierarchy.linkage import Linkage
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.utils.faults import maybe_fail
 
@@ -146,7 +145,6 @@ def lore_chain(
     q: int,
     attribute: int,
     weighting: AttributeWeighting | None = None,
-    linkage: Linkage | None = None,
     depth_weighted: bool = True,
     budget: "object | None" = None,
     trace: "object | None" = None,
@@ -176,10 +174,10 @@ def lore_chain(
         :class:`repro.utils.cache.LRUCache`) for LORE's query-independent
         work: the edge counts under ``(attribute, "edges")`` and the local
         reclustering of ``C_l`` under ``(attribute, c_ell)``. Entries are
-        pure functions of the graph, the hierarchy, the weighting and the
-        linkage, so the caller must drop them when any of those change —
-        every key starts with the attribute, so an attribute-scoped change
-        drops only that attribute's entries. A local reclustering reports
+        pure functions of the graph, the hierarchy and the weighting, so
+        the caller must drop them when any of those change — every key
+        starts with the attribute, so an attribute-scoped change drops
+        only that attribute's entries. A local reclustering reports
         its size through ``memory_bytes()`` (at most
         :func:`local_recluster_bytes` of ``|C_l|``), so a byte-bounded memo
         charges what it holds. The result is bit-identical with or without
@@ -221,9 +219,7 @@ def lore_chain(
                 graph, hierarchy.members(c_ell), attribute, weighting
             )
             weighted_edges = view.graph.m
-            local_hierarchy = agglomerative_hierarchy(
-                view.graph, linkage=linkage, on_disconnected="merge"
-            )
+            local_hierarchy = agglomerative_hierarchy(view.graph)
             return _LocalRecluster(view.to_parent, local_hierarchy)
 
         local, local_memo = _memoized(memo, (attribute, c_ell), recluster)

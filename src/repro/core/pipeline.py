@@ -30,7 +30,6 @@ from repro.graph.graph import AttributedGraph
 from repro.graph.weighting import AttributeWeighting, attribute_weighted_graph
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
-from repro.hierarchy.linkage import Linkage
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.influence.arena import sample_arena
@@ -87,7 +86,6 @@ class _BasePipeline:
         theta: int = 10,
         model: InfluenceModel | None = None,
         weighting: AttributeWeighting | None = None,
-        linkage: Linkage | None = None,
         seed: "int | np.random.Generator | None" = None,
         rebalance: bool = False,
     ) -> None:
@@ -95,7 +93,6 @@ class _BasePipeline:
         self.theta = int(theta)
         self.model = model or WeightedCascade()
         self.weighting = weighting or AttributeWeighting()
-        self.linkage = linkage
         self.rng = ensure_rng(seed)
         #: Post-process hierarchies with
         #: :func:`repro.hierarchy.balance.rebalanced_hierarchy`; caps the
@@ -104,7 +101,7 @@ class _BasePipeline:
 
     def _build_hierarchy(self, graph: AttributedGraph) -> CommunityHierarchy:
         """Cluster ``graph``, honoring the pipeline's rebalance option."""
-        hierarchy = agglomerative_hierarchy(graph, linkage=self.linkage)
+        hierarchy = agglomerative_hierarchy(graph)
         if self.rebalance:
             from repro.hierarchy.balance import rebalanced_hierarchy
 
@@ -319,7 +316,6 @@ class CODLMinus(_BasePipeline):
             node,
             attribute,
             weighting=self.weighting,
-            linkage=self.linkage,
         )
         evaluation = compressed_cod(
             self.graph, lore.chain, k=ks, theta=self.theta, model=self.model, rng=self.rng
@@ -377,7 +373,6 @@ class CODL(CODLMinus):
             node,
             attribute,
             weighting=self.weighting,
-            linkage=self.linkage,
         )
 
         # Algorithm 3, answering all budgets jointly: the index scan

@@ -4,12 +4,6 @@ from repro.hierarchy.balance import collapse_chains, rebalanced_hierarchy
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.hierarchy.lca import LcaIndex
-from repro.hierarchy.linkage import (
-    Linkage,
-    SingleLinkage,
-    TotalWeightLinkage,
-    UnweightedAverageLinkage,
-)
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 
 __all__ = [
@@ -18,9 +12,5 @@ __all__ = [
     "LcaIndex",
     "rebalanced_hierarchy",
     "collapse_chains",
-    "Linkage",
-    "UnweightedAverageLinkage",
-    "SingleLinkage",
-    "TotalWeightLinkage",
     "agglomerative_hierarchy",
 ]

@@ -2,11 +2,19 @@
 
 This is the hierarchy construction named in Section V-A of the paper: the
 nearest-neighbor chain algorithm ([54], [55]) with unweighted-average
-linkage ([45]). The algorithm maintains a chain of clusters in which each
+linkage ([45]): the similarity of clusters ``A`` and ``B`` is
+``W(A, B) / (|A| * |B|)``, where ``W`` sums the weights of the edges
+joining them. The algorithm maintains a chain of clusters in which each
 element is a nearest neighbor of its predecessor; when two consecutive
-chain elements are mutual nearest neighbors they are merged. For reducible
-linkages this produces exactly the greedy "merge the globally most similar
-pair" dendrogram, in near-linear time on sparse graphs.
+chain elements are mutual nearest neighbors they are merged. The linkage
+is *reducible* — merging two clusters never increases their similarity to
+a third — so a mutual-nearest-neighbor pair stays one after any other
+merge, and NN-chain produces exactly the greedy "merge the globally most
+similar pair" dendrogram, in near-linear time on sparse graphs.
+
+"Unweighted" refers to cluster sizes entering symmetrically (UPGMA
+convention), not to edge weights: edge weights are honored, which is what
+makes CODR/LORE reclustering attribute-aware.
 
 Clusters are only ever compared when an edge connects them (similarity 0
 otherwise), so the working state is a quotient-graph adjacency map that
@@ -20,15 +28,10 @@ from __future__ import annotations
 from repro.errors import DisconnectedGraphError
 from repro.graph.graph import AttributedGraph
 from repro.hierarchy.dendrogram import CommunityHierarchy
-from repro.hierarchy.linkage import Linkage, UnweightedAverageLinkage
 from repro.utils.faults import maybe_fail
 
 
-def agglomerative_hierarchy(
-    graph: AttributedGraph,
-    linkage: Linkage | None = None,
-    on_disconnected: str = "merge",
-) -> CommunityHierarchy:
+def agglomerative_hierarchy(graph: AttributedGraph) -> CommunityHierarchy:
     """Cluster ``graph`` into a binary community hierarchy.
 
     Parameters
@@ -36,13 +39,8 @@ def agglomerative_hierarchy(
     graph:
         The graph to cluster; edge weights (if any) drive the linkage,
         which is how attribute-aware reclustering enters the pipeline.
-    linkage:
-        Cluster-similarity definition; defaults to the paper's
-        unweighted-average linkage.
-    on_disconnected:
-        ``"merge"`` joins exhausted components at the top of the dendrogram
-        (largest first, similarity conceptually 0); ``"error"`` raises
-        :class:`DisconnectedGraphError` instead.
+        Exhausted components are joined at the top of the dendrogram
+        (largest first, similarity conceptually 0).
 
     Returns
     -------
@@ -50,18 +48,15 @@ def agglomerative_hierarchy(
         A binary dendrogram whose leaves are the graph's nodes.
     """
     maybe_fail("clustering")
-    if on_disconnected not in ("merge", "error"):
-        raise ValueError(f"on_disconnected must be 'merge' or 'error', got {on_disconnected!r}")
-    linkage = linkage or UnweightedAverageLinkage()
     n = graph.n
     if n == 1:
         # A single node is its own (degenerate) hierarchy: no communities.
-        # Downstream code requires at least a root, so synthesize none here
-        # and let callers handle n == 1; in practice datasets are larger.
+        # A binary dendrogram needs at least one merge, so raise
+        # DisconnectedGraphError; in practice datasets are larger.
         raise DisconnectedGraphError("cannot build a hierarchy over a single node")
 
     # Quotient-graph state. neighbor_weight[c] maps adjacent cluster -> the
-    # linkage-aggregated connection weight.
+    # total weight W of the edges joining them.
     neighbor_weight: dict[int, dict[int, float]] = {}
     size: dict[int, int] = {}
     for v in range(n):
@@ -83,7 +78,7 @@ def agglomerative_hierarchy(
         best: tuple[float, int] | None = None
         ca = size[cluster]
         for other, weight in neighbor_weight[cluster].items():
-            sim = linkage.similarity(weight, ca, size[other])
+            sim = weight / (ca * size[other])
             # Deterministic tie-break: larger similarity, then smaller id.
             if best is None or sim > best[0] or (sim == best[0] and other < best[1]):
                 best = (sim, other)
@@ -112,7 +107,7 @@ def agglomerative_hierarchy(
             b = chain.pop()
             new_id = next_id
             next_id += 1
-            _merge(neighbor_weight, size, linkage, a, b, new_id)
+            _merge(neighbor_weight, size, a, b, new_id)
             merges.append((a, b))
         else:
             chain.append(candidate)
@@ -120,13 +115,8 @@ def agglomerative_hierarchy(
     # The quotient graph's keys are exactly the clusters still alive.
     remaining = sorted(neighbor_weight, key=lambda c: (-size[c], c))
     if len(remaining) > 1:
-        if on_disconnected == "error":
-            raise DisconnectedGraphError(
-                f"graph has {len(remaining)} components; pass on_disconnected='merge' "
-                "to stack them under a synthetic root"
-            )
-        # Chain the components under one root, largest first so the most
-        # meaningful structure stays deepest.
+        # Chain the components under one root, largest first (ties to the
+        # smaller cluster id) so the most meaningful structure stays deepest.
         current = remaining[0]
         for other in remaining[1:]:
             merges.append((current, other))
@@ -139,7 +129,6 @@ def agglomerative_hierarchy(
 def _merge(
     neighbor_weight: dict[int, dict[int, float]],
     size: dict[int, int],
-    linkage: Linkage,
     a: int,
     b: int,
     new_id: int,
@@ -153,7 +142,7 @@ def _merge(
         wa, wb = wb, wa
     for other, weight in wb.items():
         if other in wa:
-            wa[other] = linkage.combine(wa[other], weight)
+            wa[other] += weight
         else:
             wa[other] = weight
     for other in wa:
@@ -161,7 +150,7 @@ def _merge(
         w_to_a = row.pop(a, None)
         w_to_b = row.pop(b, None)
         if w_to_a is not None and w_to_b is not None:
-            row[new_id] = linkage.combine(w_to_a, w_to_b)
+            row[new_id] = w_to_a + w_to_b
         elif w_to_a is not None:
             row[new_id] = w_to_a
         elif w_to_b is not None:

@@ -8,7 +8,8 @@ it folds every closed span into a :class:`~repro.obs.registry.MetricsRegistry`:
 * ``stage.<name>.calls`` — counter of span openings;
 * selected numeric annotations become fleet-meaningful counters
   (``samples`` → ``rr.samples``, ``arena_nodes`` → ``arena.nodes``,
-  ``arena_edges`` → ``arena.edges``, ``retries`` → ``query.retries``).
+  ``arena_edges`` → ``arena.edges``). Retries are counted once, by the
+  server's ``ladder.retries``.
 
 This is how ``CODServer`` turns opt-in profiling on: it wraps each answer
 in a profiler (tee'd with any caller-supplied trace) so the existing
@@ -29,7 +30,6 @@ COUNTER_NOTES = {
     "samples": "rr.samples",
     "arena_nodes": "arena.nodes",
     "arena_edges": "arena.edges",
-    "retries": "query.retries",
 }
 
 

@@ -61,7 +61,6 @@ from repro.graph.graph import AttributedGraph
 from repro.graph.weighting import AttributeWeighting
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
-from repro.hierarchy.linkage import Linkage
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.core.pool import SharedSamplePool
 from repro.influence.arena import RRArena, allowed_fingerprint, sample_arena
@@ -263,7 +262,6 @@ class CODServer:
         theta: int = 10,
         model: "InfluenceModel | None" = None,
         weighting: "AttributeWeighting | None" = None,
-        linkage: "Linkage | None" = None,
         seed: "int | np.random.Generator | None" = None,
         deadline_s: "float | None" = None,
         sample_budget: "int | None" = None,
@@ -295,7 +293,6 @@ class CODServer:
         self.theta = int(theta)
         self.model = model or WeightedCascade()
         self.weighting = weighting or AttributeWeighting()
-        self.linkage = linkage
         self.seed = seed if isinstance(seed, int) else None
         self.rng = ensure_rng(seed)
         self.deadline_s = deadline_s
@@ -646,9 +643,7 @@ class CODServer:
                     repaired = rep.n_repaired if rep is not None else 0
                 self.graph = new_graph
                 if self._hierarchy is not None or self._index is not None:
-                    new_hierarchy = agglomerative_hierarchy(
-                        new_graph, linkage=self.linkage
-                    )
+                    new_hierarchy = agglomerative_hierarchy(new_graph)
                     index_action = self._repair_index(
                         new_graph, new_hierarchy, rep, trace
                     )
@@ -1084,9 +1079,7 @@ class CODServer:
                 trace.span("clustering") if trace is not None else nullcontext()
             )
             with cluster_cm:
-                self._hierarchy = agglomerative_hierarchy(
-                    self.graph, linkage=self.linkage
-                )
+                self._hierarchy = agglomerative_hierarchy(self.graph)
         return self._hierarchy
 
     def _ensure_index(
@@ -1236,7 +1229,6 @@ class CODServer:
                 query.node,
                 query.attribute,
                 weighting=self.weighting,
-                linkage=self.linkage,
                 budget=budget,
                 trace=trace,
                 memo=self._lore_local,

@@ -762,9 +762,7 @@ class ServingSupervisor:
         try:
             pool = self._ensure_builder_pool()
             if self._builder_hierarchy is None:
-                self._builder_hierarchy = agglomerative_hierarchy(
-                    self.graph, linkage=self.server_options.get("linkage")
-                )
+                self._builder_hierarchy = agglomerative_hierarchy(self.graph)
             hierarchy = self._builder_hierarchy
             node = min(counts, key=lambda n: (-counts[n], n))
             lore = lore_chain(
@@ -773,7 +771,6 @@ class ServingSupervisor:
                 node,
                 attr,
                 weighting=self.server_options.get("weighting"),
-                linkage=self.server_options.get("linkage"),
             )
             if lore.c_ell_chain_level == 0:
                 self._shard_failed.add(attr)

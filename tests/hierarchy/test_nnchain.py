@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import DisconnectedGraphError
 from repro.graph.graph import AttributedGraph
-from repro.hierarchy.linkage import SingleLinkage, UnweightedAverageLinkage
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 
 
@@ -146,34 +145,27 @@ def _naive_greedy_similarities(graph):
 
 
 class TestDisconnected:
-    def test_error_mode(self):
-        g = AttributedGraph(4, [(0, 1), (2, 3)])
-        with pytest.raises(DisconnectedGraphError):
-            agglomerative_hierarchy(g, on_disconnected="error")
-
     def test_merge_mode_stacks_components(self):
         g = AttributedGraph(5, [(0, 1), (1, 2), (3, 4)])
-        h = agglomerative_hierarchy(g, on_disconnected="merge")
+        h = agglomerative_hierarchy(g)
         assert h.size(h.root) == 5
 
     def test_isolated_nodes(self):
         g = AttributedGraph(4, [(0, 1)])
-        h = agglomerative_hierarchy(g, on_disconnected="merge")
+        h = agglomerative_hierarchy(g)
         assert h.size(h.root) == 4
 
-    def test_bad_mode_rejected(self, paper_graph):
-        with pytest.raises(ValueError):
-            agglomerative_hierarchy(paper_graph, on_disconnected="explode")
+    def test_stacking_order_largest_first_then_smallest_id(self):
+        # Pairs {0,1} and {2,3} become clusters 7 and 8, the triple
+        # {4,5,6} becomes 10. Largest first puts 10 deepest; the tied
+        # pairs follow by cluster id, so 7 joins it and 8 joins last.
+        g = AttributedGraph(7, [(0, 1), (2, 3), (4, 5), (5, 6)])
+        h = agglomerative_hierarchy(g)
 
+        def child_sets(vertex):
+            return {frozenset(h.members(c).tolist()): c for c in h.children(vertex)}
 
-class TestLinkages:
-    def test_single_linkage_runs(self, paper_graph):
-        h = agglomerative_hierarchy(paper_graph, linkage=SingleLinkage())
-        assert h.size(h.root) == paper_graph.n
-
-    def test_average_is_default(self, paper_graph):
-        default = agglomerative_hierarchy(paper_graph)
-        explicit = agglomerative_hierarchy(paper_graph, linkage=UnweightedAverageLinkage())
-        assert [default.parent(v) for v in range(default.n_vertices)] == [
-            explicit.parent(v) for v in range(explicit.n_vertices)
-        ]
+        under_root = child_sets(h.root)
+        assert set(under_root) == {frozenset({0, 1, 4, 5, 6}), frozenset({2, 3})}
+        deepest = child_sets(under_root[frozenset({0, 1, 4, 5, 6})])
+        assert set(deepest) == {frozenset({0, 1}), frozenset({4, 5, 6})}

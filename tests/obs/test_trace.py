@@ -117,21 +117,18 @@ class TestStageProfiler:
         profiler = StageProfiler(reg)
         with profiler.span("sampling") as span:
             span.note(samples=40, arena_nodes=10, arena_edges=25)
-        with profiler.span("answer") as span:
-            span.note(retries=2)
         counters = reg.snapshot()["counters"]
         assert counters["rr.samples"] == 40
         assert counters["arena.nodes"] == 10
         assert counters["arena.edges"] == 25
-        assert counters["query.retries"] == 2
 
     def test_zero_and_non_numeric_notes_ignored(self):
         reg = MetricsRegistry()
         profiler = StageProfiler(reg)
         with profiler.span("answer") as span:
-            span.note(retries=0, rung="CODL", hit=True)
+            span.note(samples=0, rung="CODL", hit=True)
         counters = reg.snapshot()["counters"]
-        assert "query.retries" not in counters
+        assert "rr.samples" not in counters
         assert all(name in COUNTER_NOTES.values() or name.startswith("stage.")
                    for name in counters)
 

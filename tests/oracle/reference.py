@@ -65,12 +65,11 @@ from itertools import product
 import numpy as np
 
 from repro.core.lore import LoreResult, select_reclustering_community
-from repro.errors import DisconnectedGraphError, HierarchyError
+from repro.errors import HierarchyError
 from repro.graph.graph import AttributedGraph
 from repro.graph.subgraph import SubgraphView
 from repro.graph.weighting import AttributeWeighting
 from repro.hierarchy.dendrogram import CommunityHierarchy
-from repro.hierarchy.linkage import UnweightedAverageLinkage
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.rng import ensure_rng
@@ -397,7 +396,6 @@ def reference_lore_chain(
     q: int,
     attribute: int,
     weighting=None,
-    linkage=None,
     weighted_graph: "AttributedGraph | None" = None,
     depth_weighted: bool = True,
 ) -> LoreResult:
@@ -415,9 +413,7 @@ def reference_lore_chain(
         weighted_graph = reference_weighted_graph(graph, attribute, weighting)
     members = hierarchy.members(c_ell)
     view = reference_induced_subgraph(weighted_graph, members)
-    local = agglomerative_hierarchy(
-        view.graph, linkage=linkage, on_disconnected="merge"
-    )
+    local = agglomerative_hierarchy(view.graph)
 
     member_lists: list[list[int]] = []
     depths: list[int] = []
@@ -559,16 +555,15 @@ class ReferenceChain:
             previous = member_set
 
 
-def reference_agglomerative_hierarchy(
-    graph: AttributedGraph, linkage=None, on_disconnected: str = "merge"
-) -> CommunityHierarchy:
+def reference_agglomerative_hierarchy(graph: AttributedGraph) -> CommunityHierarchy:
     """NN-chain clustering, seeding each empty chain by a full rescan.
 
     Every time the chain empties, all live clusters are scanned and the
-    smallest id that still has a neighbor seeds it. Exhausted components
-    are stacked under one root, largest first (ties by smallest id).
+    smallest id that still has a neighbor seeds it. Similarity is
+    unweighted-average linkage, ``W(A, B) / (|A| * |B|)``. Exhausted
+    components are stacked under one root, largest first (ties by
+    smallest id).
     """
-    linkage = linkage or UnweightedAverageLinkage()
     n = graph.n
     neighbor_weight: dict[int, dict[int, float]] = {}
     size: dict[int, int] = {}
@@ -587,7 +582,7 @@ def reference_agglomerative_hierarchy(
     def nearest(cluster: int):
         best = None
         for other, weight in neighbor_weight[cluster].items():
-            sim = linkage.similarity(weight, size[cluster], size[other])
+            sim = weight / (size[cluster] * size[other])
             if best is None or sim > best[0] or (sim == best[0] and other < best[1]):
                 best = (sim, other)
         return None if best is None else best[1]
@@ -614,13 +609,13 @@ def reference_agglomerative_hierarchy(
             if len(wa) < len(wb):
                 wa, wb = wb, wa
             for other, weight in wb.items():
-                wa[other] = linkage.combine(wa[other], weight) if other in wa else weight
+                wa[other] = wa[other] + weight if other in wa else weight
             for other in wa:
                 row = neighbor_weight[other]
                 w_to_a = row.pop(a, None)
                 w_to_b = row.pop(b, None)
                 if w_to_a is not None and w_to_b is not None:
-                    row[new_id] = linkage.combine(w_to_a, w_to_b)
+                    row[new_id] = w_to_a + w_to_b
                 elif w_to_a is not None:
                     row[new_id] = w_to_a
                 elif w_to_b is not None:
@@ -636,8 +631,6 @@ def reference_agglomerative_hierarchy(
 
     remaining = sorted(active, key=lambda c: (-size[c], c))
     if len(remaining) > 1:
-        if on_disconnected == "error":
-            raise DisconnectedGraphError(f"graph has {len(remaining)} components")
         current = remaining[0]
         for other in remaining[1:]:
             merges.append((current, other))

@@ -1,13 +1,16 @@
 """Documentation and example correctness tests.
 
 Documentation that doesn't run is worse than none: these tests execute
-the README quickstart verbatim, import-check every example script, and
-verify the tutorial's exact paper-example values.
+the README quickstart verbatim, import-check every example script,
+resolve every module path the docs cite, and verify the tutorial's exact
+paper-example values.
 """
 
 import ast
+import importlib
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -35,6 +38,42 @@ class TestReadmeQuickstart:
         for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
                     "docs/ALGORITHMS.md", "docs/API.md", "docs/TUTORIAL.md"):
             assert (REPO_ROOT / doc).exists(), doc
+
+
+#: Docs whose backticked ``repro.*`` paths must name real code.
+CITING_DOCS = ("README.md", "DESIGN.md", "docs/API.md", "docs/ALGORITHMS.md")
+
+
+def cited_module_paths() -> list[str]:
+    paths: set[str] = set()
+    for doc in CITING_DOCS:
+        text = (REPO_ROOT / doc).read_text()
+        paths.update(re.findall(r"`(repro(?:\.[A-Za-z_]\w*)+)`", text))
+    return sorted(paths)
+
+
+def resolves(path: str) -> bool:
+    """Whether ``path`` imports as a module or is an attribute chain of one."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+class TestDocsCiteRealCode:
+    def test_every_cited_module_path_resolves(self):
+        paths = cited_module_paths()
+        assert paths, "no repro.* paths found; has the doc format changed?"
+        stale = [path for path in paths if not resolves(path)]
+        assert not stale, f"docs cite paths that do not resolve: {stale}"
 
 
 class TestExamplesWellFormed:
