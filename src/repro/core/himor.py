@@ -11,16 +11,17 @@ to compressed evaluation *inside* ``C_l`` when no ancestor qualifies.
 Construction is the compressed tree variant of Algorithm 1: one pool of
 ``Theta = theta * |V|`` RR graphs is HFS-traversed over the whole tree ``T``
 (each RR-graph node charged to the smallest community containing its path
-from the source — ``lca`` along the path), then buckets are combined
-bottom-up, sorting each community's cumulative counts once and recording
-every member's rank. Total work matches Theorem 6:
-``O(Theta * omega + |R| log |V| + sum_v dep(v))``.
+from the source — ``lca`` along the path), then the buckets are summed
+up each node's root path and every member's rank in every community is
+read off one sort of all ``(community, member)`` pairs. Total work
+matches Theorem 6, ``O(Theta * omega + |R| log |V| + sum_v dep(v))``, up
+to the ``log`` of that one sort.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from contextlib import nullcontext
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -470,8 +471,15 @@ def graph_checksum(graph: AttributedGraph) -> str:
     HIMOR is attribute-blind (the tree and the RR samples read topology
     only), so attribute-only epochs keep a persisted index loadable; any
     edge change yields a new checksum and forces repair or rebuild.
+
+    It is :attr:`AttributedGraph.edge_checksum`: computed once per graph
+    from its adjacency rows and cached, so the update path's several
+    reads (WAL record, index repair, index build) cost one pass. The
+    digest is the same as ever (SHA-256 of the sorted ``[[u,v],...]``
+    edge list as compact JSON), so WAL records, snapshots and persisted
+    indexes written before stay valid.
     """
-    return payload_checksum(sorted((int(u), int(v)) for u, v in graph.edges()))
+    return graph.edge_checksum
 
 
 def same_hierarchy(a: CommunityHierarchy, b: CommunityHierarchy) -> bool:
@@ -721,46 +729,88 @@ def _chunk_charges(
 def _bottom_up_ranks(
     hierarchy: CommunityHierarchy, buckets: dict[int, dict[int, int]]
 ) -> list[np.ndarray]:
-    """Combine buckets bottom-up; record every member's rank per community.
+    """Every member's rank in every community, from the HFS own-charges.
 
-    At each internal vertex the children's cumulative count dictionaries
-    are merged smaller-into-larger, the vertex's own bucket added, and the
-    positive counts sorted once; a member's rank is
-    ``1 + #{counts strictly above its own}`` (0-count members rank just
-    below every scored node).
+    A node's count in community ``C`` is the sum of its own charges over
+    its root path, from its parent up to ``C``; its rank in ``C`` is
+    ``1 + #{members of C with a strictly larger count}``, so members no
+    sample reached (count 0) rank just below every scored node. All
+    ``sum_v (dep(v) - 1)`` (community, member) pairs — Theorem 6's
+    ``sum_v dep(v)`` term — are handled as flat arrays in two layouts:
+
+    * *leaf-major*, each leaf's ancestors deepest first: the layout of
+      the returned rank arrays (aligned with ``path_communities``). Each
+      charge lands at its pair's slot, and one cumulative sum along each
+      leaf's path turns own charges into counts.
+    * *community-major*, each community's members being its leaf-order
+      range (:func:`_ragged_ranges`). One sort by ``(community, -count)``
+      puts every member after the larger counts of its community, so its
+      rank is 1 + the offset of its count's first occurrence there.
     """
     n = hierarchy.n_leaves
     depths = hierarchy.depths
-    # A leaf's path holds every ancestor: one fewer than its depth.
-    ranks = [np.zeros(d - 1, dtype=np.int64) for d in depths[:n].tolist()]
-    position = [0] * n  # next path slot to fill, per leaf (deepest first)
+    path_lengths = depths[:n] - 1
+    leaf_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(path_lengths, out=leaf_start[1:])
 
-    cumulative: dict[int, dict[int, int]] = {}
-    # Deepest first; a stable sort keeps equal depths in ascending id order.
-    order = n + np.argsort(-depths[n:], kind="stable")
-    for vertex in order.tolist():
-        merged: dict[int, int] = {}
-        for child in hierarchy.children(vertex):
-            child_counts = cumulative.pop(child, None)
-            if child_counts is None:
-                continue
-            if len(child_counts) > len(merged):
-                merged, child_counts = child_counts, merged
-            for node, count in child_counts.items():
-                merged[node] = merged.get(node, 0) + count
-        own = buckets.get(vertex)
-        if own:
-            for node, count in own.items():
-                merged[node] = merged.get(node, 0) + count
-        cumulative[vertex] = merged
+    def slots(tags: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Leaf-major slot of each ``(community, member)`` pair."""
+        return leaf_start[nodes] + depths[nodes] - 1 - depths[tags]
 
-        sorted_counts = sorted(merged.values())  # ascending for bisect
-        total_scored = len(sorted_counts)
-        for node in hierarchy.members(vertex):
-            node = int(node)
-            count = merged.get(node, 0)
-            strictly_above = total_scored - bisect_left(sorted_counts, count + 1)
-            slot = position[node]
-            ranks[node][slot] = 1 + strictly_above
-            position[node] += 1
-    return ranks
+    sizes = [len(bucket) for bucket in buckets.values()]
+    tags = np.repeat(np.fromiter(buckets, dtype=np.int64, count=len(sizes)), sizes)
+    nodes = np.fromiter(
+        chain.from_iterable(buckets.values()), dtype=np.int64, count=len(tags)
+    )
+    charges = np.fromiter(
+        chain.from_iterable(bucket.values() for bucket in buckets.values()),
+        dtype=np.int64, count=len(tags),
+    )
+    _check_charges(hierarchy, tags, nodes)
+    # Leaf-major: own charges, then a cumulative sum restarted per leaf.
+    counts = np.zeros(int(leaf_start[-1]), dtype=np.int64)
+    counts[slots(tags, nodes)] = charges
+    np.cumsum(counts, out=counts)
+    counts -= np.repeat(np.concatenate(([0], counts))[leaf_start[:-1]], path_lengths)
+
+    # Community-major: sort each community's block by descending count;
+    # equal keys share the rank of their first occurrence in the block.
+    community_sizes = hierarchy.sizes[n:]
+    members = hierarchy.leaf_order[
+        _ragged_ranges(hierarchy.member_starts[n:], community_sizes)
+    ]
+    pair_community = np.repeat(
+        np.arange(n, hierarchy.n_vertices, dtype=np.int64), community_sizes
+    )
+    pair_slot = slots(pair_community, members)
+    pair_count = counts[pair_slot]
+    key = pair_community * (int(pair_count.max(initial=0)) + 1) - pair_count
+    order = np.argsort(key)
+    key = key[order]
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = key[1:] != key[:-1]
+    first = np.maximum.accumulate(np.where(fresh, np.arange(len(key)), 0))
+    block_start = np.repeat(np.cumsum(community_sizes) - community_sizes, community_sizes)
+    ranks = np.empty(len(counts), dtype=np.int64)
+    ranks[pair_slot[order]] = 1 + first - block_start
+    return np.split(ranks, leaf_start[1:-1])
+
+
+def _check_charges(
+    hierarchy: CommunityHierarchy, tags: np.ndarray, nodes: np.ndarray
+) -> None:
+    """Raise :class:`IndexError_` unless every charge is to a member of an
+    internal community, as every HFS charge is."""
+    n = hierarchy.n_leaves
+    valid = (tags >= n) & (tags < hierarchy.n_vertices) & (nodes >= 0) & (nodes < n)
+    if valid.all():
+        # A leaf's members start at its own leaf-order position.
+        starts = hierarchy.member_starts
+        offset = starts[nodes] - starts[tags]
+        valid = (offset >= 0) & (offset < hierarchy.sizes[tags])
+    if not valid.all():
+        bad = int(np.flatnonzero(~valid)[0])
+        raise IndexError_(
+            f"bucket {int(tags[bad])} charges node {int(nodes[bad])}, which "
+            "is not one of its members"
+        )

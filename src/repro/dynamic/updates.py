@@ -4,7 +4,13 @@ Graphs in this library are immutable, so updates produce a *new*
 :class:`AttributedGraph`; :func:`apply_updates` validates the batch
 against the current graph (no double-inserts, no phantom deletes, no
 conflicting operations on the same edge or node-attribute pair inside
-one batch) and rebuilds once.
+one batch), then edits only what the batch touches
+(:meth:`AttributedGraph.edited`): the touched endpoints' adjacency rows
+and degrees, the touched nodes' attribute sets and the touched
+attributes' carrier arrays. Every other row is shared with the input
+graph, so a batch costs a few flat copies (the row list, the degree
+array) plus work on what it touches, not a Python pass over the whole
+graph.
 
 A batch is **atomic and order-free**: either every update applies or a
 :class:`GraphError` is raised and the input graph is untouched. To keep
@@ -110,12 +116,18 @@ def apply_updates(
     missing one, self-loops, adding an attribute a node already carries,
     removing one it does not, or intra-batch conflicts (two updates on
     the same edge / node-attribute pair) — silent no-ops would hide
-    upstream bugs in update feeds.
+    upstream bugs in update feeds. A weighted graph also raises: the
+    updates carry no edge weights.
+
+    Conflicts are checked first; after that no two updates touch the same
+    edge or node-attribute pair, so each update is checked against
+    ``graph`` itself (``has_edge``, the node's attribute set), and the
+    first invalid one in batch order raises.
     """
     updates = list(updates)
     _check_conflicts(updates)
-    edges = set(graph.edges())
-    attributes = [set(graph.attributes_of(v)) for v in range(graph.n)]
+    edges: list[tuple[int, int, bool]] = []
+    attributes: list[tuple[int, int, bool]] = []
     for update in updates:
         if isinstance(update, EdgeUpdate):
             key = update.key()
@@ -123,30 +135,26 @@ def apply_updates(
                 raise GraphError(f"self-loop update ({key[0]}, {key[1]})")
             if not (0 <= key[0] and key[1] < graph.n):
                 raise GraphError(f"update endpoint out of range: {key}")
-            if update.add:
-                if key in edges:
-                    raise GraphError(f"edge {key} already exists")
-                edges.add(key)
-            else:
-                if key not in edges:
-                    raise GraphError(f"edge {key} does not exist")
-                edges.discard(key)
+            present = graph.has_edge(*key)
+            if update.add and present:
+                raise GraphError(f"edge {key} already exists")
+            if not update.add and not present:
+                raise GraphError(f"edge {key} does not exist")
+            edges.append((int(key[0]), int(key[1]), bool(update.add)))
         else:
             node, attribute = update.key()
             if not 0 <= node < graph.n:
                 raise GraphError(f"update node out of range: {node}")
             if attribute < 0:
                 raise GraphError(f"negative attribute value: {attribute}")
-            if update.add:
-                if attribute in attributes[node]:
-                    raise GraphError(
-                        f"node {node} already carries attribute {attribute}"
-                    )
-                attributes[node].add(attribute)
-            else:
-                if attribute not in attributes[node]:
-                    raise GraphError(
-                        f"node {node} does not carry attribute {attribute}"
-                    )
-                attributes[node].discard(attribute)
-    return AttributedGraph(graph.n, sorted(edges), attributes=attributes)
+            carried = attribute in graph.attributes_of(node)
+            if update.add and carried:
+                raise GraphError(
+                    f"node {node} already carries attribute {attribute}"
+                )
+            if not update.add and not carried:
+                raise GraphError(
+                    f"node {node} does not carry attribute {attribute}"
+                )
+            attributes.append((node, attribute, bool(update.add)))
+    return graph.edited(edges, attributes)

@@ -15,6 +15,7 @@ objects.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -56,6 +57,7 @@ class AttributedGraph:
         "_attribute_index",
         "_is_weighted",
         "_shm",
+        "_edge_sha",
     )
 
     def __init__(
@@ -69,6 +71,7 @@ class AttributedGraph:
             raise GraphError(f"graph must have at least one node, got n={n}")
         self._n = int(n)
         self._shm = None
+        self._edge_sha: "str | None" = None
 
         neighbor_sets: list[set[int]] = [set() for _ in range(self._n)]
         for u, v in edges:
@@ -175,6 +178,26 @@ class AttributedGraph:
             start = int(np.searchsorted(row, u + 1))
             for v in row[start:]:
                 yield u, int(v)
+
+    @property
+    def edge_checksum(self) -> str:
+        """SHA-256 hex digest of the edge set, computed once per graph.
+
+        The digest covers the compact JSON text ``[[u,v],...]`` of every
+        edge with ``u < v``, sorted: the adjacency rows already hold each
+        node's larger neighbors in ascending order, so the text is read
+        off the rows, and the digest equals that of ``json.dumps`` over
+        the sorted edge tuples. Graphs are immutable, so the first read
+        fixes it.
+        """
+        if self._edge_sha is None:
+            sources = np.repeat(np.arange(self._n, dtype=np.int64), self._degrees)
+            targets = np.concatenate(self._adjacency)
+            upper = targets > sources
+            pairs = zip(sources[upper].tolist(), targets[upper].tolist())
+            text = "[" + ",".join([f"[{u},{v}]" for u, v in pairs]) + "]"
+            self._edge_sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return self._edge_sha
 
     # --------------------------------------------------------------- weights
 
@@ -291,6 +314,80 @@ class AttributedGraph:
             edge_weights=weights,
         )
 
+    def edited(
+        self,
+        edges: "Iterable[tuple[int, int, bool]]",
+        attributes: "Iterable[tuple[int, int, bool]]",
+    ) -> "AttributedGraph":
+        """A copy with edges and node attributes added or removed, trusted
+        as given.
+
+        ``edges`` holds ``(u, v, add)`` triples and ``attributes`` holds
+        ``(node, attribute, add)`` triples. Each must already be valid
+        against this graph (ids in range, no self-loop, an inserted edge
+        or attribute absent, a removed one present, no pair twice), as
+        :func:`repro.dynamic.updates.apply_updates` checks; nothing is
+        re-validated here.
+
+        Only what changed is rebuilt: the adjacency rows and degrees of the
+        touched endpoints, the touched nodes' attribute sets, and the
+        carrier arrays of the touched attributes (an attribute that loses
+        its last carrier leaves the universe). Every other row and carrier
+        array is shared with this graph, or copied when this graph is a
+        view over a shared-memory segment, so the copy outlives the
+        segment. Edits carry no edge weights, so a weighted graph raises
+        :class:`GraphError`.
+        """
+        if self._is_weighted:
+            raise GraphError(
+                "cannot edit a weighted graph: edge edits carry no weights"
+            )
+        adjacency = list(self._adjacency)
+        index = dict(self._attribute_index)
+        if self._shm is not None:
+            adjacency = [row.copy() for row in adjacency]
+            index = {a: nodes.copy() for a, nodes in index.items()}
+
+        inserted: dict[int, list[int]] = {}
+        deleted: dict[int, list[int]] = {}
+        for u, v, add in edges:
+            rows = inserted if add else deleted
+            rows.setdefault(u, []).append(v)
+            rows.setdefault(v, []).append(u)
+        degrees = self._degrees.copy()
+        for node in inserted.keys() | deleted.keys():
+            row = _edit_row(adjacency[node], deleted.get(node), inserted.get(node))
+            adjacency[node] = row
+            degrees[node] = len(row)
+
+        node_attributes = list(self._attributes)
+        edited_sets: dict[int, set[int]] = {}
+        gained: dict[int, list[int]] = {}
+        lost: dict[int, list[int]] = {}
+        for node, attribute, add in attributes:
+            carried = edited_sets.get(node)
+            if carried is None:
+                carried = edited_sets[node] = set(node_attributes[node])
+            if add:
+                carried.add(attribute)
+                gained.setdefault(attribute, []).append(node)
+            else:
+                carried.discard(attribute)
+                lost.setdefault(attribute, []).append(node)
+        for node, carried in edited_sets.items():
+            node_attributes[node] = frozenset(carried)
+        for attribute in gained.keys() | lost.keys():
+            carriers = _edit_row(
+                index.get(attribute, np.empty(0, dtype=np.int64)),
+                lost.get(attribute),
+                gained.get(attribute),
+            )
+            if len(carriers):
+                index[attribute] = carriers
+            else:
+                del index[attribute]
+        return self._from_rows(adjacency, degrees, tuple(node_attributes), index)
+
     # ---------------------------------------------------------- shared memory
 
     @property
@@ -381,23 +478,42 @@ class AttributedGraph:
         weighted induced subgraphs) skip the constructor's per-edge work.
         """
         n = len(indptr) - 1
-        graph = object.__new__(cls)
-        graph._n = n
-        graph._shm = None
-        graph._adjacency = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
         degrees = np.diff(indptr)
         degrees.setflags(write=False)
+        return cls._from_rows(
+            [indices[indptr[v]:indptr[v + 1]] for v in range(n)],
+            degrees,
+            tuple(attributes),
+            attribute_index,
+            weights=(
+                None
+                if weights is None
+                else [weights[indptr[v]:indptr[v + 1]] for v in range(n)]
+            ),
+        )
+
+    @classmethod
+    def _from_rows(
+        cls,
+        adjacency: "list[np.ndarray]",
+        degrees: np.ndarray,
+        attributes: "tuple[frozenset[int], ...]",
+        attribute_index: "dict[int, np.ndarray] | None",
+        weights: "list[np.ndarray] | None" = None,
+    ) -> "AttributedGraph":
+        """A graph over per-node rows, trusted as given (see :meth:`from_csr`)."""
+        graph = object.__new__(cls)
+        graph._n = len(adjacency)
+        graph._shm = None
+        graph._edge_sha = None
+        graph._adjacency = adjacency
         graph._degrees = degrees
         graph._m = int(degrees.sum()) // 2
         graph._is_weighted = weights is not None
-        graph._weights = (
-            None
-            if weights is None
-            else [weights[indptr[v]:indptr[v + 1]] for v in range(n)]
-        )
-        graph._attributes = tuple(attributes)
+        graph._weights = weights
+        graph._attributes = attributes
         graph._attribute_index = (
-            _index_attributes(graph._attributes)
+            _index_attributes(attributes)
             if attribute_index is None
             else attribute_index
         )
@@ -465,6 +581,17 @@ class AttributedGraph:
     def _check_node(self, v: int) -> None:
         if not (0 <= v < self._n):
             raise NodeNotFoundError(v, self._n)
+
+
+def _edit_row(
+    row: np.ndarray, removed: "list[int] | None", added: "list[int] | None"
+) -> np.ndarray:
+    """The sorted ``row`` without ``removed`` and with ``added``."""
+    if removed:
+        row = row[~np.isin(row, removed)]
+    if added:
+        row = np.union1d(row, added)
+    return row
 
 
 def _index_attributes(

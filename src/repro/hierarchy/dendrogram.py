@@ -153,6 +153,18 @@ class CommunityHierarchy:
         the bulk form of :meth:`size`."""
         return self._size
 
+    @property
+    def leaf_order(self) -> np.ndarray:
+        """Every leaf in DFS order as one int64 array (do not mutate):
+        ``members(v)`` is ``leaf_order[member_starts[v]:][:sizes[v]]``."""
+        return self._leaf_order
+
+    @property
+    def member_starts(self) -> np.ndarray:
+        """Where each vertex's members start in :attr:`leaf_order`, as one
+        int64 array (do not mutate); the bulk form of :meth:`members`."""
+        return self._range_lo
+
     def size(self, vertex: int) -> int:
         """Number of leaves below ``vertex`` (1 for leaves)."""
         self._check_vertex(vertex)

@@ -54,24 +54,39 @@ it, seed for seed, against these implementations:
   :func:`reference_level_bucket_counts` tallies its assignment one entry
   at a time. Production's one-frontier label-correcting relaxation must
   produce ``==`` arrays.
+* :func:`reference_apply_updates` — an update batch applied by copying
+  the whole edge set and every node's attribute set into Python sets,
+  editing them, and rebuilding the graph through the constructor.
+  Production's row-editing path must give an equal graph and raise the
+  same :class:`~repro.errors.GraphError` messages.
+* :func:`reference_graph_checksum` — the edge-set digest over Python
+  tuples sorted and serialized by ``json``. Production's cached digest
+  must be the same string.
+* :func:`reference_bottom_up_ranks` — HIMOR's rank recombination as
+  smaller-into-larger dict merges, deepest vertex first, with one
+  ``bisect`` per member. Production's one-sort array pass must give
+  ``==`` rank arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+from bisect import bisect_left
 from itertools import product
 
 import numpy as np
 
 from repro.core.lore import LoreResult, select_reclustering_community
-from repro.errors import HierarchyError
+from repro.dynamic.updates import AttrUpdate, EdgeUpdate
+from repro.errors import GraphError, HierarchyError
 from repro.graph.graph import AttributedGraph
 from repro.graph.subgraph import SubgraphView
 from repro.graph.weighting import AttributeWeighting
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.models import InfluenceModel, WeightedCascade
+from repro.utils.persist import payload_checksum
 from repro.utils.rng import ensure_rng
 
 
@@ -803,3 +818,120 @@ def reference_level_bucket_counts(arena, node_levels: np.ndarray,
         if level < n_levels:
             counts[int(level), int(arena.nodes[entry])] += 1
     return counts
+
+
+def _reference_check_conflicts(updates: list) -> None:
+    """Reject batches that touch one edge / node-attribute pair twice."""
+    seen_edges: set[tuple[int, int]] = set()
+    seen_attrs: set[tuple[int, int]] = set()
+    for update in updates:
+        if isinstance(update, EdgeUpdate):
+            key = update.key()
+            if key in seen_edges:
+                raise GraphError(
+                    f"conflicting updates for edge {key} in one batch: a "
+                    "batch may touch each edge at most once (split "
+                    "order-dependent sequences across batches)"
+                )
+            seen_edges.add(key)
+        elif isinstance(update, AttrUpdate):
+            key = update.key()
+            if key in seen_attrs:
+                raise GraphError(
+                    f"conflicting updates for node-attribute pair {key} in "
+                    "one batch: a batch may touch each pair at most once"
+                )
+            seen_attrs.add(key)
+        else:
+            raise GraphError(
+                f"unknown update type {type(update).__name__!r}; expected "
+                "EdgeUpdate or AttrUpdate"
+            )
+
+
+def reference_apply_updates(graph: AttributedGraph, updates) -> AttributedGraph:
+    """Apply an update batch by rebuilding the whole graph from edge and
+    attribute sets, checking each update against the evolving sets."""
+    updates = list(updates)
+    _reference_check_conflicts(updates)
+    edges = set(graph.edges())
+    attributes = [set(graph.attributes_of(v)) for v in range(graph.n)]
+    for update in updates:
+        if isinstance(update, EdgeUpdate):
+            key = update.key()
+            if key[0] == key[1]:
+                raise GraphError(f"self-loop update ({key[0]}, {key[1]})")
+            if not (0 <= key[0] and key[1] < graph.n):
+                raise GraphError(f"update endpoint out of range: {key}")
+            if update.add:
+                if key in edges:
+                    raise GraphError(f"edge {key} already exists")
+                edges.add(key)
+            else:
+                if key not in edges:
+                    raise GraphError(f"edge {key} does not exist")
+                edges.discard(key)
+        else:
+            node, attribute = update.key()
+            if not 0 <= node < graph.n:
+                raise GraphError(f"update node out of range: {node}")
+            if attribute < 0:
+                raise GraphError(f"negative attribute value: {attribute}")
+            if update.add:
+                if attribute in attributes[node]:
+                    raise GraphError(
+                        f"node {node} already carries attribute {attribute}"
+                    )
+                attributes[node].add(attribute)
+            else:
+                if attribute not in attributes[node]:
+                    raise GraphError(
+                        f"node {node} does not carry attribute {attribute}"
+                    )
+                attributes[node].discard(attribute)
+    return AttributedGraph(graph.n, sorted(edges), attributes=attributes)
+
+
+def reference_graph_checksum(graph: AttributedGraph) -> str:
+    """SHA-256 of the sorted ``(u, v)`` edge tuples, serialized by ``json``."""
+    return payload_checksum(sorted((int(u), int(v)) for u, v in graph.edges()))
+
+
+def reference_bottom_up_ranks(
+    hierarchy: CommunityHierarchy, buckets: dict[int, dict[int, int]]
+) -> list[np.ndarray]:
+    """Merge cumulative count dicts bottom-up, deepest vertex first, and
+    rank every member of each community by bisecting its sorted counts."""
+    n = hierarchy.n_leaves
+    depths = hierarchy.depths
+    ranks = [np.zeros(d - 1, dtype=np.int64) for d in depths[:n].tolist()]
+    position = [0] * n
+
+    cumulative: dict[int, dict[int, int]] = {}
+    order = n + np.argsort(-depths[n:], kind="stable")
+    for vertex in order.tolist():
+        merged: dict[int, int] = {}
+        for child in hierarchy.children(vertex):
+            child_counts = cumulative.pop(child, None)
+            if child_counts is None:
+                continue
+            if len(child_counts) > len(merged):
+                merged, child_counts = child_counts, merged
+            for node, count in child_counts.items():
+                merged[node] = merged.get(node, 0) + count
+        own = buckets.get(vertex)
+        if own:
+            for node, count in own.items():
+                merged[node] = merged.get(node, 0) + count
+        cumulative[vertex] = merged
+
+        sorted_counts = sorted(merged.values())
+        total_scored = len(sorted_counts)
+        for node in hierarchy.members(vertex):
+            node = int(node)
+            count = merged.get(node, 0)
+            strictly_above = total_scored - bisect_left(sorted_counts, count + 1)
+            slot = position[node]
+            ranks[node][slot] = 1 + strictly_above
+            position[node] += 1
+    return ranks

@@ -8,8 +8,9 @@ merges (so the same vertex ids and parent arrays) as
 :func:`reference_agglomerative_hierarchy`, and the HFS must produce
 ``==`` buckets — hence bit-identical ranks — to :func:`reference_tree_hfs`,
 including its checkpoint, resume, fault and budget contracts. The LCA
-index and the bottom-up rank pass read the hierarchy's arrays directly;
-their tables and vertex order must equal the per-vertex construction.
+index reads the hierarchy's arrays directly; its tables must equal the
+per-vertex construction. (The bottom-up rank pass has its own
+differential in ``test_update_path_differential.py``.)
 """
 
 import copy
@@ -160,21 +161,6 @@ def assert_same_lca_tables(hierarchy) -> None:
     assert np.array_equal(index._log, log)
 
 
-def recorded_rank_order(monkeypatch, hierarchy) -> list[int]:
-    """The order in which ``_bottom_up_ranks`` visits internal vertices."""
-    seen: list[int] = []
-    children = CommunityHierarchy.children
-
-    def spy(self, vertex):
-        seen.append(vertex)
-        return children(self, vertex)
-
-    monkeypatch.setattr(CommunityHierarchy, "children", spy)
-    _bottom_up_ranks(hierarchy, {})
-    monkeypatch.undo()
-    return seen
-
-
 class TestHierarchyArrays:
     def test_lca_tables_paper_tree(self, paper_hierarchy):
         assert_same_lca_tables(paper_hierarchy)
@@ -183,22 +169,6 @@ class TestHierarchyArrays:
     def test_lca_tables_random_trees(self, seed):
         rng = np.random.default_rng(seed)
         assert_same_lca_tables(random_hierarchy(int(rng.integers(2, 300)), rng))
-
-    def test_rank_order_paper_tree(self, monkeypatch, paper_hierarchy):
-        expected = sorted(
-            paper_hierarchy.internal_vertices(),
-            key=paper_hierarchy.depth, reverse=True,
-        )
-        assert recorded_rank_order(monkeypatch, paper_hierarchy) == expected
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_rank_order_random_trees(self, monkeypatch, seed):
-        rng = np.random.default_rng(seed)
-        hierarchy = random_hierarchy(int(rng.integers(2, 300)), rng)
-        expected = sorted(
-            hierarchy.internal_vertices(), key=hierarchy.depth, reverse=True
-        )
-        assert recorded_rank_order(monkeypatch, hierarchy) == expected
 
 
 # --------------------------------------------------------------- tree HFS
