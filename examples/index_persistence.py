@@ -3,8 +3,9 @@
 The HIMOR index depends only on the graph and the non-attributed
 hierarchy, so it can be built once (batch job), persisted, and shared by
 every query-serving process. This script shows the full offline/online
-split, including hierarchy and graph serialization, and measures the
-online speedup the index buys over index-free evaluation.
+split, including graph serialization (the index envelope carries its
+hierarchy), and measures the online speedup the index buys over
+index-free evaluation.
 
 Run:  python examples/index_persistence.py
 """
@@ -13,10 +14,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import CODL, CODLMinus, CODQuery, generate_queries, load_dataset
-from repro.core.himor import HimorIndex
+from repro import CODL, CODServer, generate_queries, load_dataset
 from repro.graph.io import load_json, save_json
-from repro.hierarchy.io import load_hierarchy, save_hierarchy
+from repro.serving.server import RUNG_CODL, RUNG_CODL_MINUS
 
 
 def offline_phase(workdir: Path) -> None:
@@ -29,37 +29,46 @@ def offline_phase(workdir: Path) -> None:
     build = time.perf_counter() - start
 
     save_json(data.graph, workdir / "graph.json")
-    save_hierarchy(pipeline.hierarchy, workdir / "hierarchy.json")
     index.save(workdir / "himor.json")
     print(f"offline: built HIMOR in {build:.2f}s "
           f"(index {index.memory_bytes() / 2**20:.2f} MB), artifacts in {workdir}")
 
 
+def timed(server: CODServer, rung: str, query) -> "tuple[float, int]":
+    """Milliseconds and community size of one direct rung run."""
+    start = time.perf_counter()
+    members, _ = server.run_rung(rung, query.node, query.attribute, [query.k])
+    elapsed_ms = (time.perf_counter() - start) * 1000
+    found = members[query.k]
+    return elapsed_ms, 0 if found is None else len(found)
+
+
 def online_phase(workdir: Path) -> None:
     """Query server: load artifacts, answer queries, report latency."""
     graph = load_json(workdir / "graph.json")
-    hierarchy = load_hierarchy(workdir / "hierarchy.json")
-    index = HimorIndex.load(workdir / "himor.json")
 
-    # Wire the precomputed pieces into a CODL pipeline.
-    pipeline = CODL(graph, theta=10, seed=19)
-    pipeline._hierarchy = hierarchy
-    pipeline._index = index
-
-    baseline = CODLMinus(graph, theta=10, seed=19)
-    baseline._hierarchy = hierarchy
+    # Each server loads the persisted index (and adopts its hierarchy)
+    # instead of building one; a missing or corrupt artifact raises.
+    # Two servers, so neither rung reuses the other's LORE chains.
+    indexed, baseline = (
+        CODServer(graph, theta=10, seed=19, index_path=workdir / "himor.json",
+                  auto_rebuild_index=False)
+        for _ in range(2)
+    )
+    indexed.warm()
+    baseline.warm()
 
     queries = generate_queries(graph, count=10, k=5, rng=31)
     indexed_ms, unindexed_ms = [], []
     for query in queries:
-        r1 = pipeline.discover(CODQuery(query.node, query.attribute, 5))
-        r2 = baseline.discover(CODQuery(query.node, query.attribute, 5))
-        indexed_ms.append(r1.elapsed * 1000)
-        unindexed_ms.append(r2.elapsed * 1000)
-        agree = "==" if r1.size == r2.size else "~"
-        print(f"  node {query.node:5d}: CODL {r1.elapsed * 1000:7.1f} ms "
-              f"(|C*|={r1.size:4d}) {agree} CODL- "
-              f"{r2.elapsed * 1000:7.1f} ms (|C*|={r2.size:4d})")
+        ms1, size1 = timed(indexed, RUNG_CODL, query)
+        ms2, size2 = timed(baseline, RUNG_CODL_MINUS, query)
+        indexed_ms.append(ms1)
+        unindexed_ms.append(ms2)
+        agree = "==" if size1 == size2 else "~"
+        print(f"  node {query.node:5d}: CODL {ms1:7.1f} ms "
+              f"(|C*|={size1:4d}) {agree} CODL- "
+              f"{ms2:7.1f} ms (|C*|={size2:4d})")
 
     speedup = (sum(unindexed_ms) / max(sum(indexed_ms), 1e-9))
     print(f"online: mean latency {sum(indexed_ms) / len(indexed_ms):.1f} ms "

@@ -8,7 +8,7 @@ from repro.core.explain import (
     explain_evaluation,
     explain_lore,
 )
-from repro.core.himor import HimorIndex, himor_cod
+from repro.core.himor import HimorIndex
 from repro.core.independent import independent_cod
 from repro.core.lore import (
     LoreResult,
@@ -33,7 +33,6 @@ __all__ = [
     "reclustering_scores",
     "LoreResult",
     "HimorIndex",
-    "himor_cod",
     "CODU",
     "CODR",
     "CODL",

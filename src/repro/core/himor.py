@@ -1,4 +1,4 @@
-"""The HIMOR index (Section IV-B) and index-accelerated COD (Algorithm 3).
+"""The HIMOR index (Section IV-B), the lookup of Algorithm 3.
 
 LORE only changes the hierarchy *below* the reclustered community ``C_l``;
 everything above it comes unchanged from the non-attributed hierarchy
@@ -6,7 +6,9 @@ everything above it comes unchanged from the non-attributed hierarchy
 and every ancestor community ``C`` of ``v`` in ``T``, the influence rank
 ``rank_C(v)`` — so a query first walks the ranks of ``q`` over the
 ancestors of ``C_l`` top-down (largest community first) and only falls back
-to compressed evaluation *inside* ``C_l`` when no ancestor qualifies.
+to compressed evaluation *inside* ``C_l`` when no ancestor qualifies. The
+query side of Algorithm 3 is the CODL rung of
+:class:`~repro.serving.server.CODServer`.
 
 Construction is the compressed tree variant of Algorithm 1: one pool of
 ``Theta = theta * |V|`` RR graphs is HFS-traversed over the whole tree ``T``
@@ -27,8 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.compressed import CompressedEvaluation, compressed_cod
-from repro.core.lore import LoreResult
 from repro.errors import CheckpointError, IndexError_, QueryError
 from repro.graph.graph import AttributedGraph
 from repro.hierarchy.dendrogram import CommunityHierarchy
@@ -413,49 +413,6 @@ class HimorIndex:
             raise IndexError_(f"malformed HIMOR index in {path}: {exc}") from exc
         index.sample_mode = payload.get("sample_mode")
         return index
-
-
-def himor_cod(
-    graph: AttributedGraph,
-    index: HimorIndex,
-    lore: LoreResult,
-    k: int,
-    theta: int = 10,
-    model: InfluenceModel | None = None,
-    rng: "int | np.random.Generator | None" = None,
-) -> "tuple[np.ndarray | None, CompressedEvaluation | None]":
-    """Algorithm 3: HIMOR-accelerated COD for one query.
-
-    Returns ``(members, fallback_evaluation)``: when the index scan
-    resolves the query, ``fallback_evaluation`` is ``None``; otherwise
-    compressed evaluation runs on the reclustered communities strictly
-    inside ``C_l`` and its result is returned alongside the community (or
-    ``None`` when no characteristic community exists).
-    """
-    q = lore.chain.q
-    ancestor = index.largest_qualifying_ancestor(q, k, floor_vertex=lore.c_ell_vertex)
-    if ancestor is not None:
-        return index.hierarchy.members(ancestor), None
-
-    if lore.c_ell_chain_level == 0:
-        # No reclustered community strictly inside C_l: nothing to evaluate.
-        return None, None
-    inner_chain = lore.chain.prefix(lore.c_ell_chain_level)
-
-    # Sources outside C_l can never reach q's communities (all lie inside
-    # C_l), so sampling is confined to C_l: theta * |C_l| restricted RR
-    # graphs are statistically equivalent to the theta * |V| global samples
-    # Algorithm 1 would draw, at a |C_l| / |V| fraction of the cost. This
-    # restriction is the evaluation-side speedup of CODL over CODL-.
-    model = model or WeightedCascade()
-    rng = ensure_rng(rng)
-    allowed = set(int(v) for v in index.hierarchy.members(lore.c_ell_vertex))
-    n_local = theta * len(allowed)
-    local_samples = sample_arena(
-        graph, n_local, model=model, rng=rng, allowed=allowed
-    )
-    evaluation = compressed_cod(graph, inner_chain, k=k, rr_graphs=local_samples)
-    return evaluation.characteristic_community(k), evaluation
 
 
 # ------------------------------------------------------------- checkpoints

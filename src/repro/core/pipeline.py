@@ -8,6 +8,11 @@
 * :class:`CODL` — LORE chain + HIMOR index + Algorithm 3; the paper's fully
   optimized method.
 
+``CODU``, ``CODLMinus`` and ``CODL`` are adapters: each answers through the
+same-named rung of a private, pool-less
+:class:`~repro.serving.server.CODServer`, so the paper's figures and the
+serving benchmark run the same code. ``CODR`` evaluates here.
+
 Each pipeline exposes ``discover(query)`` returning a :class:`CODResult`
 and ``discover_multi(node, attribute, ks)`` that answers several rank
 budgets while sharing the expensive sampling — the shape every experiment
@@ -23,8 +28,7 @@ import numpy as np
 
 from repro.core.compressed import compressed_cod
 from repro.core.himor import HimorIndex
-from repro.core.lore import lore_chain
-from repro.core.problem import CODQuery
+from repro.core.problem import CODQuery, validate_budgets
 from repro.errors import QueryError
 from repro.graph.graph import AttributedGraph
 from repro.graph.weighting import AttributeWeighting, attribute_weighted_graph
@@ -32,7 +36,6 @@ from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.models import InfluenceModel, WeightedCascade
-from repro.influence.arena import sample_arena
 from repro.utils.cache import LRUCache
 from repro.utils.rng import ensure_rng
 
@@ -76,9 +79,11 @@ class CODResult:
 
 
 class _BasePipeline:
-    """Shared construction knobs for all pipelines."""
+    """Shared construction knobs and the timed query path of every pipeline."""
 
     method_name = "abstract"
+    #: Whether queries must name an attribute (every method but CODU).
+    requires_attribute = True
 
     def __init__(
         self,
@@ -87,26 +92,12 @@ class _BasePipeline:
         model: InfluenceModel | None = None,
         weighting: AttributeWeighting | None = None,
         seed: "int | np.random.Generator | None" = None,
-        rebalance: bool = False,
     ) -> None:
         self.graph = graph
         self.theta = int(theta)
         self.model = model or WeightedCascade()
         self.weighting = weighting or AttributeWeighting()
         self.rng = ensure_rng(seed)
-        #: Post-process hierarchies with
-        #: :func:`repro.hierarchy.balance.rebalanced_hierarchy`; caps the
-        #: skew term of HIMOR construction on hub-dominated graphs.
-        self.rebalance = bool(rebalance)
-
-    def _build_hierarchy(self, graph: AttributedGraph) -> CommunityHierarchy:
-        """Cluster ``graph``, honoring the pipeline's rebalance option."""
-        hierarchy = agglomerative_hierarchy(graph)
-        if self.rebalance:
-            from repro.hierarchy.balance import rebalanced_hierarchy
-
-            hierarchy = rebalanced_hierarchy(hierarchy)
-        return hierarchy
 
     def discover(self, query: CODQuery) -> CODResult:
         """Answer one COD query."""
@@ -116,25 +107,74 @@ class _BasePipeline:
     def discover_multi(
         self, node: int, attribute: "int | None", ks: "list[int]"
     ) -> dict[int, CODResult]:
-        """Answer one query for several rank budgets, sharing the sampling."""
-        raise NotImplementedError
+        """Answer one query for several rank budgets, sharing the sampling.
+
+        Every ``k`` is validated before any work; what all queries share is
+        built before the timer starts.
+        """
+        validate_budgets(self.graph, node, attribute, ks)
+        if attribute is None and self.requires_attribute:
+            raise QueryError(f"{self.method_name} requires a query attribute")
+        self._prepare()
+        start = time.perf_counter()
+        members_by_k, chain_length = self._answer(node, attribute, ks)
+        elapsed = time.perf_counter() - start
+        return {
+            k: CODResult(
+                self.method_name, CODQuery(node, attribute, k), members_by_k[k],
+                chain_length, elapsed,
+            )
+            for k in ks
+        }
 
     def discover_batch(self, queries: "list[CODQuery]") -> list[CODResult]:
-        """Answer a workload of queries.
-
-        The base implementation loops over :meth:`discover`; pipelines
-        whose evaluation can share RR samples across queries (CODU)
-        override it with a pooled variant.
-        """
+        """Answer a workload of queries, one :meth:`discover` each (CODU
+        overrides this to share one RR pool across the workload)."""
         return [self.discover(query) for query in queries]
 
-    def _validate(self, node: int, attribute: "int | None", ks: "list[int]") -> None:
-        if not ks:
-            raise QueryError("at least one rank budget k is required")
-        CODQuery(node, attribute, max(ks)).validate(self.graph)
+    def _prepare(self) -> None:
+        """Build what every query shares, outside the timed window."""
+
+    def _answer(
+        self, node: int, attribute: "int | None", ks: "list[int]"
+    ) -> "tuple[dict[int, np.ndarray | None], int]":
+        """The community per ``k`` and the number of communities examined."""
+        raise NotImplementedError
 
 
-class CODU(_BasePipeline):
+class _RungPipeline(_BasePipeline):
+    """A pipeline answered by its server's rung named :attr:`method_name`.
+
+    Each query samples afresh from the pipeline's seed stream (the server
+    has no pool); the server's LORE memos persist across queries.
+    """
+
+    def __init__(self, graph: AttributedGraph, **kwargs: object) -> None:
+        super().__init__(graph, **kwargs)  # type: ignore[arg-type]
+        # Local import: repro.serving imports repro.dynamic, which imports us.
+        from repro.serving.server import CODServer
+
+        #: The server whose rung answers; ``server.rng`` is :attr:`rng`.
+        self.server = CODServer(
+            graph, theta=self.theta, model=self.model, weighting=self.weighting,
+            seed=self.rng,
+        )
+
+    @property
+    def hierarchy(self) -> CommunityHierarchy:
+        """The shared non-attributed hierarchy (built on first use)."""
+        return self.server.hierarchy
+
+    def _prepare(self) -> None:
+        self.hierarchy
+
+    def _answer(
+        self, node: int, attribute: "int | None", ks: "list[int]"
+    ) -> "tuple[dict[int, np.ndarray | None], int]":
+        return self.server.run_rung(self.method_name, node, attribute, ks)
+
+
+class CODU(_RungPipeline):
     """Non-attributed hierarchy + compressed evaluation.
 
     Ignores the query attribute entirely (the Section III setting); serves
@@ -142,41 +182,7 @@ class CODU(_BasePipeline):
     """
 
     method_name = "CODU"
-
-    def __init__(self, graph: AttributedGraph, **kwargs: object) -> None:
-        super().__init__(graph, **kwargs)  # type: ignore[arg-type]
-        self._hierarchy: CommunityHierarchy | None = None
-
-    @property
-    def hierarchy(self) -> CommunityHierarchy:
-        """The shared non-attributed hierarchy (built on first use)."""
-        if self._hierarchy is None:
-            self._hierarchy = self._build_hierarchy(self.graph)
-        return self._hierarchy
-
-    def discover_multi(
-        self, node: int, attribute: "int | None", ks: "list[int]"
-    ) -> dict[int, CODResult]:
-        """Answer with the shared non-attributed hierarchy (Algorithm 1)."""
-        self._validate(node, attribute, ks)
-        hierarchy = self.hierarchy
-        start = time.perf_counter()
-        chain = CommunityChain.from_hierarchy(hierarchy, node)
-        evaluation = compressed_cod(
-            self.graph, chain, k=ks, theta=self.theta, model=self.model, rng=self.rng
-        )
-        elapsed = time.perf_counter() - start
-        return {
-            k: CODResult(
-                method=self.method_name,
-                query=CODQuery(node, attribute, k),
-                members=evaluation.characteristic_community(k),
-                chain_length=len(chain),
-                elapsed=elapsed,
-            )
-            for k in ks
-        }
-
+    requires_attribute = False
 
     def discover_batch(self, queries: "list[CODQuery]") -> list[CODResult]:
         """Pooled batch answering: one shared RR pool serves every query.
@@ -187,27 +193,15 @@ class CODU(_BasePipeline):
         """
         from repro.core.pool import SharedSamplePool
 
-        hierarchy = self.hierarchy
-        pool = SharedSamplePool(
+        # Drawn lazily from this pipeline's stream in the first query's timed
+        # window; the server evaluates the batch over it, then unpools.
+        self.server.pool = SharedSamplePool(
             self.graph, theta=self.theta, model=self.model, seed=self.rng
         )
-        results: list[CODResult] = []
-        for query in queries:
-            query.validate(self.graph)
-            start = time.perf_counter()
-            chain = CommunityChain.from_hierarchy(hierarchy, query.node)
-            evaluation = pool.evaluate(chain, k=query.k)
-            elapsed = time.perf_counter() - start
-            results.append(
-                CODResult(
-                    method=self.method_name,
-                    query=query,
-                    members=evaluation.characteristic_community(query.k),
-                    chain_length=len(chain),
-                    elapsed=elapsed,
-                )
-            )
-        return results
+        try:
+            return [self.discover(query) for query in queries]
+        finally:
+            self.server.pool = None
 
 
 class CODR(_BasePipeline):
@@ -244,43 +238,24 @@ class CODR(_BasePipeline):
         if cached is not None:
             return cached
         weighted = attribute_weighted_graph(self.graph, attribute, self.weighting)
-        hierarchy = self._build_hierarchy(weighted)
+        hierarchy = agglomerative_hierarchy(weighted)
         if self.cache_hierarchies:
             self._cache.put(attribute, hierarchy)
         return hierarchy
 
-    def discover_multi(
+    def _answer(
         self, node: int, attribute: "int | None", ks: "list[int]"
-    ) -> dict[int, CODResult]:
-        """Answer on the attribute-aware hierarchy over ``g_l``."""
-        self._validate(node, attribute, ks)
-        if attribute is None:
-            raise QueryError("CODR requires a query attribute")
-        cached = attribute in self._cache
-        start = time.perf_counter()
-        hierarchy = self.hierarchy_for(attribute)
-        if cached:
-            # Exclude cache hits from the measured time only when the
-            # hierarchy truly was precomputed before this call.
-            start = time.perf_counter()
-        chain = CommunityChain.from_hierarchy(hierarchy, node)
+    ) -> "tuple[dict[int, np.ndarray | None], int]":
+        # Timed: an uncached hierarchy is global reclustering, charged to
+        # the query; a cached one costs a lookup.
+        chain = CommunityChain.from_hierarchy(self.hierarchy_for(attribute), node)
         evaluation = compressed_cod(
             self.graph, chain, k=ks, theta=self.theta, model=self.model, rng=self.rng
         )
-        elapsed = time.perf_counter() - start
-        return {
-            k: CODResult(
-                method=self.method_name,
-                query=CODQuery(node, attribute, k),
-                members=evaluation.characteristic_community(k),
-                chain_length=len(chain),
-                elapsed=elapsed,
-            )
-            for k in ks
-        }
+        return {k: evaluation.characteristic_community(k) for k in ks}, len(chain)
 
 
-class CODLMinus(_BasePipeline):
+class CODLMinus(_RungPipeline):
     """LORE chain + compressed evaluation over the full ``H_l(q)``.
 
     The "CODL-" baseline of Section V-D: pays local reclustering per query
@@ -290,132 +265,22 @@ class CODLMinus(_BasePipeline):
 
     method_name = "CODL-"
 
-    def __init__(self, graph: AttributedGraph, **kwargs: object) -> None:
-        super().__init__(graph, **kwargs)  # type: ignore[arg-type]
-        self._hierarchy: CommunityHierarchy | None = None
-
-    @property
-    def hierarchy(self) -> CommunityHierarchy:
-        """The shared non-attributed hierarchy (built on first use)."""
-        if self._hierarchy is None:
-            self._hierarchy = self._build_hierarchy(self.graph)
-        return self._hierarchy
-
-    def discover_multi(
-        self, node: int, attribute: "int | None", ks: "list[int]"
-    ) -> dict[int, CODResult]:
-        """Answer with LORE's chain and full compressed evaluation."""
-        self._validate(node, attribute, ks)
-        if attribute is None:
-            raise QueryError(f"{self.method_name} requires a query attribute")
-        hierarchy = self.hierarchy
-        start = time.perf_counter()
-        lore = lore_chain(
-            self.graph,
-            hierarchy,
-            node,
-            attribute,
-            weighting=self.weighting,
-        )
-        evaluation = compressed_cod(
-            self.graph, lore.chain, k=ks, theta=self.theta, model=self.model, rng=self.rng
-        )
-        elapsed = time.perf_counter() - start
-        return {
-            k: CODResult(
-                method=self.method_name,
-                query=CODQuery(node, attribute, k),
-                members=evaluation.characteristic_community(k),
-                chain_length=len(lore.chain),
-                elapsed=elapsed,
-            )
-            for k in ks
-        }
-
 
 class CODL(CODLMinus):
     """The fully optimized method: LORE + HIMOR index (Algorithm 3)."""
 
     method_name = "CODL"
-
-    def __init__(self, graph: AttributedGraph, **kwargs: object) -> None:
-        super().__init__(graph, **kwargs)
-        self._index: HimorIndex | None = None
-        self.index_build_seconds: float | None = None
+    #: Seconds the first :attr:`index` access took (``None`` before it).
+    index_build_seconds: "float | None" = None
 
     @property
     def index(self) -> HimorIndex:
         """The shared HIMOR index (built on first use; timed)."""
-        if self._index is None:
-            start = time.perf_counter()
-            self._index = HimorIndex.build(
-                self.graph,
-                self.hierarchy,
-                theta=self.theta,
-                model=self.model,
-                rng=self.rng,
-            )
-            self.index_build_seconds = time.perf_counter() - start
-        return self._index
-
-    def discover_multi(
-        self, node: int, attribute: "int | None", ks: "list[int]"
-    ) -> dict[int, CODResult]:
-        """Answer via Algorithm 3: index scan, then local fallback."""
-        self._validate(node, attribute, ks)
-        if attribute is None:
-            raise QueryError("CODL requires a query attribute")
-        index = self.index  # ensure built outside the timed window
         start = time.perf_counter()
-        lore = lore_chain(
-            self.graph,
-            self.hierarchy,
-            node,
-            attribute,
-            weighting=self.weighting,
-        )
+        index = self.server.index
+        if self.index_build_seconds is None:
+            self.index_build_seconds = time.perf_counter() - start
+        return index
 
-        # Algorithm 3, answering all budgets jointly: the index scan
-        # resolves each k independently; the fallback (compressed
-        # evaluation inside C_l, restricted sampling) runs at most once and
-        # serves every unresolved budget.
-        members_by_k: dict[int, np.ndarray | None] = {}
-        fallback_ks: list[int] = []
-        for k in ks:
-            ancestor = index.largest_qualifying_ancestor(
-                node, k, floor_vertex=lore.c_ell_vertex
-            )
-            if ancestor is not None:
-                members_by_k[k] = index.hierarchy.members(ancestor)
-            else:
-                members_by_k[k] = None
-                fallback_ks.append(k)
-        if fallback_ks and lore.c_ell_chain_level > 0:
-            inner_chain = lore.chain.prefix(lore.c_ell_chain_level)
-            allowed = set(
-                int(v) for v in index.hierarchy.members(lore.c_ell_vertex)
-            )
-            n_local = self.theta * len(allowed)
-            local_samples = sample_arena(
-                self.graph, n_local, model=self.model, rng=self.rng, allowed=allowed
-            )
-            evaluation = compressed_cod(
-                self.graph,
-                inner_chain,
-                k=fallback_ks,
-                rr_graphs=local_samples,
-            )
-            for k in fallback_ks:
-                members_by_k[k] = evaluation.characteristic_community(k)
-        elapsed = time.perf_counter() - start
-
-        return {
-            k: CODResult(
-                method=self.method_name,
-                query=CODQuery(node, attribute, k),
-                members=members_by_k[k],
-                chain_length=len(lore.chain),
-                elapsed=elapsed,
-            )
-            for k in ks
-        }
+    def _prepare(self) -> None:
+        self.index

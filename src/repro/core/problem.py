@@ -46,3 +46,14 @@ class CODQuery:
                 raise QueryError(
                     f"query attribute {self.attribute} is not present on any node"
                 )
+
+
+def validate_budgets(
+    graph: AttributedGraph, node: int, attribute: "int | None", ks: "list[int]"
+) -> None:
+    """Raise :class:`QueryError` unless ``ks`` is non-empty and every
+    ``CODQuery(node, attribute, k)`` is valid for ``graph``."""
+    if not ks:
+        raise QueryError("at least one rank budget k is required")
+    for k in ks:
+        CODQuery(node, attribute, k).validate(graph)

@@ -30,14 +30,11 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.compressed import compressed_cod
-from repro.core.lore import lore_chain
 from repro.core.pipeline import CODL
 from repro.core.problem import CODQuery
 from repro.dynamic.updates import GraphUpdate, apply_updates
 from repro.errors import QueryError
 from repro.graph.graph import AttributedGraph
-from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.estimator import estimate_influences_in_community
 from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.rng import ensure_rng
@@ -230,19 +227,13 @@ class DynamicCOD:
     def _fresh_answer(
         self, query: CODQuery, budget: "object | None" = None
     ) -> "np.ndarray | None":
-        # A CODL- pass on the live graph, with every expensive phase
-        # (clustering, LORE, sampling) under the caller's budget.
-        hierarchy = agglomerative_hierarchy(self._graph)
-        lore = lore_chain(
-            self._graph, hierarchy, query.node, query.attribute, budget=budget
+        # A CODL- pass on the live graph, every expensive phase (clustering,
+        # LORE, sampling) under the caller's budget. Local import:
+        # repro.serving imports this package.
+        from repro.serving.server import RUNG_CODL_MINUS, CODServer
+
+        server = CODServer(self._graph, theta=self.theta, model=self.model, seed=self.rng)
+        members, _ = server.run_rung(
+            RUNG_CODL_MINUS, query.node, query.attribute, [query.k], budget
         )
-        evaluation = compressed_cod(
-            self._graph,
-            lore.chain,
-            k=query.k,
-            theta=self.theta,
-            model=self.model,
-            rng=self.rng,
-            budget=budget,
-        )
-        return evaluation.characteristic_community(query.k)
+        return members[query.k]

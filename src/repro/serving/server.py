@@ -48,13 +48,14 @@ import numpy as np
 from repro.core.compressed import compressed_cod
 from repro.core.himor import HimorIndex, graph_checksum, same_hierarchy
 from repro.core.lore import LoreResult, local_recluster_bytes, lore_chain
-from repro.core.problem import CODQuery
+from repro.core.problem import CODQuery, validate_budgets
 from repro.errors import (
     BudgetExhaustedError,
     CircuitOpenError,
     DeadlineExceededError,
     IndexError_,
     InfluenceError,
+    QueryError,
     ServingError,
 )
 from repro.graph.graph import AttributedGraph
@@ -368,7 +369,7 @@ class CODServer:
         #: LORE's query-independent parts, shared across query nodes:
         #: per-attribute edge-LCA counts and per-(attribute, C_l) local
         #: reclusterings (see ``lore_chain(memo=)``). Invalidated together
-        #: with ``_lore_cache`` by :meth:`_invalidate_lore`. Bounded by bytes
+        #: with ``_lore_cache`` by :meth:`invalidate_lore`. Bounded by bytes
         #: only: entries range from a few nodes to the whole graph, and an
         #: entry count would let cheap small ones evict the costly large
         #: ones between their uses.
@@ -453,9 +454,10 @@ class CODServer:
                 with rung_cm as rung_span:
                     try:
                         budget.check()
-                        members, chain_length = self._try_rung(
-                            rung, query, budget, answer, trace
+                        members_by_k, chain_length = self._try_rung(
+                            rung, query, [query.k], budget, answer, trace
                         )
+                        members = members_by_k[query.k]
                     except (DeadlineExceededError, BudgetExhaustedError) as exc:
                         # The budget is shared: once it is spent no lower
                         # rung can draw either, so stop descending and
@@ -507,6 +509,39 @@ class CODServer:
         self._rungs[answer.rung].inc()
         self._latency.record(answer.elapsed)
         return answer
+
+    def run_rung(
+        self,
+        rung: str,
+        node: int,
+        attribute: "int | None",
+        ks: "list[int]",
+        budget: "ExecutionBudget | None" = None,
+    ) -> "tuple[dict[int, np.ndarray | None], int]":
+        """Run one rung directly: ``({k: community or None}, chain length)``.
+
+        No ladder, retries or circuit breaker, and no budget unless one is
+        given, so the first error propagates; every ``k`` is validated
+        before any work. The paper pipelines (:mod:`repro.core.pipeline`)
+        answer through this.
+        """
+        if rung not in LADDER:
+            raise ValueError(f"unknown rung {rung!r}; expected one of {LADDER}")
+        validate_budgets(self.graph, node, attribute, ks)
+        if budget is None:
+            budget = ExecutionBudget(clock=self._clock)
+        query = CODQuery(node, attribute, max(ks))
+        return self._try_rung(rung, query, list(ks), budget, None)
+
+    @property
+    def hierarchy(self) -> CommunityHierarchy:
+        """The non-attributed hierarchy (built on first use)."""
+        return self._ensure_hierarchy(ExecutionBudget(clock=self._clock))
+
+    @property
+    def index(self) -> HimorIndex:
+        """The HIMOR index of the CODL rung (loaded or built on first use)."""
+        return self._ensure_index(ExecutionBudget(clock=self._clock))
 
     def answer_batch(
         self,
@@ -635,7 +670,7 @@ class CODServer:
             repaired = 0
             index_action = "none"
             if structural:
-                invalidated += self._invalidate_lore()
+                invalidated += self.invalidate_lore()
                 invalidated += self._restricted_cache.clear()
                 rep = None
                 if self.pool is not None:
@@ -652,9 +687,9 @@ class CODServer:
                 if self.weighting.scheme == "jaccard":
                     # Jaccard weights read every node's full attribute set,
                     # so no cached chain is provably untouched.
-                    invalidated += self._invalidate_lore()
+                    invalidated += self.invalidate_lore()
                 else:
-                    invalidated += self._invalidate_lore(t_attrs)
+                    invalidated += self.invalidate_lore(t_attrs)
                 # Restricted arenas and HIMOR ranks are topology-only;
                 # attribute flips cannot stale them.
                 if self.pool is not None:
@@ -760,7 +795,7 @@ class CODServer:
                 "with use_pool disabled"
             )
         target = self.epoch + 1 if epoch is None else int(epoch)
-        invalidated = self._invalidate_lore()
+        invalidated = self.invalidate_lore()
         invalidated += self._restricted_cache.clear()
         self.pool.adopt(graph, arena)
         old_graph = self.graph
@@ -894,154 +929,127 @@ class CODServer:
         self,
         rung: str,
         query: CODQuery,
+        ks: "list[int]",
         budget: ExecutionBudget,
-        answer: ServedAnswer,
+        answer: "ServedAnswer | None",
         trace: "object | None" = None,
-    ) -> "tuple[np.ndarray | None, int]":
-        if rung == RUNG_CODL:
-            return self._rung_codl(query, budget, answer, trace)
-        if rung == RUNG_CODL_MINUS:
-            return self._rung_codl_minus(query, budget, answer, trace)
-        return self._rung_codu(query, budget, answer, trace)
+    ) -> "tuple[dict[int, np.ndarray | None], int]":
+        """The community per ``k`` and the number of communities examined.
+        ``answer`` is ``None`` on a direct run (:meth:`run_rung`): one
+        attempt, no circuit breaker."""
+        if rung == RUNG_CODU:
+            # Attribute-blind fallback on the non-attributed hierarchy.
+            hierarchy = self._ensure_hierarchy(budget, trace)
+            chain = CommunityChain.from_hierarchy(hierarchy, query.node)
+        elif query.attribute is None:
+            raise QueryError(f"{rung} requires a query attribute")
+        elif rung == RUNG_CODL:
+            return self._rung_codl(query, ks, budget, answer, trace)
+        else:
+            # CODL-: fresh LORE + compressed evaluation over the full chain.
+            guarded = answer is not None
+            chain = self._guarded_lore(query, budget, trace, guarded=guarded).chain
+        return self._evaluate(chain, ks, budget, answer, trace, rung), len(chain)
 
     def _rung_codl(
         self,
         query: CODQuery,
+        ks: "list[int]",
         budget: ExecutionBudget,
-        answer: ServedAnswer,
+        answer: "ServedAnswer | None",
         trace: "object | None" = None,
-    ) -> "tuple[np.ndarray | None, int]":
-        """Algorithm 3: HIMOR index scan + restricted local fallback."""
-        if query.attribute is None:
-            raise InfluenceError("CODL requires a query attribute")
+    ) -> "tuple[dict[int, np.ndarray | None], int]":
+        """Algorithm 3: HIMOR index scan + restricted local fallback. The
+        scan resolves each ``k`` on its own; one fallback evaluation inside
+        ``C_l`` serves every ``k`` it left open."""
         index = self._ensure_index(budget, trace)
-        lore = self._guarded_lore(query, budget, trace)
+        lore = self._guarded_lore(query, budget, trace, guarded=answer is not None)
         lookup_cm = (
             trace.span("himor_lookup") if trace is not None else nullcontext()
         )
         with lookup_cm as lookup_span:
-            ancestor = index.largest_qualifying_ancestor(
-                query.node, query.k, floor_vertex=lore.c_ell_vertex
-            )
-            if lookup_span is not None:
-                lookup_span.note(hit=ancestor is not None)
-        if ancestor is not None:
-            return index.hierarchy.members(ancestor), len(lore.chain)
-        if lore.c_ell_chain_level == 0:
-            return None, len(lore.chain)
-        inner_chain = lore.chain.prefix(lore.c_ell_chain_level)
-        members = index.hierarchy.members(lore.c_ell_vertex)
-
-        def evaluate(theta: int) -> "np.ndarray | None":
-            if self.pool is not None:
-                samples = self._restricted_arena(
-                    query.attribute, lore.c_ell_vertex, members, budget, trace
+            members_by_k: "dict[int, np.ndarray | None]" = {}
+            for k in ks:
+                ancestor = index.largest_qualifying_ancestor(
+                    query.node, k, floor_vertex=lore.c_ell_vertex
                 )
+                members_by_k[k] = (
+                    None if ancestor is None else index.hierarchy.members(ancestor)
+                )
+            fallback_ks = [k for k in ks if members_by_k[k] is None]
+            if lookup_span is not None:
+                lookup_span.note(hit=not fallback_ks)
+        if fallback_ks and lore.c_ell_chain_level > 0:
+            # Sources outside C_l never reach a community inside it, so
+            # samples confined to C_l stand in for the global draw.
+            vertex = lore.c_ell_vertex
+            floor = (query.attribute, vertex, index.hierarchy.members(vertex))
+            inner_chain = lore.chain.prefix(lore.c_ell_chain_level)
+            fallback = self._evaluate(
+                inner_chain, fallback_ks, budget, answer, trace, RUNG_CODL, floor
+            )
+            members_by_k.update(fallback)
+        return members_by_k, len(lore.chain)
+
+    def _evaluate(
+        self,
+        chain: CommunityChain,
+        ks: "list[int]",
+        budget: ExecutionBudget,
+        answer: "ServedAnswer | None",
+        trace: "object | None",
+        label: str,
+        floor: "tuple | None" = None,
+    ) -> "dict[int, np.ndarray | None]":
+        """Compressed evaluation of ``chain`` for every ``k``, with retries,
+        over the pool or ``theta`` fresh samples per node. CODL's fallback
+        passes ``floor=(attribute, C_l vertex, C_l members)`` to confine
+        the samples to ``C_l``."""
+
+        def evaluate(theta: int) -> "dict[int, np.ndarray | None]":
+            if self.pool is not None and floor is not None:
+                samples: "RRArena" = self._restricted_arena(*floor, budget, trace)
+            elif self.pool is not None:
+                budget.check()
+                samples = self.pool.materialize(trace=trace)
             else:
+                allowed = None if floor is None else set(int(v) for v in floor[2])
+                count = self.graph.n if allowed is None else len(allowed)
                 samples = self._sample(
                     self.graph,
-                    budget.clamp_samples(theta * len(members)),
+                    budget.clamp_samples(theta * count),
                     model=self.model,
                     rng=self.rng,
-                    allowed=set(int(v) for v in members),
+                    allowed=allowed,
                     budget=budget,
                     trace=trace,
                 )
             evaluation = compressed_cod(
-                self.graph,
-                inner_chain,
-                k=query.k,
-                rr_graphs=samples,
-                budget=budget,
-                trace=trace,
+                self.graph, chain, k=ks, rr_graphs=samples, budget=budget, trace=trace
             )
-            return evaluation.characteristic_community(query.k)
+            return {k: evaluation.characteristic_community(k) for k in ks}
 
-        return self._with_sampling_retries(evaluate, budget, answer, RUNG_CODL), len(
-            lore.chain
-        )
-
-    def _rung_codl_minus(
-        self,
-        query: CODQuery,
-        budget: ExecutionBudget,
-        answer: ServedAnswer,
-        trace: "object | None" = None,
-    ) -> "tuple[np.ndarray | None, int]":
-        """Fresh LORE + compressed evaluation over the full chain."""
-        if query.attribute is None:
-            raise InfluenceError("CODL- requires a query attribute")
-        lore = self._guarded_lore(query, budget, trace)
-
-        def evaluate(theta: int) -> "np.ndarray | None":
-            evaluation = self._compressed(lore.chain, query.k, theta, budget, trace)
-            return evaluation.characteristic_community(query.k)
-
-        members = self._with_sampling_retries(evaluate, budget, answer, RUNG_CODL_MINUS)
-        return members, len(lore.chain)
-
-    def _rung_codu(
-        self,
-        query: CODQuery,
-        budget: ExecutionBudget,
-        answer: ServedAnswer,
-        trace: "object | None" = None,
-    ) -> "tuple[np.ndarray | None, int]":
-        """Attribute-blind fallback on the non-attributed hierarchy."""
-        hierarchy = self._ensure_hierarchy(budget, trace)
-        chain = CommunityChain.from_hierarchy(hierarchy, query.node)
-
-        def evaluate(theta: int) -> "np.ndarray | None":
-            evaluation = self._compressed(chain, query.k, theta, budget, trace)
-            return evaluation.characteristic_community(query.k)
-
-        members = self._with_sampling_retries(evaluate, budget, answer, RUNG_CODU)
-        return members, len(chain)
-
-    def _compressed(
-        self,
-        chain: CommunityChain,
-        k: int,
-        theta: int,
-        budget: ExecutionBudget,
-        trace: "object | None" = None,
-    ):
-        if self.pool is not None:
-            budget.check()
-            samples: "RRArena" = self.pool.materialize(trace=trace)
-        else:
-            samples = self._sample(
-                self.graph,
-                budget.clamp_samples(theta * self.graph.n),
-                model=self.model,
-                rng=self.rng,
-                budget=budget,
-                trace=trace,
-            )
-        return compressed_cod(
-            self.graph,
-            chain,
-            k=k,
-            rr_graphs=samples,
-            budget=budget,
-            trace=trace,
-        )
+        return self._with_sampling_retries(evaluate, budget, answer, label)
 
     # ------------------------------------------------------------- retries
 
     def _with_sampling_retries(
         self,
-        evaluate: Callable[[int], "np.ndarray | None"],
+        evaluate: "Callable[[int], dict[int, np.ndarray | None]]",
         budget: ExecutionBudget,
-        answer: ServedAnswer,
+        answer: "ServedAnswer | None",
         label: str,
-    ) -> "np.ndarray | None":
+    ) -> "dict[int, np.ndarray | None]":
         """Run ``evaluate(theta)``, retrying transient sampling failures.
 
         Each retry backs off exponentially (clipped to the remaining
         deadline) and shrinks ``theta``, so a sick sampler gets cheaper —
         and therefore more likely to finish in budget — on every attempt.
+        A direct run (``answer`` is ``None``) makes one attempt at the
+        full ``theta``.
         """
+        if answer is None:
+            return evaluate(self.theta)
         theta = self.theta
         for attempt in range(self.max_retries + 1):
             try:
@@ -1120,7 +1128,7 @@ class CODServer:
                 # hierarchy-derived memos (LORE chains keyed by its vertex
                 # ids, restricted arenas) are stale the moment it changes.
                 if self._hierarchy is not index.hierarchy:
-                    self._invalidate_lore()
+                    self.invalidate_lore()
                     self._restricted_cache.clear()
                 self._hierarchy = index.hierarchy
                 return index
@@ -1139,34 +1147,27 @@ class CODServer:
             # update delta-repair it from the pool's repair report. The
             # sample mode keeps these checkpoints and artifacts from
             # crossing over to builds over another sample stream.
-            index = HimorIndex.build(
-                self.graph,
-                hierarchy,
-                theta=self.theta,
-                model=self.model,
-                rng=self.pool.base_seed,
-                rr_graphs=self.pool.materialize(budget=budget, trace=trace),
-                budget=budget,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=self.checkpoint_every or 256,
-                trace=trace,
-                sample_mode=self._index_sample_mode(),
-            )
+            rng = self.pool.base_seed
+            samples = self.pool.materialize(budget=budget, trace=trace)
         else:
-            index = HimorIndex.build(
-                self.graph,
-                hierarchy,
-                theta=self.theta,
-                model=self.model,
-                # Pass the raw integer seed when the build is the generator's
-                # first use: the checkpoint fingerprint then pins the sample
-                # stream and a crash-resumed build is sample-exact.
-                rng=self.seed if self.seed is not None and checkpoint_path else self.rng,
-                budget=budget,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=self.checkpoint_every or 256,
-                trace=trace,
-            )
+            # Pass the raw integer seed when the build is the generator's
+            # first use: the checkpoint fingerprint then pins the sample
+            # stream and a crash-resumed build is sample-exact.
+            rng = self.seed if self.seed is not None and checkpoint_path else self.rng
+            samples = None
+        index = HimorIndex.build(
+            self.graph,
+            hierarchy,
+            theta=self.theta,
+            model=self.model,
+            rng=rng,
+            rr_graphs=samples,
+            budget=budget,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=self.checkpoint_every or 256,
+            trace=trace,
+            sample_mode=self._index_sample_mode(),
+        )
         self._index = index
         self._health["index_rebuilds"].inc()
         if index.resumed_from:
@@ -1186,7 +1187,7 @@ class CODServer:
         assert self.index_path is not None
         return self.index_path.with_name(self.index_path.name + ".ckpt")
 
-    def _invalidate_lore(self, attributes: "set[int] | None" = None) -> int:
+    def invalidate_lore(self, attributes: "set[int] | None" = None) -> int:
         """Drop LORE memos: every entry, or only ``attributes``' entries.
 
         The one invalidation path for both LORE caches, so the finished
@@ -1206,6 +1207,7 @@ class CODServer:
         query: CODQuery,
         budget: ExecutionBudget,
         trace: "object | None" = None,
+        guarded: bool = True,
     ) -> LoreResult:
         """LORE behind the circuit breaker, memoized per (node, attribute).
 
@@ -1214,13 +1216,14 @@ class CODServer:
         breaker — returns the same result a fresh run would. A miss reuses
         the attribute's edge counts and ``C_l``'s local reclustering from
         ``_lore_local`` when present. Both caches are invalidated through
-        :meth:`_invalidate_lore` whenever the graph or hierarchy changes.
+        :meth:`invalidate_lore` whenever the graph or hierarchy changes.
+        ``guarded=False`` (a direct rung run) bypasses the breaker.
         """
         key = (query.node, query.attribute)
         cached = self._lore_cache.get(key)
         if cached is not None:
             return cached
-        if not self.breaker.allow():
+        if guarded and not self.breaker.allow():
             raise CircuitOpenError("lore", self.breaker.retry_after())
         try:
             result = lore_chain(
@@ -1236,9 +1239,11 @@ class CODServer:
         except (DeadlineExceededError, BudgetExhaustedError):
             raise  # a spent budget is not LORE's fault
         except Exception:
-            self.breaker.record_failure()
+            if guarded:
+                self.breaker.record_failure()
             raise
-        self.breaker.record_success()
+        if guarded:
+            self.breaker.record_success()
         self._lore_cache.put(key, result)
         return result
 

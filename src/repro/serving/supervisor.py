@@ -1025,17 +1025,21 @@ class ServingSupervisor:
     # ----------------------------------------------------------- event pump
 
     def poll(self, wait_s: float = 0.05) -> None:
-        """One supervision round: reap events, police workers, dispatch.
+        """One supervision round, run twice: reap events, police workers,
+        dispatch.
 
-        The reap blocks for up to ``wait_s`` and ends early when a worker
-        is freed (a result or ready event) or a worker process exits, so
-        the freed worker gets its next task, or the dead one is handled,
-        in this same round. Heartbeats and epoch acks are handled as they
-        arrive but do not end the wait.
+        The first pass does not wait: it starts idle workers on queued
+        work before the blocking reap, so a query submitted to an idle
+        fleet is answered within this poll. The second pass's reap blocks
+        for up to ``wait_s`` and ends early when a worker is freed (a
+        result or ready event) or a worker process exits, so the freed
+        worker gets its next task, or the dead one is handled, in this
+        same round. Heartbeats and epoch acks do not end the wait.
         """
-        self._reap_events(wait_s)
-        self._police_workers()
-        self._dispatch()
+        for wait in (0.0, wait_s):
+            self._reap_events(wait)
+            self._police_workers()
+            self._dispatch()
 
     def _reap_events(self, wait_s: float) -> None:
         # Each incarnation writes to its own queue: a worker SIGKILLed

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.himor import HimorIndex, himor_cod
-from repro.core.lore import lore_chain
+from repro.core.himor import HimorIndex
+from repro.core.pipeline import CODL
+from repro.core.problem import CODQuery
 from repro.errors import IndexError_, QueryError
 from repro.influence.arena import sample_arena
 from repro.influence.estimator import estimate_influences_in_community
@@ -117,35 +118,34 @@ class TestPersistence:
 
 
 class TestHimorCod:
-    def test_consistent_with_index(self, paper_graph, paper_hierarchy, paper_index):
-        lore = lore_chain(paper_graph, paper_hierarchy, 0, DB)
-        members, evaluation = himor_cod(
-            paper_graph, paper_index, lore, k=10, rng=2
-        )
-        # k = 10: the root qualifies via the index, no fallback needed.
-        assert evaluation is None
-        assert sorted(int(v) for v in members) == list(range(10))
+    """Algorithm 3 end to end, through :class:`CODL`."""
 
-    def test_fallback_path(self, paper_graph, paper_hierarchy, paper_index):
+    def test_consistent_with_index(self, paper_graph):
+        pipeline = CODL(paper_graph, theta=400, seed=0)
+        index = pipeline.index
+        state = pipeline.rng.bit_generator.state
+        result = pipeline.discover(CODQuery(0, DB, 10))
+        # k = 10: the root qualifies via the index, so no fallback sample
+        # is drawn.
+        assert pipeline.rng.bit_generator.state == state
+        assert sorted(int(v) for v in result.members) == list(range(10))
+        root = index.hierarchy.root
+        assert index.largest_qualifying_ancestor(0, 10) == root
+
+    def test_fallback_path(self, paper_graph):
         # Query v9 with k = 1: if no ancestor of C_l qualifies, the
         # fallback must run inside C_l (or return None when C_l has no
         # reclustered interior).
-        lore = lore_chain(paper_graph, paper_hierarchy, 9, DB)
-        members, evaluation = himor_cod(
-            paper_graph, paper_index, lore, k=1, theta=200, rng=3
-        )
-        if members is not None:
-            member_set = set(int(v) for v in members)
-            assert 9 in member_set
+        result = CODL(paper_graph, theta=200, seed=3).discover(CODQuery(9, DB, 1))
+        if result.found:
+            assert 9 in set(int(v) for v in result.members)
 
-    def test_answer_contains_query(self, paper_graph, paper_hierarchy, paper_index):
+    def test_answer_contains_query(self, paper_graph):
+        pipeline = CODL(paper_graph, theta=100, seed=4)
         for q in range(10):
-            lore = lore_chain(paper_graph, paper_hierarchy, q, DB)
-            members, _ = himor_cod(
-                paper_graph, paper_index, lore, k=3, theta=100, rng=4
-            )
-            if members is not None:
-                assert q in set(int(v) for v in members)
+            result = pipeline.discover(CODQuery(q, DB, 3))
+            if result.found:
+                assert q in set(int(v) for v in result.members)
 
 
 class TestIncrementalRepair:

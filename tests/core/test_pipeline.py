@@ -104,25 +104,6 @@ class TestCODU:
         assert pipeline.hierarchy is h1
 
 
-class TestRebalanceOption:
-    def test_rebalanced_hierarchy_flatter(self, star_graph):
-        skewed = CODU(star_graph, theta=5, seed=1)
-        balanced = CODU(star_graph, theta=5, seed=1, rebalance=True)
-        assert (
-            balanced.hierarchy.total_leaf_depth()
-            < skewed.hierarchy.total_leaf_depth()
-        )
-
-    def test_queries_still_answerable(self, paper_graph):
-        pipeline = CODL(paper_graph, theta=40, seed=1, rebalance=True)
-        result = pipeline.discover(CODQuery(0, DB, 10))
-        assert result.found
-        assert result.size == paper_graph.n
-
-    def test_default_off(self, paper_graph):
-        assert CODU(paper_graph).rebalance is False
-
-
 class TestCODR:
     def test_requires_attribute(self, paper_graph):
         pipeline = CODR(paper_graph, theta=10, seed=1)

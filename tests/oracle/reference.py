@@ -66,25 +66,38 @@ it, seed for seed, against these implementations:
   smaller-into-larger dict merges, deepest vertex first, with one
   ``bisect`` per member. Production's one-sort array pass must give
   ``==`` rank arrays.
+* :class:`ReferenceCODU`, :class:`ReferenceCODLMinus`,
+  :class:`ReferenceCODL` and :func:`reference_himor_cod` — the COD
+  pipelines as they evaluated before they became adapters over the
+  server's rungs: each one samples, evaluates, scans the HIMOR index and
+  draws its restricted fallback itself. The adapters must return equal
+  member arrays and chain lengths at the same seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import time
 from bisect import bisect_left
 from itertools import product
 
 import numpy as np
 
-from repro.core.lore import LoreResult, select_reclustering_community
+from repro.core.compressed import CompressedEvaluation, compressed_cod
+from repro.core.himor import HimorIndex
+from repro.core.lore import LoreResult, lore_chain, select_reclustering_community
+from repro.core.pipeline import CODResult
+from repro.core.problem import CODQuery
 from repro.dynamic.updates import AttrUpdate, EdgeUpdate
-from repro.errors import GraphError, HierarchyError
+from repro.errors import GraphError, HierarchyError, QueryError
 from repro.graph.graph import AttributedGraph
 from repro.graph.subgraph import SubgraphView
 from repro.graph.weighting import AttributeWeighting
+from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.hierarchy.nnchain import agglomerative_hierarchy
+from repro.influence.arena import sample_arena
 from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.persist import payload_checksum
 from repro.utils.rng import ensure_rng
@@ -935,3 +948,225 @@ def reference_bottom_up_ranks(
             ranks[node][slot] = 1 + strictly_above
             position[node] += 1
     return ranks
+
+
+class _ReferencePipeline:
+    """Shared construction knobs for the reference pipelines."""
+
+    method_name = "abstract"
+
+    def __init__(
+        self,
+        graph: AttributedGraph,
+        theta: int = 10,
+        model: InfluenceModel | None = None,
+        weighting: AttributeWeighting | None = None,
+        seed: "int | np.random.Generator | None" = None,
+    ) -> None:
+        self.graph = graph
+        self.theta = int(theta)
+        self.model = model or WeightedCascade()
+        self.weighting = weighting or AttributeWeighting()
+        self.rng = ensure_rng(seed)
+        self._hierarchy: CommunityHierarchy | None = None
+
+    @property
+    def hierarchy(self) -> CommunityHierarchy:
+        """The shared non-attributed hierarchy (built on first use)."""
+        if self._hierarchy is None:
+            self._hierarchy = agglomerative_hierarchy(self.graph)
+        return self._hierarchy
+
+    def discover(self, query: CODQuery) -> CODResult:
+        results = self.discover_multi(query.node, query.attribute, [query.k])
+        return results[query.k]
+
+    def discover_multi(self, node, attribute, ks) -> dict[int, CODResult]:
+        raise NotImplementedError
+
+    def _validate(self, node: int, attribute: "int | None", ks: "list[int]") -> None:
+        if not ks:
+            raise QueryError("at least one rank budget k is required")
+        CODQuery(node, attribute, max(ks)).validate(self.graph)
+
+
+class ReferenceCODU(_ReferencePipeline):
+    """Non-attributed hierarchy + compressed evaluation, sampled here."""
+
+    method_name = "CODU"
+
+    def discover_multi(self, node, attribute, ks) -> dict[int, CODResult]:
+        self._validate(node, attribute, ks)
+        hierarchy = self.hierarchy
+        start = time.perf_counter()
+        chain = CommunityChain.from_hierarchy(hierarchy, node)
+        evaluation = compressed_cod(
+            self.graph, chain, k=ks, theta=self.theta, model=self.model, rng=self.rng
+        )
+        elapsed = time.perf_counter() - start
+        return {
+            k: CODResult(
+                method=self.method_name,
+                query=CODQuery(node, attribute, k),
+                members=evaluation.characteristic_community(k),
+                chain_length=len(chain),
+                elapsed=elapsed,
+            )
+            for k in ks
+        }
+
+    def discover_batch(self, queries: "list[CODQuery]") -> list[CODResult]:
+        """One shared RR pool serves every query of the batch."""
+        from repro.core.pool import SharedSamplePool
+
+        hierarchy = self.hierarchy
+        pool = SharedSamplePool(
+            self.graph, theta=self.theta, model=self.model, seed=self.rng
+        )
+        results: list[CODResult] = []
+        for query in queries:
+            query.validate(self.graph)
+            start = time.perf_counter()
+            chain = CommunityChain.from_hierarchy(hierarchy, query.node)
+            evaluation = pool.evaluate(chain, k=query.k)
+            elapsed = time.perf_counter() - start
+            results.append(
+                CODResult(
+                    method=self.method_name,
+                    query=query,
+                    members=evaluation.characteristic_community(query.k),
+                    chain_length=len(chain),
+                    elapsed=elapsed,
+                )
+            )
+        return results
+
+
+class ReferenceCODLMinus(_ReferencePipeline):
+    """LORE chain + compressed evaluation over the full ``H_l(q)``."""
+
+    method_name = "CODL-"
+
+    def discover_multi(self, node, attribute, ks) -> dict[int, CODResult]:
+        self._validate(node, attribute, ks)
+        if attribute is None:
+            raise QueryError(f"{self.method_name} requires a query attribute")
+        hierarchy = self.hierarchy
+        start = time.perf_counter()
+        lore = lore_chain(
+            self.graph, hierarchy, node, attribute, weighting=self.weighting
+        )
+        evaluation = compressed_cod(
+            self.graph, lore.chain, k=ks, theta=self.theta, model=self.model, rng=self.rng
+        )
+        elapsed = time.perf_counter() - start
+        return {
+            k: CODResult(
+                method=self.method_name,
+                query=CODQuery(node, attribute, k),
+                members=evaluation.characteristic_community(k),
+                chain_length=len(lore.chain),
+                elapsed=elapsed,
+            )
+            for k in ks
+        }
+
+
+class ReferenceCODL(ReferenceCODLMinus):
+    """LORE + HIMOR index + Algorithm 3, all ``k`` answered jointly."""
+
+    method_name = "CODL"
+
+    def __init__(self, graph: AttributedGraph, **kwargs) -> None:
+        super().__init__(graph, **kwargs)
+        self._index: HimorIndex | None = None
+
+    @property
+    def index(self) -> HimorIndex:
+        if self._index is None:
+            self._index = HimorIndex.build(
+                self.graph,
+                self.hierarchy,
+                theta=self.theta,
+                model=self.model,
+                rng=self.rng,
+            )
+        return self._index
+
+    def discover_multi(self, node, attribute, ks) -> dict[int, CODResult]:
+        self._validate(node, attribute, ks)
+        if attribute is None:
+            raise QueryError("CODL requires a query attribute")
+        index = self.index
+        start = time.perf_counter()
+        lore = lore_chain(
+            self.graph, self.hierarchy, node, attribute, weighting=self.weighting
+        )
+        # The index scan resolves each k independently; the fallback
+        # (compressed evaluation inside C_l, restricted sampling) runs at
+        # most once and serves every unresolved budget.
+        members_by_k: dict[int, np.ndarray | None] = {}
+        fallback_ks: list[int] = []
+        for k in ks:
+            ancestor = index.largest_qualifying_ancestor(
+                node, k, floor_vertex=lore.c_ell_vertex
+            )
+            if ancestor is not None:
+                members_by_k[k] = index.hierarchy.members(ancestor)
+            else:
+                members_by_k[k] = None
+                fallback_ks.append(k)
+        if fallback_ks and lore.c_ell_chain_level > 0:
+            inner_chain = lore.chain.prefix(lore.c_ell_chain_level)
+            allowed = set(
+                int(v) for v in index.hierarchy.members(lore.c_ell_vertex)
+            )
+            n_local = self.theta * len(allowed)
+            local_samples = sample_arena(
+                self.graph, n_local, model=self.model, rng=self.rng, allowed=allowed
+            )
+            evaluation = compressed_cod(
+                self.graph, inner_chain, k=fallback_ks, rr_graphs=local_samples
+            )
+            for k in fallback_ks:
+                members_by_k[k] = evaluation.characteristic_community(k)
+        elapsed = time.perf_counter() - start
+        return {
+            k: CODResult(
+                method=self.method_name,
+                query=CODQuery(node, attribute, k),
+                members=members_by_k[k],
+                chain_length=len(lore.chain),
+                elapsed=elapsed,
+            )
+            for k in ks
+        }
+
+
+def reference_himor_cod(
+    graph: AttributedGraph,
+    index: HimorIndex,
+    lore: LoreResult,
+    k: int,
+    theta: int = 10,
+    model: InfluenceModel | None = None,
+    rng: "int | np.random.Generator | None" = None,
+) -> "tuple[np.ndarray | None, CompressedEvaluation | None]":
+    """Algorithm 3 for one query: ``(members, fallback_evaluation)``, the
+    evaluation ``None`` when the index scan resolves the query."""
+    q = lore.chain.q
+    ancestor = index.largest_qualifying_ancestor(q, k, floor_vertex=lore.c_ell_vertex)
+    if ancestor is not None:
+        return index.hierarchy.members(ancestor), None
+    if lore.c_ell_chain_level == 0:
+        return None, None
+    inner_chain = lore.chain.prefix(lore.c_ell_chain_level)
+    model = model or WeightedCascade()
+    rng = ensure_rng(rng)
+    allowed = set(int(v) for v in index.hierarchy.members(lore.c_ell_vertex))
+    n_local = theta * len(allowed)
+    local_samples = sample_arena(
+        graph, n_local, model=model, rng=rng, allowed=allowed
+    )
+    evaluation = compressed_cod(graph, inner_chain, k=k, rr_graphs=local_samples)
+    return evaluation.characteristic_community(k), evaluation

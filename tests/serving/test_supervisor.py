@@ -444,6 +444,20 @@ class TestEventPump:
             assert wall < 1.5
             assert supervisor._records[seq].dispatched_to == 0
 
+    def test_query_to_idle_fleet_is_answered_in_one_poll(self, paper_graph):
+        # Dispatch comes before the wait: the idle worker starts on the
+        # query at once, and its result ends the same poll's wait.
+        with ServingSupervisor(
+            paper_graph, n_workers=1, warm_index=False,
+            server_options={"theta": 3, "seed": 11}, **FAST,
+        ) as supervisor:
+            supervisor.serve(make_queries(1), drain_timeout_s=60.0)
+            self._until_idle(supervisor)
+            seq = supervisor.submit(make_queries(2)[1])
+            wall, _ = self._timed_poll(supervisor, 1.0)
+            assert supervisor.answer_for(seq) is not None
+            assert wall < 0.5
+
     def test_worker_exit_ends_the_wait(self, paper_graph):
         with ServingSupervisor(
             paper_graph, n_workers=1, warm_index=False,
