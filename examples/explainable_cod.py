@@ -72,7 +72,7 @@ def main() -> None:
     start = time.perf_counter()
     for query in queries:
         chain = CommunityChain.from_hierarchy(hierarchy, query.node)
-        pool.evaluate(chain, k=5)
+        compressed_cod(graph, chain, k=5, rr_graphs=pool.arena)
     pooled = time.perf_counter() - start
 
     start = time.perf_counter()

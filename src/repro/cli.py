@@ -160,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw the pool with per-sample seeds (implies "
                         "--pool; requires an integer --seed) so graph "
                         "updates repair it incrementally instead of "
-                        "resampling")
+                        "resampling; a seeded pool always draws with the "
+                        "hashed vectorized kernel, --fast or not")
     p.add_argument("--shared-pool", action="store_true",
                    help="supervised mode: materialize one RR-sample pool "
                         "in the supervisor and publish graph + arena as "
@@ -179,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "supervisor publishes its restricted shard "
                         "(default 4)")
     p.add_argument("--fast", action="store_true",
-                   help="use the vectorized batch RR sampler for the pool "
-                        "and for fresh per-query draws; statistically "
-                        "equivalent answers, not the same RNG stream as "
-                        "the compatible sampler")
+                   help="use the vectorized batch RR sampler for an "
+                        "unseeded pool and for fresh per-query draws; "
+                        "statistically equivalent answers, not the same "
+                        "RNG stream as the compatible sampler")
     p.add_argument("--updates", type=str, default=None, metavar="FILE",
                    help="JSONL update batches replayed mid-workload (one "
                         "{\"updates\": [...], \"at\": N} object per line); "

@@ -468,9 +468,8 @@ def build_fingerprint(
     builds still checkpoint, but the fingerprint then cannot distinguish
     two different sample streams, so pass an integer seed whenever
     resume-equals-fresh matters. ``sample_mode`` names the sample stream:
-    the shared stream sampler (``"stream"``), or a per-sample-seeded pool
-    drawing with SeedSequence children (``"per-sample"``) or the hashed
-    fast stream (``"per-sample-fast"``). The three draw different arenas
+    the shared stream sampler (``"stream"``) or a per-sample-seeded pool's
+    hashed stream (``"per-sample-fast"``). The two draw different arenas
     from the same seed, so their checkpoints must never cross-resume.
     """
     payload = {

@@ -17,22 +17,14 @@ default behaviour).
 from __future__ import annotations
 
 import threading
-from typing import Sequence
 
 import numpy as np
 
-from repro.core.compressed import CompressedEvaluation, compressed_cod
 from repro.errors import InfluenceError
 from repro.graph.graph import AttributedGraph
-from repro.hierarchy.chain import CommunityChain
-from repro.influence.arena import (
-    ArenaRepair,
-    RRArena,
-    repair_arena,
-    sample_arena,
-    sample_arena_seeded,
-)
+from repro.influence.arena import ArenaRepair, RRArena, repair_arena, sample_arena
 from repro.influence.fastsample import (
+    _fast_supported,
     sample_arena_fast,
     sample_arena_seeded_fast,
 )
@@ -56,22 +48,23 @@ class SharedSamplePool:
     lazy:
         When true (default) the pool materializes on first use.
     per_sample_seeds:
-        When true, draw with :func:`sample_arena_seeded` — every sample's
-        stream depends only on ``(seed, sample_index)`` — which makes the
-        pool **incrementally repairable** under graph updates
+        When true, draw with the hashed kernel
+        :func:`~repro.influence.fastsample.sample_arena_seeded_fast` —
+        every sample depends only on ``(seed, sample_index)`` — which
+        makes the pool **incrementally repairable** under graph updates
         (:meth:`repair`) with results bit-identical to resampling from
-        scratch. Requires an integer ``seed``. Off by default: the
+        scratch. Seeded implies fast: ``fast`` is forced true. Requires
+        an integer ``seed`` and a model the hashed kernel can draw
+        (weighted cascade or uniform IC). Off by default: the
         stream-compatible :func:`sample_arena` stays the pool's
         seed-for-seed contract.
     fast:
-        When true, draw with the vectorized batch kernel
-        (:func:`~repro.influence.fastsample.sample_arena_fast`, or its
-        seeded variant when ``per_sample_seeds`` is also set). Samples
+        When true (and unseeded), draw with the vectorized batch kernel
+        :func:`~repro.influence.fastsample.sample_arena_fast`. Samples
         come from the same RR-graph distribution but **not** the same
-        RNG stream as the compatible samplers, so a fast pool's answers
-        are statistically — not bitwise — equivalent to a compatible
-        pool's at the same seed. Repair of a fast seeded pool stays
-        bit-identical to a from-scratch fast seeded draw.
+        RNG stream as :func:`sample_arena`, so a fast pool's answers are
+        statistically — not bitwise — equivalent to a compatible pool's
+        at the same seed.
     """
 
     def __init__(
@@ -91,11 +84,18 @@ class SharedSamplePool:
                 "per_sample_seeds requires an integer seed (the base seed "
                 "every sample's private stream is derived from)"
             )
+        model = model or WeightedCascade()
+        if per_sample_seeds and _fast_supported(model) is None:
+            raise InfluenceError(
+                "per_sample_seeds pools draw with the hashed kernel, which "
+                "supports WeightedCascade and UniformIC models only, got "
+                f"{type(model).__name__}"
+            )
         self.graph = graph
         self.theta = int(theta)
-        self.model = model or WeightedCascade()
+        self.model = model
         self.per_sample_seeds = bool(per_sample_seeds)
-        self.fast = bool(fast)
+        self.fast = bool(fast) or self.per_sample_seeds
         self.base_seed = int(seed) if per_sample_seeds else None
         self.repaired_samples_total = 0
         self._rng = ensure_rng(seed)
@@ -139,8 +139,11 @@ class SharedSamplePool:
     ) -> RRArena:
         """Draw the pool now (idempotent) and return the arena.
 
-        ``budget``/``trace`` are forwarded to :func:`sample_arena` only on
-        the draw that actually happens; they never change the samples.
+        Draws with the pool's one sampler: the hashed seeded kernel when
+        ``per_sample_seeds`` is set, else :func:`sample_arena_fast` when
+        ``fast``, else the stream-compatible :func:`sample_arena`.
+        ``budget``/``trace`` are forwarded only to the draw that actually
+        happens; they never change the samples.
         Callers that amortize the pool across a batch (e.g. the serving
         planner) call this once up front so the sampling cost is not
         charged to whichever query happens to run first.
@@ -161,35 +164,17 @@ class SharedSamplePool:
         self, budget: "object | None" = None, trace: "object | None" = None
     ) -> None:
         if self.per_sample_seeds:
-            if self.fast:
-                self._arena = sample_arena_seeded_fast(
-                    self.graph,
-                    self.n_samples,
-                    base_seed=self.base_seed,
-                    model=self.model,
-                    budget=budget,
-                    trace=trace,
-                )
-            else:
-                self._arena = sample_arena_seeded(
-                    self.graph,
-                    self.n_samples,
-                    base_seed=self.base_seed,
-                    model=self.model,
-                    budget=budget,
-                    trace=trace,
-                )
-        elif self.fast:
-            self._arena = sample_arena_fast(
+            self._arena = sample_arena_seeded_fast(
                 self.graph,
                 self.n_samples,
+                base_seed=self.base_seed,
                 model=self.model,
-                rng=self._rng,
                 budget=budget,
                 trace=trace,
             )
         else:
-            self._arena = sample_arena(
+            sampler = sample_arena_fast if self.fast else sample_arena
+            self._arena = sampler(
                 self.graph,
                 self.n_samples,
                 model=self.model,
@@ -240,7 +225,6 @@ class SharedSamplePool:
                 base_seed=self.base_seed,
                 model=self.model,
                 budget=budget,
-                fast=self.fast,
             )
             self._arena = result.arena
             if result.arena is not old:
@@ -372,21 +356,6 @@ class SharedSamplePool:
     def total_edges(self) -> int:
         """``vol(R)``: total activated edges across the pool."""
         return self.arena.total_edges
-
-    # ---------------------------------------------------------- evaluation
-
-    def evaluate(
-        self,
-        chain: CommunityChain,
-        k: "int | Sequence[int]" = 5,
-    ) -> CompressedEvaluation:
-        """Run compressed COD evaluation for one chain against the pool."""
-        if chain.n != self.graph.n:
-            raise InfluenceError(
-                f"chain is over {chain.n} nodes but the pool's graph has "
-                f"{self.graph.n}"
-            )
-        return compressed_cod(self.graph, chain, k=k, rr_graphs=self.arena)
 
     def influence_counts(self) -> dict[int, int]:
         """RR-occurrence counts of every node over the pool.

@@ -125,6 +125,11 @@ class DynamicCOD:
         #: server (batch boundaries preserved: each was validated as one
         #: atomic, conflict-free unit and must be replayed the same way).
         self._pending_batches: "list[list[GraphUpdate]]" = []
+        #: Pool-less server over the live graph for repair passes: the
+        #: CODL pipeline's own server while that covers the live graph,
+        #: else built on first repair. ``apply`` drops it with the old
+        #: graph, so repairs on one graph share one clustering.
+        self._repair_server = None if self._pipeline is None else self._pipeline.server
         self._updates_since_build = 0
         self.rebuild_count = 0
         self.repair_count = 0
@@ -145,6 +150,7 @@ class DynamicCOD:
         """Apply an update batch; rebuild when the drift budget is hit."""
         updates = list(updates)
         self._graph = apply_updates(self._graph, updates)
+        self._repair_server = None
         if self.server is not None:
             self._pending_batches.append(updates)
         self._updates_since_build += len(updates)
@@ -164,6 +170,7 @@ class DynamicCOD:
             self._pipeline = CODL(
                 self._graph, theta=self.theta, model=self.model, seed=self.rng
             )
+            self._repair_server = self._pipeline.server
         self._updates_since_build = 0
         self.rebuild_count += 1
 
@@ -232,8 +239,11 @@ class DynamicCOD:
         # repro.serving imports this package.
         from repro.serving.server import RUNG_CODL_MINUS, CODServer
 
-        server = CODServer(self._graph, theta=self.theta, model=self.model, seed=self.rng)
-        members, _ = server.run_rung(
+        if self._repair_server is None:
+            self._repair_server = CODServer(
+                self._graph, theta=self.theta, model=self.model, seed=self.rng
+            )
+        members, _ = self._repair_server.run_rung(
             RUNG_CODL_MINUS, query.node, query.attribute, [query.k], budget
         )
         return members[query.k]

@@ -899,149 +899,6 @@ def sample_arena(
     )
 
 
-def sample_seed_sequence(base_seed: int, index: int) -> np.random.SeedSequence:
-    """The per-sample seed of sample ``index`` under ``base_seed``.
-
-    ``SeedSequence(entropy=base, spawn_key=(i,))`` gives every sample an
-    independent, collision-free stream that depends only on
-    ``(base_seed, i)`` — not on how many samples were drawn before it or
-    on which graph. That is the property incremental repair leans on.
-    """
-    return np.random.SeedSequence(entropy=int(base_seed), spawn_key=(int(index),))
-
-
-def sample_arena_seeded(
-    graph: AttributedGraph,
-    count: "int | None" = None,
-    base_seed: int = 0,
-    model: "InfluenceModel | None" = None,
-    indices: "Sequence[int] | np.ndarray | None" = None,
-    budget: "object | None" = None,
-    trace: "object | None" = None,
-) -> RRArena:
-    """Draw RR graphs where sample ``i`` depends only on ``(base_seed, i)``.
-
-    Unlike :func:`sample_arena` (one RNG stream shared across the batch),
-    each sample here gets its own generator derived from
-    :func:`sample_seed_sequence` — its source and every Bernoulli block
-    are drawn from that private stream. Consequences:
-
-    * redrawing any subset of sample indices (``indices=...``) yields
-      bit-identical results to the corresponding slice of a full draw;
-    * a sample whose exploration never visits a node with *changed
-      adjacency* is bit-identical across graph versions, because the IC
-      exploration consults adjacency (degree + neighbor list) only at
-      activated nodes.
-
-    Together these make :func:`repair_arena` exact: resampling only the
-    touched samples of an updated graph reproduces, bit for bit, the
-    arena a from-scratch seeded draw on the new graph would produce —
-    the rebuild-oracle guarantee the epoch chaos drill asserts.
-
-    ``count`` draws samples ``0..count-1``; ``indices`` draws exactly
-    those sample ids (in the given order). The ``rr_sampling`` fault site
-    and ``budget.tick()`` fire once per sample, as in the stream sampler.
-    """
-    if (count is None) == (indices is None):
-        raise InfluenceError("pass exactly one of count= or indices=")
-    if indices is None:
-        if count < 0:
-            raise InfluenceError(f"count must be non-negative, got {count}")
-        index_arr = np.arange(count, dtype=np.int64)
-    else:
-        index_arr = np.asarray(indices, dtype=np.int64)
-        if len(index_arr) and int(index_arr.min()) < 0:
-            raise InfluenceError("sample indices must be non-negative")
-    model = model or WeightedCascade()
-    n = graph.n
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(graph.degrees, out=indptr[1:])
-    indices_csr = (
-        np.concatenate([graph.neighbors(v) for v in range(n)])
-        if graph.m > 0
-        else _EMPTY
-    )
-
-    fast_wc = type(model) is WeightedCascade
-    fast_uic = type(model) is UniformIC
-    uic_p = model.p if fast_uic else 0.0
-
-    indptr_l: list[int] = indptr.tolist()
-    visited = [-1] * n  # epoch stamp = position in this draw
-    entry_of = [0] * n
-
-    source_arr = np.empty(len(index_arr), dtype=np.int64)
-    nodes_list: list[int] = []
-    edge_start_list: list[int] = []
-    edge_count_list: list[int] = []
-    edge_entries: list[int] = []
-    node_offsets = np.empty(len(index_arr) + 1, dtype=np.int64)
-    node_offsets[0] = 0
-
-    span_cm = trace.span("sampling") if trace is not None else nullcontext()
-    with span_cm as span:
-        for pos in range(len(index_arr)):
-            if budget is not None:
-                budget.tick()
-            maybe_fail("rr_sampling")
-            rng = np.random.default_rng(
-                sample_seed_sequence(base_seed, int(index_arr[pos]))
-            )
-            rand = rng.random
-            source = int(rng.integers(0, n))
-            source_arr[pos] = source
-            visited[source] = pos
-            entry_of[source] = len(nodes_list)
-            nodes_list.append(source)
-            edge_start_list.append(0)
-            edge_count_list.append(0)
-            frontier = [source]
-            while frontier:
-                v = frontier.pop()
-                e = entry_of[v]
-                beg = indptr_l[v]
-                deg = indptr_l[v + 1] - beg
-                if fast_wc or fast_uic:
-                    if deg == 0:
-                        fired: list[int] = []
-                    else:
-                        nbrs = indices_csr[beg: beg + deg]
-                        p = uic_p if fast_uic else 1.0 / deg
-                        fired = nbrs[rand(deg) < p].tolist()
-                else:
-                    fired = [int(u) for u in model.reverse_sample(graph, v, rng)]
-                edge_start_list[e] = len(edge_entries)
-                edge_count_list[e] = len(fired)
-                for u in fired:
-                    if visited[u] != pos:
-                        visited[u] = pos
-                        entry_of[u] = len(nodes_list)
-                        nodes_list.append(u)
-                        edge_start_list.append(0)
-                        edge_count_list.append(0)
-                        frontier.append(u)
-                    edge_entries.append(entry_of[u])
-            node_offsets[pos + 1] = len(nodes_list)
-
-        if span is not None:
-            span.note(
-                samples=len(index_arr),
-                arena_nodes=len(nodes_list),
-                arena_edges=len(edge_entries),
-            )
-
-    return RRArena(
-        n=n,
-        sources=source_arr,
-        node_offsets=node_offsets,
-        nodes=np.asarray(nodes_list, dtype=np.int64),
-        edge_start=np.asarray(edge_start_list, dtype=np.int64),
-        edge_count=np.asarray(edge_count_list, dtype=np.int64),
-        edge_dst_entry=np.asarray(edge_entries, dtype=np.int64),
-    )
-
-
 class ArenaRepair:
     """Result of :func:`repair_arena`: the spliced arena plus the delta.
 
@@ -1078,15 +935,12 @@ def repair_arena(
     base_seed: int,
     model: "InfluenceModel | None" = None,
     budget: "object | None" = None,
-    fast: bool = False,
 ) -> ArenaRepair:
     """Incrementally repair a seeded arena after a topology update.
 
-    ``arena`` must have been drawn by :func:`sample_arena_seeded` with
-    the same ``base_seed``/``model`` (or, with ``fast=True``, by
+    ``arena`` must have been drawn by
     :func:`~repro.influence.fastsample.sample_arena_seeded_fast` — the
-    two seeded samplers draw from different deterministic streams, so
-    the repair must redraw with the same sampler that drew the arena),
+    one per-sample-seeded sampler — with the same ``base_seed``/``model``,
     and ``graph`` is the post-update graph. ``touched_nodes`` are the
     endpoints of the update's edge insertions/deletions.
 
@@ -1127,24 +981,16 @@ def repair_arena(
         return ArenaRepair(arena, touched_ids, empty, empty)
 
     removed = arena.take(touched_ids)
-    if fast:
-        from repro.influence.fastsample import sample_arena_seeded_fast
+    # Local import: fastsample imports this module.
+    from repro.influence.fastsample import sample_arena_seeded_fast
 
-        added = sample_arena_seeded_fast(
-            graph,
-            base_seed=base_seed,
-            model=model,
-            indices=touched_ids,
-            budget=budget,
-        )
-    else:
-        added = sample_arena_seeded(
-            graph,
-            base_seed=base_seed,
-            model=model,
-            indices=touched_ids,
-            budget=budget,
-        )
+    added = sample_arena_seeded_fast(
+        graph,
+        base_seed=base_seed,
+        model=model,
+        indices=touched_ids,
+        budget=budget,
+    )
     perm = np.arange(arena.n_samples, dtype=np.int64)
     perm[touched_ids] = arena.n_samples + np.arange(
         len(touched_ids), dtype=np.int64

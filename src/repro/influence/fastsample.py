@@ -29,7 +29,8 @@ activation set is order-invariant percolation), and ``tests/oracle/``
 pins fast-vs-compatible agreement with two-sample cross-checks plus
 per-seed output digests. The compatible sampler remains the oracle.
 
-:func:`sample_arena_seeded_fast` is the seeded-repair variant. It cannot
+:func:`sample_arena_seeded_fast` is the one per-sample-seeded sampler
+(every pool built with ``per_sample_seeds=True`` draws with it). It cannot
 share one RNG stream across samples (repair redraws arbitrary subsets), so
 every Bernoulli trial is a *pure hash* of ``(base_seed, sample_index,
 explored_node, trial_slot)`` (splitmix64 mixing). Sample ``i`` therefore
@@ -615,10 +616,13 @@ def sample_arena_seeded_fast(
     trace: "object | None" = None,
     chunk_size: "int | None" = None,
 ) -> RRArena:
-    """Vectorized counterpart of :func:`~repro.influence.arena.sample_arena_seeded`.
+    """Draw RR graphs where sample ``i`` depends only on ``(base_seed, i)``.
 
-    Sample ``i``'s source and every one of its edge trials are pure hashes
-    of ``(base_seed, i, ...)`` — no sequential stream at all — so:
+    This is the one per-sample-seeded sampler: seeded pools, their
+    repair, the fleet's sharded builder draw and HIMOR builds over a
+    seeded pool all draw with it. Sample ``i``'s source and every one of
+    its edge trials are pure hashes of ``(base_seed, i, ...)`` — no
+    sequential stream at all — so:
 
     * drawing ``indices=[i, ...]`` is bit-identical to the corresponding
       slice of a full ``count=`` draw (any batch, any chunking);
@@ -628,11 +632,14 @@ def sample_arena_seeded_fast(
       nodes).
 
     Those are the two properties incremental repair
-    (:func:`~repro.influence.arena.repair_arena` with ``fast=True``)
-    needs; the repaired arena equals a from-scratch seeded-fast draw on
-    the new graph, bit for bit. The hash stream is distinct from both the
-    compatible seeded sampler's and :func:`sample_arena_fast`'s — pools
-    must pick one contract and keep it.
+    (:func:`~repro.influence.arena.repair_arena`) needs; the repaired
+    arena equals a from-scratch seeded draw on the new graph, bit for
+    bit. The hash stream is distinct from :func:`sample_arena_fast`'s and
+    from the compatible :func:`~repro.influence.arena.sample_arena`'s.
+
+    ``count`` draws samples ``0..count-1``; ``indices`` draws exactly
+    those sample ids (in the given order). The ``rr_sampling`` fault site
+    and ``budget.tick(k)`` fire once per chunk of ``k`` samples.
 
     Only weighted-cascade and uniform-IC models are supported (hash-keyed
     trials need the closed-form per-edge probability); others raise.

@@ -1179,7 +1179,7 @@ class CODServer:
     def _index_sample_mode(self) -> str:
         """The sample stream this server's HIMOR builds count over."""
         if self.pool is not None and self.pool.per_sample_seeds:
-            return "per-sample-fast" if self.pool.fast else "per-sample"
+            return "per-sample-fast"
         return "stream"
 
     def _checkpoint_path(self) -> Path:

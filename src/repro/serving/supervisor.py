@@ -295,7 +295,8 @@ class ServingSupervisor:
     pool_seeded:
         Draw each worker's pool with per-sample seeds (implies
         ``use_pool``; requires an integer ``seed`` in
-        ``server_options``). This is what makes
+        ``server_options``). Seeded pools always draw with the hashed
+        kernel, whatever ``fast_sampling`` says. This is what makes
         :meth:`submit_updates` repair worker pools incrementally —
         bit-identically to a from-scratch redraw — instead of dropping
         them on every structural epoch.
@@ -622,20 +623,14 @@ class ServingSupervisor:
         import numpy as np
 
         from repro.influence.arena import concatenate_arenas
-
-        if pool.fast:
-            from repro.influence.fastsample import (
-                sample_arena_seeded_fast as sampler,
-            )
-        else:
-            from repro.influence.arena import sample_arena_seeded as sampler
+        from repro.influence.fastsample import sample_arena_seeded_fast
 
         shards = np.array_split(
             np.arange(pool.n_samples, dtype=np.int64),
             min(self.n_workers, pool.n_samples),
         )
         parts = [
-            sampler(
+            sample_arena_seeded_fast(
                 self.graph,
                 base_seed=pool.base_seed,
                 model=pool.model,

@@ -39,9 +39,9 @@ config.
 Registered sites
 ----------------
 ``rr_sampling``
-    Once per RR graph drawn (:func:`repro.influence.arena.sample_arena`,
-    :func:`~repro.influence.arena.sample_arena_seeded`), or once per chunk
-    in the vectorized samplers (:mod:`repro.influence.fastsample`).
+    Once per RR graph drawn by :func:`repro.influence.arena.sample_arena`,
+    or once per chunk in the vectorized samplers
+    (:mod:`repro.influence.fastsample`).
 ``lore``
     Once per LORE invocation, before local reclustering
     (:func:`repro.core.lore.lore_chain`).

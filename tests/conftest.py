@@ -15,7 +15,7 @@ import pytest
 
 from repro.graph.graph import AttributedGraph
 from repro.hierarchy.dendrogram import CommunityHierarchy
-from repro.influence.arena import RRArena, sample_arena, sample_arena_seeded
+from repro.influence.arena import RRArena, sample_arena
 from repro.influence.fastsample import sample_arena_fast, sample_arena_seeded_fast
 
 #: Attribute ids for the worked example.
@@ -117,17 +117,14 @@ def two_cliques_graph() -> AttributedGraph:
 
 
 #: Every arena sampler as ``draw(graph, count, seed, model=None)``: the
-#: stream-compatible, vectorized, per-sample-seeded, and seeded-vectorized
-#: engines all promise the same RR-graph distribution (Definition 2).
+#: stream-compatible, vectorized, and per-sample-seeded (hashed) engines
+#: all promise the same RR-graph distribution (Definition 2).
 ARENA_SAMPLERS = {
     "sample_arena": lambda g, count, seed, model=None: sample_arena(
         g, count, model=model, rng=seed
     ),
     "sample_arena_fast": lambda g, count, seed, model=None: sample_arena_fast(
         g, count, model=model, rng=seed
-    ),
-    "sample_arena_seeded": lambda g, count, seed, model=None: sample_arena_seeded(
-        g, count, base_seed=seed, model=model
     ),
     "sample_arena_seeded_fast": lambda g, count, seed, model=None: (
         sample_arena_seeded_fast(g, count, base_seed=seed, model=model)

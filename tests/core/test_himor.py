@@ -156,15 +156,16 @@ class TestIncrementalRepair:
 
     def build_pair(self, paper_graph, paper_hierarchy):
         from repro.dynamic.updates import EdgeUpdate, apply_updates
-        from repro.influence.arena import repair_arena, sample_arena_seeded
+        from repro.influence.arena import repair_arena
+        from repro.influence.fastsample import sample_arena_seeded_fast
 
         new_graph = apply_updates(paper_graph, [EdgeUpdate(2, 3, add=True)])
-        arena = sample_arena_seeded(
+        arena = sample_arena_seeded_fast(
             paper_graph, count=self.THETA * paper_graph.n, base_seed=self.SEED
         )
         index = HimorIndex.build(
             paper_graph, paper_hierarchy, theta=self.THETA, rr_graphs=arena,
-            sample_mode="per-sample",
+            sample_mode="per-sample-fast",
         )
         rep = repair_arena(arena, new_graph, {2, 3}, base_seed=self.SEED)
         return new_graph, index, rep
@@ -185,7 +186,7 @@ class TestIncrementalRepair:
         # same (unchanged) hierarchy must yield identical ranks.
         oracle = HimorIndex.build(
             new_graph, paper_hierarchy, theta=self.THETA, rr_graphs=rep.arena,
-            sample_mode="per-sample",
+            sample_mode="per-sample-fast",
         )
         for v in range(paper_graph.n):
             assert np.array_equal(index.ranks_of(v), oracle.ranks_of(v)), v
@@ -200,10 +201,10 @@ class TestIncrementalRepair:
                                               paper_hierarchy):
         # Subtracting samples the index never charged must not silently
         # corrupt the buckets: if a charge would go negative, repair fails.
-        from repro.influence.arena import sample_arena_seeded
+        from repro.influence.fastsample import sample_arena_seeded_fast
 
         _, index, rep = self.build_pair(paper_graph, paper_hierarchy)
-        foreign = sample_arena_seeded(
+        foreign = sample_arena_seeded_fast(
             paper_graph, indices=range(1000, 1000 + rep.added.n_samples),
             base_seed=99,
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.compressed import compressed_cod
 from repro.core.pool import SharedSamplePool
-from repro.errors import InfluenceError
+from repro.errors import InfluenceError, QueryError
 from repro.hierarchy.chain import CommunityChain
 from repro.influence.montecarlo import simulate_influence
 
@@ -57,8 +57,8 @@ class TestPoolBasics:
         hierarchy = agglomerative_hierarchy(triangle_graph)
         chain = CommunityChain.from_hierarchy(hierarchy, 0)
         pool = SharedSamplePool(paper_graph, theta=2, seed=0)
-        with pytest.raises(InfluenceError, match="chain is over 3 nodes"):
-            pool.evaluate(chain, k=1)
+        with pytest.raises(QueryError, match="chain covers 3 nodes"):
+            compressed_cod(paper_graph, chain, k=1, rr_graphs=pool.arena)
 
     def test_cost_diagnostics(self, paper_graph):
         pool = SharedSamplePool(paper_graph, theta=3, seed=0)
@@ -72,29 +72,14 @@ class TestPoolBasics:
 
 
 class TestPoolEvaluation:
-    def test_matches_direct_compressed(self, paper_graph, paper_hierarchy):
-        pool = SharedSamplePool(paper_graph, theta=20, seed=1)
-        chain = CommunityChain.from_hierarchy(paper_hierarchy, 0)
-        pooled = pool.evaluate(chain, k=[1, 3])
-        direct = compressed_cod(paper_graph, chain, k=[1, 3], rr_graphs=pool.arena)
-        assert pooled.query_counts == direct.query_counts
-        assert pooled.thresholds == direct.thresholds
-
     def test_shared_across_queries(self, paper_graph, paper_hierarchy):
         pool = SharedSamplePool(paper_graph, theta=20, seed=2)
         for q in range(10):
             chain = CommunityChain.from_hierarchy(paper_hierarchy, q)
-            evaluation = pool.evaluate(chain, k=5)
+            evaluation = compressed_cod(
+                paper_graph, chain, k=5, rr_graphs=pool.arena
+            )
             assert evaluation.n_samples == pool.n_samples
-
-    def test_wrong_graph_rejected(self, paper_graph, triangle_graph):
-        from repro.hierarchy.nnchain import agglomerative_hierarchy
-
-        pool = SharedSamplePool(paper_graph, theta=2, seed=0)
-        other = agglomerative_hierarchy(triangle_graph)
-        chain = CommunityChain.from_hierarchy(other, 0)
-        with pytest.raises(InfluenceError):
-            pool.evaluate(chain, k=1)
 
     def test_influence_counts_match_estimator(self, paper_graph):
         pool = SharedSamplePool(paper_graph, theta=10, seed=3)
@@ -121,7 +106,9 @@ class TestMonteCarloCrossCheck:
         pool = SharedSamplePool(paper_graph, theta=600, seed=11)
         for q in (0, 4, 6):
             chain = CommunityChain.from_hierarchy(paper_hierarchy, q)
-            evaluation = pool.evaluate(chain, k=1)
+            evaluation = compressed_cod(
+                paper_graph, chain, k=1, rr_graphs=pool.arena
+            )
             for level in (0, len(chain) - 1):
                 members = [int(v) for v in chain.members(level)]
                 simulated = simulate_influence(
@@ -172,6 +159,35 @@ class TestSeededPool:
                               fresh.arena.node_offsets)
         assert np.array_equal(pool.arena.edge_dst_entry,
                               fresh.arena.edge_dst_entry)
+
+    def test_seeded_implies_fast(self, paper_graph):
+        # One seeded stream: asking for the compatible sampler still
+        # draws with the hashed kernel, so both pools hold one arena.
+        from tests.oracle.reference import digest_samples
+
+        slow = SharedSamplePool(paper_graph, theta=4, seed=7,
+                                per_sample_seeds=True, fast=False)
+        fast = SharedSamplePool(paper_graph, theta=4, seed=7,
+                                per_sample_seeds=True, fast=True)
+        assert slow.fast and fast.fast
+        assert digest_samples(list(slow.arena)) == digest_samples(
+            list(fast.arena)
+        )
+        segment = fast.to_shared()
+        attached = SharedSamplePool.attach(
+            paper_graph, segment.name, theta=4, seed=7,
+            per_sample_seeds=True, fast=False,
+        )
+        assert attached.fast
+        attached.arena.detach()
+        segment.destroy()
+
+    def test_rejects_model_the_hashed_kernel_cannot_draw(self, paper_graph):
+        from repro.influence.models import LinearThreshold
+
+        with pytest.raises(InfluenceError, match="WeightedCascade and UniformIC"):
+            SharedSamplePool(paper_graph, theta=2, seed=7,
+                             per_sample_seeds=True, model=LinearThreshold())
 
     def test_repair_replaces_arena(self, paper_graph):
         pool = SharedSamplePool(paper_graph, theta=2, seed=7,
@@ -282,16 +298,16 @@ class TestSharedPublish:
 
     def test_adopt_swaps_state_and_validates(self, paper_graph):
         from repro.dynamic.updates import EdgeUpdate, apply_updates
-        from repro.influence.arena import sample_arena_seeded
+        from repro.influence.fastsample import sample_arena_seeded_fast
 
         new_graph = apply_updates(paper_graph, [EdgeUpdate(2, 3, add=True)])
         pool = SharedSamplePool(paper_graph, theta=2, seed=7,
                                 per_sample_seeds=True)
         pool.materialize()
-        arena = sample_arena_seeded(new_graph, pool.n_samples, base_seed=7)
+        arena = sample_arena_seeded_fast(new_graph, pool.n_samples, base_seed=7)
         pool.adopt(new_graph, arena)
         assert pool.graph is new_graph
         assert pool.arena is arena
-        short = sample_arena_seeded(new_graph, 1, base_seed=7)
+        short = sample_arena_seeded_fast(new_graph, 1, base_seed=7)
         with pytest.raises(InfluenceError, match="samples"):
             pool.adopt(new_graph, short)

@@ -182,6 +182,58 @@ class TestDynamicSession:
         if answer.found:
             assert answer.verified_rank <= 5
 
+    def test_repairs_on_one_graph_cluster_it_once(self, session, monkeypatch):
+        import repro.serving.server as server_module
+
+        clustered = []
+        real = server_module.agglomerative_hierarchy
+
+        def counting(graph, *args, **kwargs):
+            clustered.append(graph)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "agglomerative_hierarchy", counting)
+        # Every verification fails, so every query repairs on the live graph.
+        monkeypatch.setattr(
+            session, "_verify_rank", lambda members, q, budget=None: 10**9
+        )
+        session.apply([EdgeUpdate(2, 3)])
+        for q in (0, 3):
+            session.query(CODQuery(q, 0, 5))
+        assert session.repair_count == 2
+        assert sum(g is session.graph for g in clustered) == 1
+        # A new live graph gets its own repair server, clustered once.
+        session.apply([EdgeUpdate(0, 4)])
+        for q in (0, 3):
+            session.query(CODQuery(q, 0, 5))
+        assert session.repair_count == 4
+        assert sum(g is session.graph for g in clustered) == 1
+
+    def test_repair_after_rebuild_reuses_the_pipeline_clustering(
+        self, paper_graph, monkeypatch
+    ):
+        import repro.serving.server as server_module
+
+        clustered = []
+        real = server_module.agglomerative_hierarchy
+
+        def counting(graph, *args, **kwargs):
+            clustered.append(graph)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "agglomerative_hierarchy", counting)
+        session = DynamicCOD(paper_graph, theta=40, rebuild_budget=1,
+                             verify_samples_per_node=120, seed=0)
+        monkeypatch.setattr(
+            session, "_verify_rank", lambda members, q, budget=None: 10**9
+        )
+        session.apply([EdgeUpdate(2, 3)])  # hits the budget: rebuild
+        assert session.rebuild_count == 1
+        session.query(CODQuery(0, 0, 5))
+        assert session.repair_count == 1
+        # The rebuilt pipeline and the repair pass share one clustering.
+        assert sum(g is session.graph for g in clustered) == 1
+
     def test_invalid_budget(self, paper_graph):
         with pytest.raises(QueryError):
             DynamicCOD(paper_graph, rebuild_budget=0)

@@ -296,14 +296,12 @@ class TestFastFlags:
         _arrays_equal(pool.arena, fresh)
         assert result.n_repaired == len(result.touched)
 
-    def test_repair_arena_fast_flag_dispatches(self):
+    def test_repair_arena_equals_fresh_seeded_draw(self):
         g = random_case_graph(10)
         arena = sample_arena_seeded_fast(g, count=60, base_seed=21)
         edges = [tuple(int(x) for x in e) for e in g.edges()]
         g2 = AttributedGraph(g.n, edges[1:])
-        result = repair_arena(
-            arena, g2, set(edges[0]), base_seed=21, fast=True
-        )
+        result = repair_arena(arena, g2, set(edges[0]), base_seed=21)
         fresh = sample_arena_seeded_fast(g2, count=60, base_seed=21)
         _arrays_equal(result.arena, fresh)
 

@@ -18,8 +18,8 @@ from repro.influence.arena import (
     RRArena,
     concatenate_arenas,
     sample_arena,
-    sample_arena_seeded,
 )
+from repro.influence.fastsample import sample_arena_seeded_fast
 from repro.utils.shm import close_all_segments
 
 ARENA_FIELDS = (
@@ -65,7 +65,7 @@ class TestArenaRoundTrip:
             attributes=[{0}, {1}, {0, 1}, {0}, {1}, set()],
         )
         arena = (
-            sample_arena_seeded(graph, count, base_seed=seed)
+            sample_arena_seeded_fast(graph, count, base_seed=seed)
             if count
             else RRArena(
                 n=graph.n,
@@ -204,8 +204,8 @@ class TestGraphRoundTrip:
         segment = paper_graph.to_shared()
         attached = AttributedGraph.attach(segment.name)
         assert_bit_identical(
-            sample_arena_seeded(attached, 12, base_seed=9),
-            sample_arena_seeded(paper_graph, 12, base_seed=9),
+            sample_arena_seeded_fast(attached, 12, base_seed=9),
+            sample_arena_seeded_fast(paper_graph, 12, base_seed=9),
         )
         attached.detach_shared()
         segment.destroy()

@@ -1028,7 +1028,9 @@ class ReferenceCODU(_ReferencePipeline):
             query.validate(self.graph)
             start = time.perf_counter()
             chain = CommunityChain.from_hierarchy(hierarchy, query.node)
-            evaluation = pool.evaluate(chain, k=query.k)
+            evaluation = compressed_cod(
+                self.graph, chain, k=query.k, rr_graphs=pool.arena
+            )
             elapsed = time.perf_counter() - start
             results.append(
                 CODResult(

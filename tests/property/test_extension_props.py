@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.compressed import compressed_cod
 from repro.core.pool import SharedSamplePool
 from repro.hierarchy.balance import rebalanced_hierarchy
 from repro.hierarchy.chain import CommunityChain
@@ -71,7 +72,7 @@ class TestPoolProperties:
         rng = np.random.default_rng(seed)
         q = int(rng.integers(0, g.n))
         chain = CommunityChain.from_hierarchy(h, q)
-        evaluation = pool.evaluate(chain, k=2)
+        evaluation = compressed_cod(g, chain, k=2, rr_graphs=pool.arena)
         for level in range(len(chain)):
             members = set(int(v) for v in chain.members(level))
             direct = sum(

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from repro.core.himor import graph_checksum
-from repro.dynamic import EdgeUpdate, UpdateBatch
+from repro.dynamic import AttrUpdate, EdgeUpdate, UpdateBatch, UpdateLog
 from repro.dynamic.updates import apply_updates
 from repro.errors import RecoveryError, WalError
 from repro.serving import CODServer, DurableStateStore, ServingSupervisor
 from repro.serving.durability import (
+    WAL_NAME,
     RecoveryManager,
     SnapshotStore,
     WriteAheadLog,
@@ -203,6 +204,58 @@ class TestSnapshotStore:
 
 
 class TestRecovery:
+    def test_wal_only_and_snapshot_dirs_recover_the_replay_oracle(
+        self, paper_graph, tmp_path
+    ):
+        # One multi-epoch history of edge toggles and attribute grants,
+        # written once as a WAL-only state dir and once with a snapshot
+        # cadence whose compaction truncates the log past a snapshot.
+        # Both must land on the in-memory replay oracle's graph.
+        extra = max(paper_graph.attribute_universe) + 1
+        batches = []
+        for j in range(6):
+            u, v = batch_for(paper_graph, j).updates[0].key()
+            batches.append(UpdateBatch(updates=(
+                EdgeUpdate(u, v, add=True),
+                AttrUpdate(j % paper_graph.n, extra, add=True),
+            )))
+            batches.append(UpdateBatch(updates=(
+                EdgeUpdate(u, v, add=False),
+                AttrUpdate(j % paper_graph.n, extra, add=False),
+            )))
+            batches.append(UpdateBatch(updates=(
+                AttrUpdate((j + 3) % paper_graph.n, extra + 1 + j, add=True),
+            )))
+        log = UpdateLog()
+        for batch in batches:
+            log.append(batch)
+        oracle = log.replay(paper_graph)
+
+        results = {}
+        for name, cadence in (("wal-only", None), ("snapshots", 4)):
+            state_dir = tmp_path / name
+            store = DurableStateStore(state_dir, snapshot_every=cadence)
+            store.recover(base_graph=paper_graph)
+            fill(store, paper_graph, batches)
+            store.close()
+            back = DurableStateStore(state_dir, snapshot_every=cadence)
+            results[name] = back.recover(base_graph=paper_graph)
+            back.close()
+
+        cold, warm = results["wal-only"], results["snapshots"]
+        assert cold.snapshot_epoch is None
+        assert cold.replayed_epochs == len(batches)
+        assert warm.snapshot_epoch is not None
+        assert warm.replayed_epochs < len(batches)
+        wal = WriteAheadLog(tmp_path / "snapshots" / WAL_NAME)
+        assert wal.floor > 0  # compacted past a snapshot
+        wal.close()
+        for result in (cold, warm):
+            assert result.epoch == len(batches)
+            assert result.graph_sha == graph_checksum(oracle)
+            for v in range(paper_graph.n):
+                assert result.graph.attributes_of(v) == oracle.attributes_of(v)
+
     def test_first_boot_from_base_graph(self, paper_graph, tmp_path):
         store = DurableStateStore(tmp_path)
         result = store.recover(base_graph=paper_graph)

@@ -192,9 +192,10 @@ class TestFingerprint:
 
 class TestSampleStreamGuard:
     """A HIMOR checkpoint or artifact only serves a build over its own
-    sample stream: per-sample pools drawing SeedSequence children and the
-    hashed fast stream share seed, theta and sample count, but not one
-    sample, so neither may resume or load the other's work."""
+    sample stream: a seeded pool's hashed stream (``"per-sample-fast"``)
+    and the server's shared stream (``"stream"``) share seed, theta and
+    sample count, but not one sample, so neither may resume or load the
+    other's work."""
 
     @pytest.fixture()
     def cora(self):
@@ -202,20 +203,32 @@ class TestSampleStreamGuard:
 
         return load_dataset("cora", scale=0.05, seed=SEED).graph
 
-    def _server(self, graph, fast, index_path=None):
+    def _server(self, graph, seeded, index_path=None):
         from repro.core.pool import SharedSamplePool
         from repro.serving import CODServer
 
-        pool = SharedSamplePool(graph, theta=THETA, seed=SEED,
-                                per_sample_seeds=True, fast=fast)
+        pool = (
+            SharedSamplePool(graph, theta=THETA, seed=SEED,
+                             per_sample_seeds=True)
+            if seeded
+            else None
+        )
         return CODServer(graph, theta=THETA, seed=SEED, pool=pool,
                          index_path=index_path, checkpoint_every=20)
 
-    def _crash_at_40(self, graph, fast, index_path):
+    def _crash_at_40(self, graph, seeded, index_path):
         with inject(site="himor_sample", after=40, exc=RuntimeError):
             with pytest.raises(RuntimeError):
-                self._server(graph, fast, index_path).warm()
+                self._server(graph, seeded, index_path).warm()
         assert index_path.with_name(index_path.name + ".ckpt").exists()
+
+    def test_seeded_pool_builds_over_the_hashed_stream(self, cora):
+        # A seeded pool built without ``fast`` still draws with the
+        # hashed kernel, so its index is stamped with that one stream.
+        server = self._server(cora, True)
+        server.warm()
+        assert server.pool.fast
+        assert server._index.sample_mode == "per-sample-fast"
 
     def test_checkpoint_resumes_only_into_its_own_stream(self, cora, tmp_path):
         own = tmp_path / "own.json"
@@ -247,7 +260,7 @@ class TestSampleStreamGuard:
         health = server.health()
         assert health["index_load_failures"] == 1
         assert health["index_rebuilds"] == 1
-        assert server._index.sample_mode == "per-sample"
+        assert server._index.sample_mode == "stream"
         fresh = self._server(cora, False)
         fresh.warm()
         assert all(

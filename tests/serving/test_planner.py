@@ -124,6 +124,35 @@ class TestDifferential:
         # The workload generator must actually exercise mixed batches.
         assert len({q.attribute for q in queries}) >= 1
 
+    def test_skewed_repeated_window_identity(self):
+        # A hot set of distinct queries drawn with replacement into one
+        # window, as a real serving stream repeats its popular queries:
+        # repeats must be served from the pooled caches and still match
+        # sequential pooled answers.
+        from repro.datasets.queries import generate_queries
+        from repro.datasets.registry import load_dataset
+
+        graph = load_dataset("cora", scale=0.15, seed=7).graph
+        hot = generate_queries(graph, count=6, k=2, rng=8)
+        picks = np.random.default_rng(10).integers(0, len(hot), size=32)
+        queries = [hot[int(i)] for i in picks]
+        assert len(set(queries)) < len(queries)
+        assert len({q.attribute for q in queries}) >= 2
+
+        def make() -> CODServer:
+            return CODServer(
+                graph, theta=8, seed=7, backoff_s=0.0,
+                pool=SharedSamplePool(graph, theta=8, seed=9),
+            )
+
+        oracle = sequential_oracle(make(), queries)
+        server = make()
+        answers = BatchPlanner(server).execute(queries)
+        assert_matches_oracle(answers, oracle)
+        caches = server.health()["caches"]
+        assert caches["lore"]["hits"] > 0
+        assert caches["restricted"]["hits"] > 0
+
     def test_workloads_are_mixed_attribute(self):
         # Sanity on the generator itself: across the suite's seeds, most
         # workloads span several attributes (the planner's grouping is
