@@ -1257,8 +1257,9 @@ class CODServer:
     ) -> "RRArena":
         """Pool induced on one hierarchy vertex's ``members``, memoized.
 
-        The members' hashed set is built only on a cache miss, for the
-        shard check and the local restrict; a hit never touches them.
+        The members array (the hierarchy's own slice) is read only on a
+        cache miss, for the shard check and the local restrict; a hit
+        never touches it.
 
         Keyed by ``(attribute, vertex)`` — *not* the vertex alone. Two
         attributes can share a floor vertex, and an entry's provenance is
@@ -1283,8 +1284,7 @@ class CODServer:
 
         def build() -> "RRArena":
             budget.check()
-            allowed = set(int(v) for v in members)
-            shard = self._attach_shard(attribute, floor_vertex, allowed)
+            shard = self._attach_shard(attribute, floor_vertex, members)
             if shard is not None:
                 return shard
             self._local_restricts.inc()
@@ -1294,7 +1294,7 @@ class CODServer:
                 else nullcontext()
             )
             with restrict_cm:
-                return self.pool.restricted(allowed)
+                return self.pool.restricted(members)
 
         key = (attribute, int(floor_vertex))
         return self._restricted_cache.get_or_create(key, build)
@@ -1303,7 +1303,7 @@ class CODServer:
         self,
         attribute: "int | None",
         floor_vertex: int,
-        allowed: set[int],
+        allowed: "set[int] | np.ndarray",
     ) -> "RRArena | None":
         """Attach the published shard for ``(attribute, floor_vertex)``.
 

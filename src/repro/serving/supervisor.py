@@ -771,7 +771,7 @@ class ServingSupervisor:
                 self._shard_failed.add(attr)
                 return None
             allowed = hierarchy.members(lore.c_ell_vertex)
-            restricted = pool.restricted(set(int(v) for v in allowed))
+            restricted = pool.restricted(allowed)
             if restricted.n_samples == 0:
                 self._shard_failed.add(attr)
                 return None

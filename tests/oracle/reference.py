@@ -66,6 +66,12 @@ it, seed for seed, against these implementations:
   smaller-into-larger dict merges, deepest vertex first, with one
   ``bisect`` per member. Production's one-sort array pass must give
   ``==`` rank arrays.
+* :func:`reference_restrict` and :func:`reference_take` — the pool
+  induced on ``C_l`` and the sample splice as they ran over the whole
+  arena: a keep-sample mask, a BFS seeded at every kept source, and an
+  ``argsort`` plus ``bincount`` over every entry; ``take`` recomputing
+  each sample's edge-block start with a ``cumsum`` over every entry.
+  Production's by-source sub-arena path must give array-equal arenas.
 * :class:`ReferenceCODU`, :class:`ReferenceCODLMinus`,
   :class:`ReferenceCODL` and :func:`reference_himor_cod` — the COD
   pipelines as they evaluated before they became adapters over the
@@ -90,14 +96,14 @@ from repro.core.lore import LoreResult, lore_chain, select_reclustering_communit
 from repro.core.pipeline import CODResult
 from repro.core.problem import CODQuery
 from repro.dynamic.updates import AttrUpdate, EdgeUpdate
-from repro.errors import GraphError, HierarchyError, QueryError
+from repro.errors import GraphError, HierarchyError, InfluenceError, QueryError
 from repro.graph.graph import AttributedGraph
 from repro.graph.subgraph import SubgraphView
 from repro.graph.weighting import AttributeWeighting
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.hierarchy.nnchain import agglomerative_hierarchy
-from repro.influence.arena import sample_arena
+from repro.influence.arena import RRArena, sample_arena
 from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.persist import payload_checksum
 from repro.utils.rng import ensure_rng
@@ -831,6 +837,143 @@ def reference_level_bucket_counts(arena, node_levels: np.ndarray,
         if level < n_levels:
             counts[int(level), int(arena.nodes[entry])] += 1
     return counts
+
+
+def _reference_ragged_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offsets = np.cumsum(counts)
+    idx = np.arange(total, dtype=np.int64)
+    idx += np.repeat(starts - offsets + counts, counts)
+    return idx
+
+
+def reference_restrict(arena, allowed) -> RRArena:
+    """The arena induced on ``allowed`` nodes, computed over every entry.
+
+    Samples whose source lies outside ``allowed`` are dropped; surviving
+    samples keep the entries a BFS from their source reaches through
+    allowed nodes, with edges between kept entries preserved (storage
+    order intact, entry ids renumbered).
+    """
+    mask = np.zeros(arena.n, dtype=bool)
+    allowed_arr = np.fromiter(
+        (int(v) for v in allowed), dtype=np.int64
+    ) if not isinstance(allowed, np.ndarray) else np.asarray(
+        allowed, dtype=np.int64
+    )
+    if len(allowed_arr) and not (
+        (allowed_arr >= 0) & (allowed_arr < arena.n)
+    ).all():
+        raise InfluenceError("allowed contains nodes outside the graph")
+    mask[allowed_arr] = True
+
+    entry_ok = mask[arena.nodes] if arena.total_nodes else np.zeros(0, bool)
+    keep_sample = mask[arena.sources] if arena.n_samples else np.zeros(0, bool)
+    reach = np.zeros(arena.total_nodes, dtype=bool)
+    roots = arena.node_offsets[:-1][keep_sample]
+    if len(roots):
+        # Sources are always allowed for kept samples (first entry).
+        reach[roots] = True
+        frontier = roots
+        while len(frontier):
+            counts = arena.edge_count[frontier]
+            total = int(counts.sum())
+            if total == 0:
+                break
+            offsets = np.cumsum(counts)
+            idx = np.arange(total, dtype=np.int64)
+            idx += np.repeat(
+                arena.edge_start[frontier] - offsets + counts, counts
+            )
+            targets = arena.edge_dst_entry[idx]
+            fresh = entry_ok[targets] & ~reach[targets]
+            frontier = np.unique(targets[fresh])
+            reach[frontier] = True
+
+    new_entry_id = np.cumsum(reach) - 1  # valid only where reach is True
+    per_sample = np.bincount(
+        arena.entry_samples[reach], minlength=arena.n_samples
+    )[keep_sample]
+    node_offsets = np.zeros(len(per_sample) + 1, dtype=np.int64)
+    np.cumsum(per_sample, out=node_offsets[1:])
+
+    if arena.total_edges:
+        esrc = arena.edge_src_entries
+        keep_edge = reach[esrc] & reach[arena.edge_dst_entry]
+        edge_dst_entry = new_entry_id[arena.edge_dst_entry[keep_edge]]
+        kept_counts = np.bincount(
+            esrc[keep_edge], minlength=arena.total_nodes
+        )
+    else:
+        edge_dst_entry = np.empty(0, dtype=np.int64)
+        kept_counts = np.zeros(arena.total_nodes, dtype=np.int64)
+    # New edge slices stay contiguous in the old storage order: entry
+    # e's slice starts after every kept edge of entries stored before
+    # it, so one cumsum over storage order yields the new starts.
+    order = np.argsort(arena.edge_start, kind="stable")
+    starts_in_order = np.zeros(arena.total_nodes, dtype=np.int64)
+    np.cumsum(kept_counts[order][:-1], out=starts_in_order[1:])
+    edge_start_all = np.empty(arena.total_nodes, dtype=np.int64)
+    edge_start_all[order] = starts_in_order
+
+    return RRArena(
+        n=arena.n,
+        sources=arena.sources[keep_sample],
+        node_offsets=node_offsets,
+        nodes=arena.nodes[reach],
+        edge_start=edge_start_all[reach],
+        edge_count=kept_counts[reach].astype(np.int64),
+        edge_dst_entry=edge_dst_entry.astype(np.int64),
+    )
+
+
+def reference_take(arena, indices) -> RRArena:
+    """Samples ``indices`` of ``arena`` in the given order, with each
+    sample's edge-block start recomputed by a ``cumsum`` over every entry."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if len(indices) and not (
+        (indices >= 0) & (indices < arena.n_samples)
+    ).all():
+        raise InfluenceError("take indices out of sample range")
+
+    node_counts = np.diff(arena.node_offsets)
+    ecsum = np.zeros(arena.total_nodes + 1, dtype=np.int64)
+    np.cumsum(arena.edge_count, out=ecsum[1:])
+    sample_estart = ecsum[arena.node_offsets]  # shape (n_samples + 1,)
+
+    sel_ncounts = node_counts[indices]
+    node_offsets = np.zeros(len(indices) + 1, dtype=np.int64)
+    np.cumsum(sel_ncounts, out=node_offsets[1:])
+    nidx = _reference_ragged_ranges(arena.node_offsets[:-1][indices], sel_ncounts)
+
+    sel_ecounts = np.diff(sample_estart)[indices]
+    new_estart = np.zeros(len(indices) + 1, dtype=np.int64)
+    np.cumsum(sel_ecounts, out=new_estart[1:])
+    eidx = _reference_ragged_ranges(sample_estart[:-1][indices], sel_ecounts)
+
+    edge_dst = (
+        arena.edge_dst_entry[eidx]
+        - np.repeat(arena.node_offsets[:-1][indices], sel_ecounts)
+        + np.repeat(node_offsets[:-1], sel_ecounts)
+    )
+    edge_start = (
+        arena.edge_start[nidx]
+        - np.repeat(sample_estart[:-1][indices], sel_ncounts)
+        + np.repeat(new_estart[:-1], sel_ncounts)
+    )
+
+    return RRArena(
+        n=arena.n,
+        sources=arena.sources[indices].copy(),
+        node_offsets=node_offsets,
+        nodes=arena.nodes[nidx],
+        edge_start=edge_start,
+        edge_count=arena.edge_count[nidx],
+        edge_dst_entry=edge_dst,
+    )
 
 
 def _reference_check_conflicts(updates: list) -> None:

@@ -14,6 +14,9 @@ the shard attach path itself:
   slot dies (the unbounded-claim-table bug).
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.core.pool import SharedSamplePool
@@ -155,6 +158,41 @@ class TestShardVerification:
             assert pooled_server.health()["shards"]["local_restricts"] == 1
             oracle = pooled_server.pool.restricted(set(allowed))
             assert (arena.nodes == oracle.nodes).all()
+        finally:
+            segment.destroy()
+
+    def test_fingerprint_depends_only_on_the_node_set(
+        self, pooled_server, paper_hierarchy
+    ):
+        from repro.influence.arena import allowed_fingerprint
+
+        vertex = next(
+            v for v in paper_hierarchy.internal_vertices()
+            if 2 < paper_hierarchy.size(v) < paper_hierarchy.n_leaves
+        )
+        members = paper_hierarchy.members(vertex)
+        unsorted = np.concatenate([members[::-1], members[:2]])
+        digests = {
+            allowed_fingerprint(set(members.tolist())),
+            allowed_fingerprint(np.sort(members)),
+            allowed_fingerprint(unsorted),
+        }
+        # Real member slices keep the digest of their sorted node ids.
+        assert digests == {
+            hashlib.sha256(np.sort(members).tobytes()).hexdigest()[:16]
+        }
+        # A shard published from the set attaches for the raw slice.
+        segment, entry = publish_shard(
+            pooled_server, 0, vertex, set(members.tolist())
+        )
+        try:
+            pooled_server.adopt_shards({0: entry})
+            arena = pooled_server._restricted_arena(
+                0, vertex, unsorted, ExecutionBudget()
+            )
+            assert pooled_server.health()["shards"]["hits"] == 1
+            assert pooled_server.health()["shards"]["local_restricts"] == 0
+            assert (arena.nodes == pooled_server.pool.restricted(members).nodes).all()
         finally:
             segment.destroy()
 
