@@ -3,9 +3,10 @@
 :func:`repro.influence.arena.sample_arena` is *stream-compatible* with the
 paper's naive per-dict sampler: it consumes the RNG one explored node at a
 time so a seed reproduces the historical sample stream bit for bit. That contract
-costs it the whole win of the flat arena — ``BENCH_arena.json`` showed raw
-sampling at 0.91x while pooled evaluation ran 3.96x. This module drops the
-contract and generates whole batches at once:
+costs it the whole win of the flat arena — the arena engine's first
+measurement put raw sampling at 0.91x of the dict sampler while pooled
+evaluation ran 3.96x. This module drops the contract and generates whole
+batches at once:
 
 * **batched frontier expansion** — all in-flight samples of a chunk advance
   one BFS level per step; every per-level operation (neighbor gather,

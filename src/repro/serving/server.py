@@ -330,7 +330,7 @@ class CODServer:
         self._shard_misses = m.counter("shm.shard.misses")
         self._shard_rejects = m.counter("shm.shard.rejects")
         #: Local ``pool.restricted()`` builds actually executed — the
-        #: per-worker restrict work ``benchmarks/bench_shard.py`` gates on.
+        #: per-worker restrict work ``tests/serving/test_shard.py`` checks.
         self._local_restricts = m.counter("pool.restricts")
         self._epoch_gauge = m.gauge("epoch")
         self._manifest_gauge = m.gauge("shm.shard.manifest")
