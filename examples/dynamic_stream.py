@@ -1,11 +1,13 @@
-"""Dynamic COD: serving certified answers over an evolving graph.
+"""Dynamic COD: serving exact answers over an evolving graph.
 
 The paper's Section IV-B discussion defers efficient dynamic HIMOR
-maintenance to future work; `repro.dynamic` implements the practical
-middle ground: serve from the stale structures, certify every answer
-against the live graph with restricted sampling, repair on failure, and
-rebuild once drift crosses a budget. This example streams random edge
-updates into the cora analogue and shows the session's bookkeeping.
+maintenance to future work. `CODServer.apply_updates` does it per batch:
+each batch advances the server's epoch, repairs only the pool samples
+that touched the updated nodes, invalidates the stale caches and repairs
+(or rebuilds) the HIMOR index from the repaired pool. Answers after a
+batch equal a fresh server's on the updated graph. This example streams
+random edge insertions into the cora analogue and answers a query after
+every few batches.
 
 Run:  python examples/dynamic_stream.py
 """
@@ -13,20 +15,23 @@ Run:  python examples/dynamic_stream.py
 import numpy as np
 
 from repro import CODQuery, load_dataset
-from repro.dynamic import DynamicCOD, EdgeUpdate
+from repro.core.pool import SharedSamplePool
+from repro.dynamic import EdgeUpdate
+from repro.serving import CODServer
 
 
 def main() -> None:
     data = load_dataset("cora", scale=0.5, seed=7)
-    session = DynamicCOD(
-        data.graph, theta=10, rebuild_budget=20,
-        verify_samples_per_node=80, seed=11,
-    )
+    graph = data.graph
+    # Per-sample seeds let a batch redraw only the samples it touched.
+    pool = SharedSamplePool(graph, theta=10, seed=11, per_sample_seeds=True)
+    server = CODServer(graph, theta=10, seed=11, pool=pool)
+    server.warm()
     rng = np.random.default_rng(3)
-    existing = set(data.graph.edges())
-    n = data.graph.n
-    print(f"initial graph: |V|={n} |E|={data.graph.m}, "
-          f"rebuild budget = {session.rebuild_budget} updates\n")
+    existing = set(graph.edges())
+    n = graph.n
+    print(f"initial graph: |V|={n} |E|={graph.m}, "
+          f"pool of {pool.n_samples} RR samples\n")
 
     for step in range(1, 41):
         # Stream one random insertion (deletions work the same way).
@@ -35,24 +40,21 @@ def main() -> None:
             if u != v and (u, v) not in existing:
                 break
         existing.add((u, v))
-        session.apply([EdgeUpdate(u, v)])
+        report = server.apply_updates([EdgeUpdate(u, v)])
 
         if step % 8 == 0:
             q = int(rng.integers(0, n))
-            attribute = sorted(session.graph.attributes_of(q))[0]
-            answer = session.query(CODQuery(q, attribute, 5))
-            status = (
-                f"|C*|={len(answer.members):4d} rank={answer.verified_rank}"
-                if answer.found else "none"
-            )
-            print(f"step {step:3d}: q={q:4d} -> {status:22s} "
-                  f"[{answer.source}; {session.updates_since_build} stale "
-                  f"updates; {session.rebuild_count} rebuilds; "
-                  f"{session.repair_count} repairs]")
+            attribute = sorted(server.graph.attributes_of(q))[0]
+            answer = server.answer(CODQuery(q, attribute, 5))
+            size = 0 if answer.members is None else len(answer.members)
+            print(f"epoch {report['epoch']:3d}: index {report['index']:8s} "
+                  f"repaired_samples={report['repaired_samples']:4d}  "
+                  f"q={q:4d} -> {answer.rung} |C*|={size}")
 
-    print(f"\nfinal: {session.rebuild_count} rebuilds, "
-          f"{session.repair_count} repairs over 40 updates — every served "
-          "community was certified top-k on the live graph.")
+    updates = server.health()["updates"]
+    print(f"\nfinal: epoch {server.epoch}, |E|={server.graph.m}, "
+          f"{updates['repaired_samples']} samples repaired over "
+          f"{updates['batches_applied']} batches.")
 
 
 if __name__ == "__main__":

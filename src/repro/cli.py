@@ -146,12 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile every stage and write the metrics "
                         "snapshot (JSON) to PATH; in supervised mode the "
                         "snapshot is the fleet-wide rollup")
-    p.add_argument("--batch-size", type=_non_negative_int, default=None,
-                   metavar="N",
-                   help="in-process mode: answer through the batch planner "
-                        "in windows of N queries over a shared RR-sample "
-                        "pool (grouped by attribute; answers stay "
-                        "bit-identical to sequential)")
     p.add_argument("--pool", action="store_true",
                    help="share one RR-sample pool across queries (per "
                         "worker in supervised mode); answers become "
@@ -416,11 +410,6 @@ def _parse_update_batches(args: argparse.Namespace) -> list:
         return []
     from repro.dynamic.log import read_batches
 
-    if args.batch_size is not None:
-        raise ReproError(
-            "--updates cannot be combined with --batch-size: the planner "
-            "reorders queries, which would blur the epoch boundary"
-        )
     batches = read_batches(args.updates)
     print(f"update log: {len(batches)} batches from {args.updates}")
     return batches
@@ -450,8 +439,6 @@ def _cmd_serve_sim(args: argparse.Namespace):
     from repro.serving import CODServer
     from repro.utils import faults
 
-    if args.batch_size is not None and args.batch_size < 1:
-        raise ReproError(f"--batch-size must be >= 1, got {args.batch_size}")
     if args.cache_capacity < 1:
         raise ReproError(
             f"--cache-capacity must be >= 1, got {args.cache_capacity}"
@@ -486,7 +473,7 @@ def _cmd_serve_sim(args: argparse.Namespace):
         graph = recovery.graph
         print(f"durability: {recovery.describe()}")
     pool = None
-    if args.pool or args.pool_seeded or args.batch_size is not None:
+    if args.pool or args.pool_seeded:
         from repro.core.pool import SharedSamplePool
 
         pool = SharedSamplePool(
@@ -524,24 +511,17 @@ def _cmd_serve_sim(args: argparse.Namespace):
     else:
         injection = contextlib.nullcontext()
 
-    planner = None
     schedule = _update_schedule(update_batches, len(queries))
     with injection:
-        if args.batch_size is not None:
-            from repro.serving.planner import BatchPlanner
-
-            planner = BatchPlanner(server)
-            answers = planner.execute(queries, batch_size=args.batch_size)
-        else:
-            answers = []
-            for i, query in enumerate(queries):
-                for batch in schedule.get(i, ()):
-                    _print_epoch_report(server.apply_updates(batch))
-                answers.append(server.answer(query))
-            # Trailing batches (at >= n_queries) still apply, so the
-            # replayed log and the final health epoch stay complete.
-            for batch in schedule.get(len(queries), ()):
+        answers = []
+        for i, query in enumerate(queries):
+            for batch in schedule.get(i, ()):
                 _print_epoch_report(server.apply_updates(batch))
+            answers.append(server.answer(query))
+        # Trailing batches (at >= n_queries) still apply, so the
+        # replayed log and the final health epoch stay complete.
+        for batch in schedule.get(len(queries), ()):
+            _print_epoch_report(server.apply_updates(batch))
     for i, (query, answer) in enumerate(zip(queries, answers)):
         size = 0 if answer.members is None else len(answer.members)
         line = (
@@ -585,12 +565,6 @@ def _cmd_serve_sim(args: argparse.Namespace):
         )
         print(f"  cache {name:12s} : {bound} hits={stats['hits']} "
               f"misses={stats['misses']} evictions={stats['evictions']}")
-    if planner is not None and planner.last_plan is not None:
-        plan = planner.last_plan.describe()
-        batches = server.metrics.counter("planner.batches").value
-        print(f"  planner            : batches={batches} "
-              f"last_groups={plan['groups']} "
-              f"grouped={plan['grouped_execution']}")
     if state_store is not None:
         print(f"  durable epoch      : {state_store.epoch} "
               f"(snapshots: {state_store.snapshots.epochs() or 'none'})")

@@ -144,9 +144,9 @@ class SharedSamplePool:
         ``fast``, else the stream-compatible :func:`sample_arena`.
         ``budget``/``trace`` are forwarded only to the draw that actually
         happens; they never change the samples.
-        Callers that amortize the pool across a batch (e.g. the serving
-        planner) call this once up front so the sampling cost is not
-        charged to whichever query happens to run first.
+        Callers that amortize the pool across a workload (e.g.
+        :meth:`CODServer.warm`) call this once up front so the sampling
+        cost is not charged to whichever query happens to run first.
 
         Thread-safe: concurrent calls (e.g. two ``warm()`` threads)
         serialize on the pool lock and exactly one of them draws; the

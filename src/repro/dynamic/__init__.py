@@ -3,8 +3,9 @@
 The paper notes that real graphs are dynamic, that hierarchies and
 influence estimates both shift under updates, and that the compressed
 HIMOR computation "cannot be updated efficiently" — leaving dynamic
-maintenance as future work. This package implements the honest practical
-middle ground that caveat suggests:
+maintenance as future work. This package holds the update side of that
+maintenance; :meth:`repro.serving.CODServer.apply_updates` applies each
+batch exactly, epoch by epoch:
 
 * edge insertions/deletions and per-node attribute flips as first-class
   update objects (:mod:`repro.dynamic.updates`), applied as atomic
@@ -14,16 +15,10 @@ middle ground that caveat suggests:
   :class:`~repro.dynamic.log.UpdateLog` whose epoch ``e`` graph is the
   seed graph with batches ``1..e`` applied — the replayable history the
   serving layer's incremental-repair machinery and its rebuild oracle
-  both run from;
-* :class:`~repro.dynamic.session.DynamicCOD` — a query session that keeps
-  serving from the stale hierarchy/index, *verifies* each answer against
-  the current graph with fresh restricted sampling (falling back to a
-  fresh evaluation when verification fails), and rebuilds the offline
-  structures once the accumulated drift crosses a budget.
+  both run from.
 """
 
 from repro.dynamic.log import UpdateBatch, UpdateLog, as_batch, read_batches
-from repro.dynamic.session import DynamicCOD
 from repro.dynamic.updates import (
     AttrUpdate,
     EdgeUpdate,
@@ -44,5 +39,4 @@ __all__ = [
     "read_batches",
     "touched_attributes",
     "touched_nodes",
-    "DynamicCOD",
 ]

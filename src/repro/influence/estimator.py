@@ -84,7 +84,6 @@ def estimate_influences_in_community(
     n_samples: int,
     model: InfluenceModel | None = None,
     rng: "int | np.random.Generator | None" = None,
-    budget: "object | None" = None,
 ) -> InfluenceEstimate:
     """Estimate influences *within* the community induced by ``members``.
 
@@ -99,8 +98,7 @@ def estimate_influences_in_community(
         raise InfluenceError(f"n_samples must be positive, got {n_samples}")
     allowed = set(int(v) for v in members)
     arena = sample_arena(
-        graph, n_samples, model=model, rng=ensure_rng(rng), allowed=allowed,
-        budget=budget,
+        graph, n_samples, model=model, rng=ensure_rng(rng), allowed=allowed
     )
     return InfluenceEstimate(
         counts=arena.influence_counts(), n_samples=n_samples, population=len(allowed)

@@ -9,12 +9,12 @@ processes with admission control (bounded queue, priority-aware load
 shedding), crash/wedge detection, capped-backoff restarts, and an
 exactly-one-terminal-answer guarantee per admitted query.
 
-:class:`BatchPlanner` groups an admitted workload by query attribute and
-shares per-attribute structures (and, with a
-:class:`~repro.core.pool.SharedSamplePool`, one RR-sample arena) across
-the group while staying bit-identical to sequential answers. See
+Every answer goes through :meth:`CODServer.answer` and every graph
+update through :meth:`CODServer.apply_updates`; with a
+:class:`~repro.core.pool.SharedSamplePool` attached, queries share one
+RR-sample arena and their answers do not depend on query order. See
 ``docs/API.md`` ("Serving & fault tolerance", "Supervision &
-operations", and "Batched serving") for the full contract.
+operations", and "Pooled serving") for the full contract.
 """
 
 from repro.serving.breaker import CircuitBreaker
@@ -26,7 +26,6 @@ from repro.serving.durability import (
     SnapshotStore,
     WriteAheadLog,
 )
-from repro.serving.planner import BatchPlan, BatchPlanner, QueryGroup
 from repro.serving.queue import (
     PRIORITY_BACKGROUND,
     PRIORITY_BATCH,
@@ -42,10 +41,7 @@ __all__ = [
     "Admission",
     "AdmissionQueue",
     "BackoffPolicy",
-    "BatchPlan",
-    "BatchPlanner",
     "CODServer",
-    "QueryGroup",
     "ChaosSchedule",
     "CircuitBreaker",
     "DurableStateStore",

@@ -97,7 +97,7 @@ LORE_LOCAL_RECLUSTERINGS = 16
 
 #: Flat :meth:`CODServer.health` counters, by the registry counter each
 #: one reads. Answered-per-rung, ``refused`` and ``queries`` read the
-#: ``rung.<rung>`` counters plus ``query.errors``.
+#: ``rung.<rung>`` counters.
 HEALTH_COUNTERS = {
     "retries": "ladder.retries",
     "deadline_exceeded": "ladder.deadline_exceeded",
@@ -106,7 +106,6 @@ HEALTH_COUNTERS = {
     "index_rebuilds": "index.builds",
     "index_load_failures": "index.load_failures",
     "index_builds_resumed": "index.builds_resumed",
-    "query_errors": "query.errors",
 }
 
 
@@ -235,8 +234,8 @@ class CODServer:
         the pooled samples instead of drawing fresh ones — the server
         never consumes its own RNG per query, so answers are a pure
         function of (query, pool), identical across query orderings.
-        That is what makes batched (grouped) execution bit-identical to
-        sequential calls. The trade-off is inherited from the pool:
+        A supervised fleet's affinity dispatch relies on this. The
+        trade-off is inherited from the pool:
         answers to different queries share randomness and are therefore
         correlated. The ``sample_budget`` axis does not tick in pooled
         mode (nothing is drawn); deadlines still apply.
@@ -542,36 +541,6 @@ class CODServer:
     def index(self) -> HimorIndex:
         """The HIMOR index of the CODL rung (loaded or built on first use)."""
         return self._ensure_index(ExecutionBudget(clock=self._clock))
-
-    def answer_batch(
-        self,
-        queries: "list[CODQuery]",
-        batch_size: "int | None" = None,
-    ) -> list[ServedAnswer]:
-        """Answer a workload through the batch planner.
-
-        The planner groups queries by attribute so per-attribute
-        structures (LORE's edge counts and local reclusterings, LORE
-        chains, restricted arenas) are
-        built once per group; with a :class:`SharedSamplePool` attached it
-        also executes group-by-group, which is safe because pooled answers
-        do not depend on query order. Answers come back in input order
-        and are bit-identical to sequential :meth:`answer` calls.
-
-        Failures are isolated per query: one query raising — even a
-        caller error like an invalid node — yields a refused
-        :class:`ServedAnswer` with the error recorded (and counted in
-        ``query.errors``) instead of aborting the rest of the
-        batch. The failed query's *actual* elapsed time is charged to the
-        ``query.seconds`` latency reservoir (never a fabricated zero).
-
-        ``batch_size`` optionally windows the workload: each consecutive
-        window of that many queries is planned independently, bounding
-        how far a query can be deferred behind its attribute group.
-        """
-        from repro.serving.planner import BatchPlanner
-
-        return BatchPlanner(self).execute(queries, batch_size=batch_size)
 
     def warm(self, pool: bool = True) -> None:
         """Build (or load/resume) the hierarchy and HIMOR index up front.
@@ -882,7 +851,7 @@ class CODServer:
             for rung, counter in self._rungs.items()
             if rung != REFUSED and counter.value
         }
-        refused = self._rungs[REFUSED].value + self._health["query_errors"].value
+        refused = self._rungs[REFUSED].value
         snapshot = {
             "queries": sum(answered.values()) + refused,
             "answered_per_rung": answered,

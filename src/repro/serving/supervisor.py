@@ -1029,7 +1029,8 @@ class ServingSupervisor:
         for up to ``wait_s`` and ends early when a worker is freed (a
         result or ready event) or a worker process exits, so the freed
         worker gets its next task, or the dead one is handled, in this
-        same round. Heartbeats and epoch acks do not end the wait.
+        same round. With no worker process running it ends when the
+        first respawn is due. Heartbeats and epoch acks do not end the wait.
         """
         for wait in (0.0, wait_s):
             self._reap_events(wait)
@@ -1052,7 +1053,13 @@ class ServingSupervisor:
             # Restarting and disabled slots have no process and no queue.
             live = [slot for slot in self._slots if slot.proc is not None]
             if not live:
-                time.sleep(remaining)
+                # Nothing can wake this wait: sleep only until the first
+                # respawn is due, so the caller's next policing starts it.
+                due = min([deadline] + [
+                    slot.respawn_at for slot in self._slots
+                    if slot.state == W_RESTARTING
+                ])
+                time.sleep(max(0.0, due - time.monotonic()))
                 return
             # A dead worker's sentinel stays ready, so ending the wait on
             # it (and policing the death next) also keeps this from spinning.

@@ -5,8 +5,7 @@ into ``tmp_path`` and checks the keys and values an operator reads off
 the written document:
 
 * the in-process snapshot's shape (sections, stage histograms, cache
-  mirrors, planner batches, the byte-bounded LORE memo, bounded
-  reservoirs);
+  mirrors, the byte-bounded LORE memo, bounded reservoirs);
 * a live-update replay (epochs, update counters, incremental repair);
 * a shared-pool fleet (``shm.*`` gauge and counters, the health block);
 * shard-affinity dispatch (``shm.shard.*`` and ``affinity.*``);
@@ -71,7 +70,7 @@ def toggle_updates(tmp_path_factory):
 
 def test_in_process_snapshot_schema(tmp_path):
     doc = serve_sim(tmp_path / "metrics.json", "--scale", "0.15",
-                    "--queries", "2", "--theta", "2", "--batch-size", "2")
+                    "--queries", "2", "--theta", "2")
     assert doc["health"]["queries"] == 2
     metrics = doc["metrics"]
     assert set(metrics) == {"counters", "gauges", "histograms"}
@@ -82,7 +81,6 @@ def test_in_process_snapshot_schema(tmp_path):
     assert any(name.startswith("cache.") for name in metrics["counters"]), (
         "bounded caches must mirror hit/miss counters into metrics"
     )
-    assert metrics["counters"]["planner.batches"] >= 1
     lore_local_bytes = metrics["gauges"]["cache.lore_local.bytes"]
     assert lore_local_bytes <= doc["health"]["caches"]["lore_local"]["max_bytes"]
     for hist in metrics["histograms"].values():

@@ -168,14 +168,3 @@ class TestCheckpointThreading:
             HimorIndex.build(
                 paper_graph, paper_hierarchy, theta=5, rng=0, budget=budget
             )
-
-    def test_dynamic_session_routes_budget(self, two_cliques_graph):
-        from repro.core.problem import CODQuery
-        from repro.dynamic.session import DynamicCOD
-
-        clock = FakeClock()
-        session = DynamicCOD(two_cliques_graph, theta=2, seed=0)
-        budget = ExecutionBudget(deadline_s=1.0, clock=clock)
-        clock.advance(5.0)
-        with pytest.raises(DeadlineExceededError):
-            session.query(CODQuery(0, 0, 2), budget=budget)

@@ -63,7 +63,7 @@ class TestSnapshotCompatibility:
                     "deadline_exceeded", "budget_exhausted",
                     "breaker_short_circuits", "index_rebuilds",
                     "index_load_failures", "index_builds_resumed",
-                    "query_errors", "latency", "breaker_state"):
+                    "latency", "breaker_state"):
             assert key in snapshot, key
         for key in ("p50_s", "p95_s", "mean_s", "max_s"):
             assert key in snapshot["latency"], key
