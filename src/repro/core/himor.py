@@ -5,8 +5,10 @@ everything above it comes unchanged from the non-attributed hierarchy
 ``T``. HIMOR exploits that invariant: it precomputes, for every node ``v``
 and every ancestor community ``C`` of ``v`` in ``T``, the influence rank
 ``rank_C(v)`` — so a query first walks the ranks of ``q`` over the
-ancestors of ``C_l`` top-down (largest community first) and only falls back
-to compressed evaluation *inside* ``C_l`` when no ancestor qualifies. The
+ancestors of ``C_l`` top-down (largest community first) and only looks
+*inside* ``C_l`` when no ancestor qualifies. There, a pooled server reads
+a :func:`local_index` over LORE's reclustering of ``C_l``, built once per
+``(attribute, C_l)``; without a pool it runs compressed evaluation. The
 query side of Algorithm 3 is the CODL rung of
 :class:`~repro.serving.server.CODServer`.
 
@@ -32,6 +34,7 @@ import numpy as np
 from repro.errors import CheckpointError, IndexError_, QueryError
 from repro.graph.graph import AttributedGraph
 from repro.hierarchy.dendrogram import CommunityHierarchy
+from repro.hierarchy.lca import LcaIndex
 from repro.influence.arena import RRArena, _ragged_ranges, sample_arena
 from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.faults import maybe_fail
@@ -317,14 +320,20 @@ class HimorIndex:
         return int(self._ranks[node][position])
 
     def largest_qualifying_ancestor(
-        self, node: int, k: int, floor_vertex: int | None = None
+        self,
+        node: int,
+        k: int,
+        floor_vertex: int | None = None,
+        below_root: bool = False,
     ) -> int | None:
         """Algorithm 3's index scan.
 
         Walks the ancestors of ``floor_vertex`` (default: all of
         ``H(node)``) top-down and returns the first — i.e. largest —
         community in which ``node`` has rank <= ``k``; ``None`` when no
-        ancestor qualifies.
+        ancestor qualifies. ``below_root`` leaves the root out of the
+        scan: in a :func:`local_index` over ``C_l`` the root is ``C_l``
+        itself, which the global index answers.
         """
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
@@ -338,7 +347,8 @@ class HimorIndex:
                 raise QueryError(
                     f"floor vertex {floor_vertex} is not an ancestor of node {node}"
                 ) from None
-        for position in range(len(path) - 1, start - 1, -1):
+        top = len(path) - 1 - int(below_root)
+        for position in range(top, start - 1, -1):
             if ranks[position] <= k:
                 return path[position]
         return None
@@ -413,6 +423,62 @@ class HimorIndex:
             raise IndexError_(f"malformed HIMOR index in {path}: {exc}") from exc
         index.sample_mode = payload.get("sample_mode")
         return index
+
+
+def local_index(
+    hierarchy: CommunityHierarchy,
+    to_parent: np.ndarray,
+    arena: RRArena,
+    theta: int = 10,
+    budget: "object | None" = None,
+) -> HimorIndex:
+    """A HIMOR index over a local hierarchy, from a restricted arena.
+
+    ``hierarchy`` reclusters one community ``C`` whose member ids, sorted,
+    are ``to_parent`` (LORE's local reclustering of ``C_l``), and
+    ``arena`` holds samples confined to ``C`` (:meth:`RRArena.restrict`).
+    One ``searchsorted`` relabels the arena to local ids; the charges and
+    ranks are then those of :meth:`HimorIndex.build`. A local rank <= k
+    holds exactly when ``q``'s count is at least the k-th largest count,
+    the test Algorithm 1 makes over the same arena, so the index answers
+    CODL's fallback inside ``C`` for every member and every ``k``.
+
+    Unlike :meth:`HimorIndex.build` it fires no fault site and keeps no
+    buckets: a local index is rebuilt, never repaired. ``budget`` is
+    checked before every chunk of samples. An arena holding a node
+    outside ``C`` raises :class:`~repro.errors.IndexError_`.
+    """
+    n = hierarchy.n_leaves
+    if len(to_parent) != n:
+        raise IndexError_(
+            f"id map covers {len(to_parent)} nodes but the hierarchy has "
+            f"{n} leaves"
+        )
+    nodes = np.searchsorted(to_parent, arena.nodes)
+    if len(nodes) and not np.array_equal(
+        to_parent[np.minimum(nodes, n - 1)], arena.nodes
+    ):
+        raise IndexError_("arena holds nodes outside the indexed community")
+    # A source is its sample's first entry, so relabeling the nodes
+    # relabels the sources too; the edge arrays index entries and carry over.
+    local = RRArena(
+        n, nodes[arena.node_offsets[:-1]], arena.node_offsets, nodes,
+        arena.edge_start, arena.edge_count, arena.edge_dst_entry,
+    )
+    # LORE's byte-bounded memo holds the hierarchy and does not charge an
+    # LCA table, so this pass builds its own instead of caching one there.
+    lca = LcaIndex(hierarchy)
+    charged = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, local.n_samples, _HFS_CHUNK):
+        if budget is not None:
+            budget.check()
+        charged.append(_chunk_charges(
+            hierarchy, local, lo, min(lo + _HFS_CHUNK, local.n_samples), lca
+        ))
+    # No bucket dicts to keep, so the charges go to the ranking as arrays.
+    pairs, charges = np.unique(np.concatenate(charged), return_counts=True)
+    ranks = _ranks_from_charges(hierarchy, pairs // n, pairs % n, charges)
+    return HimorIndex(hierarchy, ranks, theta=theta, n_samples=local.n_samples)
 
 
 # ------------------------------------------------------------- checkpoints
@@ -640,10 +706,15 @@ def _fold_charges(
 
 
 def _chunk_charges(
-    hierarchy: CommunityHierarchy, arena: RRArena, lo: int, hi: int
+    hierarchy: CommunityHierarchy,
+    arena: RRArena,
+    lo: int,
+    hi: int,
+    lca: "LcaIndex | None" = None,
 ) -> np.ndarray:
     """Charge keys ``tag * n_leaves + node`` of samples ``lo..hi-1``, one
-    per reached entry (see :func:`_tree_hfs_arena`)."""
+    per reached entry (see :func:`_tree_hfs_arena`). ``lca`` answers the
+    caps' LCA queries in place of the hierarchy's own cached index."""
     offsets = arena.node_offsets
     e0 = int(offsets[lo])
     e1 = int(offsets[hi])
@@ -653,7 +724,9 @@ def _chunk_charges(
     sources = arena.sources[lo:hi]
     roots = offsets[lo:hi] - e0
     sizes = np.diff(offsets[lo:hi + 1])
-    caps = hierarchy.lca_many(nodes, np.repeat(sources, sizes))
+    caps = (hierarchy if lca is None else lca).lca_many(
+        nodes, np.repeat(sources, sizes)
+    )
     caps[roots] = hierarchy.parents[sources]
     cap_key = depths[caps] * n_vertices + caps
 
@@ -685,7 +758,28 @@ def _chunk_charges(
 def _bottom_up_ranks(
     hierarchy: CommunityHierarchy, buckets: dict[int, dict[int, int]]
 ) -> list[np.ndarray]:
-    """Every member's rank in every community, from the HFS own-charges.
+    """Every member's rank in every community, from the HFS own-charges
+    (see :func:`_ranks_from_charges`)."""
+    sizes = [len(bucket) for bucket in buckets.values()]
+    tags = np.repeat(np.fromiter(buckets, dtype=np.int64, count=len(sizes)), sizes)
+    nodes = np.fromiter(
+        chain.from_iterable(buckets.values()), dtype=np.int64, count=len(tags)
+    )
+    charges = np.fromiter(
+        chain.from_iterable(bucket.values() for bucket in buckets.values()),
+        dtype=np.int64, count=len(tags),
+    )
+    return _ranks_from_charges(hierarchy, tags, nodes, charges)
+
+
+def _ranks_from_charges(
+    hierarchy: CommunityHierarchy,
+    tags: np.ndarray,
+    nodes: np.ndarray,
+    charges: np.ndarray,
+) -> list[np.ndarray]:
+    """Every member's rank in every community, from own-charges given as
+    distinct ``(tag, node)`` pairs and their ``charges``, in any order.
 
     A node's count in community ``C`` is the sum of its own charges over
     its root path, from its parent up to ``C``; its rank in ``C`` is
@@ -713,15 +807,6 @@ def _bottom_up_ranks(
         """Leaf-major slot of each ``(community, member)`` pair."""
         return leaf_start[nodes] + depths[nodes] - 1 - depths[tags]
 
-    sizes = [len(bucket) for bucket in buckets.values()]
-    tags = np.repeat(np.fromiter(buckets, dtype=np.int64, count=len(sizes)), sizes)
-    nodes = np.fromiter(
-        chain.from_iterable(buckets.values()), dtype=np.int64, count=len(tags)
-    )
-    charges = np.fromiter(
-        chain.from_iterable(bucket.values() for bucket in buckets.values()),
-        dtype=np.int64, count=len(tags),
-    )
     _check_charges(hierarchy, tags, nodes)
     # Leaf-major: own charges, then a cumulative sum restarted per leaf.
     counts = np.zeros(int(leaf_start[-1]), dtype=np.int64)
@@ -749,7 +834,8 @@ def _bottom_up_ranks(
     block_start = np.repeat(np.cumsum(community_sizes) - community_sizes, community_sizes)
     ranks = np.empty(len(counts), dtype=np.int64)
     ranks[pair_slot[order]] = 1 + first - block_start
-    return np.split(ranks, leaf_start[1:-1])
+    bounds = leaf_start.tolist()
+    return [ranks[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _check_charges(

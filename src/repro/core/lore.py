@@ -56,12 +56,18 @@ class LoreResult:
     scores:
         ``r(C)`` for every community of the non-attributed ``H(q)``
         (aligned with ``hierarchy.path_communities(q)``, deepest first).
+    local:
+        The reclustering of ``C_l`` spliced into :attr:`chain`: its sorted
+        local-to-parent id map and local hierarchy. The chain's first
+        :attr:`c_ell_chain_level` levels are ``q``'s local path without
+        the local root.
     """
 
     chain: CommunityChain
     c_ell_vertex: int
     c_ell_chain_level: int
     scores: np.ndarray
+    local: "_LocalRecluster"
 
 
 def attribute_edge_lca_counts(
@@ -263,6 +269,7 @@ def lore_chain(
             c_ell_vertex=c_ell,
             c_ell_chain_level=c_ell_chain_level,
             scores=scores,
+            local=local,
         )
 
 

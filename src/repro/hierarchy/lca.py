@@ -21,26 +21,29 @@ class LcaIndex:
 
     def __init__(self, hierarchy: "CommunityHierarchy") -> None:  # noqa: F821
         total = hierarchy.n_vertices
-        # The tour walks the hierarchy's own child lists (ascending ids)
-        # rather than the validated per-vertex accessors.
-        children = hierarchy._children
-        tour: list[int] = []
-        first = [-1] * total
+        parents = hierarchy.parents
+        depths = hierarchy.depths
+        lo = hierarchy.member_starts
+        hi = lo + hierarchy.sizes
+        # The tour is the DFS over ascending child ids that also lays out
+        # the leaves, so its preorder sorts vertices by first leaf position,
+        # ancestors first, and each subtree is the preorder run that ends
+        # at the first vertex starting at or after the subtree's last leaf.
+        # A vertex is first visited after two tour steps per earlier vertex
+        # less one per level below the root, and its parent is revisited
+        # right after its subtree's 2 * size - 1 steps.
+        preorder = np.lexsort((depths, lo))
+        pre = np.empty(total, dtype=np.int64)
+        pre[preorder] = np.arange(total, dtype=np.int64)
+        subtree = np.searchsorted(lo[preorder], hi, side="left") - pre
+        first = 2 * pre - (depths - 1)
+        tour = np.empty(2 * total - 1, dtype=np.int64)
+        tour[first] = np.arange(total, dtype=np.int64)
+        child = np.flatnonzero(parents >= 0)
+        tour[first[child] + 2 * subtree[child] - 1] = parents[child]
 
-        # Iterative Euler tour: re-visit a vertex after each child subtree.
-        stack: list[tuple[int, int]] = [(hierarchy.root, 0)]
-        while stack:
-            vertex, child_index = stack.pop()
-            if first[vertex] == -1:
-                first[vertex] = len(tour)
-            tour.append(vertex)
-            kids = children[vertex]
-            if child_index < len(kids):
-                stack.append((vertex, child_index + 1))
-                stack.append((kids[child_index], 0))
-
-        self._first = np.asarray(first, dtype=np.int64)
-        self._tour = np.asarray(tour, dtype=np.int64)
+        self._first = first
+        self._tour = tour
         depth_arr = hierarchy.depths[self._tour]
 
         t = len(tour)

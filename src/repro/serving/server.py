@@ -46,8 +46,18 @@ from typing import Callable
 import numpy as np
 
 from repro.core.compressed import compressed_cod
-from repro.core.himor import HimorIndex, graph_checksum, same_hierarchy
-from repro.core.lore import LoreResult, local_recluster_bytes, lore_chain
+from repro.core.himor import (
+    HimorIndex,
+    graph_checksum,
+    local_index,
+    same_hierarchy,
+)
+from repro.core.lore import (
+    LoreResult,
+    _LocalRecluster,
+    local_recluster_bytes,
+    lore_chain,
+)
 from repro.core.problem import CODQuery, validate_budgets
 from repro.errors import (
     BudgetExhaustedError,
@@ -229,9 +239,11 @@ class CODServer:
         :meth:`health` under ``"metrics"``.
     pool:
         Optional :class:`~repro.core.pool.SharedSamplePool` over the same
-        graph. When set, every compressed evaluation (and CODL's
-        restricted fallback, via :meth:`RRArena.restrict`) is served from
-        the pooled samples instead of drawing fresh ones — the server
+        graph. When set, every compressed evaluation is served from the
+        pooled samples instead of drawing fresh ones, and CODL's fallback
+        inside ``C_l`` reads a local HIMOR index built once per
+        ``(attribute, C_l)`` from the pool restricted to ``C_l``
+        (:meth:`RRArena.restrict`) — the server
         never consumes its own RNG per query, so answers are a pure
         function of (query, pool), identical across query orderings.
         A supervised fleet's affinity dispatch relies on this. The
@@ -241,7 +253,8 @@ class CODServer:
         mode (nothing is drawn); deadlines still apply.
     cache_capacity:
         Entry bound for the finished LORE chain cache (``lore``) and the
-        restricted-arena cache (``restricted``). LORE's query-independent
+        cache of CODL's local indexes, one per ``(attribute, C_l)``
+        (``restricted``). LORE's query-independent
         parts (``lore_local``) are bounded by bytes instead: room for
         16 whole-graph local reclusterings, sized from ``graph.n`` here.
         Every cache's ``cache.<name>.*`` counters live in the server's
@@ -378,6 +391,9 @@ class CODServer:
             name="lore_local",
             metrics=m,
         )
+        #: CODL's local HIMOR indexes, keyed ``(attribute, C_l vertex)``
+        #: (see :meth:`_local_index`). They depend on the attribute's local
+        #: reclustering, so :meth:`invalidate_lore` drops them with it.
         self._restricted_cache = LRUCache(
             self.cache_capacity, name="restricted", metrics=m
         )
@@ -576,8 +592,8 @@ class CODServer:
         by enqueueing update directives on the same FIFO queue as tasks).
         Repair instead of rebuild:
 
-        * **structural batches** (any edge update) drop the LORE and
-          restricted memos; an attached per-sample-seeded pool is
+        * **structural batches** (any edge update) drop the LORE memos
+          and local indexes; an attached per-sample-seeded pool is
           incrementally repaired (only samples that activated a touched
           node are redrawn — bit-identical to a from-scratch draw); the
           HIMOR index is delta-repaired when the
@@ -586,8 +602,9 @@ class CODServer:
           rebuild.
         * **attribute-only batches** leave topology-derived state (pool
           samples, hierarchy, HIMOR ranks) untouched and invalidate only
-          LORE entries scoped to the touched attributes (the ``jaccard``
-          weighting scheme reads full attribute sets, so it drops all).
+          the LORE entries and local indexes of the touched attributes
+          (the ``jaccard`` weighting scheme reads full attribute sets, so
+          it drops all).
 
         ``epoch`` pins the post-apply epoch (workers replaying a
         supervisor directive pass the directive's target so respawned
@@ -640,7 +657,6 @@ class CODServer:
             index_action = "none"
             if structural:
                 invalidated += self.invalidate_lore()
-                invalidated += self._restricted_cache.clear()
                 rep = None
                 if self.pool is not None:
                     rep = self.pool.repair(new_graph, t_nodes)
@@ -659,7 +675,7 @@ class CODServer:
                     invalidated += self.invalidate_lore()
                 else:
                     invalidated += self.invalidate_lore(t_attrs)
-                # Restricted arenas and HIMOR ranks are topology-only;
+                # The pool and the HIMOR ranks are topology-only;
                 # attribute flips cannot stale them.
                 if self.pool is not None:
                     self.pool.repair(new_graph, set())
@@ -753,7 +769,7 @@ class CODServer:
         configured identically to this worker's, the adopted state is
         bit-identical to what a local apply + repair would have produced.
 
-        Conservative on derived state: the LORE and restricted memos drop,
+        Conservative on derived state: the LORE memos and local indexes drop,
         and the hierarchy/HIMOR index are discarded for lazy rebuild (the
         supervisor does not ship index deltas; CODL rebuilds from the
         adopted pool without resampling).
@@ -765,7 +781,6 @@ class CODServer:
             )
         target = self.epoch + 1 if epoch is None else int(epoch)
         invalidated = self.invalidate_lore()
-        invalidated += self._restricted_cache.clear()
         self.pool.adopt(graph, arena)
         old_graph = self.graph
         self.graph = graph
@@ -777,9 +792,9 @@ class CODServer:
         self._hierarchy = None
         self._index = None
         self.epoch = target
-        # The restricted cache was already cleared wholesale above; adopt
-        # the epoch's shard manifest so post-update queries attach the
-        # rotated shards instead of re-restricting locally.
+        # The local indexes were already cleared wholesale above; adopt
+        # the epoch's shard manifest so post-update index builds attach
+        # the rotated shards instead of re-restricting locally.
         self.adopt_shards(shards)
         self._update_batches.inc()
         self._updates_applied.inc(int(n_updates))
@@ -802,13 +817,13 @@ class CODServer:
         ``manifest`` maps attribute → ``{"name", "vertex", "epoch",
         "allowed_sha", "samples"}`` describing a published ``rr-shard``
         segment holding ``pool.restricted(allowed)`` for that attribute's
-        hot floor vertex. Shards attach lazily on first use
-        (:meth:`_restricted_arena`); here we only reconcile state:
+        hot floor vertex. Shards attach lazily when a local index is
+        built (:meth:`_restricted_arena`); here we only reconcile state:
 
-        * restricted-cache entries for attributes whose shard entry
-          changed are invalidated (the cache key is ``(attribute,
-          vertex)`` — per-attribute scoping is what makes this sound,
-          see the keying bugfix in :meth:`_restricted_arena`),
+        * local indexes of attributes whose shard entry changed are
+          invalidated (the cache key is ``(attribute, vertex)`` —
+          per-attribute scoping is what makes this sound, see the keying
+          note in :meth:`_local_index`),
         * attached arenas whose segment left the manifest are detached.
 
         Returns the number of cache entries invalidated. Idempotent;
@@ -928,9 +943,14 @@ class CODServer:
         answer: "ServedAnswer | None",
         trace: "object | None" = None,
     ) -> "tuple[dict[int, np.ndarray | None], int]":
-        """Algorithm 3: HIMOR index scan + restricted local fallback. The
-        scan resolves each ``k`` on its own; one fallback evaluation inside
-        ``C_l`` serves every ``k`` it left open."""
+        """Algorithm 3: the HIMOR index scan down to ``C_l``, then a scan
+        of ``q``'s local path inside ``C_l`` for every ``k`` it left open.
+
+        A pooled server reads that path from a local index, built once per
+        ``(attribute, C_l)`` (:meth:`_local_index`). Without a pool, one
+        Algorithm-1 evaluation over a fresh draw confined to ``C_l``
+        serves every open ``k``: such a draw is used once, so an index
+        over it could not pay for itself."""
         index = self._ensure_index(budget, trace)
         lore = self._guarded_lore(query, budget, trace, guarded=answer is not None)
         lookup_cm = (
@@ -945,20 +965,60 @@ class CODServer:
                 members_by_k[k] = (
                     None if ancestor is None else index.hierarchy.members(ancestor)
                 )
-            fallback_ks = [k for k in ks if members_by_k[k] is None]
+            # A C_l whose local path is only its root leaves nothing below.
+            open_ks = [
+                k for k in ks
+                if members_by_k[k] is None and lore.c_ell_chain_level > 0
+            ]
+            local = bool(open_ks) and self.pool is not None
+            if local:
+                members_by_k.update(self._with_sampling_retries(
+                    lambda _theta: self._local_scan(
+                        query, lore, open_ks, budget, trace
+                    ),
+                    budget, answer, RUNG_CODL,
+                ))
             if lookup_span is not None:
-                lookup_span.note(hit=not fallback_ks)
-        if fallback_ks and lore.c_ell_chain_level > 0:
+                lookup_span.note(hit=not open_ks, local=local)
+        if open_ks and not local:
             # Sources outside C_l never reach a community inside it, so
             # samples confined to C_l stand in for the global draw.
-            vertex = lore.c_ell_vertex
-            floor = (query.attribute, vertex, index.hierarchy.members(vertex))
             inner_chain = lore.chain.prefix(lore.c_ell_chain_level)
-            fallback = self._evaluate(
-                inner_chain, fallback_ks, budget, answer, trace, RUNG_CODL, floor
-            )
-            members_by_k.update(fallback)
+            members_by_k.update(self._evaluate(
+                inner_chain, open_ks, budget, answer, trace, RUNG_CODL,
+                allowed=set(lore.local.to_parent.tolist()),
+            ))
         return members_by_k, len(lore.chain)
+
+    def _local_scan(
+        self,
+        query: CODQuery,
+        lore: LoreResult,
+        ks: "list[int]",
+        budget: ExecutionBudget,
+        trace: "object | None",
+    ) -> "dict[int, np.ndarray | None]":
+        """CODL's answers inside ``C_l`` from its local index.
+
+        ``q``'s local path without the local root is exactly the inner
+        chain LORE spliced, so the largest qualifying community on it is
+        the one Algorithm 1 over ``pool.restricted(C_l)`` would pick.
+        Members come back as ascending global ids, as that evaluation
+        returns them.
+        """
+        local = lore.local
+        index = self._local_index(
+            query.attribute, lore.c_ell_vertex, local, budget, trace
+        )
+        q_local = int(np.searchsorted(local.to_parent, query.node))
+        members_by_k: "dict[int, np.ndarray | None]" = {}
+        for k in ks:
+            vertex = index.largest_qualifying_ancestor(q_local, k, below_root=True)
+            members_by_k[k] = (
+                None if vertex is None
+                else local.to_parent[np.sort(index.hierarchy.members(vertex))]
+            )
+        return members_by_k
 
     def _evaluate(
         self,
@@ -968,21 +1028,18 @@ class CODServer:
         answer: "ServedAnswer | None",
         trace: "object | None",
         label: str,
-        floor: "tuple | None" = None,
+        allowed: "set[int] | None" = None,
     ) -> "dict[int, np.ndarray | None]":
         """Compressed evaluation of ``chain`` for every ``k``, with retries,
-        over the pool or ``theta`` fresh samples per node. CODL's fallback
-        passes ``floor=(attribute, C_l vertex, C_l members)`` to confine
-        the samples to ``C_l``."""
+        over the pool or ``theta`` fresh samples per node. A pool-less
+        CODL fallback passes ``allowed``, ``C_l``'s members, to confine
+        the fresh samples to ``C_l``."""
 
         def evaluate(theta: int) -> "dict[int, np.ndarray | None]":
-            if self.pool is not None and floor is not None:
-                samples: "RRArena" = self._restricted_arena(*floor, budget, trace)
-            elif self.pool is not None:
+            if self.pool is not None:
                 budget.check()
-                samples = self.pool.materialize(trace=trace)
+                samples: "RRArena" = self.pool.materialize(trace=trace)
             else:
-                allowed = None if floor is None else set(int(v) for v in floor[2])
                 count = self.graph.n if allowed is None else len(allowed)
                 samples = self._sample(
                     self.graph,
@@ -1094,11 +1151,10 @@ class CODServer:
                     )
                 self._index = index
                 # Adopt the persisted hierarchy so index and chains agree;
-                # hierarchy-derived memos (LORE chains keyed by its vertex
-                # ids, restricted arenas) are stale the moment it changes.
+                # hierarchy-derived memos (LORE chains and local indexes
+                # keyed by its vertex ids) are stale the moment it changes.
                 if self._hierarchy is not index.hierarchy:
                     self.invalidate_lore()
-                    self._restricted_cache.clear()
                 self._hierarchy = index.hierarchy
                 return index
             except IndexError_:
@@ -1159,17 +1215,20 @@ class CODServer:
     def invalidate_lore(self, attributes: "set[int] | None" = None) -> int:
         """Drop LORE memos: every entry, or only ``attributes``' entries.
 
-        The one invalidation path for both LORE caches, so the finished
-        chains (keyed ``(node, attribute)``) and their query-independent
-        parts (keyed ``(attribute, ...)``) cannot drift apart. Returns the
-        number of finished chains dropped; the parts are rebuilt lazily
-        and are not counted.
+        The one invalidation path for attribute-scoped state, so the
+        finished chains (keyed ``(node, attribute)``), their
+        query-independent parts and the local indexes built over those
+        parts (both keyed ``(attribute, ...)``) cannot drift apart.
+        Returns the number of finished chains and local indexes dropped;
+        the parts are rebuilt lazily and are not counted.
         """
         if attributes is None:
             self._lore_local.clear()
-            return self._lore_cache.clear()
+            return self._lore_cache.clear() + self._restricted_cache.clear()
         self._lore_local.invalidate(lambda key: key[0] in attributes)
-        return self._lore_cache.invalidate(lambda key: key[1] in attributes)
+        return self._lore_cache.invalidate(
+            lambda key: key[1] in attributes
+        ) + self._restricted_cache.invalidate(lambda key: key[0] in attributes)
 
     def _guarded_lore(
         self,
@@ -1216,6 +1275,53 @@ class CODServer:
         self._lore_cache.put(key, result)
         return result
 
+    def _local_index(
+        self,
+        attribute: "int | None",
+        floor_vertex: int,
+        local: _LocalRecluster,
+        budget: ExecutionBudget,
+        trace: "object | None" = None,
+    ) -> HimorIndex:
+        """The local HIMOR index over ``C_l``'s reclustering, memoized.
+
+        A miss restricts the pool to ``C_l`` (:meth:`_restricted_arena`;
+        ``local.to_parent`` is ``C_l``'s sorted members) and builds
+        :func:`~repro.core.himor.local_index` over it inside a
+        ``himor_build`` span marked ``local=True``; a hit touches neither.
+
+        Keyed by ``(attribute, vertex)`` — *not* the vertex alone. Two
+        attributes can share a floor vertex but recluster it differently,
+        and an entry's provenance is per-attribute: it may be built from
+        a published shard attached for one attribute's manifest entry,
+        and shard rotation invalidates one attribute's entries without
+        touching another's (:meth:`adopt_shards`). Keying by vertex alone
+        let a query for attribute B hit an entry built for attribute A —
+        wrong attribution, wrong invalidation scope, and after a rotation
+        a stale shard served under the colliding key.
+        """
+
+        def build() -> HimorIndex:
+            samples = self._restricted_arena(
+                attribute, floor_vertex, local.to_parent, budget, trace
+            )
+            build_cm = (
+                trace.span("himor_build", local=True)
+                if trace is not None
+                else nullcontext()
+            )
+            with build_cm as span:
+                index = local_index(
+                    local.hierarchy, local.to_parent, samples,
+                    theta=self.theta, budget=budget,
+                )
+                if span is not None:
+                    span.note(n_samples=int(samples.n_samples))
+            return index
+
+        key = (attribute, int(floor_vertex))
+        return self._restricted_cache.get_or_create(key, build)
+
     def _restricted_arena(
         self,
         attribute: "int | None",
@@ -1224,49 +1330,31 @@ class CODServer:
         budget: ExecutionBudget,
         trace: "object | None" = None,
     ) -> "RRArena":
-        """Pool induced on one hierarchy vertex's ``members``, memoized.
+        """Pool induced on one hierarchy vertex's ``members``: the input of
+        a local index build (:meth:`_local_index`), not cached itself.
 
-        The members array (the hierarchy's own slice) is read only on a
-        cache miss, for the shard check and the local restrict; a hit
-        never touches it.
-
-        Keyed by ``(attribute, vertex)`` — *not* the vertex alone. Two
-        attributes can share a floor vertex, and an entry's provenance is
-        per-attribute: it may be a published shard attached for one
-        attribute's manifest entry, and shard rotation invalidates one
-        attribute's entries without touching another's
-        (:meth:`adopt_shards`). Keying by vertex alone let a query for
-        attribute B hit (and pin) an entry attached for attribute A —
-        wrong attribution, wrong invalidation scope, and after a rotation
-        a stale shard served under the colliding key.
-
-        Build path prefers the fleet-published shard: if the manifest
-        covers this attribute at this floor vertex for the current epoch
-        and its ``allowed_sha`` matches our own allowed set, the shard
-        segment is attached zero-copy instead of restricting the full
-        arena locally. Any mismatch falls back to a local
-        ``pool.restricted(allowed)`` — bit-identical by construction
-        (:meth:`RRArena.restrict` is a pure function), so shards are a
-        work-shifting optimization, never a correctness dependency.
+        Prefers the fleet-published shard: if the manifest covers this
+        attribute at this floor vertex for the current epoch and its
+        ``allowed_sha`` matches ``members``, the shard segment is attached
+        zero-copy instead of restricting the full arena locally. Any
+        mismatch falls back to a local ``pool.restricted(members)`` —
+        bit-identical by construction (:meth:`RRArena.restrict` is a pure
+        function), so shards are a work-shifting optimization, never a
+        correctness dependency.
         """
         assert self.pool is not None
-
-        def build() -> "RRArena":
-            budget.check()
-            shard = self._attach_shard(attribute, floor_vertex, members)
-            if shard is not None:
-                return shard
-            self._local_restricts.inc()
-            restrict_cm = (
-                trace.span("pool_restrict", vertex=int(floor_vertex))
-                if trace is not None
-                else nullcontext()
-            )
-            with restrict_cm:
-                return self.pool.restricted(members)
-
-        key = (attribute, int(floor_vertex))
-        return self._restricted_cache.get_or_create(key, build)
+        budget.check()
+        shard = self._attach_shard(attribute, floor_vertex, members)
+        if shard is not None:
+            return shard
+        self._local_restricts.inc()
+        restrict_cm = (
+            trace.span("pool_restrict", vertex=int(floor_vertex))
+            if trace is not None
+            else nullcontext()
+        )
+        with restrict_cm:
+            return self.pool.restricted(members)
 
     def _attach_shard(
         self,

@@ -1266,7 +1266,7 @@ class ServingSupervisor:
         """Next admitted query for ``slot``: requeued work first, then the
         admission queue — preferring, when affinity dispatch is on,
         queries whose attribute this slot already serves (so its LORE /
-        restricted-arena caches stay hot). Preference is
+        local-index caches stay hot). Preference is
         scored, not boolean: an attribute whose *restricted shard* is
         routed to this slot outranks (2) a mere sticky-claim/unclaimed
         match (1), so shard-covered work gravitates to the one worker

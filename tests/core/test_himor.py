@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.himor import HimorIndex
+from repro.core.himor import HimorIndex, local_index
 from repro.core.pipeline import CODL
 from repro.core.problem import CODQuery
 from repro.errors import IndexError_, QueryError
@@ -98,6 +98,61 @@ class TestIndexScan:
     def test_invalid_floor(self, paper_index):
         with pytest.raises(QueryError):
             paper_index.largest_qualifying_ancestor(8, 2, floor_vertex=C0)
+
+    def test_below_root_skips_the_root(self, paper_index):
+        # Every community qualifies at k = 10, so leaving the root out
+        # returns the next largest ancestor of node 0, C4.
+        assert paper_index.largest_qualifying_ancestor(0, 10, below_root=True) == C4
+        assert paper_index.largest_qualifying_ancestor(
+            0, 10, floor_vertex=C6, below_root=True
+        ) is None
+
+
+class TestLocalIndex:
+    """``local_index`` over a community ``C`` of the paper tree, taken as
+    its own hierarchy: C4 = {0..7} with C0..C3 below it."""
+
+    @pytest.fixture()
+    def community(self, paper_hierarchy):
+        from repro.hierarchy.dendrogram import CommunityHierarchy
+
+        members = np.sort(paper_hierarchy.members(C4))
+        parents = paper_hierarchy.parents
+        local = {int(v): i for i, v in enumerate(members)}
+        inner = [
+            v for v in range(paper_hierarchy.n_leaves, paper_hierarchy.n_vertices)
+            if set(paper_hierarchy.members(v).tolist()) <= set(members.tolist())
+        ]
+        for offset, v in enumerate(inner):
+            local[v] = len(members) + offset
+        parent = [-1] * (len(members) + len(inner))
+        for v, i in local.items():
+            p = int(parents[v])
+            parent[i] = local[p] if p in local else -1
+        return members, CommunityHierarchy.from_parents(len(members), parent)
+
+    def test_ranks_match_the_global_index_inside_c(
+        self, paper_graph, paper_hierarchy, community
+    ):
+        members, hierarchy = community
+        arena = sample_arena(paper_graph, 400 * paper_graph.n, rng=3)
+        restricted = arena.restrict(members)
+        got = local_index(hierarchy, members, restricted)
+        assert got.n_samples == restricted.n_samples
+        # The global index over the same restricted samples ranks every
+        # member of C identically in each community inside C.
+        want = HimorIndex.build(paper_graph, paper_hierarchy, rr_graphs=restricted)
+        for i, v in enumerate(members.tolist()):
+            depth = len(hierarchy.path_communities(i))
+            np.testing.assert_array_equal(got.ranks_of(i), want.ranks_of(v)[:depth])
+
+    def test_foreign_nodes_and_bad_maps_rejected(self, paper_graph, community):
+        members, hierarchy = community
+        arena = sample_arena(paper_graph, 40, rng=3)
+        with pytest.raises(IndexError_, match="outside"):
+            local_index(hierarchy, members, arena)
+        with pytest.raises(IndexError_, match="leaves"):
+            local_index(hierarchy, members[:-1], arena.restrict(members))
 
 
 class TestPersistence:

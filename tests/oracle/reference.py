@@ -92,7 +92,12 @@ import numpy as np
 
 from repro.core.compressed import CompressedEvaluation, compressed_cod
 from repro.core.himor import HimorIndex
-from repro.core.lore import LoreResult, lore_chain, select_reclustering_community
+from repro.core.lore import (
+    LoreResult,
+    _LocalRecluster,
+    lore_chain,
+    select_reclustering_community,
+)
 from repro.core.pipeline import CODResult
 from repro.core.problem import CODQuery
 from repro.dynamic.updates import AttrUpdate, EdgeUpdate
@@ -466,6 +471,7 @@ def reference_lore_chain(
         c_ell_vertex=c_ell,
         c_ell_chain_level=c_ell_chain_level,
         scores=scores,
+        local=_LocalRecluster(view.to_parent, local),
     )
 
 

@@ -21,7 +21,7 @@ from repro.serving.worker import MSG_RESULT
 from repro.utils.cache import LRUCache
 from repro.utils.faults import inject
 from repro.utils.shm import close_all_segments
-from tests.serving.test_shard import publish_shard
+from tests.serving.test_shard import publish_shard, recluster
 
 DB = 0
 FAST = dict(
@@ -104,9 +104,10 @@ class TestServerHealthIsAView:
                                        epoch=server.epoch, sha="wrong")
         try:
             server.adopt_shards({0: hit_entry, 1: bad_entry})
-            server._restricted_arena(0, 5, allowed, budget)
-            server._restricted_arena(0, 6, allowed, budget)
-            server._restricted_arena(1, 5, allowed, budget)
+            local = recluster(server.graph, allowed)
+            server._local_index(0, 5, local, budget)
+            server._local_index(0, 6, local, budget)
+            server._local_index(1, 5, local, budget)
         finally:
             hit.destroy()
             bad.destroy()

@@ -3,13 +3,15 @@
 Covers the two correctness fixes that ride the shard-affinity PR plus
 the shard attach path itself:
 
-* the restricted-arena cache is keyed by ``(attribute, floor_vertex)``,
-  not the vertex alone — two attributes sharing a floor vertex get
-  separate entries with separate provenance and separate invalidation
-  (the forced-collision regression for the vertex-only-key bug);
-* a published shard is served only when it is *provably* the right
-  restriction (attribute, vertex, epoch, and ``allowed_sha`` all match);
-  anything else falls back to a bit-identical local restrict;
+* CODL's local-index cache (``restricted``) is keyed by ``(attribute,
+  floor_vertex)``, not the vertex alone — two attributes sharing a floor
+  vertex get separate entries with separate provenance and separate
+  invalidation (the forced-collision regression for the vertex-only-key
+  bug);
+* a published shard is the input of a local index build only when it is
+  *provably* the right restriction (attribute, vertex, epoch, and
+  ``allowed_sha`` all match); anything else falls back to a bit-identical
+  local restrict;
 * sticky affinity claims are LRU-bounded and dropped when their worker
   slot dies (the unbounded-claim-table bug).
 """
@@ -19,8 +21,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.himor import local_index
+from repro.core.lore import _LocalRecluster
 from repro.core.pool import SharedSamplePool
 from repro.core.problem import CODQuery
+from repro.graph.weighting import attribute_weighted_subgraph
+from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.serving.budget import ExecutionBudget
 from repro.serving.server import CODServer
 from repro.serving.supervisor import W_DISABLED, ServingSupervisor, _TaskRecord
@@ -40,6 +46,19 @@ def _clean_registry():
 def pooled_server(paper_graph) -> CODServer:
     pool = SharedSamplePool(paper_graph, theta=3, seed=11)
     return CODServer(paper_graph, theta=3, seed=11, pool=pool)
+
+
+def recluster(graph, allowed) -> _LocalRecluster:
+    """LORE's local reclustering of the node set ``allowed`` for DB."""
+    view = attribute_weighted_subgraph(graph, sorted(allowed), DB)
+    return _LocalRecluster(view.to_parent, agglomerative_hierarchy(view.graph))
+
+
+def assert_same_index(index, local: _LocalRecluster, arena) -> None:
+    """``index`` ranks every member as a local index over ``arena`` does."""
+    want = local_index(local.hierarchy, local.to_parent, arena)
+    for v in range(len(local.to_parent)):
+        np.testing.assert_array_equal(index.ranks_of(v), want.ranks_of(v))
 
 
 def publish_shard(server, attribute, vertex, allowed, epoch=0, sha=None):
@@ -75,13 +94,13 @@ class TestRestrictedCacheKeying:
         self, pooled_server
     ):
         budget = ExecutionBudget()
-        allowed = {0, 1, 2, 3}
+        local = recluster(pooled_server.graph, {0, 1, 2, 3})
         vertex = 5
-        first = pooled_server._restricted_arena(0, vertex, allowed, budget)
-        second = pooled_server._restricted_arena(1, vertex, allowed, budget)
+        first = pooled_server._local_index(0, vertex, local, budget)
+        second = pooled_server._local_index(1, vertex, local, budget)
         stats = pooled_server._restricted_cache.stats()
         # Vertex-only keying collapsed these to one entry (and returned
-        # attribute 0's arena for attribute 1's request as a cache hit).
+        # attribute 0's index for attribute 1's request as a cache hit).
         assert stats["entries"] == 2
         assert stats["misses"] == 2 and stats["hits"] == 0
         assert pooled_server._restricted_cache.get((0, vertex)) is first
@@ -92,28 +111,28 @@ class TestRestrictedCacheKeying:
     ):
         budget = ExecutionBudget()
         allowed = {0, 1, 2, 3}
+        local = recluster(pooled_server.graph, allowed)
         vertex = 5
         segment, entry = publish_shard(pooled_server, 0, vertex, allowed)
         try:
             pooled_server.adopt_shards({0: entry})
-            shard = pooled_server._restricted_arena(0, vertex, allowed, budget)
-            local = pooled_server._restricted_arena(1, vertex, allowed, budget)
+            shard = pooled_server._local_index(0, vertex, local, budget)
+            kept = pooled_server._local_index(1, vertex, local, budget)
             assert pooled_server.health()["shards"]["hits"] == 1
             assert pooled_server.health()["shards"]["local_restricts"] == 1
-            # Attribute 0's shard rotates away; attribute 1's locally
-            # restricted entry (same vertex!) must survive untouched.
+            # Attribute 0's shard rotates away; attribute 1's index over
+            # a local restrict (same vertex!) must survive untouched.
             dropped = pooled_server.adopt_shards({})
             assert dropped == 1
             assert pooled_server._restricted_cache.get((0, vertex)) is None
-            assert pooled_server._restricted_cache.get((1, vertex)) is local
-            # Re-request for attribute 0 now restricts locally and is
-            # bit-identical to the shard it replaced.
-            rebuilt = pooled_server._restricted_arena(
-                0, vertex, allowed, budget
-            )
+            assert pooled_server._restricted_cache.get((1, vertex)) is kept
+            # Re-request for attribute 0 now restricts locally and ranks
+            # exactly as the index built over the shard it replaced.
+            rebuilt = pooled_server._local_index(0, vertex, local, budget)
             assert rebuilt is not shard
-            assert rebuilt.n_samples == shard.n_samples
-            assert (rebuilt.nodes == shard.nodes).all()
+            assert pooled_server.health()["shards"]["local_restricts"] == 2
+            for v in range(len(local.to_parent)):
+                np.testing.assert_array_equal(rebuilt.ranks_of(v), shard.ranks_of(v))
         finally:
             segment.destroy()
 
@@ -122,42 +141,48 @@ class TestRestrictedCacheKeying:
     ):
         budget = ExecutionBudget()
         allowed = {0, 1, 2, 3, 4}
+        local = recluster(pooled_server.graph, allowed)
         vertex = 7
         oracle = pooled_server.pool.restricted(set(allowed))
         segment, entry = publish_shard(pooled_server, 0, vertex, allowed)
         try:
             pooled_server.adopt_shards({0: entry})
-            shard = pooled_server._restricted_arena(0, vertex, allowed, budget)
+            index = pooled_server._local_index(0, vertex, local, budget)
             assert pooled_server.health()["shards"]["attaches"] == 1
+            assert pooled_server.health()["shards"]["local_restricts"] == 0
+            shard = pooled_server._shard_arenas[entry["name"]]
             assert shard.is_shared and shard.is_readonly
             assert shard.n_samples == oracle.n_samples
             assert (shard.sources == oracle.sources).all()
             assert (shard.nodes == oracle.nodes).all()
             assert (shard.edge_dst_entry == oracle.edge_dst_entry).all()
+            assert_same_index(index, local, oracle)
         finally:
             segment.destroy()
 
 
 class TestShardVerification:
-    """A shard that cannot be proven right is never served."""
+    """A shard that cannot be proven right is never built from."""
 
     def test_wrong_allowed_sha_rejected_with_local_fallback(
         self, pooled_server
     ):
         budget = ExecutionBudget()
         allowed = {0, 1, 2, 3}
+        local = recluster(pooled_server.graph, allowed)
         vertex = 5
         segment, entry = publish_shard(
             pooled_server, 0, vertex, allowed, sha="not-the-right-hash"
         )
         try:
             pooled_server.adopt_shards({0: entry})
-            arena = pooled_server._restricted_arena(0, vertex, allowed, budget)
+            index = pooled_server._local_index(0, vertex, local, budget)
             assert pooled_server.health()["shards"]["rejects"] == 1
             assert pooled_server.health()["shards"]["hits"] == 0
             assert pooled_server.health()["shards"]["local_restricts"] == 1
-            oracle = pooled_server.pool.restricted(set(allowed))
-            assert (arena.nodes == oracle.nodes).all()
+            assert_same_index(
+                index, local, pooled_server.pool.restricted(set(allowed))
+            )
         finally:
             segment.destroy()
 
@@ -181,18 +206,20 @@ class TestShardVerification:
         assert digests == {
             hashlib.sha256(np.sort(members).tobytes()).hexdigest()[:16]
         }
-        # A shard published from the set attaches for the raw slice.
+        # A shard published from the set attaches for the build, which
+        # restricts to the reclustering's sorted id map.
+        local = recluster(pooled_server.graph, unsorted[: len(members)])
         segment, entry = publish_shard(
             pooled_server, 0, vertex, set(members.tolist())
         )
         try:
             pooled_server.adopt_shards({0: entry})
-            arena = pooled_server._restricted_arena(
-                0, vertex, unsorted, ExecutionBudget()
+            index = pooled_server._local_index(
+                0, vertex, local, ExecutionBudget()
             )
             assert pooled_server.health()["shards"]["hits"] == 1
             assert pooled_server.health()["shards"]["local_restricts"] == 0
-            assert (arena.nodes == pooled_server.pool.restricted(members).nodes).all()
+            assert_same_index(index, local, pooled_server.pool.restricted(members))
         finally:
             segment.destroy()
 
@@ -202,7 +229,9 @@ class TestShardVerification:
         segment, entry = publish_shard(pooled_server, 0, 5, allowed, epoch=3)
         try:
             pooled_server.adopt_shards({0: entry})
-            pooled_server._restricted_arena(0, 5, allowed, budget)
+            pooled_server._local_index(
+                0, 5, recluster(pooled_server.graph, allowed), budget
+            )
             assert pooled_server.health()["shards"]["rejects"] == 1
             assert pooled_server.health()["shards"]["hits"] == 0
         finally:
@@ -214,7 +243,9 @@ class TestShardVerification:
         segment, entry = publish_shard(pooled_server, 0, 5, allowed)
         try:
             pooled_server.adopt_shards({0: entry})
-            pooled_server._restricted_arena(0, 9, allowed, budget)
+            pooled_server._local_index(
+                0, 9, recluster(pooled_server.graph, allowed), budget
+            )
             assert pooled_server.health()["shards"]["misses"] == 1
             assert pooled_server.health()["shards"]["local_restricts"] == 1
         finally:
@@ -225,14 +256,15 @@ class TestShardVerification:
     ):
         budget = ExecutionBudget()
         allowed = {0, 1, 2, 3}
+        local = recluster(pooled_server.graph, allowed)
         segment, entry = publish_shard(pooled_server, 0, 5, allowed)
         segment.destroy()
         pooled_server.adopt_shards({0: entry})
-        arena = pooled_server._restricted_arena(0, 5, allowed, budget)
+        index = pooled_server._local_index(0, 5, local, budget)
         assert pooled_server.health()["shards"]["rejects"] == 1
-        assert arena.n_samples == pooled_server.pool.restricted(
-            set(allowed)
-        ).n_samples
+        assert_same_index(
+            index, local, pooled_server.pool.restricted(set(allowed))
+        )
 
     def test_health_reports_shard_counters(self, pooled_server):
         budget = ExecutionBudget()
@@ -240,7 +272,9 @@ class TestShardVerification:
         segment, entry = publish_shard(pooled_server, 0, 5, allowed)
         try:
             pooled_server.adopt_shards({0: entry})
-            pooled_server._restricted_arena(0, 5, allowed, budget)
+            pooled_server._local_index(
+                0, 5, recluster(pooled_server.graph, allowed), budget
+            )
             shards = pooled_server.health()["shards"]
             assert shards["manifest"] == 1
             assert shards["attached"] == 1

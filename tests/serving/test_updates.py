@@ -68,11 +68,11 @@ class TestServerApplyUpdates:
             else:
                 assert np.array_equal(served.members, expected.members), q
 
-    def test_restricted_arena_does_not_leak_across_edge_batch(self, paper_graph):
+    def test_local_index_does_not_leak_across_edge_batch(self, paper_graph):
         # These queries fall back below the index to C_l, so answering
-        # them caches arenas cut from the pre-update pool: the edge batch
-        # must drop them, and later answers must equal a fresh pooled
-        # server's on the post-update graph.
+        # them caches local indexes built from the pre-update pool: the
+        # edge batch must drop them, and later answers must equal a fresh
+        # pooled server's on the post-update graph.
         queries = [CODQuery(5, DB, 2), CODQuery(7, DB, 1), CODQuery(6, 1, 2)]
         server = seeded_server(paper_graph)
         for query in queries:
@@ -90,6 +90,36 @@ class TestServerApplyUpdates:
                 assert served.members is None, q
             else:
                 assert np.array_equal(served.members, expected.members), q
+
+    @pytest.mark.parametrize("node, add", [(1, True), (2, False)])
+    def test_attr_batch_drops_only_its_local_indexes(self, paper_graph, node, add):
+        # A local index ranks inside C_l's reclustering for one attribute,
+        # so granting or revoking that attribute inside C_l must drop the
+        # attribute's indexes, while the other attribute's survive.
+        queries = [
+            CODQuery(q, a, k)
+            for q in range(paper_graph.n) for a in (DB, 1) for k in (1, 2, 3)
+        ]
+        server = seeded_server(paper_graph)
+        for query in queries:
+            server.answer(query)
+        assert any(
+            node in server._lore_cache.get((q, DB)).local.to_parent
+            for q in range(paper_graph.n)
+        )
+        keys = list(server._restricted_cache._entries)
+        assert {key[0] for key in keys} == {DB, 1}
+        untouched = {
+            key: server._restricted_cache.get(key) for key in keys if key[0] != DB
+        }
+
+        report = server.apply_updates([AttrUpdate(node, DB, add=add)])
+        dropped = len(keys) - len(untouched)
+        assert report["cache_invalidated"] >= dropped
+        assert all(key[0] != DB for key in server._restricted_cache._entries)
+        for key, index in untouched.items():
+            assert server._restricted_cache.get(key) is index
+        assert_matches_fresh_server(server, queries)
 
     def test_attr_only_apply_is_sample_free(self, paper_graph):
         server = seeded_server(paper_graph)
