@@ -42,19 +42,20 @@ class CommunityHierarchy:
         "_lca_index",
     )
 
-    def __init__(self, n_leaves: int, parent: np.ndarray, children: list[list[int]]) -> None:
+    def __init__(self, n_leaves: int, parent: list[int], children: list[list[int]]) -> None:
         self._n_leaves = int(n_leaves)
-        self._parent = parent
         # Children are kept in ascending vertex-id order so the DFS leaf
         # layout — and therefore ``members()`` ordering — is a pure
         # function of the parent array. Without this, a hierarchy rebuilt
         # via ``from_parents`` (e.g. a persisted index loaded after a
         # worker respawn) would serve member arrays in a different order
         # than the merge-order original, breaking bit-identical replay.
-        self._children = [sorted(kids) for kids in children]
+        # Both constructors hand them over sorted.
+        self._children = children
         self._lca_index = None
-        self._validate_shape()
-        self._root = int(np.flatnonzero(parent == -1)[0])
+        self._validate_shape(parent)
+        self._root = parent.index(-1)
+        self._parent = np.array(parent, dtype=np.int64)
         self._compute_layout()
 
     # ---------------------------------------------------------- construction
@@ -68,12 +69,11 @@ class CommunityHierarchy:
         (``< n_leaves``) or earlier merge results. The final merge must
         produce a single root covering every leaf.
         """
-        total = n_leaves + len(merges)
-        parent = np.full(total, -1, dtype=np.int64)
-        children: list[list[int]] = [[] for _ in range(total)]
+        parent = [-1] * (n_leaves + len(merges))
+        children: list[list[int]] = [[] for _ in range(n_leaves)]
+        new_id = n_leaves
         for t, merge in enumerate(merges):
-            new_id = n_leaves + t
-            kids = [int(c) for c in merge]
+            kids = sorted(map(int, merge))
             if len(kids) < 2:
                 raise HierarchyError(f"merge {t} must combine at least two clusters, got {kids}")
             for c in kids:
@@ -82,18 +82,22 @@ class CommunityHierarchy:
                 if parent[c] != -1:
                     raise HierarchyError(f"cluster {c} is merged twice")
                 parent[c] = new_id
-            children[new_id] = kids
+            children.append(kids)
+            new_id += 1
         return cls(n_leaves, parent, children)
 
     @classmethod
     def from_parents(cls, n_leaves: int, parent: Sequence[int]) -> "CommunityHierarchy":
         """Build from a parent array (``-1`` marks the root)."""
-        parent_arr = np.asarray(parent, dtype=np.int64)
-        children: list[list[int]] = [[] for _ in range(len(parent_arr))]
-        for v, p in enumerate(parent_arr):
+        parent_list = np.asarray(parent, dtype=np.int64).tolist()
+        total = len(parent_list)
+        children: list[list[int]] = [[] for _ in range(total)]
+        for v, p in enumerate(parent_list):
             if p >= 0:
-                children[int(p)].append(v)
-        return cls(n_leaves, parent_arr, children)
+                if p >= total:
+                    raise HierarchyError(f"vertex {v} has parent {p} out of range")
+                children[p].append(v)
+        return cls(n_leaves, parent_list, children)
 
     # -------------------------------------------------------------- topology
 
@@ -337,66 +341,67 @@ class CommunityHierarchy:
 
     # -------------------------------------------------------------- internal
 
-    def _validate_shape(self) -> None:
-        total = len(self._parent)
-        if not (0 < self._n_leaves <= total):
-            raise HierarchyError(
-                f"n_leaves={self._n_leaves} inconsistent with {total} vertices"
-            )
+    def _validate_shape(self, parent: list[int]) -> None:
+        total = len(parent)
+        n = self._n_leaves
+        if not (0 < n <= total):
+            raise HierarchyError(f"n_leaves={n} inconsistent with {total} vertices")
         if len(self._children) != total:
             raise HierarchyError("children list length differs from parent array")
-        roots = np.flatnonzero(self._parent == -1)
-        if len(roots) != 1:
-            raise HierarchyError(f"hierarchy must have exactly one root, found {len(roots)}")
-        for leaf in range(self._n_leaves):
+        roots = parent.count(-1)
+        if roots != 1:
+            raise HierarchyError(f"hierarchy must have exactly one root, found {roots}")
+        for leaf in range(n):
             if self._children[leaf]:
                 raise HierarchyError(f"leaf {leaf} has children")
-        for vertex in range(self._n_leaves, total):
-            if not self._children[vertex]:
-                raise HierarchyError(f"internal vertex {vertex} has no children")
+        if not all(self._children[n:]):
+            vertex = next(v for v in range(n, total) if not self._children[v])
+            raise HierarchyError(f"internal vertex {vertex} has no children")
 
     def _compute_layout(self) -> None:
-        total = self.n_vertices
-        self._depth = np.zeros(total, dtype=np.int64)
-        self._size = np.zeros(total, dtype=np.int64)
-        self._range_lo = np.zeros(total, dtype=np.int64)
-        self._range_hi = np.zeros(total, dtype=np.int64)
-        self._leaf_order = np.zeros(self._n_leaves, dtype=np.int64)
-        self._leaf_position = np.zeros(self._n_leaves, dtype=np.int64)
+        n = self._n_leaves
+        children = self._children
+        total = len(children)
+        depth = [0] * total
+        lo = [0] * total
+        hi = [0] * total
+        leaf_order: list[int] = []
 
-        # Iterative DFS: assign depths on the way down, leaf ranges and
-        # sizes on the way back up. Recursion is avoided because skewed
-        # hierarchies (the paper's Retweet) can be thousands of levels deep.
-        cursor = 0
-        visited_leaves = 0
-        stack: list[tuple[int, bool]] = [(self._root, False)]
-        self._depth[self._root] = 1
+        # Iterative DFS over Python lists: depths on the way down, leaf
+        # ranges on the way back up (``~vertex`` marks a finished vertex).
+        # Recursion is avoided because skewed hierarchies (the paper's
+        # Retweet) can be thousands of levels deep.
+        root = self._root
+        depth[root] = 1
+        stack = [root]
         while stack:
-            vertex, processed = stack.pop()
-            if processed:
-                lo = self._range_lo[vertex]
-                hi = cursor
-                self._range_hi[vertex] = hi
-                self._size[vertex] = hi - lo
+            vertex = stack.pop()
+            if vertex < 0:
+                hi[~vertex] = len(leaf_order)
                 continue
-            self._range_lo[vertex] = cursor
-            if vertex < self._n_leaves:
-                self._leaf_order[cursor] = vertex
-                self._leaf_position[vertex] = cursor
-                cursor += 1
-                self._range_hi[vertex] = cursor
-                self._size[vertex] = 1
-                visited_leaves += 1
+            lo[vertex] = len(leaf_order)
+            if vertex < n:
+                leaf_order.append(vertex)
+                hi[vertex] = len(leaf_order)
                 continue
-            stack.append((vertex, True))
-            for child in reversed(self._children[vertex]):
-                self._depth[child] = self._depth[vertex] + 1
-                stack.append((child, False))
-        if visited_leaves != self._n_leaves:
+            kids = children[vertex]
+            below = depth[vertex] + 1
+            for child in kids:
+                depth[child] = below
+            stack.append(~vertex)
+            stack.extend(reversed(kids))
+        if len(leaf_order) != n:
             raise HierarchyError(
-                f"root reaches {visited_leaves} of {self._n_leaves} leaves; "
+                f"root reaches {len(leaf_order)} of {n} leaves; "
                 "the hierarchy must cover every node"
             )
+        self._depth = np.array(depth, dtype=np.int64)
+        self._range_lo = np.array(lo, dtype=np.int64)
+        self._range_hi = np.array(hi, dtype=np.int64)
+        self._size = self._range_hi - self._range_lo
+        self._leaf_order = np.array(leaf_order, dtype=np.int64)
+        self._leaf_position = np.empty(n, dtype=np.int64)
+        self._leaf_position[self._leaf_order] = np.arange(n, dtype=np.int64)
 
     def _check_vertex(self, vertex: int) -> None:
         if not (0 <= vertex < self.n_vertices):

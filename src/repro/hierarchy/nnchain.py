@@ -17,10 +17,19 @@ convention), not to edge weights: edge weights are honored, which is what
 makes CODR/LORE reclustering attribute-aware.
 
 Clusters are only ever compared when an edge connects them (similarity 0
-otherwise), so the working state is a quotient-graph adjacency map that
-shrinks as merges proceed. An empty chain is seeded from a cursor that
-walks cluster ids upward, so finding seeds costs O(n) over the whole run
-rather than one scan of every live cluster per seed.
+otherwise), so the working state is a quotient graph that shrinks as
+merges proceed: a list of dict rows (adjacent row -> total weight ``W``)
+with one row per live cluster, beside a list of sizes. Rows are indexed
+by *slot*, the leaf id a row started from. A merged cluster keeps the
+larger side's row and slot and adds the smaller row into it, so a merge
+walks only the smaller side's neighbours (union by size) and no
+neighbour is ever relabelled. Every new weight is still
+``W(a, x) + W(b, x)`` over the same two operands whichever side is
+walked, and the tie-break reads cluster ids through the slot's current
+cluster, so the merges are those of relabelling by cluster id. An empty
+chain is seeded from a cursor that walks cluster ids upward, so finding
+seeds costs O(n) over the whole run rather than one scan of every live
+cluster per seed.
 """
 
 from __future__ import annotations
@@ -48,72 +57,103 @@ def agglomerative_hierarchy(graph: AttributedGraph) -> CommunityHierarchy:
         A binary dendrogram whose leaves are the graph's nodes.
     """
     maybe_fail("clustering")
-    n = graph.n
-    if n == 1:
+    if graph.n == 1:
         # A single node is its own (degenerate) hierarchy: no communities.
         # A binary dendrogram needs at least one merge, so raise
         # DisconnectedGraphError; in practice datasets are larger.
         raise DisconnectedGraphError("cannot build a hierarchy over a single node")
+    return CommunityHierarchy.from_merges(graph.n, _merges(graph))
 
-    # Quotient-graph state. neighbor_weight[c] maps adjacent cluster -> the
-    # total weight W of the edges joining them.
-    neighbor_weight: dict[int, dict[int, float]] = {}
-    size: dict[int, int] = {}
-    for v in range(n):
-        row = graph.neighbors(v)
-        wrow = graph.neighbor_weights(v)
-        neighbor_weight[v] = {int(u): float(w) for u, w in zip(row, wrow)}
-        size[v] = 1
+
+def _merges(graph: AttributedGraph) -> list[tuple[int, int]]:
+    """The NN-chain merge sequence of ``graph``: ``merges[t]`` combines
+    ``(chain tail, predecessor)`` into cluster ``graph.n + t``."""
+    n = graph.n
+    # Quotient-graph state, indexed by slot: rows[s] maps each adjacent
+    # slot to the total weight W of the edges joining them, or is None
+    # once its cluster was merged into a larger row.
+    if graph.is_weighted:
+        rows: list = [
+            dict(zip(graph.neighbors(v).tolist(), graph.neighbor_weights(v).tolist()))
+            for v in range(n)
+        ]
+    else:
+        rows = [dict.fromkeys(graph.neighbors(v).tolist(), 1.0) for v in range(n)]
+    size = [1] * n
+    cluster = list(range(n))  # slot -> the cluster id it holds now
+    slot = list(range(n))  # cluster id -> its slot, one entry per cluster
 
     merges: list[tuple[int, int]] = []
     next_id = n
-    chain: list[int] = []
-    # Seed cursor: every id below it is merged away or has no neighbor
-    # left, and neither ever becomes a seed again (ids only grow and an
-    # isolated cluster never regains a neighbor), so the first live id at
-    # or above it is the smallest cluster that still has a neighbor.
+    chain: list[int] = []  # slots
+    # Seed cursor: every cluster id below it is merged away or has no
+    # neighbor left, and neither ever becomes a seed again (ids only grow
+    # and an isolated cluster never regains a neighbor), so the first live
+    # id at or above it is the smallest cluster that still has a neighbor.
     cursor = 0
-
-    def nearest(cluster: int) -> tuple[int, float] | None:
-        best: tuple[float, int] | None = None
-        ca = size[cluster]
-        for other, weight in neighbor_weight[cluster].items():
-            sim = weight / (ca * size[other])
-            # Deterministic tie-break: larger similarity, then smaller id.
-            if best is None or sim > best[0] or (sim == best[0] and other < best[1]):
-                best = (sim, other)
-        if best is None:
-            return None
-        return best[1], best[0]
 
     while True:
         if not chain:
             # Seed the chain with the smallest cluster that still has a
             # neighbor; when none exists, every component is fully merged.
-            while cursor < next_id and not neighbor_weight.get(cursor):
+            while cursor < next_id and not (
+                cluster[slot[cursor]] == cursor and rows[slot[cursor]]
+            ):
                 cursor += 1
             if cursor == next_id:
                 break
-            chain.append(cursor)
+            chain.append(slot[cursor])
         tail = chain[-1]
-        found = nearest(tail)
-        if found is None:
+        # Nearest neighbor of the tail. Deterministic tie-break: larger
+        # similarity, then smaller cluster id, whatever the row's order.
+        tail_size = size[tail]
+        nearest = -1
+        nearest_sim = 0.0
+        for other, weight in rows[tail].items():
+            sim = weight / (tail_size * size[other])
+            if (
+                sim > nearest_sim
+                or (sim == nearest_sim and cluster[other] < cluster[nearest])
+                or nearest < 0
+            ):
+                nearest_sim = sim
+                nearest = other
+        if nearest < 0:
             # The tail's component collapsed to a single cluster.
             chain.pop()
             continue
-        candidate, _sim = found
-        if len(chain) >= 2 and candidate == chain[-2]:
-            a = chain.pop()
-            b = chain.pop()
-            new_id = next_id
-            next_id += 1
-            _merge(neighbor_weight, size, a, b, new_id)
-            merges.append((a, b))
-        else:
-            chain.append(candidate)
+        if len(chain) < 2 or nearest != chain[-2]:
+            chain.append(nearest)
+            continue
+        # Mutual nearest neighbors: collapse them into cluster next_id,
+        # held by the slot of the larger row.
+        a = chain.pop()
+        b = chain.pop()
+        merges.append((cluster[a], cluster[b]))
+        big, small = (a, b) if len(rows[a]) >= len(rows[b]) else (b, a)
+        big_row = rows[big]
+        small_row = rows[small]
+        del big_row[small], small_row[big]
+        for other, weight in small_row.items():
+            row = rows[other]
+            other_weight = row.pop(small)
+            if other in big_row:
+                big_row[other] += weight
+                row[big] += other_weight
+            else:
+                big_row[other] = weight
+                row[big] = other_weight
+        rows[small] = None
+        size[big] += size[small]
+        cluster[big] = next_id
+        slot.append(big)
+        next_id += 1
 
-    # The quotient graph's keys are exactly the clusters still alive.
-    remaining = sorted(neighbor_weight, key=lambda c: (-size[c], c))
+    # The rows still held are exactly the clusters alive.
+    remaining = sorted(
+        (cluster[s] for s in range(n) if rows[s] is not None),
+        key=lambda c: (-size[slot[c]], c),
+    )
     if len(remaining) > 1:
         # Chain the components under one root, largest first (ties to the
         # smaller cluster id) so the most meaningful structure stays deepest.
@@ -122,38 +162,4 @@ def agglomerative_hierarchy(graph: AttributedGraph) -> CommunityHierarchy:
             merges.append((current, other))
             current = next_id
             next_id += 1
-
-    return CommunityHierarchy.from_merges(n, merges)
-
-
-def _merge(
-    neighbor_weight: dict[int, dict[int, float]],
-    size: dict[int, int],
-    a: int,
-    b: int,
-    new_id: int,
-) -> None:
-    """Collapse clusters ``a`` and ``b`` into ``new_id`` in the quotient graph."""
-    wa = neighbor_weight.pop(a)
-    wb = neighbor_weight.pop(b)
-    wa.pop(b, None)
-    wb.pop(a, None)
-    if len(wa) < len(wb):
-        wa, wb = wb, wa
-    for other, weight in wb.items():
-        if other in wa:
-            wa[other] += weight
-        else:
-            wa[other] = weight
-    for other in wa:
-        row = neighbor_weight[other]
-        w_to_a = row.pop(a, None)
-        w_to_b = row.pop(b, None)
-        if w_to_a is not None and w_to_b is not None:
-            row[new_id] = w_to_a + w_to_b
-        elif w_to_a is not None:
-            row[new_id] = w_to_a
-        elif w_to_b is not None:
-            row[new_id] = w_to_b
-    neighbor_weight[new_id] = wa
-    size[new_id] = size.pop(a) + size.pop(b)
+    return merges

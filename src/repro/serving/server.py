@@ -391,9 +391,11 @@ class CODServer:
             name="lore_local",
             metrics=m,
         )
-        #: CODL's local HIMOR indexes, keyed ``(attribute, C_l vertex)``
-        #: (see :meth:`_local_index`). They depend on the attribute's local
-        #: reclustering, so :meth:`invalidate_lore` drops them with it.
+        #: CODL's local HIMOR indexes, keyed ``(attribute, C_l vertex)``,
+        #: each stored with the local reclustering it was built from (see
+        #: :meth:`_local_index`). A lookup vets that reclustering, so only
+        #: a change of pool or hierarchy (:meth:`invalidate_lore` with no
+        #: attributes) drops them wholesale.
         self._restricted_cache = LRUCache(
             self.cache_capacity, name="restricted", metrics=m
         )
@@ -593,7 +595,7 @@ class CODServer:
         Repair instead of rebuild:
 
         * **structural batches** (any edge update) drop the LORE memos
-          and local indexes; an attached per-sample-seeded pool is
+          and every local index; an attached per-sample-seeded pool is
           incrementally repaired (only samples that activated a touched
           node are redrawn — bit-identical to a from-scratch draw); the
           HIMOR index is delta-repaired when the
@@ -602,9 +604,11 @@ class CODServer:
           rebuild.
         * **attribute-only batches** leave topology-derived state (pool
           samples, hierarchy, HIMOR ranks) untouched and invalidate only
-          the LORE entries and local indexes of the touched attributes
-          (the ``jaccard`` weighting scheme reads full attribute sets, so
-          it drops all).
+          the LORE entries of the touched attributes (the ``jaccard``
+          weighting scheme reads full attribute sets, so it drops all,
+          local indexes included). A local index outlives such a batch:
+          the next lookup serves it only if ``C_l`` reclusters the same
+          (:meth:`_local_index`).
 
         ``epoch`` pins the post-apply epoch (workers replaying a
         supervisor directive pass the directive's target so respawned
@@ -1216,19 +1220,21 @@ class CODServer:
         """Drop LORE memos: every entry, or only ``attributes``' entries.
 
         The one invalidation path for attribute-scoped state, so the
-        finished chains (keyed ``(node, attribute)``), their
-        query-independent parts and the local indexes built over those
-        parts (both keyed ``(attribute, ...)``) cannot drift apart.
-        Returns the number of finished chains and local indexes dropped;
-        the parts are rebuilt lazily and are not counted.
+        finished chains (keyed ``(node, attribute)``) and their
+        query-independent parts (keyed ``(attribute, ...)``) cannot drift
+        apart. Dropping every entry (the pool or the hierarchy moved)
+        drops the local indexes too. An attribute-scoped call keeps them:
+        the pool and the floor's members are unchanged, and
+        :meth:`_local_index` serves an index only while ``C_l``
+        reclusters as it did when the index was built. Returns the number
+        of finished chains and local indexes dropped; the parts are
+        rebuilt lazily and are not counted.
         """
         if attributes is None:
             self._lore_local.clear()
             return self._lore_cache.clear() + self._restricted_cache.clear()
         self._lore_local.invalidate(lambda key: key[0] in attributes)
-        return self._lore_cache.invalidate(
-            lambda key: key[1] in attributes
-        ) + self._restricted_cache.invalidate(lambda key: key[0] in attributes)
+        return self._lore_cache.invalidate(lambda key: key[1] in attributes)
 
     def _guarded_lore(
         self,
@@ -1289,6 +1295,12 @@ class CODServer:
         ``local.to_parent`` is ``C_l``'s sorted members) and builds
         :func:`~repro.core.himor.local_index` over it inside a
         ``himor_build`` span marked ``local=True``; a hit touches neither.
+        Each entry holds the reclustering it was built from, and a hit
+        needs ``local`` to be that reclustering or an equal one (same
+        ``to_parent``, :func:`~repro.core.himor.same_hierarchy`): an
+        attribute batch reclusters ``C_l`` afresh but leaves the index
+        over an unchanged reclustering valid, while a changed one is
+        rebuilt.
 
         Keyed by ``(attribute, vertex)`` — *not* the vertex alone. Two
         attributes can share a floor vertex but recluster it differently,
@@ -1301,7 +1313,7 @@ class CODServer:
         a stale shard served under the colliding key.
         """
 
-        def build() -> HimorIndex:
+        def build() -> "tuple[_LocalRecluster, HimorIndex]":
             samples = self._restricted_arena(
                 attribute, floor_vertex, local.to_parent, budget, trace
             )
@@ -1317,10 +1329,22 @@ class CODServer:
                 )
                 if span is not None:
                     span.note(n_samples=int(samples.n_samples))
-            return index
+            return local, index
+
+        def fresh(entry: "tuple[_LocalRecluster, HimorIndex]") -> bool:
+            built_from = entry[0]
+            return built_from is local or (
+                np.array_equal(built_from.to_parent, local.to_parent)
+                and same_hierarchy(built_from.hierarchy, local.hierarchy)
+            )
 
         key = (attribute, int(floor_vertex))
-        return self._restricted_cache.get_or_create(key, build)
+        built_from, index = self._restricted_cache.get_or_create(key, build, fresh)
+        if built_from is not local:
+            # Served over an equal reclustering: hold the one LORE now
+            # serves, so the next lookup matches by identity.
+            self._restricted_cache.put(key, (local, index))
+        return index
 
     def _restricted_arena(
         self,

@@ -167,19 +167,31 @@ class LRUCache:
                 self._evictions.inc()
             self._set_gauges()
 
-    def get_or_create(self, key: Hashable, factory: Callable[[], object]) -> object:
+    def get_or_create(
+        self,
+        key: Hashable,
+        factory: Callable[[], object],
+        fresh: "Callable[[object], bool] | None" = None,
+    ) -> object:
         """Return the cached value, building and caching it on a miss.
 
         The factory runs outside any special protection: if it raises,
         nothing is cached and the exception propagates (a failed build
-        still counts as a miss).
+        still counts as a miss). ``fresh``, when given, vets a cached
+        value: one it rejects is dropped, counted as an invalidation and
+        a miss, and replaced by the factory's.
         """
         with self._lock:
             entry = self._entries.get(key, _MISSING)
             if entry is not _MISSING:
-                self._entries.move_to_end(key)
-                self._hits.inc()
-                return entry[0]
+                if fresh is None or fresh(entry[0]):
+                    self._entries.move_to_end(key)
+                    self._hits.inc()
+                    return entry[0]
+                del self._entries[key]
+                self.current_bytes -= entry[1]
+                self._invalidations.inc()
+                self._set_gauges()
             self._misses.inc()
         value = factory()
         self.put(key, value)

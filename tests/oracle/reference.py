@@ -37,10 +37,15 @@ it, seed for seed, against these implementations:
   painted largest first) or :meth:`ReferenceChain.from_hierarchy` (one
   scalar ``lca(u, q)`` per node). Production chains must give equal
   node levels, sizes, depths and members.
-* :func:`reference_agglomerative_hierarchy` — NN-chain clustering that
-  seeds every empty chain by rescanning all live clusters for the
-  smallest one with a neighbor. Production's cursor-seeded clustering
-  must reproduce its merges (and so its vertex ids) exactly.
+* :func:`reference_merges` — NN-chain clustering over dict-of-dict rows
+  that relabels both merged clusters' neighbours and seeds every empty
+  chain by rescanning all live clusters for the smallest one with a
+  neighbor (:func:`reference_agglomerative_hierarchy` is its hierarchy).
+  Production's cursor-seeded, slot-indexed clustering must reproduce its
+  merge list (and so its vertex ids) exactly.
+* :func:`reference_layout` — the hierarchy's DFS layout (depths, sizes,
+  leaf ranges, leaf order and positions) written one numpy scalar per
+  vertex. Production's list-built layout must give equal arrays.
 * :func:`reference_lca_tables` — the Euler tour, sparse table and log
   table of :class:`~repro.hierarchy.lca.LcaIndex` built one validated
   ``depth``/``children`` call per tour step and one ``log`` entry per
@@ -596,13 +601,20 @@ class ReferenceChain:
 
 
 def reference_agglomerative_hierarchy(graph: AttributedGraph) -> CommunityHierarchy:
+    """The hierarchy of :func:`reference_merges`."""
+    return CommunityHierarchy.from_merges(graph.n, reference_merges(graph))
+
+
+def reference_merges(graph: AttributedGraph) -> list[tuple[int, int]]:
     """NN-chain clustering, seeding each empty chain by a full rescan.
 
     Every time the chain empties, all live clusters are scanned and the
     smallest id that still has a neighbor seeds it. Similarity is
-    unweighted-average linkage, ``W(A, B) / (|A| * |B|)``. Exhausted
+    unweighted-average linkage, ``W(A, B) / (|A| * |B|)``. A merge
+    relabels both clusters' neighbours in dict-of-dict rows. Exhausted
     components are stacked under one root, largest first (ties by
-    smallest id).
+    smallest id). Returns the merge list, ``(chain tail, predecessor)``
+    per merge.
     """
     n = graph.n
     neighbor_weight: dict[int, dict[int, float]] = {}
@@ -676,7 +688,60 @@ def reference_agglomerative_hierarchy(graph: AttributedGraph) -> CommunityHierar
             merges.append((current, other))
             current = next_id
             next_id += 1
-    return CommunityHierarchy.from_merges(n, merges)
+    return merges
+
+
+def reference_layout(hierarchy) -> dict:
+    """A hierarchy's DFS layout, one numpy scalar write per vertex.
+
+    Children are read off the parent array in ascending id order. Depths
+    are assigned on the way down, leaf ranges and sizes on the way back
+    up. Returns ``depth``, ``size``, ``range_lo``, ``range_hi``,
+    ``leaf_order`` and ``leaf_position`` arrays.
+    """
+    n_leaves = hierarchy.n_leaves
+    parent = hierarchy.parents
+    total = len(parent)
+    children: list[list[int]] = [[] for _ in range(total)]
+    for v in range(total):
+        if parent[v] >= 0:
+            children[int(parent[v])].append(v)
+    root = int(np.flatnonzero(parent == -1)[0])
+    depth = np.zeros(total, dtype=np.int64)
+    size = np.zeros(total, dtype=np.int64)
+    range_lo = np.zeros(total, dtype=np.int64)
+    range_hi = np.zeros(total, dtype=np.int64)
+    leaf_order = np.zeros(n_leaves, dtype=np.int64)
+    leaf_position = np.zeros(n_leaves, dtype=np.int64)
+    cursor = 0
+    stack: list[tuple[int, bool]] = [(root, False)]
+    depth[root] = 1
+    while stack:
+        vertex, processed = stack.pop()
+        if processed:
+            range_hi[vertex] = cursor
+            size[vertex] = cursor - range_lo[vertex]
+            continue
+        range_lo[vertex] = cursor
+        if vertex < n_leaves:
+            leaf_order[cursor] = vertex
+            leaf_position[vertex] = cursor
+            cursor += 1
+            range_hi[vertex] = cursor
+            size[vertex] = 1
+            continue
+        stack.append((vertex, True))
+        for child in reversed(children[vertex]):
+            depth[child] = depth[vertex] + 1
+            stack.append((child, False))
+    return {
+        "depth": depth,
+        "size": size,
+        "range_lo": range_lo,
+        "range_hi": range_hi,
+        "leaf_order": leaf_order,
+        "leaf_position": leaf_position,
+    }
 
 
 def reference_tree_hfs(hierarchy, arena, start: int = 0, buckets=None,

@@ -1,14 +1,19 @@
 """Differential tests: index builds vs their frozen references.
 
 Clustering seeds an empty NN chain from a cursor over cluster ids instead
-of rescanning every live cluster, and HIMOR's tree HFS charges chunks of
-samples in one vectorized frontier fixpoint instead of popping one heap
-per sample. Neither may change a result: clustering must make the same
-merges (so the same vertex ids and parent arrays) as
-:func:`reference_agglomerative_hierarchy`, and the HFS must produce
-``==`` buckets — hence bit-identical ranks — to :func:`reference_tree_hfs`,
-including its checkpoint, resume, fault and budget contracts. The LCA
-index reads the hierarchy's arrays directly; its tables must equal the
+of rescanning every live cluster, and keeps its quotient graph in
+slot-indexed rows that a merge updates from the smaller side only;
+HIMOR's tree HFS charges chunks of samples in one vectorized frontier
+fixpoint instead of popping one heap per sample. Neither may change a
+result: clustering must make the same merge list (so the same vertex ids
+and parent arrays) as :func:`reference_merges`, on random graphs and on
+what the serving path feeds it (the global graph across edge batches,
+LORE's attribute-weighted ``C_l`` subgraphs, graphs with isolated
+nodes), and the HFS must produce ``==`` buckets — hence bit-identical
+ranks — to :func:`reference_tree_hfs`, including its checkpoint, resume,
+fault and budget contracts. The hierarchy layout is built over Python
+lists; its arrays must equal :func:`reference_layout`'s. The LCA index
+reads the hierarchy's arrays directly; its tables must equal the
 per-vertex construction. (The bottom-up rank pass has its own
 differential in ``test_update_path_differential.py``.)
 """
@@ -20,11 +25,19 @@ import pytest
 
 from repro.core import himor
 from repro.core.himor import HimorIndex, _bottom_up_ranks, _tree_hfs_arena
+from repro.core.lore import lore_chain
 from repro.datasets import load_dataset
+from repro.dynamic.updates import EdgeUpdate, apply_updates
 from repro.errors import DeadlineExceededError
 from repro.graph.graph import AttributedGraph
-from repro.graph.weighting import AttributeWeighting, attribute_weighted_graph
+from repro.graph.weighting import (
+    AttributeWeighting,
+    attribute_weighted_graph,
+    attribute_weighted_subgraph,
+)
+from repro.hierarchy import nnchain
 from repro.hierarchy.dendrogram import CommunityHierarchy
+from repro.hierarchy.io import load_hierarchy, save_hierarchy
 from repro.hierarchy.lca import LcaIndex
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.arena import sample_arena
@@ -33,7 +46,9 @@ from repro.utils.faults import inject
 
 from tests.oracle.reference import (
     reference_agglomerative_hierarchy,
+    reference_layout,
     reference_lca_tables,
+    reference_merges,
     reference_tree_hfs,
 )
 
@@ -75,13 +90,25 @@ def random_graph(seed: int) -> AttributedGraph:
     )
 
 
-def random_hierarchy(n: int, rng: np.random.Generator) -> CommunityHierarchy:
-    """A random non-binary tree: repeatedly merge 2-4 random clusters."""
+def with_isolated_nodes(graph: AttributedGraph, lead: int, tail: int) -> AttributedGraph:
+    """``graph`` with ``lead`` isolated nodes before its ids and ``tail``
+    after them; edge weights are kept."""
+    edges = [(u + lead, v + lead) for u, v in graph.edges()]
+    weights = {
+        (u + lead, v + lead): graph.edge_weight(u, v) for u, v in graph.edges()
+    }
+    return AttributedGraph(graph.n + lead + tail, edges, edge_weights=weights)
+
+
+def random_hierarchy(
+    n: int, rng: np.random.Generator, widest: int = 4
+) -> CommunityHierarchy:
+    """A random tree: repeatedly merge 2-``widest`` random clusters."""
     clusters = list(range(n))
     merges = []
     next_id = n
     while len(clusters) > 1:
-        k = int(rng.integers(2, min(4, len(clusters)) + 1))
+        k = int(rng.integers(2, min(widest, len(clusters)) + 1))
         picked = rng.choice(len(clusters), size=k, replace=False)
         merges.append([clusters[i] for i in picked])
         clusters = [c for i, c in enumerate(clusters) if i not in set(picked)]
@@ -116,7 +143,14 @@ def clustering_outcome(cluster, graph):
         return type(exc)
 
 
-def assert_same_parents(graph) -> None:
+def production_merges(graph) -> list:
+    """The merge list :func:`agglomerative_hierarchy` builds its
+    hierarchy from (test-only view of the kernel)."""
+    return nnchain._merges(graph)
+
+
+def assert_same_clustering(graph) -> None:
+    assert production_merges(graph) == reference_merges(graph)
     got = clustering_outcome(agglomerative_hierarchy, graph)
     expected = clustering_outcome(reference_agglomerative_hierarchy, graph)
     assert got == expected
@@ -127,11 +161,11 @@ def assert_same_parents(graph) -> None:
 
 class TestClusteringMatchesRescan:
     def test_paper_graph(self, paper_graph):
-        assert_same_parents(paper_graph)
+        assert_same_clustering(paper_graph)
 
     @pytest.mark.parametrize("seed", CLUSTER_SEEDS)
     def test_random_graphs_every_linkage(self, seed):
-        assert_same_parents(random_graph(seed))
+        assert_same_clustering(random_graph(seed))
 
     def test_random_cases_include_disconnected(self):
         disconnected = sum(
@@ -146,7 +180,66 @@ class TestClusteringMatchesRescan:
         weighting = AttributeWeighting(beta=4.0)
         for attribute in sorted(graph.attribute_universe)[:3]:
             g_l = attribute_weighted_graph(graph, attribute, weighting)
-            assert_same_parents(g_l)
+            assert_same_clustering(g_l)
+
+    def test_global_graph_across_edge_batches(self):
+        # What every structural batch reclusters: the live global graph.
+        graph = load_dataset("amazon", scale=0.2, seed=7).graph
+        rng = np.random.default_rng(17)
+        assert_same_clustering(graph)
+        for _ in range(4):
+            edges = list(graph.edges())
+            batch = [
+                EdgeUpdate(*edges[i], add=False)
+                for i in rng.permutation(len(edges))[:15]
+            ]
+            while len(batch) < 30:
+                u, v = sorted(int(x) for x in rng.integers(0, graph.n, size=2))
+                if u != v and not graph.has_edge(u, v) and all(
+                    b.key() != (u, v) for b in batch
+                ):
+                    batch.append(EdgeUpdate(u, v))
+            graph = apply_updates(graph, batch)
+            assert_same_clustering(graph)
+
+    @pytest.mark.parametrize("name", ["amazon", "pubmed"])
+    def test_lore_c_ell_subgraphs(self, name):
+        # What every LORE miss reclusters: g_l induced on C_l. Jaccard and
+        # a fractional beta give non-integer weights.
+        graph = load_dataset(name, scale=0.2, seed=7).graph
+        hierarchy = agglomerative_hierarchy(graph)
+        rng = np.random.default_rng(23)
+        weightings = [
+            AttributeWeighting(),
+            AttributeWeighting(beta=4.0, scheme="jaccard"),
+            AttributeWeighting(beta=0.7, scheme="endpoint_average"),
+        ]
+        fractional = 0
+        for q in rng.choice(graph.n, size=8, replace=False).tolist():
+            attribute = sorted(graph.attributes_of(q))[0]
+            for weighting in weightings:
+                lore = lore_chain(graph, hierarchy, q, attribute, weighting=weighting)
+                view = attribute_weighted_subgraph(
+                    graph, hierarchy.members(lore.c_ell_vertex), attribute, weighting
+                )
+                if view.graph.n < 2:
+                    continue
+                weights = np.concatenate(
+                    [view.graph.neighbor_weights(v) for v in range(view.graph.n)]
+                )
+                fractional += int(np.any(weights != np.round(weights)))
+                assert_same_clustering(view.graph)
+        assert fractional > 0
+
+    @pytest.mark.parametrize("seed", range(0, 42, 3))
+    def test_isolated_nodes(self, seed):
+        rng = np.random.default_rng(seed)
+        lead, tail = (int(x) for x in rng.integers(0, 4, size=2))
+        assert_same_clustering(with_isolated_nodes(random_graph(seed), lead, tail + 1))
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_edgeless_graph(self, n):
+        assert_same_clustering(AttributedGraph(n, []))
 
 
 # ------------------------------------------------------- hierarchy arrays
@@ -159,6 +252,70 @@ def assert_same_lca_tables(hierarchy) -> None:
     assert np.array_equal(index._tour, tour)
     assert np.array_equal(index._table, table)
     assert np.array_equal(index._log, log)
+
+
+def assert_same_layout(hierarchy) -> None:
+    expected = reference_layout(hierarchy)
+    assert np.array_equal(hierarchy.depths, expected["depth"])
+    assert np.array_equal(hierarchy.sizes, expected["size"])
+    assert np.array_equal(hierarchy.member_starts, expected["range_lo"])
+    assert np.array_equal(hierarchy._range_hi, expected["range_hi"])
+    assert np.array_equal(hierarchy.leaf_order, expected["leaf_order"])
+    assert np.array_equal(hierarchy._leaf_position, expected["leaf_position"])
+    for v in range(hierarchy.n_vertices):
+        assert hierarchy.children(v) == sorted(hierarchy.children(v))
+
+
+def relabelled_parents(hierarchy, rng) -> list[int]:
+    """The parent array with internal vertex ids shuffled, so parents may
+    precede their children."""
+    n = hierarchy.n_leaves
+    new_id = np.arange(hierarchy.n_vertices)
+    new_id[n:] = n + rng.permutation(hierarchy.n_vertices - n)
+    parent = np.full(hierarchy.n_vertices, -1, dtype=np.int64)
+    old_parent = hierarchy.parents
+    has = old_parent >= 0
+    parent[new_id[has]] = new_id[old_parent[has]]
+    return parent.tolist()
+
+
+class TestLayoutMatchesReference:
+    @pytest.mark.parametrize("widest", [2, 4])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_trees_from_merges_and_parents(self, seed, widest):
+        rng = np.random.default_rng(seed)
+        hierarchy = random_hierarchy(int(rng.integers(2, 300)), rng, widest)
+        assert_same_layout(hierarchy)
+        assert_same_layout(
+            CommunityHierarchy.from_parents(hierarchy.n_leaves, hierarchy.parents)
+        )
+        assert_same_layout(CommunityHierarchy.from_parents(
+            hierarchy.n_leaves, relabelled_parents(hierarchy, rng)
+        ))
+
+    def test_caterpillar(self):
+        n = 3000
+        merges = [(0, 1)] + [(n + leaf - 2, leaf) for leaf in range(2, n)]
+        hierarchy = CommunityHierarchy.from_merges(n, merges)
+        assert_same_layout(hierarchy)
+        assert_same_layout(
+            CommunityHierarchy.from_parents(n, hierarchy.parents.tolist())
+        )
+
+    def test_clustered_and_paper_trees(self, paper_hierarchy):
+        assert_same_layout(paper_hierarchy)
+        assert_same_layout(agglomerative_hierarchy(random_graph(3)))
+
+    def test_persisted_round_trips(self, tmp_path):
+        graph = load_dataset("cora", scale=0.2, seed=7).graph
+        hierarchy = agglomerative_hierarchy(graph)
+        save_hierarchy(hierarchy, tmp_path / "h.json")
+        assert_same_layout(load_hierarchy(tmp_path / "h.json"))
+        index = HimorIndex.build(graph, hierarchy, theta=2, rng=3)
+        index.save(tmp_path / "index.json")
+        loaded = HimorIndex.load(tmp_path / "index.json").hierarchy
+        assert_same_layout(loaded)
+        assert np.array_equal(loaded.leaf_order, hierarchy.leaf_order)
 
 
 class TestHierarchyArrays:

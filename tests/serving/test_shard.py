@@ -103,8 +103,8 @@ class TestRestrictedCacheKeying:
         # attribute 0's index for attribute 1's request as a cache hit).
         assert stats["entries"] == 2
         assert stats["misses"] == 2 and stats["hits"] == 0
-        assert pooled_server._restricted_cache.get((0, vertex)) is first
-        assert pooled_server._restricted_cache.get((1, vertex)) is second
+        assert pooled_server._restricted_cache.get((0, vertex))[1] is first
+        assert pooled_server._restricted_cache.get((1, vertex))[1] is second
 
     def test_shard_rotation_invalidates_only_its_attribute(
         self, pooled_server
@@ -125,7 +125,7 @@ class TestRestrictedCacheKeying:
             dropped = pooled_server.adopt_shards({})
             assert dropped == 1
             assert pooled_server._restricted_cache.get((0, vertex)) is None
-            assert pooled_server._restricted_cache.get((1, vertex)) is kept
+            assert pooled_server._restricted_cache.get((1, vertex))[1] is kept
             # Re-request for attribute 0 now restricts locally and ranks
             # exactly as the index built over the shard it replaced.
             rebuilt = pooled_server._local_index(0, vertex, local, budget)

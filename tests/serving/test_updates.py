@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 
 import repro.serving.server as server_module
+from repro.core.himor import same_hierarchy
+from repro.core.lore import lore_chain
 from repro.core.pool import SharedSamplePool
 from repro.core.problem import CODQuery
 from repro.datasets.registry import load_dataset
 from repro.dynamic import AttrUpdate, EdgeUpdate, UpdateBatch
+from repro.dynamic.updates import apply_updates as apply_graph_updates
 from repro.errors import GraphError, QueryError
 from repro.obs import MetricsRegistry
 from repro.serving import BackoffPolicy, ServingSupervisor
@@ -92,10 +95,12 @@ class TestServerApplyUpdates:
                 assert np.array_equal(served.members, expected.members), q
 
     @pytest.mark.parametrize("node, add", [(1, True), (2, False)])
-    def test_attr_batch_drops_only_its_local_indexes(self, paper_graph, node, add):
-        # A local index ranks inside C_l's reclustering for one attribute,
-        # so granting or revoking that attribute inside C_l must drop the
-        # attribute's indexes, while the other attribute's survive.
+    def test_attr_batch_keeps_local_indexes(self, paper_graph, node, add):
+        # Granting or revoking an attribute inside C_l reclusters C_l
+        # afresh, but leaves the pool and the floor vertices alone: every
+        # local index stays cached (the other attribute's untouched), and
+        # each one is vetted against the fresh reclustering on its next
+        # lookup, so answers still equal a fresh server's.
         queries = [
             CODQuery(q, a, k)
             for q in range(paper_graph.n) for a in (DB, 1) for k in (1, 2, 3)
@@ -107,18 +112,14 @@ class TestServerApplyUpdates:
             node in server._lore_cache.get((q, DB)).local.to_parent
             for q in range(paper_graph.n)
         )
-        keys = list(server._restricted_cache._entries)
-        assert {key[0] for key in keys} == {DB, 1}
-        untouched = {
-            key: server._restricted_cache.get(key) for key in keys if key[0] != DB
-        }
+        entries = dict(server._restricted_cache._entries)
+        assert {key[0] for key in entries} == {DB, 1}
 
         report = server.apply_updates([AttrUpdate(node, DB, add=add)])
-        dropped = len(keys) - len(untouched)
-        assert report["cache_invalidated"] >= dropped
-        assert all(key[0] != DB for key in server._restricted_cache._entries)
-        for key, index in untouched.items():
-            assert server._restricted_cache.get(key) is index
+        assert report["cache_invalidated"] >= 1  # DB's finished chains
+        kept = server._restricted_cache._entries
+        assert kept.keys() == entries.keys()
+        assert all(kept[key] is entry for key, entry in entries.items())
         assert_matches_fresh_server(server, queries)
 
     def test_attr_only_apply_is_sample_free(self, paper_graph):
@@ -303,6 +304,99 @@ class TestServerApplyUpdates:
             # The apply reclusters the new graph; answers reuse it.
             assert sum(g is server.graph for g in clustered) == 1
         assert len(clustered) == 3
+
+
+def local_restricts(server) -> int:
+    return server.health()["shards"]["local_restricts"]
+
+
+class TestLocalIndexAcrossAttrBatches:
+    """A local index outlives an attribute batch exactly while ``C_l``
+    reclusters as it did when the index was built."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return load_dataset("cora", scale=0.2, seed=7).graph
+
+    @staticmethod
+    def case(graph, inside: bool, reclusters: bool):
+        """A server, a query it answered from a fresh local index, and
+        the first one-node flip of the query's attribute, inside or
+        outside ``C_l``, that keeps ``C_l``'s vertex and changes (or
+        keeps) its local reclustering."""
+        server = seeded_server(graph)
+        for attribute in sorted(graph.attribute_universe):
+            carriers = len(graph.nodes_with_attribute(attribute))
+            for q in range(graph.n):
+                query = CODQuery(q, attribute, 4)
+                before = len(server._restricted_cache)
+                server.answer(query)
+                if len(server._restricted_cache) == before:
+                    continue  # no fresh local index behind this answer
+                lore = server._lore_cache.get((q, attribute))
+                members = set(lore.local.to_parent.tolist())
+                for node in range(graph.n):
+                    add = attribute not in graph.attributes_of(node)
+                    if (node in members) != inside or (not add and carriers == 1):
+                        continue
+                    batch = [AttrUpdate(node, attribute, add=add)]
+                    after = lore_chain(
+                        apply_graph_updates(graph, batch), server.hierarchy,
+                        q, attribute, weighting=server.weighting,
+                    )
+                    if after.c_ell_vertex != lore.c_ell_vertex:
+                        continue
+                    same = np.array_equal(
+                        after.local.to_parent, lore.local.to_parent
+                    ) and same_hierarchy(after.local.hierarchy, lore.local.hierarchy)
+                    if same != reclusters:
+                        key = (attribute, lore.c_ell_vertex)
+                        return server, query, batch, key
+        pytest.fail(f"no flip with inside={inside}, reclusters={reclusters}")
+
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_unchanged_reclustering_reuses_index(self, graph, inside):
+        server, query, batch, key = self.case(graph, inside, reclusters=False)
+        index = server._restricted_cache.get(key)[1]
+        restricts = local_restricts(server)
+        server.apply_updates(batch)
+        assert_matches_fresh_server(server, [query])
+        assert local_restricts(server) == restricts
+        assert server._restricted_cache.get(key)[1] is index
+
+    def test_changed_reclustering_rebuilds_index(self, graph):
+        server, query, batch, key = self.case(graph, inside=True, reclusters=True)
+        index = server._restricted_cache.get(key)[1]
+        restricts = local_restricts(server)
+        server.apply_updates(batch)
+        assert_matches_fresh_server(server, [query])
+        assert local_restricts(server) == restricts + 1
+        assert server._restricted_cache.get(key)[1] is not index
+
+    def test_attr_batch_replay_matches_cold_server(self, graph):
+        # Twelve random one-node attribute flips; at every epoch the
+        # server that kept (and vetted) its local indexes answers like a
+        # cold one.
+        attributes = sorted(graph.attribute_universe)
+        rng = np.random.default_rng(5)
+        queries = [
+            CODQuery(int(q), int(a), int(k))
+            for q, a, k in zip(
+                rng.integers(0, graph.n, size=10),
+                rng.choice(attributes[:3], size=10),
+                rng.choice([2, 4, 8], size=10),
+            )
+        ]
+        server = seeded_server(graph)
+        for step in range(12):
+            node = int(rng.integers(0, graph.n))
+            attribute = int(rng.choice(attributes[:3]))
+            server.apply_updates([AttrUpdate(
+                node, attribute,
+                add=attribute not in server.graph.attributes_of(node),
+            )])
+            assert_matches_fresh_server(server, queries)
+        assert len(server._restricted_cache) > 0
 
 
 class TestSupervisorUpdates:
