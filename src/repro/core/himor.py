@@ -33,9 +33,15 @@ import numpy as np
 
 from repro.errors import CheckpointError, IndexError_, QueryError
 from repro.graph.graph import AttributedGraph
-from repro.hierarchy.dendrogram import CommunityHierarchy
+from repro.hierarchy.dendrogram import ClusterMap, CommunityHierarchy, map_clusters
 from repro.hierarchy.lca import LcaIndex
-from repro.influence.arena import RRArena, _ragged_ranges, sample_arena
+from repro.influence.arena import (
+    ArenaRepair,
+    RRArena,
+    _ragged_ranges,
+    concatenate_arenas,
+    sample_arena,
+)
 from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.faults import maybe_fail
 from repro.utils.persist import (
@@ -73,10 +79,10 @@ class HimorIndex:
         self.n_samples = int(n_samples)
         #: Samples restored from a build checkpoint (0 = built fresh).
         self.resumed_from = 0
-        #: Checksum of the edge set the index was built for (``None`` on
-        #: legacy artifacts); lets a server reject a stale persisted index
-        #: after the graph moved to a new epoch.
-        self.graph_sha = graph_sha
+        self._graph_sha = graph_sha
+        #: The graph the index was last built or repaired over, from which
+        #: :attr:`graph_sha` is read on first use.
+        self._graph: "AttributedGraph | None" = None
         #: The sample stream the ranks were counted over (see
         #: :func:`build_fingerprint`), set by :meth:`build` and
         #: :meth:`load`; ``None`` when unknown, e.g. on artifacts saved
@@ -88,6 +94,17 @@ class HimorIndex:
         #: whole pool.
         self._buckets = buckets
         self._ranks = ranks
+
+    @property
+    def graph_sha(self) -> "str | None":
+        """Checksum of the edge set the index was built for (``None`` on
+        legacy artifacts); lets a server reject a stale persisted index
+        after the graph moved to a new epoch. Read only where it is
+        consumed (:meth:`save`, a server's stale check), so an index that
+        is never persisted never hashes its graph."""
+        if self._graph_sha is None and self._graph is not None:
+            self._graph_sha = graph_checksum(self._graph)
+        return self._graph_sha
 
     @property
     def has_buckets(self) -> bool:
@@ -212,9 +229,9 @@ class HimorIndex:
                 checkpoint_path.unlink(missing_ok=True)
             ranks = _bottom_up_ranks(hierarchy, buckets)
             index = cls(
-                hierarchy, ranks, theta=theta, n_samples=n_samples,
-                buckets=buckets, graph_sha=graph_checksum(graph),
+                hierarchy, ranks, theta=theta, n_samples=n_samples, buckets=buckets
             )
+            index._graph = graph
             index.resumed_from = resumed_from
             index.sample_mode = sample_mode
             if span is not None:
@@ -229,76 +246,81 @@ class HimorIndex:
 
     def repair(
         self,
-        removed: RRArena,
-        added: RRArena,
-        graph_sha: "str | None" = None,
+        rep: ArenaRepair,
+        clusters: "ClusterMap | None" = None,
+        graph: "AttributedGraph | None" = None,
         budget: "object | None" = None,
     ) -> dict:
-        """Incrementally repair the index after an arena repair.
+        """Carry the index across a pool repair and a recluster.
 
-        ``removed``/``added`` are the old and new versions of the redrawn
-        samples (an :class:`~repro.influence.arena.ArenaRepair`'s delta);
-        the hierarchy must be unchanged by the update (callers compare
-        parent arrays via :func:`same_hierarchy` and rebuild otherwise).
+        ``rep`` is the pool's :class:`~repro.influence.arena.ArenaRepair`:
+        the old (``removed``) and new (``added``) versions of the redrawn
+        samples and the repaired pool (``arena``). ``clusters`` maps this
+        index's hierarchy onto the reclustered one
+        (:func:`~repro.hierarchy.dendrogram.map_clusters`); ``None`` keeps
+        the hierarchy. ``graph``, the updated graph, is what
+        :attr:`graph_sha` then reads.
 
-        The per-sample HFS traversal — the dominant build cost — runs only
-        over the removed and added samples: their charges are subtracted
-        from / added to the retained buckets, which restores the buckets
-        a from-scratch HFS over the repaired pool would produce exactly
-        (per-sample charges are independent). Rank recombination then
-        reruns over the stored buckets; only communities in the ancestor
-        closure of changed buckets actually change ranks (reported as
-        ``repaired_subtrees``), but recombination is pure counting — no
-        sampling, no traversal.
+        Per-sample charges are independent, so only the re-traversed
+        samples change the buckets: the redrawn ones, and every other
+        sample with an entry in a changed cluster (``clusters.changed``).
+        Their charges under the old hierarchy come off, every other
+        charge moves to its tag's image under the map, and their charges
+        under the new hierarchy go on. That leaves exactly the buckets
+        :meth:`build` counts over the repaired pool and the new
+        hierarchy, because an untouched sample's charges carry over by
+        relabeling: a cap ``lca(u, source)`` (or ``parent(source)``) is
+        the smallest cluster holding those nodes; on either side every
+        cluster holding them is mapped, else the nodes would lie in a
+        changed one, so the map sends the old smallest to the new
+        smallest; and the map keeps
+        containment, which is all the widest-path fixpoint compares among
+        the caps on the source's root path. A charge left on an unmapped
+        tag contradicts this and raises :class:`~repro.errors.IndexError_`.
+        Past :data:`RECOUNT_SHARE` of the pool re-traversed, the whole
+        pool is traversed once instead, as :meth:`build` does. Ranks are
+        then recombined over the buckets: pure counting, no sampling.
 
-        Returns ``{"changed_buckets", "repaired_subtrees"}``.
+        Returns ``{"retraversed_samples", "recounted"}``.
         """
         if self._buckets is None:
             raise IndexError_(
                 "index carries no HFS buckets (legacy artifact); "
                 "incremental repair needs a bucket-retaining build"
             )
-        if removed.n_samples != added.n_samples:
+        if rep.removed.n_samples != rep.added.n_samples:
             raise IndexError_(
-                f"repair delta is lopsided: {removed.n_samples} removed vs "
-                f"{added.n_samples} added samples"
+                f"repair delta is lopsided: {rep.removed.n_samples} removed vs "
+                f"{rep.added.n_samples} added samples"
             )
-        changed: set[int] = set()
-        for sign, delta_arena in ((-1, removed), (1, added)):
-            delta = _tree_hfs_arena(self.hierarchy, delta_arena, budget=budget)
-            for tag, bucket in delta.items():
-                own = self._buckets.setdefault(tag, {})
-                for node, count in bucket.items():
-                    value = own.get(node, 0) + sign * count
-                    if value < 0:
-                        raise IndexError_(
-                            "bucket charge went negative during repair: the "
-                            "removed samples do not match this index's pool"
-                        )
-                    if value:
-                        own[node] = value
-                    else:
-                        own.pop(node, None)
-                if not own:
-                    self._buckets.pop(tag, None)
-                changed.add(tag)
-        affected: set[int] = set()
-        for tag in changed:
-            vertex = tag
-            while vertex not in affected:
-                affected.add(vertex)
-                parent = self.hierarchy.parent(vertex)
-                if parent < 0:
-                    break
-                vertex = parent
-        if changed:
-            self._ranks = _bottom_up_ranks(self.hierarchy, self._buckets)
-        if graph_sha is not None:
-            self.graph_sha = graph_sha
-        return {
-            "changed_buckets": len(changed),
-            "repaired_subtrees": len(affected),
-        }
+        old = self.hierarchy
+        if clusters is None:
+            clusters = map_clusters(old, old)
+        elif clusters.old is not old:
+            raise IndexError_("cluster map does not start at this index's hierarchy")
+        arena = rep.arena
+        # Every sample holds at least its source, so no reduce range is empty.
+        stale = np.logical_or.reduceat(
+            clusters.changed[arena.nodes], arena.node_offsets[:-1]
+        )
+        stale[rep.touched] = False
+        again = arena.take(np.flatnonzero(stale))
+        retraversed = rep.n_repaired + again.n_samples
+        recounted = retraversed > RECOUNT_SHARE * arena.n_samples
+        if recounted:
+            self._buckets = _tree_hfs_arena(clusters.new, arena, budget=budget)
+        else:
+            self._buckets = _move_charges(
+                self._buckets,
+                clusters,
+                _charge_keys(old, concatenate_arenas([rep.removed, again]), budget),
+                _charge_keys(clusters.new, concatenate_arenas([rep.added, again]), budget),
+            )
+        self.hierarchy = clusters.new
+        self._ranks = _bottom_up_ranks(self.hierarchy, self._buckets)
+        if graph is not None:
+            self._graph, self._graph_sha = graph, None
+        return {"retraversed_samples": retraversed, "recounted": recounted}
 
     # --------------------------------------------------------------- queries
 
@@ -467,16 +489,11 @@ def local_index(
     )
     # LORE's byte-bounded memo holds the hierarchy and does not charge an
     # LCA table, so this pass builds its own instead of caching one there.
-    lca = LcaIndex(hierarchy)
-    charged = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, local.n_samples, _HFS_CHUNK):
-        if budget is not None:
-            budget.check()
-        charged.append(_chunk_charges(
-            hierarchy, local, lo, min(lo + _HFS_CHUNK, local.n_samples), lca
-        ))
     # No bucket dicts to keep, so the charges go to the ranking as arrays.
-    pairs, charges = np.unique(np.concatenate(charged), return_counts=True)
+    pairs, charges = np.unique(
+        _charge_keys(hierarchy, local, budget, LcaIndex(hierarchy)),
+        return_counts=True,
+    )
     ranks = _ranks_from_charges(hierarchy, pairs // n, pairs % n, charges)
     return HimorIndex(hierarchy, ranks, theta=theta, n_samples=local.n_samples)
 
@@ -503,18 +520,6 @@ def graph_checksum(graph: AttributedGraph) -> str:
     indexes written before stay valid.
     """
     return graph.edge_checksum
-
-
-def same_hierarchy(a: CommunityHierarchy, b: CommunityHierarchy) -> bool:
-    """Structural equality of two hierarchies (same leaves, same parents).
-
-    Agglomerative construction is deterministic, so equal parent arrays
-    mean identical vertex layout — the precondition for repairing an
-    index in place rather than rebuilding after a topology update.
-    """
-    if a.n_leaves != b.n_leaves or a.n_vertices != b.n_vertices:
-        return False
-    return bool(np.array_equal(a.parents, b.parents))
 
 
 def build_fingerprint(
@@ -603,6 +608,13 @@ def _load_checkpoint(
 # ---------------------------------------------------------------- internals
 
 
+#: Share of the pool past which :meth:`HimorIndex.repair` traverses the
+#: whole pool once rather than the re-traversed samples twice (under the
+#: old and the new hierarchy). On ``amazon``-2.5 (25,000 samples, 2-core
+#: VM) a delta over 3-9% of the pool took 21-45 ms against 56-87 ms for
+#: a whole traversal and the two broke even at 22-30%.
+RECOUNT_SHARE = 0.25
+
 #: Most samples one vectorized tree-HFS chunk traverses at once; bounds
 #: the per-chunk working arrays and the time between budget checks.
 _HFS_CHUNK = 1024
@@ -677,6 +689,80 @@ def _tree_hfs_arena(
             on_checkpoint(end, buckets)
     _fold_charges(charged, hierarchy.n_leaves, buckets)
     return buckets
+
+
+def _move_charges(
+    buckets: dict[int, dict[int, int]],
+    clusters: ClusterMap,
+    gone: np.ndarray,
+    came: np.ndarray,
+) -> dict[int, dict[int, int]]:
+    """The buckets with the ``gone`` charge keys (old hierarchy) taken
+    off, every tag moved to its image under ``clusters``, and the
+    ``came`` keys (new hierarchy) put on; see :meth:`HimorIndex.repair`.
+    """
+    n = clusters.old.n_leaves
+    images = clusters.to_new[gone // n] * n + gone % n
+    # A charge on a changed cluster has no image: those charges must
+    # empty their buckets before the rest move, where old and new net out.
+    lost = images < 0
+    keys, counts = np.unique(gone[lost], return_counts=True)
+    _add_charges(buckets, keys, -counts, n)
+    to_new = clusters.to_new.tolist()
+    if any(to_new[tag] < 0 for tag in buckets):
+        raise IndexError_(
+            "a charge outlived its changed cluster: the removed samples do "
+            "not match this index's pool"
+        )
+    buckets = {to_new[tag]: bucket for tag, bucket in buckets.items()}
+    keys, inverse = np.unique(np.concatenate((images[~lost], came)), return_inverse=True)
+    split = len(images) - int(lost.sum())
+    net = np.bincount(inverse[split:], minlength=len(keys)) - np.bincount(
+        inverse[:split], minlength=len(keys)
+    )
+    moved = np.flatnonzero(net)
+    _add_charges(buckets, keys[moved], net[moved], n)
+    return buckets
+
+
+def _add_charges(
+    buckets: dict[int, dict[int, int]], keys: np.ndarray, counts: np.ndarray, n: int
+) -> None:
+    """Add signed ``counts`` at the ``tag * n + node`` charge ``keys`` into
+    ``buckets``; an emptied bucket is dropped, and a charge driven below
+    zero raises."""
+    for tag, node, count in zip((keys // n).tolist(), (keys % n).tolist(), counts.tolist()):
+        own = buckets.setdefault(tag, {})
+        value = own.get(node, 0) + count
+        if value < 0:
+            raise IndexError_(
+                "bucket charge went negative during repair: the "
+                "removed samples do not match this index's pool"
+            )
+        if value:
+            own[node] = value
+        else:
+            del own[node]
+            if not own:
+                del buckets[tag]
+
+
+def _charge_keys(
+    hierarchy: CommunityHierarchy,
+    arena: RRArena,
+    budget: "object | None" = None,
+    lca: "LcaIndex | None" = None,
+) -> np.ndarray:
+    """The charge keys of every sample of ``arena``, one per reached entry
+    (:func:`_chunk_charges`), with ``budget`` checked before each chunk."""
+    charged = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, arena.n_samples, _HFS_CHUNK):
+        if budget is not None:
+            budget.check()
+        charged.append(_chunk_charges(
+            hierarchy, arena, lo, min(lo + _HFS_CHUNK, arena.n_samples), lca
+        ))
+    return np.concatenate(charged)
 
 
 def _fold_charges(

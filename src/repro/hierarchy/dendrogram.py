@@ -13,7 +13,7 @@ O(1). This layout is what lets the compressed evaluator and HIMOR scale.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -408,3 +408,109 @@ class CommunityHierarchy:
             raise HierarchyError(
                 f"vertex {vertex} out of range (0..{self.n_vertices - 1})"
             )
+
+
+def same_hierarchy(a: CommunityHierarchy, b: CommunityHierarchy) -> bool:
+    """Structural equality of two hierarchies (same leaves, same parents).
+
+    Agglomerative construction is deterministic, so equal parent arrays
+    mean identical vertex layout: a reclustering equal to another serves
+    every structure built over it.
+    """
+    if a.n_leaves != b.n_leaves or a.n_vertices != b.n_vertices:
+        return False
+    return bool(np.array_equal(a.parents, b.parents))
+
+
+class ClusterMap(NamedTuple):
+    """The vertices of ``old`` matched to those of ``new`` by member set.
+
+    ``to_new[v]`` is the vertex of ``new`` with old vertex ``v``'s members
+    and ``to_old`` the inverse, ``-1`` where none has them; every leaf
+    maps to itself. ``changed`` marks, per leaf, whether it lies in an
+    unmapped vertex of either hierarchy (a *changed cluster*).
+    """
+
+    old: CommunityHierarchy
+    new: CommunityHierarchy
+    to_new: np.ndarray
+    to_old: np.ndarray
+    changed: np.ndarray
+
+
+def map_clusters(old: CommunityHierarchy, new: CommunityHierarchy) -> ClusterMap:
+    """Match two hierarchies over the same leaves, cluster by cluster.
+
+    Exact, with no hashing. A new vertex's members are a range of
+    ``new.leaf_order``; their positions in ``old.leaf_order`` fill a
+    range exactly when their highest and lowest positions lie ``size - 1``
+    apart, and then the old vertex holding that range, if any, has the
+    same members. One sparse table over the old positions, read in new
+    leaf order, gives every new vertex's lowest and highest position, and
+    one sorted search over the old vertices' ``(start, size)`` ranges finds
+    the match. Vertices that share their member set with another vertex
+    of their own hierarchy (one-child chains) stay unmapped, so the map is
+    one-to-one. Equal hierarchies map by the identity.
+    """
+    n = old.n_leaves
+    if new.n_leaves != n:
+        raise HierarchyError(
+            f"cannot map a {old.n_leaves}-leaf hierarchy onto {new.n_leaves} leaves"
+        )
+    # A leaf's members start at its own leaf-order position.
+    seq = old.member_starts[new.leaf_order]
+    starts, sizes = new.member_starts[n:], new.sizes[n:]
+    low = _range_min(seq, starts, sizes)
+    high = -_range_min(-seq, starts, sizes)
+    old_keys = _range_keys(old)
+    order = np.argsort(old_keys)
+    at = np.minimum(np.searchsorted(old_keys[order], low * (n + 1) + sizes), len(order) - 1)
+    match = order[at]
+    hit = (
+        (high - low + 1 == sizes)
+        & (old_keys[match] == low * (n + 1) + sizes)
+        & _distinct(old)[match]
+        & _distinct(new)
+    )
+    to_old = np.concatenate((np.arange(n), np.where(hit, match + n, -1)))
+    to_new = np.concatenate((np.arange(n), np.full(old.n_vertices - n, -1)))
+    to_new[match[hit] + n] = np.flatnonzero(hit) + n
+    changed = np.zeros(n, dtype=bool)
+    for hierarchy, images in ((old, to_new), (new, to_old)):
+        lost = np.flatnonzero(images < 0)
+        cover = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(cover, hierarchy.member_starts[lost], 1)
+        np.add.at(cover, hierarchy.member_starts[lost] + hierarchy.sizes[lost], -1)
+        changed[hierarchy.leaf_order[np.cumsum(cover[:-1]) > 0]] = True
+    return ClusterMap(old, new, to_new, to_old, changed)
+
+
+def _range_keys(hierarchy: CommunityHierarchy) -> np.ndarray:
+    """One integer per internal vertex naming its leaf-order range."""
+    n = hierarchy.n_leaves
+    return hierarchy.member_starts[n:] * (n + 1) + hierarchy.sizes[n:]
+
+
+def _distinct(hierarchy: CommunityHierarchy) -> np.ndarray:
+    """Whether each internal vertex is the only one with its member set."""
+    _, inverse, counts = np.unique(
+        _range_keys(hierarchy), return_inverse=True, return_counts=True
+    )
+    return counts[inverse] == 1
+
+
+def _range_min(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``values[s:s + size].min()`` for every ``(s, size)`` with ``size >= 1``.
+
+    Row ``j`` of the sparse table holds the minimum of every window of
+    ``2**j`` values (rows are padded to full length; no query reads the
+    padding), and each range is covered by two windows of its row.
+    """
+    rows = np.floor(np.log2(np.maximum(sizes, 1))).astype(np.int64)
+    table = [values]
+    while len(table) <= rows.max(initial=0):
+        span = 1 << (len(table) - 1)
+        prev = table[-1]
+        table.append(np.concatenate((np.minimum(prev[:-span], prev[span:]), prev[-span:])))
+    table = np.stack(table)
+    return np.minimum(table[rows, starts], table[rows, starts + sizes - (1 << rows)])

@@ -392,6 +392,13 @@ class RRArena:
         if segment is not None:
             segment.close()
 
+    def same_samples(self, other: "RRArena") -> bool:
+        """Whether ``other`` stores exactly these samples, array for array."""
+        return self.n == other.n and all(
+            np.array_equal(getattr(self, field), getattr(other, field))
+            for field in _ARENA_FIELDS
+        )
+
     # ----------------------------------------------------------- derived maps
 
     @property

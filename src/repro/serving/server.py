@@ -46,12 +46,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.compressed import compressed_cod
-from repro.core.himor import (
-    HimorIndex,
-    graph_checksum,
-    local_index,
-    same_hierarchy,
-)
+from repro.core.himor import HimorIndex, graph_checksum, local_index
 from repro.core.lore import (
     LoreResult,
     _LocalRecluster,
@@ -71,7 +66,12 @@ from repro.errors import (
 from repro.graph.graph import AttributedGraph
 from repro.graph.weighting import AttributeWeighting
 from repro.hierarchy.chain import CommunityChain
-from repro.hierarchy.dendrogram import CommunityHierarchy
+from repro.hierarchy.dendrogram import (
+    ClusterMap,
+    CommunityHierarchy,
+    map_clusters,
+    same_hierarchy,
+)
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.core.pool import SharedSamplePool
 from repro.influence.arena import RRArena, allowed_fingerprint, sample_arena
@@ -381,7 +381,9 @@ class CODServer:
         #: LORE's query-independent parts, shared across query nodes:
         #: per-attribute edge-LCA counts and per-(attribute, C_l) local
         #: reclusterings (see ``lore_chain(memo=)``). Invalidated together
-        #: with ``_lore_cache`` by :meth:`invalidate_lore`. Bounded by bytes
+        #: with ``_lore_cache`` by :meth:`invalidate_lore`; a structural
+        #: batch re-keys the reclusterings it leaves valid
+        #: (:meth:`_carry_memos`). Bounded by bytes
         #: only: entries range from a few nodes to the whole graph, and an
         #: entry count would let cheap small ones evict the costly large
         #: ones between their uses.
@@ -393,9 +395,11 @@ class CODServer:
         )
         #: CODL's local HIMOR indexes, keyed ``(attribute, C_l vertex)``,
         #: each stored with the local reclustering it was built from (see
-        #: :meth:`_local_index`). A lookup vets that reclustering, so only
-        #: a change of pool or hierarchy (:meth:`invalidate_lore` with no
-        #: attributes) drops them wholesale.
+        #: :meth:`_local_index`). A lookup vets that reclustering; a
+        #: structural batch re-keys the indexes whose ``C_l`` and
+        #: restricted pool it leaves unchanged (:meth:`_carry_memos`), and
+        #: only a wholesale swap of pool or hierarchy
+        #: (:meth:`invalidate_lore` with no attributes) drops them all.
         self._restricted_cache = LRUCache(
             self.cache_capacity, name="restricted", metrics=m
         )
@@ -594,14 +598,20 @@ class CODServer:
         by enqueueing update directives on the same FIFO queue as tasks).
         Repair instead of rebuild:
 
-        * **structural batches** (any edge update) drop the LORE memos
-          and every local index; an attached per-sample-seeded pool is
-          incrementally repaired (only samples that activated a touched
-          node are redrawn — bit-identical to a from-scratch draw); the
-          HIMOR index is delta-repaired when the
-          post-update hierarchy is unchanged, else rebuilt from the
-          repaired pool (no fresh sampling), else dropped for lazy
-          rebuild.
+        * **structural batches** (any edge update) recluster the live
+          graph (inside a ``clustering`` span) and map the old hierarchy
+          onto the new one by member set
+          (:func:`~repro.hierarchy.dendrogram.map_clusters`; an unchanged
+          hierarchy maps by the identity). An attached per-sample-seeded
+          pool is incrementally repaired (only samples that activated a
+          touched node are redrawn — bit-identical to a from-scratch
+          draw). The HIMOR index is carried through the map
+          (:meth:`_repair_index`): only the redrawn samples and those
+          touching a changed cluster are traversed again. The finished
+          LORE chains and edge counts drop; a reclustering of ``C_l``
+          and its local index are re-keyed to ``C_l``'s new vertex when
+          the batch provably leaves them unchanged, else dropped
+          (:meth:`_carry_memos`).
         * **attribute-only batches** leave topology-derived state (pool
           samples, hierarchy, HIMOR ranks) untouched and invalidate only
           the LORE entries of the touched attributes (the ``jaccard``
@@ -660,17 +670,22 @@ class CODServer:
             repaired = 0
             index_action = "none"
             if structural:
-                invalidated += self.invalidate_lore()
                 rep = None
                 if self.pool is not None:
                     rep = self.pool.repair(new_graph, t_nodes)
                     repaired = rep.n_repaired if rep is not None else 0
                 self.graph = new_graph
-                if self._hierarchy is not None or self._index is not None:
-                    new_hierarchy = agglomerative_hierarchy(new_graph)
-                    index_action = self._repair_index(
-                        new_graph, new_hierarchy, rep, trace
+                if self._hierarchy is None:
+                    invalidated += self.invalidate_lore()
+                else:
+                    cluster_cm = (
+                        trace.span("clustering") if trace is not None else nullcontext()
                     )
+                    with cluster_cm:
+                        new_hierarchy = agglomerative_hierarchy(new_graph)
+                    clusters = map_clusters(self._hierarchy, new_hierarchy)
+                    invalidated += self._carry_memos(clusters, batch, t_attrs, rep)
+                    index_action = self._repair_index(new_graph, clusters, rep, trace)
                     self._hierarchy = new_hierarchy
             else:
                 if self.weighting.scheme == "jaccard":
@@ -710,40 +725,46 @@ class CODServer:
     def _repair_index(
         self,
         graph: AttributedGraph,
-        hierarchy: CommunityHierarchy,
+        clusters: ClusterMap,
         rep,
         trace: "object | None" = None,
     ) -> str:
         """Carry the HIMOR index across a structural update.
 
-        Preference order: delta-repair (hierarchy unchanged and the pool
-        produced a sample delta) > rebuild from the repaired pool arena
-        (hierarchy moved but no sampling needed) > drop and rebuild
-        lazily on the next CODL query. Every kept index is re-persisted
-        so a respawned worker loads the current epoch's artifact.
+        With the pool's per-sample repair and a bucket-retaining index,
+        :meth:`HimorIndex.repair` re-traverses only the redrawn samples
+        and those with an entry in a cluster the recluster changed, and
+        relabels every other charge through ``clusters`` (``"repaired"``,
+        inside a ``himor_build`` span; an unchanged hierarchy is the
+        identity map). Past
+        :data:`~repro.core.himor.RECOUNT_SHARE` of the pool it recounts
+        the whole pool instead (``"rebuilt"``), as it does, with no fresh
+        sampling, when the pool gave no sample delta. Without a
+        per-sample-seeded pool the index drops for a lazy rebuild. Every
+        kept index is re-persisted so a respawned worker loads the
+        current epoch's artifact.
         """
         if self._index is None:
             return "none"
-        sha = graph_checksum(graph)
-        if (
-            rep is not None
-            and self._index.has_buckets
-            and same_hierarchy(self._index.hierarchy, hierarchy)
-        ):
-            self._index.hierarchy = hierarchy
-            self._index.repair(rep.removed, rep.added, graph_sha=sha)
-            action = "repaired"
+        if rep is not None and self._index.has_buckets:
+            repair_cm = (
+                trace.span("himor_build", repair=True)
+                if trace is not None
+                else nullcontext()
+            )
+            with repair_cm:
+                report = self._index.repair(rep, clusters, graph=graph)
+            action = "rebuilt" if report["recounted"] else "repaired"
         elif self.pool is not None and self.pool.per_sample_seeds:
             self._index = HimorIndex.build(
                 graph,
-                hierarchy,
+                clusters.new,
                 theta=self.theta,
                 model=self.model,
                 rr_graphs=self.pool.arena,
                 trace=trace,
                 sample_mode=self._index_sample_mode(),
             )
-            self._health["index_rebuilds"].inc()
             action = "rebuilt"
         else:
             # Without a repairable pool the old ranks reflect stale
@@ -752,9 +773,58 @@ class CODServer:
             # from resurrecting the stale epoch.
             self._index = None
             action = "dropped"
+        if action == "rebuilt":
+            self._health["index_rebuilds"].inc()
         if action != "dropped" and self.index_path is not None:
             self._index.save(self.index_path)
         return action
+
+    def _carry_memos(
+        self, clusters: ClusterMap, batch: tuple, attributes: "set[int]", rep
+    ) -> int:
+        """Carry LORE's reclusterings and the local indexes across a
+        recluster; returns how many finished chains and indexes dropped.
+
+        The finished chains and the per-attribute edge counts read the
+        global hierarchy, so all of them drop. The reclustering of
+        ``C_l`` under ``(attribute, vertex)`` reads only ``C_l``'s members
+        and the weights of the edges between them, and a weight reads
+        only its endpoints' attributes. It is kept, re-keyed to
+        ``C_l``'s vertex in the new hierarchy, when ``C_l`` maps, no edge
+        of the batch has both endpoints inside it, and the batch touches
+        no attribute it reads. A local index is kept on the same terms
+        when, in addition, the pool's redrawn samples restrict to
+        ``C_l`` as before the repair, so ``pool.restricted(C_l)`` is
+        unchanged. A lookup still vets its reclustering
+        (:meth:`_local_index`).
+        """
+        old = clusters.old
+        starts, sizes, to_new = old.member_starts, old.sizes, clusters.to_new
+        edges = [update.key() for update in batch if not hasattr(update, "attribute")]
+        # A leaf's members start at its own leaf-order position.
+        ends = starts[np.array(edges, dtype=np.int64).reshape(-1, 2)]
+        # Jaccard weights read an endpoint's every attribute.
+        every = self.weighting.scheme == "jaccard" and bool(attributes)
+
+        def carried(key: tuple, _value: object = None) -> "tuple | None":
+            attribute, vertex = key
+            if vertex == "edges" or every or attribute in attributes or to_new[vertex] < 0:
+                return None
+            lo = starts[vertex]
+            if ((ends >= lo) & (ends < lo + sizes[vertex])).all(axis=1).any():
+                return None
+            return attribute, int(to_new[vertex])
+
+        def carried_index(key: tuple, entry: tuple) -> "tuple | None":
+            renamed = carried(key)
+            if renamed is None or rep is None:
+                return None
+            members = entry[0].to_parent
+            before = rep.removed.restrict(members)
+            return renamed if before.same_samples(rep.added.restrict(members)) else None
+
+        self._lore_local.rekey(carried)
+        return self._lore_cache.clear() + self._restricted_cache.rekey(carried_index)
 
     def adopt_shared(
         self,
@@ -1219,16 +1289,17 @@ class CODServer:
     def invalidate_lore(self, attributes: "set[int] | None" = None) -> int:
         """Drop LORE memos: every entry, or only ``attributes``' entries.
 
-        The one invalidation path for attribute-scoped state, so the
-        finished chains (keyed ``(node, attribute)``) and their
-        query-independent parts (keyed ``(attribute, ...)``) cannot drift
-        apart. Dropping every entry (the pool or the hierarchy moved)
-        drops the local indexes too. An attribute-scoped call keeps them:
-        the pool and the floor's members are unchanged, and
-        :meth:`_local_index` serves an index only while ``C_l``
-        reclusters as it did when the index was built. Returns the number
-        of finished chains and local indexes dropped; the parts are
-        rebuilt lazily and are not counted.
+        The invalidation path for attribute-scoped state, so the finished
+        chains (keyed ``(node, attribute)``) and their query-independent
+        parts (keyed ``(attribute, ...)``) cannot drift apart. Dropping
+        every entry (the pool or the hierarchy was swapped wholesale)
+        drops the local indexes too; a structural batch instead carries
+        what its recluster leaves valid (:meth:`_carry_memos`). An
+        attribute-scoped call keeps the local indexes: the pool and the
+        floor's members are unchanged, and :meth:`_local_index` serves an
+        index only while ``C_l`` reclusters as it did when the index was
+        built. Returns the number of finished chains and local indexes
+        dropped; the parts are rebuilt lazily and are not counted.
         """
         if attributes is None:
             self._lore_local.clear()
@@ -1297,7 +1368,7 @@ class CODServer:
         ``himor_build`` span marked ``local=True``; a hit touches neither.
         Each entry holds the reclustering it was built from, and a hit
         needs ``local`` to be that reclustering or an equal one (same
-        ``to_parent``, :func:`~repro.core.himor.same_hierarchy`): an
+        ``to_parent``, :func:`~repro.hierarchy.dendrogram.same_hierarchy`): an
         attribute batch reclusters ``C_l`` afresh but leaves the index
         over an unchanged reclustering valid, while a changed one is
         rebuilt.

@@ -215,14 +215,28 @@ class LRUCache:
         untouched by an update keep serving. Returns the number dropped,
         counted in ``cache.<name>.invalidations``.
         """
+        return self.rekey(lambda key, _value: None if predicate(key) else key)
+
+    def rekey(self, rename: "Callable[[Hashable, object], Hashable | None]") -> int:
+        """Move every entry to the key ``rename(key, value)`` returns, or
+        drop it where that is ``None``; recency order is kept.
+
+        Lets an update carry entries whose keys name something the update
+        renumbered. ``rename`` must not send two entries to one key.
+        Returns the number dropped, counted as :meth:`invalidate` counts.
+        """
         with self._lock:
-            doomed = [key for key in self._entries if predicate(key)]
-            for key in doomed:
-                _, size = self._entries.pop(key)
-                self.current_bytes -= size
-            self._invalidations.inc(len(doomed))
+            kept: "OrderedDict[Hashable, tuple[object, int]]" = OrderedDict()
+            for key, entry in self._entries.items():
+                renamed = rename(key, entry[0])
+                if renamed is not None:
+                    kept[renamed] = entry
+            dropped = len(self._entries) - len(kept)
+            self._entries = kept
+            self.current_bytes = sum(size for _, size in kept.values())
+            self._invalidations.inc(dropped)
             self._set_gauges()
-            return len(doomed)
+            return dropped
 
     # ------------------------------------------------------------ reporting
 

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import himor
 from repro.core.himor import HimorIndex, local_index
 from repro.core.pipeline import CODL
 from repro.core.problem import CODQuery
 from repro.errors import IndexError_, QueryError
-from repro.influence.arena import sample_arena
+from repro.influence.arena import ArenaRepair, sample_arena
 from repro.influence.estimator import estimate_influences_in_community
 
 from tests.conftest import C0, C1, C3, C4, C6, DB
@@ -209,6 +210,12 @@ class TestIncrementalRepair:
     THETA = 6
     SEED = 17
 
+    @pytest.fixture(autouse=True)
+    def delta_at_any_share(self, monkeypatch):
+        # A third of this small pool is redrawn, past the share where a
+        # repair recounts the whole pool; these tests exercise the delta.
+        monkeypatch.setattr(himor, "RECOUNT_SHARE", 1.0)
+
     def build_pair(self, paper_graph, paper_hierarchy):
         from repro.dynamic.updates import EdgeUpdate, apply_updates
         from repro.influence.arena import repair_arena
@@ -232,10 +239,9 @@ class TestIncrementalRepair:
 
         new_graph, index, rep = self.build_pair(paper_graph, paper_hierarchy)
         assert index.has_buckets
-        report = index.repair(rep.removed, rep.added,
-                              graph_sha=graph_checksum(new_graph))
-        assert report["changed_buckets"] >= 1
-        assert report["repaired_subtrees"] >= report["changed_buckets"] > 0
+        report = index.repair(rep, graph=new_graph)
+        assert report == {"retraversed_samples": rep.n_repaired, "recounted": False}
+        assert rep.n_repaired > 0
 
         # Oracle: a from-scratch build over the *repaired* arena under the
         # same (unchanged) hierarchy must yield identical ranks.
@@ -247,10 +253,26 @@ class TestIncrementalRepair:
             assert np.array_equal(index.ranks_of(v), oracle.ranks_of(v)), v
         assert index.graph_sha == graph_checksum(new_graph)
 
+    def test_recount_past_share_matches_rebuild(
+        self, paper_graph, paper_hierarchy, monkeypatch
+    ):
+        monkeypatch.setattr(himor, "RECOUNT_SHARE", 0.0)
+        new_graph, index, rep = self.build_pair(paper_graph, paper_hierarchy)
+        report = index.repair(rep, graph=new_graph)
+        assert report == {"retraversed_samples": rep.n_repaired, "recounted": True}
+        oracle = HimorIndex.build(
+            new_graph, paper_hierarchy, theta=self.THETA, rr_graphs=rep.arena,
+            sample_mode="per-sample-fast",
+        )
+        assert index._buckets == oracle._buckets
+        for v in range(paper_graph.n):
+            assert np.array_equal(index.ranks_of(v), oracle.ranks_of(v)), v
+
     def test_lopsided_delta_rejected(self, paper_graph, paper_hierarchy):
         _, index, rep = self.build_pair(paper_graph, paper_hierarchy)
         with pytest.raises(IndexError_, match="lopsided"):
-            index.repair(rep.removed, rep.added.take([0]))
+            index.repair(ArenaRepair(rep.arena, rep.touched, rep.removed,
+                                     rep.added.take([0])))
 
     def test_foreign_removed_samples_rejected(self, paper_graph,
                                               paper_hierarchy):
@@ -264,14 +286,34 @@ class TestIncrementalRepair:
             base_seed=99,
         )
         with pytest.raises(IndexError_, match="negative"):
-            index.repair(foreign, rep.added)
+            index.repair(ArenaRepair(rep.arena, rep.touched, foreign, rep.added))
+
+    def test_foreign_cluster_map_rejected(self, paper_graph, paper_hierarchy):
+        from repro.hierarchy.dendrogram import CommunityHierarchy, map_clusters
+
+        _, index, rep = self.build_pair(paper_graph, paper_hierarchy)
+        copy = CommunityHierarchy.from_parents(
+            paper_hierarchy.n_leaves, paper_hierarchy.parents
+        )
+        with pytest.raises(IndexError_, match="does not start"):
+            index.repair(rep, map_clusters(copy, copy))
+
+    def test_graph_sha_read_on_first_use(self, paper_graph, paper_hierarchy):
+        from repro.core.himor import graph_checksum
+
+        new_graph, index, rep = self.build_pair(paper_graph, paper_hierarchy)
+        assert index._graph_sha is None
+        assert index.graph_sha == graph_checksum(paper_graph)
+        index.repair(rep, graph=new_graph)
+        assert index._graph_sha is None
+        assert index.graph_sha == graph_checksum(new_graph)
 
     def test_bucketless_index_cannot_repair(self, paper_graph,
                                             paper_hierarchy, tmp_path):
         _, index, rep = self.build_pair(paper_graph, paper_hierarchy)
         index._buckets = None  # legacy artifact shape
         with pytest.raises(IndexError_, match="no HFS buckets"):
-            index.repair(rep.removed, rep.added)
+            index.repair(rep)
 
     def test_buckets_survive_save_load(self, paper_graph, paper_hierarchy,
                                        tmp_path):
@@ -283,10 +325,8 @@ class TestIncrementalRepair:
         loaded = HimorIndex.load(path)
         assert loaded.has_buckets
         assert loaded.graph_sha == graph_checksum(paper_graph)
-        loaded.repair(rep.removed, rep.added,
-                      graph_sha=graph_checksum(new_graph))
-        index.repair(rep.removed, rep.added,
-                     graph_sha=graph_checksum(new_graph))
+        loaded.repair(rep, graph=new_graph)
+        index.repair(rep, graph=new_graph)
         for v in range(paper_graph.n):
             assert np.array_equal(loaded.ranks_of(v), index.ranks_of(v))
 

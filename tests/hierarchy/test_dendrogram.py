@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import HierarchyError
-from repro.hierarchy.dendrogram import CommunityHierarchy
+from repro.hierarchy.dendrogram import CommunityHierarchy, map_clusters, same_hierarchy
 
 from tests.conftest import C0, C1, C2, C3, C4, C5, C6
 
@@ -233,3 +233,46 @@ class TestLayout:
 
     def test_repr(self, paper_hierarchy):
         assert "leaves=10" in repr(paper_hierarchy)
+
+
+class TestMapClusters:
+    def test_equal_hierarchies_map_by_identity(self, paper_hierarchy):
+        clusters = map_clusters(paper_hierarchy, paper_hierarchy)
+        identity = np.arange(paper_hierarchy.n_vertices)
+        np.testing.assert_array_equal(clusters.to_new, identity)
+        np.testing.assert_array_equal(clusters.to_old, identity)
+        assert not clusters.changed.any()
+
+    def test_moved_leaf_unmaps_both_pairs(self):
+        # Old {0,1} and new {1,2} have no counterpart; {0,1,2} and the
+        # root keep their members.
+        old = CommunityHierarchy.from_merges(4, [(0, 1), (4, 2), (5, 3)])
+        new = CommunityHierarchy.from_merges(4, [(1, 2), (0, 4), (5, 3)])
+        clusters = map_clusters(old, new)
+        np.testing.assert_array_equal(clusters.to_new, [0, 1, 2, 3, -1, 5, 6])
+        np.testing.assert_array_equal(clusters.to_old, [0, 1, 2, 3, -1, 5, 6])
+        np.testing.assert_array_equal(clusters.changed, [True, True, True, False])
+
+    def test_one_child_chain_stays_unmapped(self):
+        # Old vertices 3 and 4 both hold {0, 1}; neither may claim new 3.
+        old = CommunityHierarchy.from_parents(3, [3, 3, 5, 4, 5, -1])
+        new = CommunityHierarchy.from_merges(3, [(0, 1), (3, 2)])
+        clusters = map_clusters(old, new)
+        np.testing.assert_array_equal(clusters.to_new, [0, 1, 2, -1, -1, 4])
+        np.testing.assert_array_equal(clusters.to_old, [0, 1, 2, -1, 5])
+        np.testing.assert_array_equal(clusters.changed, [True, True, False])
+
+    def test_leaf_count_mismatch_rejected(self, paper_hierarchy):
+        other = CommunityHierarchy.from_merges(3, [(0, 1), (3, 2)])
+        with pytest.raises(HierarchyError, match="cannot map"):
+            map_clusters(paper_hierarchy, other)
+
+    def test_same_hierarchy_compares_parents(self, paper_hierarchy):
+        copy = CommunityHierarchy.from_parents(
+            paper_hierarchy.n_leaves, paper_hierarchy.parents
+        )
+        assert same_hierarchy(paper_hierarchy, copy)
+        old = CommunityHierarchy.from_merges(4, [(0, 1), (4, 2), (5, 3)])
+        new = CommunityHierarchy.from_merges(4, [(1, 2), (0, 4), (5, 3)])
+        assert not same_hierarchy(old, new)
+        assert not same_hierarchy(old, paper_hierarchy)

@@ -266,6 +266,15 @@ class TestTake:
             arena.take([0, 5])
 
 
+class TestSameSamples:
+    def test_equal_only_to_the_same_samples(self, paper_graph):
+        arena = sample_arena(paper_graph, 20, rng=35)
+        assert arena.same_samples(arena.take(np.arange(20)))
+        assert not arena.same_samples(arena.take(np.arange(19)))
+        assert not arena.same_samples(arena.take(np.arange(20)[::-1]))
+        assert not arena.same_samples(sample_arena(paper_graph, 20, rng=36))
+
+
 class TestSeededSampling:
     # Slice invariance, determinism and argument errors of the seeded
     # sampler are pinned in tests/influence/test_fastsample.py,

@@ -11,8 +11,6 @@ from repro.core.pool import SharedSamplePool
 from repro.hierarchy.balance import rebalanced_hierarchy
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.nnchain import agglomerative_hierarchy
-from repro.hin.hetero import HeterogeneousGraph
-from repro.hin.metapath import MetaPath, project_metapath
 
 from tests.property.test_hierarchy_props import (
     random_connected_graphs,
@@ -79,58 +77,3 @@ class TestPoolProperties:
                 1 for rr in pool.arena if q in rr.reachable_within(members)
             )
             assert evaluation.query_counts[level] == direct
-
-
-@st.composite
-def random_hins(draw: st.DrawFn) -> HeterogeneousGraph:
-    """A random two-relation tripartite HIN (authors/papers/venues)."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    n_a = draw(st.integers(3, 10))
-    n_p = draw(st.integers(3, 12))
-    n_v = draw(st.integers(1, 3))
-    node_types = [0] * n_a + [1] * n_p + [2] * n_v
-    edges = []
-    for p in range(n_p):
-        paper = n_a + p
-        for author in rng.choice(n_a, size=min(n_a, 2), replace=False):
-            edges.append((int(author), paper, 0))
-        edges.append((paper, n_a + n_p + int(rng.integers(0, n_v)), 1))
-    attrs = [[int(rng.integers(0, 2))] for _ in range(n_a + n_p + n_v)]
-    return HeterogeneousGraph(node_types, edges, attributes=attrs)
-
-
-class TestMetaPathProperties:
-    @given(random_hins())
-    @settings(max_examples=30, deadline=None)
-    def test_projection_nodes_are_anchor_typed(self, hin):
-        path = MetaPath(anchor_type=0, edge_types=(0, 0))
-        view = project_metapath(hin, path)
-        for v in view.to_parent:
-            assert hin.node_type(int(v)) == 0
-
-    @given(random_hins())
-    @settings(max_examples=30, deadline=None)
-    def test_projection_edges_have_witnesses(self, hin):
-        """Every projected co-authorship edge must be witnessed by a paper
-        adjacent to both endpoints."""
-        path = MetaPath(anchor_type=0, edge_types=(0, 0))
-        view = project_metapath(hin, path)
-        for a, b in view.graph.edges():
-            u, v = int(view.to_parent[a]), int(view.to_parent[b])
-            papers_u = set(int(x) for x in hin.neighbors(u, 0))
-            papers_v = set(int(x) for x in hin.neighbors(v, 0))
-            assert papers_u & papers_v
-
-    @given(random_hins())
-    @settings(max_examples=30, deadline=None)
-    def test_projection_symmetric_complete(self, hin):
-        """Conversely: any two authors sharing a paper must be linked."""
-        path = MetaPath(anchor_type=0, edge_types=(0, 0))
-        view = project_metapath(hin, path)
-        authors = [int(v) for v in view.to_parent]
-        for i, u in enumerate(authors):
-            papers_u = set(int(x) for x in hin.neighbors(u, 0))
-            for v in authors[i + 1:]:
-                papers_v = set(int(x) for x in hin.neighbors(v, 0))
-                if papers_u & papers_v:
-                    assert view.graph.has_edge(view.to_sub[u], view.to_sub[v])

@@ -382,6 +382,40 @@ class TestServerWiring:
             assert np.array_equal(got.members, want.members)
         back.close()
 
+    def test_served_index_matches_rebuild_from_log_after_every_batch(
+        self, paper_graph, tmp_path
+    ):
+        # A pooled-seeded server carries its HIMOR index across every
+        # logged batch; after each one, the index must equal a fresh
+        # build on the graph recovered from the durable log.
+        from repro.core.pool import SharedSamplePool
+
+        def pooled(graph, store=None) -> CODServer:
+            pool = SharedSamplePool(graph, theta=THETA, seed=SEED,
+                                    per_sample_seeds=True)
+            return CODServer(graph, theta=THETA, seed=SEED, pool=pool,
+                             state_store=store)
+
+        store = DurableStateStore(tmp_path / "live")
+        store.recover(base_graph=paper_graph)
+        server = pooled(paper_graph, store)
+        server.warm()
+        for i in range(6):
+            batch = batch_for(paper_graph, i // 2, add=i % 2 == 0)
+            server.apply_updates(batch)
+            replay = DurableStateStore(tmp_path / "live")
+            result = replay.recover(base_graph=paper_graph)
+            assert result.epoch == server.epoch == i + 1
+            fresh = pooled(result.graph).index
+            served = server.index
+            assert np.array_equal(served.hierarchy.parents,
+                                  fresh.hierarchy.parents)
+            assert served._buckets == fresh._buckets
+            for v in range(paper_graph.n):
+                assert np.array_equal(served.ranks_of(v), fresh.ranks_of(v))
+            replay.close()
+        store.close()
+
     def test_epoch_desync_with_store_refused(self, paper_graph, tmp_path):
         store = DurableStateStore(tmp_path)
         store.recover(base_graph=paper_graph)

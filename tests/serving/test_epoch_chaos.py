@@ -13,7 +13,10 @@ worker kills, wedges, and a corrupted HIMOR build checkpoint, asserting
   epoch without double-applying or losing batches;
 * repair was **incremental**: per-epoch repaired-sample counts stay
   strictly below the pool size for localized updates (the oracle
-  equality is what proves the repaired state equals fresh sampling).
+  equality is what proves the repaired state equals fresh sampling);
+* after every batch, the HIMOR index each worker serves (and persists,
+  so a respawned worker would load it) holds the buckets and ranks of a
+  fresh build over that epoch's graph.
 
 These tests spawn real child processes and take a few seconds; they run
 in the dedicated epoch-chaos step of CI.
@@ -22,11 +25,13 @@ in the dedicated epoch-chaos step of CI.
 import numpy as np
 import pytest
 
+from repro.core.himor import HimorIndex
 from repro.core.pool import SharedSamplePool
 from repro.core.problem import CODQuery
 from repro.dynamic import AttrUpdate, EdgeUpdate, UpdateBatch, UpdateLog
 from repro.serving import BackoffPolicy, ChaosSchedule, ServingSupervisor
 from repro.serving.server import CODServer
+from repro.serving.supervisor import W_STARTING
 from repro.utils.faults import corrupt_file, inject
 
 DB = 0
@@ -78,6 +83,17 @@ def oracle_server(graph) -> CODServer:
     pool = SharedSamplePool(graph, theta=THETA, seed=SEED,
                             per_sample_seeds=True)
     return CODServer(graph, theta=THETA, seed=SEED, pool=pool)
+
+
+def assert_indexes_match_rebuild(index_dir, graph, n_workers: int) -> None:
+    """Each worker's persisted HIMOR index equals a fresh build's."""
+    fresh = oracle_server(graph).index
+    for worker in range(n_workers):
+        served = HimorIndex.load(index_dir / f"worker{worker}.himor.json")
+        assert np.array_equal(served.hierarchy.parents, fresh.hierarchy.parents)
+        assert served._buckets == fresh._buckets
+        for v in range(graph.n):
+            assert np.array_equal(served.ranks_of(v), fresh.ranks_of(v)), v
 
 
 def interrupt_warm(graph, index_dir, name: str, *, after: int) -> None:
@@ -154,6 +170,16 @@ class TestEpochChaosDrill:
                     supervisor.poll(0.05)
                 epoch = supervisor.submit_updates(batch, label=batch.label)
                 assert epoch == log.append(batch)
+                # Every worker applied the batch (or respawned warm into
+                # its epoch) and persisted the index it now serves.
+                while _time.monotonic() < deadline and any(
+                    slot.epoch != epoch or slot.state == W_STARTING
+                    for slot in supervisor._slots
+                ):
+                    supervisor.poll(0.05)
+                assert_indexes_match_rebuild(
+                    tmp_path, log.replay(paper_graph, through_epoch=epoch), 2
+                )
             assert qi == N_QUERIES
             assert log.epoch == N_BATCHES
             supervisor.drain(timeout_s=300.0)

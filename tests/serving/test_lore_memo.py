@@ -4,8 +4,10 @@ The memo holds LORE's query-independent parts: per-attribute edge-LCA
 counts under ``(attribute, "edges")`` and local reclusterings under
 ``(attribute, C_l)``. They are pure functions of the graph, the hierarchy
 and the weighting, so every event that changes one of those must drop
-them along with the finished-chain cache — and answers afterwards must
-equal a cold server's on the same graph. LORE weights only ``C_l``'s
+them along with the finished-chain cache, except that a structural batch
+keeps, re-keyed to the new hierarchy, the reclusterings it provably
+leaves unchanged — and answers afterwards must equal a cold server's on
+the same graph. LORE weights only ``C_l``'s
 induced edges, so serving never builds a whole-graph ``g_l``. The memo is
 bounded by bytes, so a flood of small reclusterings cannot evict a
 whole-graph one that fits.
@@ -30,7 +32,8 @@ from repro.dynamic import AttrUpdate, EdgeUpdate
 from repro.dynamic.updates import apply_updates as apply_graph
 from repro.graph import weighting as weighting_module
 from repro.graph.subgraph import induced_subgraph
-from repro.graph.weighting import AttributeWeighting
+from repro.graph.weighting import AttributeWeighting, attribute_weighted_subgraph
+from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.obs import QueryTrace
 from repro.serving.server import LORE_LOCAL_RECLUSTERINGS, CODServer
 from repro.utils.faults import inject
@@ -95,11 +98,24 @@ class TestInvalidation:
         assert memo_keys(server) == set()
         assert_matches_cold(server, weighting=weighting)
 
-    def test_structural_batch_clears_everything(self, paper_graph):
+    def test_structural_batch_keeps_only_unchanged_reclusterings(
+        self, paper_graph
+    ):
         server = seeded_server(paper_graph)
         fill(server)
         server.apply_updates([EdgeUpdate(2, 3), EdgeUpdate(5, 7)])
-        assert memo_keys(server) == set()
+        hierarchy = server.hierarchy
+        # Edge counts read the global hierarchy and always go; a kept
+        # reclustering is keyed by its C_l in the new hierarchy and equals
+        # a fresh one.
+        assert all(vertex != "edges" for _, vertex in memo_keys(server))
+        for (attribute, vertex), (kept, _) in server._lore_local._entries.items():
+            view = attribute_weighted_subgraph(
+                server.graph, hierarchy.members(vertex), attribute
+            )
+            np.testing.assert_array_equal(kept.to_parent, view.to_parent)
+            fresh = agglomerative_hierarchy(view.graph)
+            assert np.array_equal(kept.hierarchy.parents, fresh.parents)
         assert_matches_cold(server)
 
     def test_adopt_shared_clears_everything(self, paper_graph):

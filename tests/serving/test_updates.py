@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro.serving.server as server_module
-from repro.core.himor import same_hierarchy
+from repro.hierarchy.dendrogram import same_hierarchy
 from repro.core.lore import lore_chain
 from repro.core.pool import SharedSamplePool
 from repro.core.problem import CODQuery

@@ -204,6 +204,24 @@ class TestGetOrCreate:
         assert stats["hits"] == 1
 
 
+class TestRekey:
+    def test_renames_keep_recency_and_drops_free_bytes(self):
+        cache = LRUCache(3, max_bytes=100, sizeof=lambda v: v)
+        cache.put(("a", 1), 10)
+        cache.put(("b", 2), 20)
+        cache.put(("c", 3), 30)
+        dropped = cache.rekey(
+            lambda key, value: None if value == 20 else (key[0], key[1] + 10)
+        )
+        assert dropped == 1
+        assert list(cache._entries) == [("a", 11), ("c", 13)]
+        assert cache.current_bytes == 40
+        assert cache.stats()["invalidations"] == 1
+        cache.put(("d", 4), 10)
+        cache.put(("e", 5), 10)  # over capacity: the oldest, ("a", 11), goes
+        assert ("a", 11) not in cache and ("c", 13) in cache
+
+
 class TestMetricsMirror:
     def test_counters_and_gauges_emitted(self):
         metrics = MetricsRegistry()
