@@ -347,20 +347,29 @@ class HimorIndex:
         k: int,
         floor_vertex: int | None = None,
         below_root: bool = False,
+        path: "list[int] | None" = None,
     ) -> int | None:
         """Algorithm 3's index scan.
 
-        Walks the ancestors of ``floor_vertex`` (default: all of
+        Scans the ancestors of ``floor_vertex`` (default: all of
         ``H(node)``) top-down and returns the first — i.e. largest —
         community in which ``node`` has rank <= ``k``; ``None`` when no
         ancestor qualifies. ``below_root`` leaves the root out of the
         scan: in a :func:`local_index` over ``C_l`` the root is ``C_l``
-        itself, which the global index answers.
+        itself, which the global index answers. ``path`` is
+        ``hierarchy.path_communities(node)`` when the caller already
+        holds it (LORE walks it); it is walked here when not given.
         """
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
-        path = self.hierarchy.path_communities(node)
+        if path is None:
+            path = self.hierarchy.path_communities(node)
         ranks = self._ranks[node]
+        if len(path) != len(ranks):
+            raise QueryError(
+                f"path of {len(path)} communities does not match node {node}'s "
+                f"{len(ranks)} ranks"
+            )
         start = 0
         if floor_vertex is not None:
             try:
@@ -369,11 +378,8 @@ class HimorIndex:
                 raise QueryError(
                     f"floor vertex {floor_vertex} is not an ancestor of node {node}"
                 ) from None
-        top = len(path) - 1 - int(below_root)
-        for position in range(top, start - 1, -1):
-            if ranks[position] <= k:
-                return path[position]
-        return None
+        qualifying = np.flatnonzero(ranks[start:len(path) - int(below_root)] <= k)
+        return path[start + int(qualifying[-1])] if len(qualifying) else None
 
     # ------------------------------------------------------------- overhead
 
@@ -454,21 +460,26 @@ def local_index(
     theta: int = 10,
     budget: "object | None" = None,
 ) -> HimorIndex:
-    """A HIMOR index over a local hierarchy, from a restricted arena.
+    """A HIMOR index over a local hierarchy, from the samples sourced in it.
 
     ``hierarchy`` reclusters one community ``C`` whose member ids, sorted,
-    are ``to_parent`` (LORE's local reclustering of ``C_l``), and
-    ``arena`` holds samples confined to ``C`` (:meth:`RRArena.restrict`).
-    One ``searchsorted`` relabels the arena to local ids; the charges and
-    ranks are then those of :meth:`HimorIndex.build`. A local rank <= k
-    holds exactly when ``q``'s count is at least the k-th largest count,
-    the test Algorithm 1 makes over the same arena, so the index answers
+    are ``to_parent`` (LORE's local reclustering of ``C_l``), and every
+    sample of ``arena`` is sourced in ``C``: the pool's pick
+    (:meth:`RRArena.sourced_in`) or its restriction to ``C``
+    (:meth:`RRArena.restrict`, e.g. a fleet shard). One ``searchsorted``
+    relabels the arena to local ids. Entries outside ``C`` get no cap,
+    so the traversal never reaches them nor crosses them: it counts
+    exactly Definition 3's reachability induced on ``C``, and both inputs
+    give the same index. The charges and ranks are then those of
+    :meth:`HimorIndex.build`. A local rank <= k holds exactly when
+    ``q``'s count is at least the k-th largest count, the test
+    Algorithm 1 makes over the restricted arena, so the index answers
     CODL's fallback inside ``C`` for every member and every ``k``.
 
     Unlike :meth:`HimorIndex.build` it fires no fault site and keeps no
     buckets: a local index is rebuilt, never repaired. ``budget`` is
-    checked before every chunk of samples. An arena holding a node
-    outside ``C`` raises :class:`~repro.errors.IndexError_`.
+    checked before every chunk of samples. An arena holding a sample
+    sourced outside ``C`` raises :class:`~repro.errors.IndexError_`.
     """
     n = hierarchy.n_leaves
     if len(to_parent) != n:
@@ -476,11 +487,10 @@ def local_index(
             f"id map covers {len(to_parent)} nodes but the hierarchy has "
             f"{n} leaves"
         )
-    nodes = np.searchsorted(to_parent, arena.nodes)
-    if len(nodes) and not np.array_equal(
-        to_parent[np.minimum(nodes, n - 1)], arena.nodes
-    ):
-        raise IndexError_("arena holds nodes outside the indexed community")
+    nodes = np.minimum(np.searchsorted(to_parent, arena.nodes), n - 1)
+    inside = to_parent[nodes] == arena.nodes
+    if not inside[arena.node_offsets[:-1]].all():
+        raise IndexError_("arena holds samples sourced outside the indexed community")
     # A source is its sample's first entry, so relabeling the nodes
     # relabels the sources too; the edge arrays index entries and carry over.
     local = RRArena(
@@ -491,7 +501,10 @@ def local_index(
     # LCA table, so this pass builds its own instead of caching one there.
     # No bucket dicts to keep, so the charges go to the ranking as arrays.
     pairs, charges = np.unique(
-        _charge_keys(hierarchy, local, budget, LcaIndex(hierarchy)),
+        _charge_keys(
+            hierarchy, local, budget, LcaIndex(hierarchy),
+            None if inside.all() else inside,
+        ),
         return_counts=True,
     )
     ranks = _ranks_from_charges(hierarchy, pairs // n, pairs % n, charges)
@@ -752,6 +765,7 @@ def _charge_keys(
     arena: RRArena,
     budget: "object | None" = None,
     lca: "LcaIndex | None" = None,
+    inside: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """The charge keys of every sample of ``arena``, one per reached entry
     (:func:`_chunk_charges`), with ``budget`` checked before each chunk."""
@@ -760,7 +774,8 @@ def _charge_keys(
         if budget is not None:
             budget.check()
         charged.append(_chunk_charges(
-            hierarchy, arena, lo, min(lo + _HFS_CHUNK, arena.n_samples), lca
+            hierarchy, arena, lo, min(lo + _HFS_CHUNK, arena.n_samples), lca,
+            inside,
         ))
     return np.concatenate(charged)
 
@@ -797,10 +812,14 @@ def _chunk_charges(
     lo: int,
     hi: int,
     lca: "LcaIndex | None" = None,
+    inside: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Charge keys ``tag * n_leaves + node`` of samples ``lo..hi-1``, one
     per reached entry (see :func:`_tree_hfs_arena`). ``lca`` answers the
-    caps' LCA queries in place of the hierarchy's own cached index."""
+    caps' LCA queries in place of the hierarchy's own cached index.
+    ``inside`` masks the arena's entries (sources included): an entry
+    outside it gets cap key ``-1``, so no value ever improves it and it
+    never joins a frontier: Definition 3's induced reachability."""
     offsets = arena.node_offsets
     e0 = int(offsets[lo])
     e1 = int(offsets[hi])
@@ -815,6 +834,8 @@ def _chunk_charges(
     )
     caps[roots] = hierarchy.parents[sources]
     cap_key = depths[caps] * n_vertices + caps
+    if inside is not None:
+        cap_key[~inside[e0:e1]] = -1
 
     key = np.full(e1 - e0, -1, dtype=np.int64)
     key[roots] = cap_key[roots]

@@ -11,6 +11,8 @@ too large for the node to be influential (Fig. 4). LORE instead:
 2. reclusters only ``C_l = argmax r(C)`` on the induced ``g_l`` subgraph;
 3. splices the reclustered communities below ``C_l`` into the original
    hierarchy above it, yielding the attribute-aware chain ``H_l(q)``.
+   The splice runs when :attr:`LoreResult.chain` is first read: CODL
+   over a HIMOR index reads only ``C_l`` and its reclustering.
 
 Score computation follows the Eq. 3 recursion: each query-attributed edge
 ``(u, v)`` whose LCA ``D = lca(u, v)`` is an ancestor of ``q`` contributes
@@ -25,7 +27,6 @@ same way.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,20 +40,18 @@ from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.utils.faults import maybe_fail
 
 
-@dataclass
 class LoreResult:
     """Output of LORE for one query.
 
     Attributes
     ----------
-    chain:
-        ``H_l(q)``: reclustered communities inside ``C_l`` (deepest first),
-        then ``C_l`` itself and its original ancestors.
     c_ell_vertex:
         The reclustered community ``C_l`` as a vertex of the original
         hierarchy.
     c_ell_chain_level:
         Index of ``C_l`` within :attr:`chain`.
+    chain_length:
+        ``len(chain)``, known without building the chain.
     scores:
         ``r(C)`` for every community of the non-attributed ``H(q)``
         (aligned with ``hierarchy.path_communities(q)``, deepest first).
@@ -61,13 +60,93 @@ class LoreResult:
         local-to-parent id map and local hierarchy. The chain's first
         :attr:`c_ell_chain_level` levels are ``q``'s local path without
         the local root.
+    hierarchy:
+        The original hierarchy LORE ran over.
+    path:
+        ``H(q)`` in :attr:`hierarchy`, deepest first, as LORE walked it
+        (``None`` when the result was built around a finished chain).
+    local_path:
+        ``q``'s path in :attr:`local`'s hierarchy, deepest first and
+        ending at the local root, which is ``C_l`` (``None`` likewise).
     """
 
-    chain: CommunityChain
-    c_ell_vertex: int
-    c_ell_chain_level: int
-    scores: np.ndarray
-    local: "_LocalRecluster"
+    __slots__ = (
+        "c_ell_vertex",
+        "c_ell_chain_level",
+        "chain_length",
+        "scores",
+        "local",
+        "hierarchy",
+        "path",
+        "local_path",
+        "_q",
+        "_chain",
+    )
+
+    def __init__(
+        self,
+        c_ell_vertex: int,
+        c_ell_chain_level: int,
+        scores: np.ndarray,
+        local: "_LocalRecluster",
+        chain: "CommunityChain | None" = None,
+        q: "int | None" = None,
+        hierarchy: "CommunityHierarchy | None" = None,
+        path: "list[int] | None" = None,
+        local_path: "list[int] | None" = None,
+    ) -> None:
+        self.c_ell_vertex = c_ell_vertex
+        self.c_ell_chain_level = c_ell_chain_level
+        self.scores = scores
+        self.local = local
+        self.path = path
+        self.local_path = local_path
+        self._q = q
+        self.hierarchy = hierarchy
+        self._chain = chain
+        if chain is not None:
+            self.chain_length = len(chain)
+        else:
+            outer = len(path) - path.index(c_ell_vertex)
+            self.chain_length = c_ell_chain_level + outer
+
+    @property
+    def chain(self) -> CommunityChain:
+        """``H_l(q)``: reclustered communities inside ``C_l`` (deepest
+        first), then ``C_l`` itself and its original ancestors.
+
+        Spliced on first read and kept: a CODL answer that reads only
+        ``C_l``, its level and :attr:`local` never pays the two n-length
+        level paints.
+        """
+        if self._chain is None:
+            self._chain = self._splice()
+        return self._chain
+
+    def _splice(self) -> CommunityChain:
+        """``H_l(q)`` as one level array: C_l and its original ancestors
+        are levels ``c_ell_chain_level..``, painted first; the reclustered
+        communities strictly inside C_l containing q, deepest first, are
+        painted over them through ``to_parent``. The local root equals C_l
+        and is dropped (C_l re-enters from the original hierarchy)."""
+        hierarchy = self.hierarchy
+        to_parent, local_hierarchy = self.local
+        outer = self.path[self.path.index(self.c_ell_vertex):]
+        inner = self.local_path[:-1]
+        node_levels = hierarchy.leaf_levels(outer)
+        node_levels[node_levels >= 0] += self.c_ell_chain_level
+        inner_levels = local_hierarchy.leaf_levels(inner)
+        inside = inner_levels >= 0
+        node_levels[to_parent[inside]] = inner_levels[inside]
+        c_ell_depth = hierarchy.depth(self.c_ell_vertex)
+        return CommunityChain(
+            self._q,
+            node_levels,
+            np.concatenate([local_hierarchy.sizes[inner], hierarchy.sizes[outer]]),
+            np.concatenate(
+                [c_ell_depth + local_hierarchy.depths[inner] - 1, hierarchy.depths[outer]]
+            ),
+        )
 
 
 def attribute_edge_lca_counts(
@@ -156,7 +235,8 @@ def lore_chain(
     trace: "object | None" = None,
     memo: "object | None" = None,
 ) -> LoreResult:
-    """Run LORE end-to-end: score, select ``C_l``, recluster, splice.
+    """Run LORE end-to-end: score, select ``C_l``, recluster; the splice
+    waits for the first read of :attr:`LoreResult.chain`.
 
     Parameters
     ----------
@@ -229,48 +309,29 @@ def lore_chain(
             return _LocalRecluster(view.to_parent, local_hierarchy)
 
         local, local_memo = _memoized(memo, (attribute, c_ell), recluster)
-        to_parent, local_hierarchy = local
-
-        # H_l(q) as one level array: C_l and its original ancestors are
-        # levels c_ell_chain_level.., painted first; the reclustered
-        # communities strictly inside C_l containing q, deepest first, are
-        # painted over them through to_parent. The local root equals C_l
-        # and is dropped (C_l re-enters from the original hierarchy).
         # to_parent is sorted, so q's local id is its position there.
-        outer = path[c_ell_level:]
-        q_local = int(np.searchsorted(to_parent, q))
-        inner = local_hierarchy.path_communities(q_local)[:-1]
-        c_ell_chain_level = len(inner)
-        node_levels = hierarchy.leaf_levels(outer)
-        node_levels[node_levels >= 0] += c_ell_chain_level
-        inner_levels = local_hierarchy.leaf_levels(inner)
-        inside = inner_levels >= 0
-        node_levels[to_parent[inside]] = inner_levels[inside]
-        c_ell_depth = hierarchy.depth(c_ell)
-        chain = CommunityChain(
-            q,
-            node_levels,
-            np.concatenate([local_hierarchy.sizes[inner], hierarchy.sizes[outer]]),
-            np.concatenate(
-                [c_ell_depth + local_hierarchy.depths[inner] - 1, hierarchy.depths[outer]]
-            ),
+        q_local = int(np.searchsorted(local.to_parent, q))
+        local_path = local.hierarchy.path_communities(q_local)
+        result = LoreResult(
+            c_ell_vertex=c_ell,
+            c_ell_chain_level=len(local_path) - 1,
+            scores=scores,
+            local=local,
+            q=q,
+            hierarchy=hierarchy,
+            path=path,
+            local_path=local_path,
         )
         if span is not None:
             span.note(
-                chain=len(chain),
+                chain=result.chain_length,
                 c_ell_level=int(c_ell_level),
                 c_ell_size=hierarchy.size(c_ell),
                 edge_counts="memo" if edges_memo else "built",
                 local_hierarchy="memo" if local_memo else "built",
                 weighted_edges=weighted_edges,
             )
-        return LoreResult(
-            chain=chain,
-            c_ell_vertex=c_ell,
-            c_ell_chain_level=c_ell_chain_level,
-            scores=scores,
-            local=local,
-        )
+        return result
 
 
 class _LocalRecluster(NamedTuple):

@@ -526,6 +526,31 @@ class RRArena:
                 stack.append(de)
         return seen
 
+    def sourced_in(self, allowed: "set[int] | np.ndarray") -> "RRArena":
+        """A new arena holding the samples sourced in ``allowed``, whole.
+
+        The sample pick of :meth:`restrict`, without its BFS: samples
+        keep their entries outside ``allowed``, in pool order. Cost
+        follows the picked samples, not the pool: the
+        :attr:`source_samples` index finds them and :meth:`take` copies
+        them (so the result never aliases this arena, and :meth:`take`'s
+        storage invariant applies). A local HIMOR index counts such a
+        pick directly, masking entries outside its community
+        (:func:`repro.core.himor.local_index`). ``allowed`` may be a set,
+        a list, or an unsorted integer array with repeats.
+        """
+        allowed_arr = _node_array(allowed)
+        if len(allowed_arr) and not (
+            (allowed_arr >= 0) & (allowed_arr < self.n)
+        ).all():
+            raise InfluenceError("allowed contains nodes outside the graph")
+        allowed_arr = np.unique(allowed_arr)
+        order, starts = self.source_samples
+        picked = order[_ragged_ranges(
+            starts[allowed_arr], starts[allowed_arr + 1] - starts[allowed_arr]
+        )]
+        return self.take(np.sort(picked))
+
     def restrict(self, allowed: "set[int] | np.ndarray") -> "RRArena":
         """A new arena holding this batch induced on ``allowed`` nodes.
 
@@ -545,28 +570,15 @@ class RRArena:
         counts against thresholds from the same batch, so that is sound.
 
         Cost follows the samples sourced in ``allowed``, not the pool:
-        the :attr:`source_samples` index picks them out, :meth:`take`
-        copies them into a sub-arena (so the result never aliases this
-        arena, and :meth:`take`'s storage invariant applies), and a
-        batched BFS (one ragged out-edge gather per frontier) plus a
-        vectorized CSR rebuild run over that sub-arena only — no
-        per-sample Python loops. ``allowed`` may be a set, a list, or an
-        unsorted integer array with repeats.
+        :meth:`sourced_in` picks them out, and a batched BFS (one ragged
+        out-edge gather per frontier) plus a vectorized CSR rebuild run
+        over that pick only — no per-sample Python loops. ``allowed`` may
+        be a set, a list, or an unsorted integer array with repeats.
         """
         allowed_arr = _node_array(allowed)
-        if len(allowed_arr) and not (
-            (allowed_arr >= 0) & (allowed_arr < self.n)
-        ).all():
-            raise InfluenceError("allowed contains nodes outside the graph")
-        allowed_arr = np.unique(allowed_arr)
+        sub = self.sourced_in(allowed_arr)
         mask = np.zeros(self.n, dtype=bool)
         mask[allowed_arr] = True
-
-        order, starts = self.source_samples
-        picked = order[_ragged_ranges(
-            starts[allowed_arr], starts[allowed_arr + 1] - starts[allowed_arr]
-        )]
-        sub = self.take(np.sort(picked))
 
         # Every sample of ``sub`` is sourced in ``allowed``, and a source
         # is always its sample's first entry.

@@ -242,8 +242,8 @@ class CODServer:
         graph. When set, every compressed evaluation is served from the
         pooled samples instead of drawing fresh ones, and CODL's fallback
         inside ``C_l`` reads a local HIMOR index built once per
-        ``(attribute, C_l)`` from the pool restricted to ``C_l``
-        (:meth:`RRArena.restrict`) — the server
+        ``(attribute, C_l)`` from the pool's samples sourced in ``C_l``
+        (:meth:`RRArena.sourced_in`) — the server
         never consumes its own RNG per query, so answers are a pure
         function of (query, pool), identical across query orderings.
         A supervised fleet's affinity dispatch relies on this. The
@@ -341,8 +341,9 @@ class CODServer:
         self._shard_hits = m.counter("shm.shard.hits")
         self._shard_misses = m.counter("shm.shard.misses")
         self._shard_rejects = m.counter("shm.shard.rejects")
-        #: Local ``pool.restricted()`` builds actually executed — the
-        #: per-worker restrict work ``tests/serving/test_shard.py`` checks.
+        #: Local sample picks for a local index build actually executed
+        #: (shard hits skip them) — the per-worker restrict work
+        #: ``tests/serving/test_shard.py`` checks.
         self._local_restricts = m.counter("pool.restricts")
         self._epoch_gauge = m.gauge("epoch")
         self._manifest_gauge = m.gauge("shm.shard.manifest")
@@ -795,7 +796,8 @@ class CODServer:
         no attribute it reads. A local index is kept on the same terms
         when, in addition, the pool's redrawn samples restrict to
         ``C_l`` as before the repair, so ``pool.restricted(C_l)`` is
-        unchanged. A lookup still vets its reclustering
+        unchanged; a ``C_l`` that sources no redrawn sample passes with no
+        restrict. A lookup still vets its reclustering
         (:meth:`_local_index`).
         """
         old = clusters.old
@@ -815,11 +817,20 @@ class CODServer:
                 return None
             return attribute, int(to_new[vertex])
 
+        if rep is not None:
+            # A C_l sourcing no redrawn sample restricts both versions to
+            # nothing: equal, with no restrict to run.
+            redrawn = np.zeros(old.n_leaves, dtype=bool)
+            redrawn[rep.removed.sources] = True
+            redrawn[rep.added.sources] = True
+
         def carried_index(key: tuple, entry: tuple) -> "tuple | None":
             renamed = carried(key)
             if renamed is None or rep is None:
                 return None
             members = entry[0].to_parent
+            if not redrawn[members].any():
+                return renamed
             before = rep.removed.restrict(members)
             return renamed if before.same_samples(rep.added.restrict(members)) else None
 
@@ -1030,11 +1041,13 @@ class CODServer:
         lookup_cm = (
             trace.span("himor_lookup") if trace is not None else nullcontext()
         )
+        # LORE walked H(q) in the hierarchy the index ranks over.
+        path = lore.path if lore.hierarchy is index.hierarchy else None
         with lookup_cm as lookup_span:
             members_by_k: "dict[int, np.ndarray | None]" = {}
             for k in ks:
                 ancestor = index.largest_qualifying_ancestor(
-                    query.node, k, floor_vertex=lore.c_ell_vertex
+                    query.node, k, floor_vertex=lore.c_ell_vertex, path=path
                 )
                 members_by_k[k] = (
                     None if ancestor is None else index.hierarchy.members(ancestor)
@@ -1062,7 +1075,7 @@ class CODServer:
                 inner_chain, open_ks, budget, answer, trace, RUNG_CODL,
                 allowed=set(lore.local.to_parent.tolist()),
             ))
-        return members_by_k, len(lore.chain)
+        return members_by_k, lore.chain_length
 
     def _local_scan(
         self,
@@ -1087,7 +1100,9 @@ class CODServer:
         q_local = int(np.searchsorted(local.to_parent, query.node))
         members_by_k: "dict[int, np.ndarray | None]" = {}
         for k in ks:
-            vertex = index.largest_qualifying_ancestor(q_local, k, below_root=True)
+            vertex = index.largest_qualifying_ancestor(
+                q_local, k, below_root=True, path=lore.local_path
+            )
             members_by_k[k] = (
                 None if vertex is None
                 else local.to_parent[np.sort(index.hierarchy.members(vertex))]
@@ -1362,9 +1377,10 @@ class CODServer:
     ) -> HimorIndex:
         """The local HIMOR index over ``C_l``'s reclustering, memoized.
 
-        A miss restricts the pool to ``C_l`` (:meth:`_restricted_arena`;
-        ``local.to_parent`` is ``C_l``'s sorted members) and builds
-        :func:`~repro.core.himor.local_index` over it inside a
+        A miss picks the pool's samples sourced in ``C_l``
+        (:meth:`_restricted_arena`; ``local.to_parent`` is ``C_l``'s sorted
+        members) and builds :func:`~repro.core.himor.local_index` over
+        them, which masks their entries outside ``C_l``, inside a
         ``himor_build`` span marked ``local=True``; a hit touches neither.
         Each entry holds the reclustering it was built from, and a hit
         needs ``local`` to be that reclustering or an equal one (same
@@ -1425,16 +1441,18 @@ class CODServer:
         budget: ExecutionBudget,
         trace: "object | None" = None,
     ) -> "RRArena":
-        """Pool induced on one hierarchy vertex's ``members``: the input of
-        a local index build (:meth:`_local_index`), not cached itself.
+        """The pool's samples sourced in one hierarchy vertex's
+        ``members``: the input of a local index build
+        (:meth:`_local_index`), not cached itself.
 
         Prefers the fleet-published shard: if the manifest covers this
         attribute at this floor vertex for the current epoch and its
-        ``allowed_sha`` matches ``members``, the shard segment is attached
-        zero-copy instead of restricting the full arena locally. Any
-        mismatch falls back to a local ``pool.restricted(members)`` —
-        bit-identical by construction (:meth:`RRArena.restrict` is a pure
-        function), so shards are a work-shifting optimization, never a
+        ``allowed_sha`` matches ``members``, the shard segment (the pool
+        restricted to ``members``) is attached zero-copy. Any mismatch
+        falls back to the local pick
+        (:meth:`RRArena.sourced_in`), inside a ``pool_restrict`` span;
+        :func:`~repro.core.himor.local_index` gives the same index over
+        either, so shards are a work-shifting optimization, never a
         correctness dependency.
         """
         assert self.pool is not None
@@ -1449,7 +1467,7 @@ class CODServer:
             else nullcontext()
         )
         with restrict_cm:
-            return self.pool.restricted(members)
+            return self.pool.arena.sourced_in(members)
 
     def _attach_shard(
         self,

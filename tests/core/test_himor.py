@@ -108,6 +108,37 @@ class TestIndexScan:
             0, 10, floor_vertex=C6, below_root=True
         ) is None
 
+    def test_matches_a_top_down_loop(self, paper_index, paper_hierarchy):
+        """The vectorised rank test returns what Algorithm 3's loop does,
+        with the path walked or handed in."""
+        for q in range(paper_hierarchy.n_leaves):
+            path = paper_hierarchy.path_communities(q)
+            ranks = paper_index.ranks_of(q)
+            for start, floor in enumerate(path):
+                for below_root in (False, True):
+                    for k in range(1, 11):
+                        want = next(
+                            (
+                                path[p]
+                                for p in range(len(path) - 1 - below_root, start - 1, -1)
+                                if ranks[p] <= k
+                            ),
+                            None,
+                        )
+                        for given in (None, list(path)):
+                            assert paper_index.largest_qualifying_ancestor(
+                                q, k, floor_vertex=floor, below_root=below_root,
+                                path=given,
+                            ) == want, (q, floor, below_root, k)
+
+    def test_path_of_another_node_rejected(self, paper_index, paper_hierarchy):
+        path = paper_hierarchy.path_communities(0)
+        short = next(
+            v for v in range(10) if len(paper_hierarchy.path_communities(v)) != len(path)
+        )
+        with pytest.raises(QueryError, match="does not match"):
+            paper_index.largest_qualifying_ancestor(short, 3, path=path)
+
 
 class TestLocalIndex:
     """``local_index`` over a community ``C`` of the paper tree, taken as

@@ -12,6 +12,12 @@ batches and concatenated; random and benchmark graphs; ``k`` up to 13
 with tied counts; ``C_l`` forced to the root and to ``q``'s smallest
 community (``|C_l| <= k``); and ``c_ell_chain_level == 0``, where the
 local path holds no community below the root and nothing is answered.
+
+The server builds a local index straight from the pool's pick of the
+samples sourced in ``C_l`` (:meth:`RRArena.sourced_in`), masking entries
+outside ``C_l`` instead of restricting the pick first. Every case also
+requires that index to equal, rank for rank and in ``n_samples``, the
+one built over ``pool.restricted(C_l)``.
 """
 
 from contextlib import contextmanager
@@ -21,6 +27,7 @@ import pytest
 
 import repro.core.lore as lore_module
 from repro.core.compressed import compressed_cod
+from repro.core.himor import local_index
 from repro.core.lore import lore_chain
 from repro.core.pool import SharedSamplePool
 from repro.core.problem import CODQuery
@@ -101,6 +108,24 @@ def assert_same(got, want, context) -> None:
         np.testing.assert_array_equal(got, want, err_msg=str(context))
 
 
+def assert_pick_equals_restrict(server: CODServer, lore) -> None:
+    """The local index over the pool's pick equals the one over its
+    restriction to ``C_l``."""
+    members = lore.local.to_parent
+    picked = server.pool.arena.sourced_in(members)
+    restricted = server.pool.restricted(members)
+    assert picked.n_samples == restricted.n_samples
+    from_pick, from_restrict = (
+        local_index(lore.local.hierarchy, members, samples, theta=THETA)
+        for samples in (picked, restricted)
+    )
+    assert from_pick.n_samples == from_restrict.n_samples
+    for v in range(len(members)):
+        np.testing.assert_array_equal(
+            from_pick.ranks_of(v), from_restrict.ranks_of(v), err_msg=str(v)
+        )
+
+
 def check_query(server: CODServer, q: int, attribute: int, level) -> str:
     """Compare the local scan and the CODL rung with Algorithm 1 for one
     query; returns which case it was (for coverage assertions)."""
@@ -109,6 +134,7 @@ def check_query(server: CODServer, q: int, attribute: int, level) -> str:
         lore = lore_chain(server.graph, server.hierarchy, q, attribute)
     query = CODQuery(q, attribute, max(KS))
     got = server._local_scan(query, lore, list(KS), budget, None)
+    assert_pick_equals_restrict(server, lore)
     if lore.c_ell_chain_level == 0:
         assert all(members is None for members in got.values())
         return "level0"

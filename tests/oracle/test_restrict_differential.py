@@ -11,7 +11,9 @@ attached (read-only shared-memory), repaired, concatenated and taken
 arenas, for empty, one-node, unsourced-node, whole-graph, hierarchy
 vertex and random ``allowed`` sets, each passed as a set, a list and an
 unsorted array with repeats. :meth:`RRArena.take`, which now reads
-cached edge-block starts, must match :func:`reference_take`.
+cached edge-block starts, must match :func:`reference_take`, and the
+sample pick :meth:`RRArena.sourced_in` must equal :func:`reference_take`
+of the samples sourced in ``allowed``, in pool order.
 """
 
 import numpy as np
@@ -117,7 +119,9 @@ def check_restrict(rng, graph, arena, hierarchy) -> None:
     before = {field: getattr(arena, field).copy() for field in FIELDS}
     for label, nodes in allowed_cases(rng, graph, arena, hierarchy):
         want = reference_restrict(arena, set(int(v) for v in nodes))
+        want_pick = reference_take(arena, np.flatnonzero(np.isin(arena.sources, nodes)))
         for spelling, allowed in spellings(rng, nodes):
+            assert_same_arena(arena.sourced_in(allowed), want_pick)
             got = arena.restrict(allowed)
             assert_same_arena(got, want)
             for field in FIELDS:
@@ -201,9 +205,10 @@ def test_out_of_range_raises_like_reference(spelling):
         bad = {"list": list, "set": set, "array": np.array}[spelling](nodes)
         with pytest.raises(InfluenceError) as want:
             reference_restrict(arena, bad)
-        with pytest.raises(InfluenceError) as got:
-            arena.restrict(bad)
-        assert str(got.value) == str(want.value)
+        for method in (arena.restrict, arena.sourced_in):
+            with pytest.raises(InfluenceError) as got:
+                method(bad)
+            assert str(got.value) == str(want.value)
 
 
 
