@@ -1,16 +1,12 @@
-"""Explainable COD: evidence trails, adaptive sampling, shared pools.
+"""Explainable COD: evidence trails and shared pools.
 
-Three production-minded extensions around the paper's core algorithms:
+Two production-minded extensions around the paper's core algorithms:
 
 1. **Evidence trails** — ``explain_lore`` shows why LORE reclustered the
    community it did; ``explain_evaluation`` shows, level by level, the
    sample counts behind the top-k verdicts (the full audit trail for one
    answer).
-2. **Adaptive sampling** — instead of a fixed ``theta``, keep doubling the
-   shared RR pool until every level's decision clears a confidence margin;
-   easy queries stop early, borderline ones automatically get more
-   samples.
-3. **Shared sample pools** — a workload of many queries over one graph can
+2. **Shared sample pools** — a workload of many queries over one graph can
    reuse one RR pool; this measures the speedup against per-query
    sampling.
 
@@ -22,7 +18,6 @@ import time
 from repro import CommunityChain, agglomerative_hierarchy, load_dataset
 from repro.core import (
     SharedSamplePool,
-    adaptive_compressed_cod,
     compressed_cod,
     explain_evaluation,
     explain_lore,
@@ -46,23 +41,7 @@ def main() -> None:
     evaluation = compressed_cod(graph, lore.chain, k=5, theta=10, rng=11)
     print(explain_evaluation(evaluation, 5).render())
 
-    # --- 2. adaptive sampling ----------------------------------------------
-    print()
-    print("=" * 72)
-    print("adaptive sampling (z = 2.0, theta doubling 2 -> 64):")
-    for query in queries[:5]:
-        chain = CommunityChain.from_hierarchy(hierarchy, query.node)
-        result = adaptive_compressed_cod(
-            graph, chain, k=5, theta_start=2, theta_max=64, rng=11
-        )
-        best = result.evaluation.best_level(5)
-        size = 0 if best is None else int(chain.sizes[best])
-        print(f"  q={query.node:4d}: stopped at theta={result.theta:3d} "
-              f"({result.rounds} rounds, "
-              f"{'converged' if result.converged else 'budget-capped'})  "
-              f"|C*|={size}")
-
-    # --- 3. shared pools ----------------------------------------------------
+    # --- 2. shared pools ----------------------------------------------------
     print()
     print("=" * 72)
     start = time.perf_counter()

@@ -1,6 +1,5 @@
 """The paper's contribution: COD problem, evaluators, LORE, HIMOR, pipelines."""
 
-from repro.core.adaptive import AdaptiveResult, adaptive_compressed_cod
 from repro.core.compressed import CompressedEvaluation, compressed_cod
 from repro.core.explain import (
     CODExplanation,
@@ -22,8 +21,6 @@ from repro.core.problem import CODQuery
 
 __all__ = [
     "CODQuery",
-    "AdaptiveResult",
-    "adaptive_compressed_cod",
     "CODResult",
     "compressed_cod",
     "CompressedEvaluation",

@@ -15,9 +15,11 @@ query side of Algorithm 3 is the CODL rung of
 Construction is the compressed tree variant of Algorithm 1: one pool of
 ``Theta = theta * |V|`` RR graphs is HFS-traversed over the whole tree ``T``
 (each RR-graph node charged to the smallest community containing its path
-from the source — ``lca`` along the path), then the buckets are summed
-up each node's root path and every member's rank in every community is
-read off one sort of all ``(community, member)`` pairs. Total work
+from the source — ``lca`` along the path). The charges are kept as one
+*charge table*: sorted unique ``tag * n_leaves + node`` keys and their
+positive counts (:func:`_sum_charges`). They are summed up each node's
+root path and every member's rank in every community is read off one sort
+of all ``(community, member)`` pairs. Total work
 matches Theorem 6, ``O(Theta * omega + |R| log |V| + sum_v dep(v))``, up
 to the ``log`` of that one sort.
 """
@@ -25,7 +27,6 @@ to the ``log`` of that one sort.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -66,7 +67,7 @@ class HimorIndex:
         ranks: list[np.ndarray],
         theta: int,
         n_samples: int,
-        buckets: "dict[int, dict[int, int]] | None" = None,
+        charges: "tuple[np.ndarray, np.ndarray] | None" = None,
         graph_sha: "str | None" = None,
     ) -> None:
         if len(ranks) != hierarchy.n_leaves:
@@ -89,10 +90,10 @@ class HimorIndex:
         #: before the stream was recorded. A server only serves (and later
         #: delta-repairs) an index drawn from its own stream.
         self.sample_mode: "str | None" = None
-        #: Per-tag HFS own-charges, kept (when available) so
-        #: :meth:`repair` can delta-update instead of re-traversing the
+        #: The HFS charge table ``(keys, counts)``, kept (when available)
+        #: so :meth:`repair` can delta-update instead of re-traversing the
         #: whole pool.
-        self._buckets = buckets
+        self._charges = charges
         self._ranks = ranks
 
     @property
@@ -108,8 +109,9 @@ class HimorIndex:
 
     @property
     def has_buckets(self) -> bool:
-        """Whether incremental :meth:`repair` is possible on this index."""
-        return self._buckets is not None
+        """Whether incremental :meth:`repair` is possible on this index
+        (it keeps its HFS charge table)."""
+        return self._charges is not None
 
     # ---------------------------------------------------------- construction
 
@@ -141,8 +143,8 @@ class HimorIndex:
         :class:`repro.serving.budget.ExecutionBudget`) ticked per sample
         drawn and checked periodically during the HFS traversal.
 
-        **Crash-safe builds.** With ``checkpoint_path`` set, per-tree-bucket
-        progress is persisted atomically every ``checkpoint_every`` samples
+        **Crash-safe builds.** With ``checkpoint_path`` set, the charge
+        table so far is persisted atomically every ``checkpoint_every`` samples
         under the versioned/checksummed envelope, keyed by a fingerprint of
         the graph, hierarchy, ``theta``, sample count, and (integer) seed.
         A later call with ``resume=True`` validates the checkpoint against
@@ -194,7 +196,7 @@ class HimorIndex:
             n_samples = rr_graphs.n_samples
             resumed_from = 0
             start = 0
-            initial_buckets: "dict[int, dict[int, int]] | None" = None
+            initial: "tuple[np.ndarray, np.ndarray] | None" = None
             on_checkpoint = None
             if checkpoint_path is not None:
                 checkpoint_path = Path(checkpoint_path)
@@ -204,32 +206,34 @@ class HimorIndex:
                 )
                 if resume and checkpoint_path.exists():
                     try:
-                        start, initial_buckets = _load_checkpoint(
+                        start, initial = _load_checkpoint(
                             checkpoint_path, fingerprint, n_samples
                         )
                         resumed_from = start
                     except CheckpointError:
-                        start, initial_buckets = 0, None
+                        start, initial = 0, None
 
-                def on_checkpoint(next_sample: int, buckets: dict) -> None:
+                def on_checkpoint(next_sample: int, charges: tuple) -> None:
                     _save_checkpoint(
-                        checkpoint_path, fingerprint, next_sample, n_samples, buckets
+                        checkpoint_path, fingerprint, next_sample, n_samples, charges
                     )
 
-            buckets = _tree_hfs_arena(
+            charges = _tree_hfs_arena(
                 hierarchy,
                 rr_graphs,
                 budget=budget,
                 start=start,
-                buckets=initial_buckets,
+                charges=initial,
                 checkpoint_every=checkpoint_every if on_checkpoint else None,
                 on_checkpoint=on_checkpoint,
             )
             if checkpoint_path is not None:
                 checkpoint_path.unlink(missing_ok=True)
-            ranks = _bottom_up_ranks(hierarchy, buckets)
+            keys, counts = charges
+            n = hierarchy.n_leaves
+            ranks = _ranks_from_charges(hierarchy, keys // n, keys % n, counts)
             index = cls(
-                hierarchy, ranks, theta=theta, n_samples=n_samples, buckets=buckets
+                hierarchy, ranks, theta=theta, n_samples=n_samples, charges=charges
             )
             index._graph = graph
             index.resumed_from = resumed_from
@@ -262,11 +266,11 @@ class HimorIndex:
         :attr:`graph_sha` then reads.
 
         Per-sample charges are independent, so only the re-traversed
-        samples change the buckets: the redrawn ones, and every other
+        samples change the charge table: the redrawn ones, and every other
         sample with an entry in a changed cluster (``clusters.changed``).
         Their charges under the old hierarchy come off, every other
         charge moves to its tag's image under the map, and their charges
-        under the new hierarchy go on. That leaves exactly the buckets
+        under the new hierarchy go on. That leaves exactly the table
         :meth:`build` counts over the repaired pool and the new
         hierarchy, because an untouched sample's charges carry over by
         relabeling: a cap ``lca(u, source)`` (or ``parent(source)``) is
@@ -279,11 +283,11 @@ class HimorIndex:
         tag contradicts this and raises :class:`~repro.errors.IndexError_`.
         Past :data:`RECOUNT_SHARE` of the pool re-traversed, the whole
         pool is traversed once instead, as :meth:`build` does. Ranks are
-        then recombined over the buckets: pure counting, no sampling.
+        then recombined over the table: pure counting, no sampling.
 
         Returns ``{"retraversed_samples", "recounted"}``.
         """
-        if self._buckets is None:
+        if self._charges is None:
             raise IndexError_(
                 "index carries no HFS buckets (legacy artifact); "
                 "incremental repair needs a bucket-retaining build"
@@ -308,16 +312,18 @@ class HimorIndex:
         retraversed = rep.n_repaired + again.n_samples
         recounted = retraversed > RECOUNT_SHARE * arena.n_samples
         if recounted:
-            self._buckets = _tree_hfs_arena(clusters.new, arena, budget=budget)
+            self._charges = _tree_hfs_arena(clusters.new, arena, budget=budget)
         else:
-            self._buckets = _move_charges(
-                self._buckets,
+            self._charges = _move_charges(
+                self._charges,
                 clusters,
                 _charge_keys(old, concatenate_arenas([rep.removed, again]), budget),
                 _charge_keys(clusters.new, concatenate_arenas([rep.added, again]), budget),
             )
         self.hierarchy = clusters.new
-        self._ranks = _bottom_up_ranks(self.hierarchy, self._buckets)
+        keys, counts = self._charges
+        n = self.hierarchy.n_leaves
+        self._ranks = _ranks_from_charges(self.hierarchy, keys // n, keys % n, counts)
         if graph is not None:
             self._graph, self._graph_sha = graph, None
         return {"retraversed_samples": retraversed, "recounted": recounted}
@@ -408,14 +414,11 @@ class HimorIndex:
             "graph_sha": self.graph_sha,
             "sample_mode": self.sample_mode,
         }
-        if self._buckets is not None:
-            # Persisting the HFS buckets keeps a reloaded index repairable
+        if self._charges is not None:
+            # Persisting the charge table keeps a reloaded index repairable
             # (a respawned worker can keep delta-updating across epochs
             # instead of rebuilding on the first post-load update).
-            payload["buckets"] = {
-                str(tag): {str(node): int(count) for node, count in bucket.items()}
-                for tag, bucket in self._buckets.items()
-            }
+            payload["charges"] = [part.tolist() for part in self._charges]
         atomic_write_json(path, payload, kind=self.FORMAT)
 
     @classmethod
@@ -424,7 +427,9 @@ class HimorIndex:
 
         Verifies the envelope's format version and SHA-256 checksum and
         raises :class:`IndexError_` — never a raw ``json.JSONDecodeError``
-        — on any corruption or mismatch.
+        — on any corruption or mismatch. An artifact without a charge table
+        (saved before tables were kept) loads without one: it serves, but
+        :attr:`has_buckets` is ``False`` and it cannot be repaired.
         """
         maybe_fail("himor_load")
         payload = load_versioned_json(path, kind=cls.FORMAT, error_cls=IndexError_)
@@ -433,18 +438,12 @@ class HimorIndex:
                 int(payload["n_leaves"]), [int(p) for p in payload["parent"]]
             )
             ranks = [np.asarray(r, dtype=np.int64) for r in payload["ranks"]]
-            buckets = None
-            if payload.get("buckets") is not None:
-                buckets = {
-                    int(tag): {int(node): int(count)
-                               for node, count in bucket.items()}
-                    for tag, bucket in payload["buckets"].items()
-                }
+            charges = payload.get("charges")
             index = cls(
                 hierarchy, ranks,
                 theta=int(payload["theta"]),
                 n_samples=int(payload["n_samples"]),
-                buckets=buckets,
+                charges=None if charges is None else _charge_table(charges),
                 graph_sha=payload.get("graph_sha"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -477,7 +476,7 @@ def local_index(
     CODL's fallback inside ``C`` for every member and every ``k``.
 
     Unlike :meth:`HimorIndex.build` it fires no fault site and keeps no
-    buckets: a local index is rebuilt, never repaired. ``budget`` is
+    charge table: a local index is rebuilt, never repaired. ``budget`` is
     checked before every chunk of samples. An arena holding a sample
     sourced outside ``C`` raises :class:`~repro.errors.IndexError_`.
     """
@@ -499,7 +498,7 @@ def local_index(
     )
     # LORE's byte-bounded memo holds the hierarchy and does not charge an
     # LCA table, so this pass builds its own instead of caching one there.
-    # No bucket dicts to keep, so the charges go to the ranking as arrays.
+    # Every charge counts one, so a plain unique is the table's sum.
     pairs, charges = np.unique(
         _charge_keys(
             hierarchy, local, budget, LcaIndex(hierarchy),
@@ -574,35 +573,30 @@ def _save_checkpoint(
     fingerprint: str,
     next_sample: int,
     n_samples: int,
-    buckets: dict[int, dict[int, int]],
+    charges: "tuple[np.ndarray, np.ndarray]",
 ) -> None:
-    """Atomically persist per-tree-bucket progress through ``next_sample``."""
+    """Atomically persist the charge table of samples ``0..next_sample-1``."""
     maybe_fail("himor_checkpoint_save")
     payload = {
         "fingerprint": fingerprint,
         "next_sample": int(next_sample),
         "n_samples": int(n_samples),
-        "buckets": {
-            str(tag): {str(node): int(count) for node, count in bucket.items()}
-            for tag, bucket in buckets.items()
-        },
+        "charges": [part.tolist() for part in charges],
     }
     atomic_write_json(path, payload, kind=CHECKPOINT_FORMAT)
 
 
 def _load_checkpoint(
     path: Path, fingerprint: str, n_samples: int
-) -> "tuple[int, dict[int, dict[int, int]]]":
-    """Load and validate a checkpoint; raise :class:`CheckpointError` if unusable."""
+) -> "tuple[int, tuple[np.ndarray, np.ndarray]]":
+    """Load and validate a checkpoint; raise :class:`CheckpointError` if
+    unusable, as one without a charge table (an older format) is."""
     payload = load_versioned_json(path, kind=CHECKPOINT_FORMAT, error_cls=CheckpointError)
     try:
         stored_fingerprint = payload["fingerprint"]
         next_sample = int(payload["next_sample"])
         stored_n_samples = int(payload["n_samples"])
-        buckets = {
-            int(tag): {int(node): int(count) for node, count in bucket.items()}
-            for tag, bucket in payload["buckets"].items()
-        }
+        charges = _charge_table(payload["charges"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"malformed HIMOR checkpoint in {path}: {exc}") from exc
     if stored_fingerprint != fingerprint:
@@ -615,7 +609,22 @@ def _load_checkpoint(
             f"checkpoint {path} progress {next_sample}/{stored_n_samples} is "
             f"inconsistent with a {n_samples}-sample build"
         )
-    return next_sample, buckets
+    return next_sample, charges
+
+
+def _charge_table(raw) -> "tuple[np.ndarray, np.ndarray]":
+    """A charge table read back from its saved ``[keys, counts]`` lists;
+    raises ``ValueError`` unless the keys strictly increase and every
+    count is positive, as :func:`_sum_charges` leaves them."""
+    keys, counts = (np.asarray(part, dtype=np.int64) for part in raw)
+    if (
+        keys.ndim != 1
+        or keys.shape != counts.shape
+        or (np.diff(keys) <= 0).any()
+        or (counts <= 0).any()
+    ):
+        raise ValueError("charges are not sorted unique keys with positive counts")
+    return keys, counts
 
 
 # ---------------------------------------------------------------- internals
@@ -638,12 +647,123 @@ def _tree_hfs_arena(
     arena: RRArena,
     budget: "object | None" = None,
     start: int = 0,
-    buckets: "dict[int, dict[int, int]] | None" = None,
+    charges: "tuple[np.ndarray, np.ndarray] | None" = None,
     checkpoint_every: "int | None" = None,
-    on_checkpoint: "Callable[[int, dict], None] | None" = None,
-) -> dict[int, dict[int, int]]:
-    """HFS over the whole tree: charge each RR node to the smallest
-    community containing its best path from the source.
+    on_checkpoint: "Callable[[int, tuple], None] | None" = None,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The charge table of samples ``start..`` of ``arena`` over the whole
+    tree (see :func:`_chunk_charges`), added to ``charges``.
+
+    ``maybe_fail("himor_sample")`` runs once per sample before its
+    segment is charged, and ``budget.check()`` before every chunk
+    (:func:`_charge_keys`). ``start``/``charges`` resume a traversal from
+    checkpointed progress (samples ``0..start-1`` already charged into
+    ``charges``); with ``checkpoint_every`` set, segments end on every
+    multiple of it and ``on_checkpoint(next_sample, charges)`` fires there.
+    """
+    if charges is None:
+        charges = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    keys, counts = charges
+    n_samples = arena.n_samples
+    i = start
+    while i < n_samples:
+        end = n_samples
+        if checkpoint_every is not None:
+            end = min(end, (i // checkpoint_every + 1) * checkpoint_every)
+        for _ in range(i, end):
+            maybe_fail("himor_sample")
+        charged = _charge_keys(hierarchy, arena, budget, lo=i, hi=end)
+        keys, counts = _sum_charges(
+            np.concatenate((keys, charged)),
+            np.concatenate((counts, np.ones(len(charged), dtype=np.int64))),
+        )
+        i = end
+        if on_checkpoint is not None and end < n_samples:
+            on_checkpoint(end, (keys, counts))
+    return keys, counts
+
+
+def _sum_charges(
+    keys: np.ndarray, counts: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The charge table of signed ``counts`` at ``tag * n_leaves + node``
+    ``keys``, repeats allowed: the sorted unique keys and their exact
+    int64 sums, with every zero sum dropped."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(counts[order], starts)
+    kept = sums != 0
+    return keys[starts][kept], sums[kept]
+
+
+def _move_charges(
+    charges: "tuple[np.ndarray, np.ndarray]",
+    clusters: ClusterMap,
+    gone: np.ndarray,
+    came: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The charge table with the ``gone`` charge keys (old hierarchy)
+    taken off, every tag moved to its image under ``clusters``, and the
+    ``came`` keys (new hierarchy) put on; see :meth:`HimorIndex.repair`.
+    """
+    n = clusters.old.n_leaves
+    keys, counts = charges
+    keys, counts = _sum_charges(
+        np.concatenate((keys, gone)),
+        np.concatenate((counts, np.full(len(gone), -1, dtype=np.int64))),
+    )
+    if (counts < 0).any():
+        raise IndexError_(
+            "bucket charge went negative during repair: the "
+            "removed samples do not match this index's pool"
+        )
+    tags = clusters.to_new[keys // n]
+    if (tags < 0).any():
+        raise IndexError_(
+            "a charge outlived its changed cluster: the removed samples do "
+            "not match this index's pool"
+        )
+    return _sum_charges(
+        np.concatenate((tags * n + keys % n, came)),
+        np.concatenate((counts, np.ones(len(came), dtype=np.int64))),
+    )
+
+
+def _charge_keys(
+    hierarchy: CommunityHierarchy,
+    arena: RRArena,
+    budget: "object | None" = None,
+    lca: "LcaIndex | None" = None,
+    inside: "np.ndarray | None" = None,
+    lo: int = 0,
+    hi: "int | None" = None,
+) -> np.ndarray:
+    """The charge keys of samples ``lo..hi-1`` of ``arena`` (default: all),
+    one per reached entry (:func:`_chunk_charges`), with ``budget``
+    checked before each chunk of :data:`_HFS_CHUNK` samples."""
+    hi = arena.n_samples if hi is None else hi
+    charged = [np.empty(0, dtype=np.int64)]
+    for i in range(lo, hi, _HFS_CHUNK):
+        if budget is not None:
+            budget.check()
+        charged.append(_chunk_charges(
+            hierarchy, arena, i, min(i + _HFS_CHUNK, hi), lca, inside,
+        ))
+    return np.concatenate(charged)
+
+
+def _chunk_charges(
+    hierarchy: CommunityHierarchy,
+    arena: RRArena,
+    lo: int,
+    hi: int,
+    lca: "LcaIndex | None" = None,
+    inside: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """HFS over the whole tree: charge each RR node of samples
+    ``lo..hi-1`` to the smallest community containing its best path from
+    the source, as one key ``tag * n_leaves + node`` per reached entry.
 
     The tag of a node ``u`` reached from a node tagged ``C`` is
     ``lca(u, C)``, and the source's tag is its parent community. The
@@ -663,163 +783,15 @@ def _tree_hfs_arena(
     A node's final tag is then the widest-path fixpoint
     ``key[u] = max over in-edges (min(key[v], cap[u]))`` seeded with the
     source's cap, which is exactly the tag a depth-keyed heap (deepest
-    first) would pop it with. The fixpoint runs over up to
-    :data:`_HFS_CHUNK` samples at once: each round gathers the out-edges
-    of the entries whose key changed and applies ``np.maximum.at``.
+    first) would pop it with. The fixpoint runs over the whole chunk at
+    once: each round gathers the out-edges of the entries whose key
+    changed and applies ``np.maximum.at``.
 
-    ``maybe_fail("himor_sample")`` runs once per sample before its chunk
-    is charged, and ``budget.check()`` before every chunk.
-    ``start``/``buckets`` resume a traversal from checkpointed progress
-    (samples ``0..start-1`` already charged into ``buckets``); with
-    ``checkpoint_every`` set, chunks end on every multiple of it and
-    ``on_checkpoint(next_sample, buckets)`` fires there.
-    """
-    buckets = {} if buckets is None else buckets
-    n_samples = arena.n_samples
-    # Charges are kept as ``tag * n_leaves + node`` keys (one int64 per
-    # reached entry) and folded into the bucket dicts only where a caller
-    # reads them: one fold dedupes pairs that recur across chunks, which
-    # costs far less than a dict update per chunk.
-    charged: list[np.ndarray] = []
-    i = start
-    while i < n_samples:
-        end = min(i + _HFS_CHUNK, n_samples)
-        if checkpoint_every is not None:
-            end = min(end, (i // checkpoint_every + 1) * checkpoint_every)
-        if budget is not None:
-            budget.check()
-        for _ in range(i, end):
-            maybe_fail("himor_sample")
-        charged.append(_chunk_charges(hierarchy, arena, i, end))
-        i = end
-        if (
-            checkpoint_every is not None
-            and on_checkpoint is not None
-            and end % checkpoint_every == 0
-            and end < n_samples
-        ):
-            _fold_charges(charged, hierarchy.n_leaves, buckets)
-            on_checkpoint(end, buckets)
-    _fold_charges(charged, hierarchy.n_leaves, buckets)
-    return buckets
-
-
-def _move_charges(
-    buckets: dict[int, dict[int, int]],
-    clusters: ClusterMap,
-    gone: np.ndarray,
-    came: np.ndarray,
-) -> dict[int, dict[int, int]]:
-    """The buckets with the ``gone`` charge keys (old hierarchy) taken
-    off, every tag moved to its image under ``clusters``, and the
-    ``came`` keys (new hierarchy) put on; see :meth:`HimorIndex.repair`.
-    """
-    n = clusters.old.n_leaves
-    images = clusters.to_new[gone // n] * n + gone % n
-    # A charge on a changed cluster has no image: those charges must
-    # empty their buckets before the rest move, where old and new net out.
-    lost = images < 0
-    keys, counts = np.unique(gone[lost], return_counts=True)
-    _add_charges(buckets, keys, -counts, n)
-    to_new = clusters.to_new.tolist()
-    if any(to_new[tag] < 0 for tag in buckets):
-        raise IndexError_(
-            "a charge outlived its changed cluster: the removed samples do "
-            "not match this index's pool"
-        )
-    buckets = {to_new[tag]: bucket for tag, bucket in buckets.items()}
-    keys, inverse = np.unique(np.concatenate((images[~lost], came)), return_inverse=True)
-    split = len(images) - int(lost.sum())
-    net = np.bincount(inverse[split:], minlength=len(keys)) - np.bincount(
-        inverse[:split], minlength=len(keys)
-    )
-    moved = np.flatnonzero(net)
-    _add_charges(buckets, keys[moved], net[moved], n)
-    return buckets
-
-
-def _add_charges(
-    buckets: dict[int, dict[int, int]], keys: np.ndarray, counts: np.ndarray, n: int
-) -> None:
-    """Add signed ``counts`` at the ``tag * n + node`` charge ``keys`` into
-    ``buckets``; an emptied bucket is dropped, and a charge driven below
-    zero raises."""
-    for tag, node, count in zip((keys // n).tolist(), (keys % n).tolist(), counts.tolist()):
-        own = buckets.setdefault(tag, {})
-        value = own.get(node, 0) + count
-        if value < 0:
-            raise IndexError_(
-                "bucket charge went negative during repair: the "
-                "removed samples do not match this index's pool"
-            )
-        if value:
-            own[node] = value
-        else:
-            del own[node]
-            if not own:
-                del buckets[tag]
-
-
-def _charge_keys(
-    hierarchy: CommunityHierarchy,
-    arena: RRArena,
-    budget: "object | None" = None,
-    lca: "LcaIndex | None" = None,
-    inside: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """The charge keys of every sample of ``arena``, one per reached entry
-    (:func:`_chunk_charges`), with ``budget`` checked before each chunk."""
-    charged = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, arena.n_samples, _HFS_CHUNK):
-        if budget is not None:
-            budget.check()
-        charged.append(_chunk_charges(
-            hierarchy, arena, lo, min(lo + _HFS_CHUNK, arena.n_samples), lca,
-            inside,
-        ))
-    return np.concatenate(charged)
-
-
-def _fold_charges(
-    charged: list[np.ndarray], n: int, buckets: dict[int, dict[int, int]]
-) -> None:
-    """Add the ``tag * n + node`` charge keys in ``charged`` to ``buckets``
-    and empty the list."""
-    if not charged:
-        return
-    pairs, counts = np.unique(np.concatenate(charged), return_counts=True)
-    charged.clear()
-    tags = pairs // n
-    nodes = (pairs % n).tolist()
-    counts = counts.tolist()
-    cuts = (np.flatnonzero(np.diff(tags)) + 1).tolist()
-    for s, e in zip([0, *cuts], [*cuts, len(nodes)]):
-        tag = int(tags[s])
-        bucket = buckets.get(tag)
-        if bucket is None:
-            # Built in one go, a new bucket is sized to its contents;
-            # most tags are first seen here, so this keeps both the fold
-            # and the index's resident buckets small.
-            buckets[tag] = dict(zip(nodes[s:e], counts[s:e]))
-            continue
-        for node, count in zip(nodes[s:e], counts[s:e]):
-            bucket[node] = bucket.get(node, 0) + count
-
-
-def _chunk_charges(
-    hierarchy: CommunityHierarchy,
-    arena: RRArena,
-    lo: int,
-    hi: int,
-    lca: "LcaIndex | None" = None,
-    inside: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """Charge keys ``tag * n_leaves + node`` of samples ``lo..hi-1``, one
-    per reached entry (see :func:`_tree_hfs_arena`). ``lca`` answers the
-    caps' LCA queries in place of the hierarchy's own cached index.
-    ``inside`` masks the arena's entries (sources included): an entry
-    outside it gets cap key ``-1``, so no value ever improves it and it
-    never joins a frontier: Definition 3's induced reachability."""
+    ``lca`` answers the caps' LCA queries in place of the hierarchy's own
+    cached index. ``inside`` masks the arena's entries (sources
+    included): an entry outside it gets cap key ``-1``, so no value ever
+    improves it and it never joins a frontier: Definition 3's induced
+    reachability."""
     offsets = arena.node_offsets
     e0 = int(offsets[lo])
     e1 = int(offsets[hi])
@@ -860,23 +832,6 @@ def _chunk_charges(
 
     reached = key >= 0
     return (key[reached] % n_vertices) * hierarchy.n_leaves + nodes[reached]
-
-
-def _bottom_up_ranks(
-    hierarchy: CommunityHierarchy, buckets: dict[int, dict[int, int]]
-) -> list[np.ndarray]:
-    """Every member's rank in every community, from the HFS own-charges
-    (see :func:`_ranks_from_charges`)."""
-    sizes = [len(bucket) for bucket in buckets.values()]
-    tags = np.repeat(np.fromiter(buckets, dtype=np.int64, count=len(sizes)), sizes)
-    nodes = np.fromiter(
-        chain.from_iterable(buckets.values()), dtype=np.int64, count=len(tags)
-    )
-    charges = np.fromiter(
-        chain.from_iterable(bucket.values() for bucket in buckets.values()),
-        dtype=np.int64, count=len(tags),
-    )
-    return _ranks_from_charges(hierarchy, tags, nodes, charges)
 
 
 def _ranks_from_charges(

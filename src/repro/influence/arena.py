@@ -776,7 +776,7 @@ class RRArena:
 
 def concatenate_arenas(arenas: Sequence[RRArena]) -> RRArena:
     """Merge arenas over the same graph into one batch (samples appended
-    in order) — the pool-doubling primitive of the adaptive evaluator."""
+    in order), e.g. the samples a HIMOR repair re-traverses."""
     if not arenas:
         raise InfluenceError("need at least one arena to concatenate")
     n = arenas[0].n

@@ -222,8 +222,8 @@ class CODServer:
         checksum mismatch, graph mismatch), rebuild from scratch instead
         of failing the CODL rung.
     checkpoint_every:
-        With ``index_path`` set, HIMOR builds checkpoint per-tree-bucket
-        progress to ``<index_path>.ckpt`` every this-many samples and
+        With ``index_path`` set, HIMOR builds checkpoint their charge
+        table to ``<index_path>.ckpt`` every this-many samples and
         resume from it after a crash (``None`` disables checkpointing).
         Resume is validated against a build fingerprint and requires an
         integer ``seed`` to be sample-exact.
@@ -302,6 +302,10 @@ class CODServer:
             raise ValueError(f"theta_shrink must be in (0, 1], got {theta_shrink!r}")
         if min_theta < 1:
             raise ValueError(f"min_theta must be >= 1, got {min_theta!r}")
+        if checkpoint_every is not None and checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be None or >= 1, got {checkpoint_every!r}"
+            )
         self.graph = graph
         self.theta = int(theta)
         self.model = model or WeightedCascade()
@@ -732,8 +736,8 @@ class CODServer:
     ) -> str:
         """Carry the HIMOR index across a structural update.
 
-        With the pool's per-sample repair and a bucket-retaining index,
-        :meth:`HimorIndex.repair` re-traverses only the redrawn samples
+        With the pool's per-sample repair and an index that kept its
+        charge table, :meth:`HimorIndex.repair` re-traverses only the redrawn samples
         and those with an entry in a cluster the recluster changed, and
         relabels every other charge through ``clusters`` (``"repaired"``,
         inside a ``himor_build`` span; an unchanged hierarchy is the
@@ -1278,7 +1282,7 @@ class CODServer:
             rr_graphs=samples,
             budget=budget,
             checkpoint_path=checkpoint_path,
-            checkpoint_every=self.checkpoint_every or 256,
+            checkpoint_every=self.checkpoint_every,
             trace=trace,
             sample_mode=self._index_sample_mode(),
         )

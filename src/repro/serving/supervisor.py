@@ -391,6 +391,8 @@ class ServingSupervisor:
             )
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be non-negative, got {max_restarts!r}")
+        if checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every!r}")
         self.graph = graph
         self.n_workers = int(n_workers)
         self.queue = AdmissionQueue(queue_capacity)

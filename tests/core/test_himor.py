@@ -12,6 +12,27 @@ from repro.influence.arena import ArenaRepair, sample_arena
 from repro.influence.estimator import estimate_influences_in_community
 
 from tests.conftest import C0, C1, C3, C4, C6, DB
+from tests.oracle.reference import charge_buckets
+
+
+def int64(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
+def rewrite_in_old_form(path) -> None:
+    """Rewrite a saved index as artifacts were saved before charge
+    tables: the charges as string-keyed ``{tag: {node: count}}`` buckets."""
+    from repro.utils.persist import atomic_write_json, load_versioned_json
+
+    payload = load_versioned_json(path, kind=HimorIndex.FORMAT,
+                                  error_cls=IndexError_)
+    keys, counts = payload.pop("charges")
+    buckets = charge_buckets((int64(keys), int64(counts)), payload["n_leaves"])
+    payload["buckets"] = {
+        str(tag): {str(node): count for node, count in bucket.items()}
+        for tag, bucket in buckets.items()
+    }
+    atomic_write_json(path, payload, kind=HimorIndex.FORMAT)
 
 
 @pytest.fixture()
@@ -203,6 +224,86 @@ class TestPersistence:
         with pytest.raises(IndexError_):
             HimorIndex.load(path)
 
+    @pytest.mark.parametrize("charges", [
+        [[3, 2], [1, 1]],        # keys out of order
+        [[2, 2], [1, 1]],        # a repeated key
+        [[2, 3], [1, 0]],        # a zero count
+        [[2, 3], [1, -1]],       # a negative count
+        [[2, 3], [1]],           # lopsided lists
+        {"2": {"3": 1}},         # not two lists
+    ])
+    def test_malformed_charges_rejected(self, paper_index, tmp_path, charges):
+        from repro.utils.persist import atomic_write_json, load_versioned_json
+
+        path = tmp_path / "index.json"
+        paper_index.save(path)
+        payload = load_versioned_json(path, kind=HimorIndex.FORMAT,
+                                      error_cls=IndexError_)
+        payload["charges"] = charges
+        atomic_write_json(path, payload, kind=HimorIndex.FORMAT)
+        with pytest.raises(IndexError_, match="malformed"):
+            HimorIndex.load(path)
+
+    def test_old_form_artifact_loads_charge_less(self, paper_index, tmp_path):
+        path = tmp_path / "index.json"
+        paper_index.save(path)
+        rewrite_in_old_form(path)
+        loaded = HimorIndex.load(path)
+        assert not loaded.has_buckets
+        assert loaded.sample_mode == paper_index.sample_mode
+        for v in range(10):
+            assert np.array_equal(loaded.ranks_of(v), paper_index.ranks_of(v))
+
+    def test_old_form_artifact_serves_then_rebuilds(self, paper_graph, tmp_path):
+        from repro.core.pool import SharedSamplePool
+        from repro.dynamic.updates import EdgeUpdate
+        from repro.serving.server import CODServer
+
+        def pooled():
+            pool = SharedSamplePool(paper_graph, theta=3, seed=11,
+                                    per_sample_seeds=True)
+            return CODServer(paper_graph, theta=3, seed=11, pool=pool,
+                             index_path=path)
+
+        path = tmp_path / "himor.json"
+        built = pooled()
+        built.warm()
+        rewrite_in_old_form(path)
+        server = pooled()
+        server.warm()
+        assert server.health()["index_rebuilds"] == 0
+        assert not server.index.has_buckets
+        for v in range(paper_graph.n):
+            assert np.array_equal(server.index.ranks_of(v),
+                                  built.index.ranks_of(v))
+        for node in range(paper_graph.n):
+            query = CODQuery(node, DB, 3)
+            assert np.array_equal(server.answer(query).members,
+                                  built.answer(query).members)
+        report = server.apply_updates([EdgeUpdate(2, 3)])
+        assert report["index"] == "rebuilt"
+        assert server.index.has_buckets
+        assert HimorIndex.load(path).has_buckets
+
+
+class TestSumCharges:
+    def test_empty(self):
+        keys, counts = himor._sum_charges(int64([]), int64([]))
+        assert keys.dtype == counts.dtype == np.int64
+        assert len(keys) == len(counts) == 0
+
+    def test_cancelling_input_leaves_nothing(self):
+        keys, counts = himor._sum_charges(int64([5, 3, 5, 3, 9]),
+                                          int64([1, 2, -1, -2, 0]))
+        assert len(keys) == len(counts) == 0
+
+    def test_sorted_exact_sums_with_negatives_kept(self):
+        big = 2**53 + 1  # not exact in float64
+        keys, counts = himor._sum_charges(int64([7, 2, 7, 4, 2]),
+                                          int64([-3, big, 1, 0, big]))
+        assert keys.tolist() == [2, 7]
+        assert counts.tolist() == [2 * big, -2]
+
 
 class TestHimorCod:
     """Algorithm 3 end to end, through :class:`CODL`."""
@@ -295,7 +396,9 @@ class TestIncrementalRepair:
             new_graph, paper_hierarchy, theta=self.THETA, rr_graphs=rep.arena,
             sample_mode="per-sample-fast",
         )
-        assert index._buckets == oracle._buckets
+        assert charge_buckets(index._charges, paper_graph.n) == charge_buckets(
+            oracle._charges, paper_graph.n
+        )
         for v in range(paper_graph.n):
             assert np.array_equal(index.ranks_of(v), oracle.ranks_of(v)), v
 
@@ -339,10 +442,27 @@ class TestIncrementalRepair:
         assert index._graph_sha is None
         assert index.graph_sha == graph_checksum(new_graph)
 
+    def test_charge_outliving_its_changed_cluster_rejected(
+        self, paper_graph, paper_hierarchy
+    ):
+        # A repair over a pool that is not this index's re-traverses
+        # nothing, so charges stay on clusters the map cannot carry.
+        from repro.hierarchy.dendrogram import CommunityHierarchy, map_clusters
+
+        _, index, rep = self.build_pair(paper_graph, paper_hierarchy)
+        parents = paper_hierarchy.parents.tolist()
+        parents[0], parents[9] = parents[9], parents[0]
+        moved = CommunityHierarchy.from_parents(paper_hierarchy.n_leaves, parents)
+        clusters = map_clusters(paper_hierarchy, moved)
+        assert (clusters.to_new < 0).any()
+        empty = rep.arena.take([])
+        with pytest.raises(IndexError_, match="outlived"):
+            index.repair(ArenaRepair(empty, int64([]), empty, empty), clusters)
+
     def test_bucketless_index_cannot_repair(self, paper_graph,
                                             paper_hierarchy, tmp_path):
         _, index, rep = self.build_pair(paper_graph, paper_hierarchy)
-        index._buckets = None  # legacy artifact shape
+        index._charges = None  # legacy artifact shape
         with pytest.raises(IndexError_, match="no HFS buckets"):
             index.repair(rep)
 

@@ -52,7 +52,8 @@ it, seed for seed, against these implementations:
   Python iteration.
 * :func:`reference_tree_hfs` — HIMOR's tree HFS with one depth-keyed
   heap per sample and a scalar ``lca``/``depth`` call per pushed edge.
-  Production's vectorized frontier fixpoint must produce ``==`` buckets.
+  Production's vectorized frontier fixpoint must produce a charge table
+  whose :func:`charge_buckets` form is ``==`` its buckets.
 * :func:`reference_hfs_levels` — Algorithm 1's HFS as Dial's algorithm:
   one bucket per chain level, entries activated in ascending level order
   so an entry's first activation is final.
@@ -781,6 +782,21 @@ def reference_tree_hfs(hierarchy, arena, start: int = 0, buckets=None,
             and (i + 1) < arena.n_samples
         ):
             on_checkpoint(i + 1, buckets)
+    return buckets
+
+
+def charge_buckets(charges, n_leaves: int) -> dict[int, dict[int, int]]:
+    """Production's HIMOR charge table ``(keys, counts)``, keys
+    ``tag * n_leaves + node``, as the ``{tag: {node: count}}`` buckets of
+    :func:`reference_tree_hfs` and :func:`reference_bottom_up_ranks`.
+    The table must be in its one form: strictly increasing keys, no zero
+    count."""
+    keys, counts = charges
+    assert keys.dtype == counts.dtype == np.int64
+    assert (np.diff(keys) > 0).all() and (counts != 0).all()
+    buckets: dict[int, dict[int, int]] = {}
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        buckets.setdefault(key // n_leaves, {})[key % n_leaves] = count
     return buckets
 
 

@@ -9,8 +9,9 @@ result: clustering must make the same merge list (so the same vertex ids
 and parent arrays) as :func:`reference_merges`, on random graphs and on
 what the serving path feeds it (the global graph across edge batches,
 LORE's attribute-weighted ``C_l`` subgraphs, graphs with isolated
-nodes), and the HFS must produce ``==`` buckets — hence bit-identical
-ranks — to :func:`reference_tree_hfs`, including its checkpoint, resume,
+nodes), and the HFS must produce a charge table whose buckets
+(:func:`charge_buckets`) are ``==`` — hence bit-identical ranks — to
+:func:`reference_tree_hfs`'s, including its checkpoint, resume,
 fault and budget contracts. The hierarchy layout is built over Python
 lists; its arrays must equal :func:`reference_layout`'s. The LCA index
 reads the hierarchy's arrays directly; its tables must equal the
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core import himor
-from repro.core.himor import HimorIndex, _bottom_up_ranks, _tree_hfs_arena
+from repro.core.himor import HimorIndex, _tree_hfs_arena
 from repro.core.lore import lore_chain
 from repro.datasets import load_dataset
 from repro.dynamic.updates import EdgeUpdate, apply_updates
@@ -45,7 +46,9 @@ from repro.serving.budget import ExecutionBudget
 from repro.utils.faults import inject
 
 from tests.oracle.reference import (
+    charge_buckets,
     reference_agglomerative_hierarchy,
+    reference_bottom_up_ranks,
     reference_layout,
     reference_lca_tables,
     reference_merges,
@@ -331,21 +334,29 @@ class TestHierarchyArrays:
 # --------------------------------------------------------------- tree HFS
 
 
+def tree_hfs(hierarchy, arena, **options) -> dict:
+    """Production's charge table of ``arena``, as buckets."""
+    return charge_buckets(
+        _tree_hfs_arena(hierarchy, arena, **options), hierarchy.n_leaves
+    )
+
+
 class TestTreeHfsMatchesHeap:
     @pytest.mark.parametrize("theta", [5, 10])
     @pytest.mark.parametrize("seed", range(8))
     def test_buckets_and_ranks(self, seed, theta):
         graph, hierarchy, arena = hfs_case(seed, theta)
         expected = reference_tree_hfs(hierarchy, arena)
-        assert _tree_hfs_arena(hierarchy, arena) == expected
+        assert tree_hfs(hierarchy, arena) == expected
         index = HimorIndex.build(graph, hierarchy, theta=theta, rr_graphs=arena)
-        reference_ranks = _bottom_up_ranks(hierarchy, expected)
+        assert charge_buckets(index._charges, graph.n) == expected
+        reference_ranks = reference_bottom_up_ranks(hierarchy, expected)
         for v in range(graph.n):
             assert np.array_equal(index.ranks_of(v), reference_ranks[v])
 
     def test_paper_tree(self, paper_graph, paper_hierarchy):
         arena = sample_arena(paper_graph, 10 * paper_graph.n, rng=3)
-        assert _tree_hfs_arena(paper_hierarchy, arena) == reference_tree_hfs(
+        assert tree_hfs(paper_hierarchy, arena) == reference_tree_hfs(
             paper_hierarchy, arena
         )
 
@@ -355,7 +366,7 @@ class TestTreeHfsMatchesHeap:
         hierarchy = agglomerative_hierarchy(graph)
         arena = sample_arena(graph, theta * graph.n, rng=5)
         assert arena.n_samples > himor._HFS_CHUNK
-        assert _tree_hfs_arena(hierarchy, arena) == reference_tree_hfs(
+        assert tree_hfs(hierarchy, arena) == reference_tree_hfs(
             hierarchy, arena
         )
 
@@ -363,10 +374,22 @@ class TestTreeHfsMatchesHeap:
 # ----------------------------------------------------------- HFS contracts
 
 
-def checkpoints_of(hfs, hierarchy, arena, every, start=0, buckets=None):
-    """``[(next_sample, buckets snapshot)]`` a traversal reports."""
+def checkpoints_of(hierarchy, arena, every, start=0, charges=None):
+    """``[(next_sample, buckets snapshot)]`` production's traversal reports."""
     seen: list = []
-    hfs(
+    _tree_hfs_arena(
+        hierarchy, arena, start=start, charges=charges, checkpoint_every=every,
+        on_checkpoint=lambda i, c: seen.append(
+            (i, charge_buckets(c, hierarchy.n_leaves))
+        ),
+    )
+    return seen
+
+
+def reference_checkpoints_of(hierarchy, arena, every, start=0, buckets=None):
+    """``[(next_sample, buckets snapshot)]`` the reference traversal reports."""
+    seen: list = []
+    reference_tree_hfs(
         hierarchy, arena, start=start, buckets=copy.deepcopy(buckets),
         checkpoint_every=every,
         on_checkpoint=lambda i, b: seen.append((i, copy.deepcopy(b))),
@@ -388,33 +411,35 @@ class TestHfsContracts:
         _, hierarchy, arena = long_case
         start = arena.n_samples if start == "all" else start
         partial = _tree_hfs_arena(hierarchy, arena.take(np.arange(start)))
-        assert partial == reference_tree_hfs(hierarchy, arena.take(np.arange(start)))
-        resumed = _tree_hfs_arena(hierarchy, arena, start=start, buckets=partial)
+        assert charge_buckets(partial, hierarchy.n_leaves) == reference_tree_hfs(
+            hierarchy, arena.take(np.arange(start))
+        )
+        resumed = tree_hfs(hierarchy, arena, start=start, charges=partial)
         assert resumed == reference_tree_hfs(hierarchy, arena)
 
     @pytest.mark.parametrize("every", [4, 64, 1500])
     def test_checkpoints_match_reference(self, long_case, every):
         _, hierarchy, arena = long_case
-        got = checkpoints_of(_tree_hfs_arena, hierarchy, arena, every)
-        expected = checkpoints_of(reference_tree_hfs, hierarchy, arena, every)
+        got = checkpoints_of(hierarchy, arena, every)
+        expected = reference_checkpoints_of(hierarchy, arena, every)
         assert [i for i, _ in got] == [i for i, _ in expected]
         assert got == expected
 
     def test_checkpoint_every_sample(self):
         _, hierarchy, arena = hfs_case(5, 5, n_lo=30, n_hi=40)
-        got = checkpoints_of(_tree_hfs_arena, hierarchy, arena, 1)
-        expected = checkpoints_of(reference_tree_hfs, hierarchy, arena, 1)
+        got = checkpoints_of(hierarchy, arena, 1)
+        expected = reference_checkpoints_of(hierarchy, arena, 1)
         assert [i for i, _ in got] == list(range(1, arena.n_samples))
         assert got == expected
 
     def test_checkpoints_after_unaligned_resume(self, long_case):
         _, hierarchy, arena = long_case
-        partial = reference_tree_hfs(hierarchy, arena.take(np.arange(13)))
-        got = checkpoints_of(
-            _tree_hfs_arena, hierarchy, arena, 64, start=13, buckets=partial
-        )
-        expected = checkpoints_of(
-            reference_tree_hfs, hierarchy, arena, 64, start=13, buckets=partial
+        partial = _tree_hfs_arena(hierarchy, arena.take(np.arange(13)))
+        reference_partial = reference_tree_hfs(hierarchy, arena.take(np.arange(13)))
+        assert charge_buckets(partial, hierarchy.n_leaves) == reference_partial
+        got = checkpoints_of(hierarchy, arena, 64, start=13, charges=partial)
+        expected = reference_checkpoints_of(
+            hierarchy, arena, 64, start=13, buckets=reference_partial
         )
         assert got == expected
 
@@ -426,13 +451,15 @@ class TestHfsContracts:
             with pytest.raises(RuntimeError):
                 _tree_hfs_arena(
                     hierarchy, arena, checkpoint_every=64,
-                    on_checkpoint=lambda i, b: seen.append((i, copy.deepcopy(b))),
+                    on_checkpoint=lambda i, c: seen.append(
+                        (i, charge_buckets(c, hierarchy.n_leaves))
+                    ),
                 )
         # The (k + 1)-th sample's hook raised: samples 0..k-1 got through.
         assert plan.calls == k + 1
         expected = [
             (i, b)
-            for i, b in checkpoints_of(reference_tree_hfs, hierarchy, arena, 64)
+            for i, b in reference_checkpoints_of(hierarchy, arena, 64)
             if i <= k
         ]
         assert seen == expected

@@ -7,14 +7,15 @@ array pass with one sort. None of the three may change a result: the
 edited graph must equal :func:`reference_apply_updates`' whole rebuild,
 every invalid batch must raise the same :class:`GraphError` message, the
 digest must equal :func:`reference_graph_checksum` (WAL records,
-snapshots and persisted indexes store it), and the ranks must equal
-:func:`reference_bottom_up_ranks` array for array.
+snapshots and persisted indexes store it), and the ranks of a charge
+table must equal :func:`reference_bottom_up_ranks` over its buckets
+(:func:`charge_buckets`) array for array.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.himor import _bottom_up_ranks, _tree_hfs_arena, graph_checksum
+from repro.core.himor import _ranks_from_charges, _tree_hfs_arena, graph_checksum
 from repro.dynamic.updates import AttrUpdate, EdgeUpdate, apply_updates
 from repro.errors import GraphError, IndexError_
 from repro.graph.graph import AttributedGraph
@@ -25,6 +26,7 @@ from repro.utils import shm
 from repro.utils.shm import close_all_segments, segment_exists
 
 from tests.oracle.reference import (
+    charge_buckets,
     reference_apply_updates,
     reference_bottom_up_ranks,
     reference_graph_checksum,
@@ -239,27 +241,31 @@ def caterpillar(n: int) -> CommunityHierarchy:
     return CommunityHierarchy.from_merges(n, merges)
 
 
-def random_buckets(hierarchy: CommunityHierarchy, rng) -> dict:
-    """Own-charges on members of random communities: some buckets empty,
-    counts from a small range so ties are common."""
-    buckets: dict = {}
-    for vertex in range(hierarchy.n_leaves, hierarchy.n_vertices):
-        roll = rng.random()
-        if roll < 0.2:
+def random_charges(hierarchy: CommunityHierarchy, rng) -> tuple:
+    """A charge table on members of random communities: some communities
+    uncharged, counts from a small range so ties are common."""
+    n = hierarchy.n_leaves
+    keys: list[int] = []
+    for vertex in range(n, hierarchy.n_vertices):
+        if rng.random() < 0.3:
             continue
         members = hierarchy.members(vertex)
-        if roll < 0.3:
-            buckets[vertex] = {}
-            continue
         picked = rng.choice(members, size=int(rng.integers(1, len(members) + 1)),
                             replace=False)
-        buckets[vertex] = {int(v): int(rng.integers(1, 4)) for v in picked}
-    return buckets
+        keys.extend(vertex * n + int(v) for v in picked)
+    keys = np.sort(np.asarray(keys, dtype=np.int64))
+    return keys, rng.integers(1, 4, size=len(keys)).astype(np.int64)
 
 
-def assert_same_ranks(hierarchy, buckets) -> None:
-    got = _bottom_up_ranks(hierarchy, buckets)
-    expected = reference_bottom_up_ranks(hierarchy, buckets)
+def no_charges() -> tuple:
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+
+def assert_same_ranks(hierarchy, charges) -> None:
+    keys, counts = charges
+    n = hierarchy.n_leaves
+    got = _ranks_from_charges(hierarchy, keys // n, keys % n, counts)
+    expected = reference_bottom_up_ranks(hierarchy, charge_buckets(charges, n))
     assert len(got) == len(expected) == hierarchy.n_leaves
     for v, (ours, theirs) in enumerate(zip(got, expected)):
         assert ours.dtype == theirs.dtype, v
@@ -271,25 +277,25 @@ class TestRanksMatchDictMerge:
     def test_random_trees(self, seed):
         rng = np.random.default_rng(seed)
         hierarchy = random_hierarchy(int(rng.integers(2, 300)), rng)
-        assert_same_ranks(hierarchy, random_buckets(hierarchy, rng))
+        assert_same_ranks(hierarchy, random_charges(hierarchy, rng))
 
     @pytest.mark.parametrize("n", [2, 3, 17, 120])
     def test_caterpillars(self, n):
         hierarchy = caterpillar(n)
-        assert_same_ranks(hierarchy, random_buckets(hierarchy, np.random.default_rng(n)))
+        assert_same_ranks(hierarchy, random_charges(hierarchy, np.random.default_rng(n)))
 
     def test_no_charges(self, paper_hierarchy):
-        assert_same_ranks(paper_hierarchy, {})
-        assert_same_ranks(paper_hierarchy, {paper_hierarchy.root: {}})
+        assert_same_ranks(paper_hierarchy, no_charges())
 
     def test_single_leaf(self):
         hierarchy = CommunityHierarchy.from_parents(1, [-1])
-        assert_same_ranks(hierarchy, {})
+        assert_same_ranks(hierarchy, no_charges())
 
     def test_all_tied(self, paper_hierarchy):
         root = paper_hierarchy.root
-        buckets = {root: {int(v): 2 for v in paper_hierarchy.members(root)}}
-        assert_same_ranks(paper_hierarchy, buckets)
+        members = np.sort(paper_hierarchy.members(root)).astype(np.int64)
+        keys = root * paper_hierarchy.n_leaves + members
+        assert_same_ranks(paper_hierarchy, (keys, np.full(len(keys), 2, dtype=np.int64)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hfs_buckets(self, seed):
@@ -306,4 +312,5 @@ class TestRanksMatchDictMerge:
     def test_charge_outside_its_community_rejected(self, tag_of):
         hierarchy = caterpillar(6)  # n_leaves is the {0, 1} community
         with pytest.raises(IndexError_, match="not one of its members"):
-            _bottom_up_ranks(hierarchy, {tag_of(hierarchy): {5: 1}})
+            _ranks_from_charges(hierarchy, np.array([tag_of(hierarchy)]),
+                                np.array([5]), np.array([1]))

@@ -14,12 +14,15 @@ These tests spawn real child processes and take a few seconds; they run
 in the dedicated chaos step of CI.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.problem import CODQuery
 from repro.serving import BackoffPolicy, ChaosSchedule, ServingSupervisor
 from repro.serving.server import CODServer
+from repro.serving.supervisor import W_RESTARTING, W_STARTING
 from repro.utils.faults import corrupt_file, inject
 
 DB = 0
@@ -252,6 +255,16 @@ class TestSharedPoolChaos:
         with supervisor:
             answers = supervisor.serve(make_queries(n_queries),
                                        drain_timeout_s=300.0)
+            # A death counts its restart at once, but the slot sweeps when
+            # it respawns and its attaches count when the new incarnation
+            # reports ready: read the counters once every slot is back.
+            deadline = time.monotonic() + 30.0
+            while any(
+                worker["state"] in (W_RESTARTING, W_STARTING)
+                for worker in supervisor.health()["workers"].values()
+            ):
+                assert time.monotonic() < deadline, "a killed worker never came back"
+                supervisor.poll()
             health = supervisor.health()
             published = [
                 block["name"]

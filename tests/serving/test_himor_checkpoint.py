@@ -127,6 +127,22 @@ class TestCheckpointRejection:
         self._assert_discards_and_matches_fresh(paper_graph, paper_hierarchy,
                                                 ckpt)
 
+    def test_old_form_checkpoint_discarded(self, paper_graph, paper_hierarchy,
+                                           tmp_path):
+        # A checkpoint written before charge tables holds its progress as
+        # string-keyed buckets; it restarts the build rather than resume.
+        ckpt = tmp_path / "build.ckpt"
+        interrupted_build(paper_graph, paper_hierarchy, ckpt, after=9)
+        payload = load_versioned_json(ckpt, kind=CHECKPOINT_FORMAT)
+        keys, counts = payload.pop("charges")
+        n = paper_graph.n
+        payload["buckets"] = {}
+        for key, count in zip(keys, counts):
+            payload["buckets"].setdefault(str(key // n), {})[str(key % n)] = count
+        atomic_write_json(ckpt, payload, kind=CHECKPOINT_FORMAT)
+        self._assert_discards_and_matches_fresh(paper_graph, paper_hierarchy,
+                                                ckpt)
+
     def test_resume_false_ignores_checkpoint(self, paper_graph, paper_hierarchy,
                                              tmp_path):
         ckpt = tmp_path / "build.ckpt"
@@ -150,7 +166,7 @@ class TestCheckpointRejection:
             "fingerprint": fingerprint,
             "next_sample": 10_000,  # beyond the build's sample count
             "n_samples": THETA * paper_graph.n,
-            "buckets": {},
+            "charges": [[], []],
         }, kind=CHECKPOINT_FORMAT)
         with pytest.raises(CheckpointError, match="inconsistent"):
             _load_checkpoint(ckpt, fingerprint, THETA * paper_graph.n)

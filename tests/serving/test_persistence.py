@@ -234,6 +234,23 @@ class TestHierarchyPersistence:
 
 
 class TestServerIndexPersistence:
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_bad_checkpoint_interval_rejected_at_construction(
+        self, paper_graph, tmp_path, every
+    ):
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            CODServer(paper_graph, theta=3, seed=11,
+                      index_path=tmp_path / "index.json", checkpoint_every=every)
+
+    def test_checkpointing_off_builds_without_checkpoint(self, paper_graph,
+                                                         tmp_path):
+        path = tmp_path / "index.json"
+        server = CODServer(paper_graph, theta=3, seed=11, index_path=path,
+                           checkpoint_every=None)
+        assert server.answer(CODQuery(3, DB, 2)).rung == "CODL"
+        assert path.exists()
+        assert not server._checkpoint_path().exists()
+
     def test_fresh_build_saved_and_reloaded(self, paper_graph, tmp_path):
         path = tmp_path / "index.json"
         first = CODServer(paper_graph, theta=3, seed=11, index_path=path)

@@ -95,6 +95,11 @@ class TestHappyPath:
         with pytest.raises(ValueError):
             ServingSupervisor(paper_graph, max_restarts=-1)
 
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_bad_checkpoint_interval_rejected(self, paper_graph, every):
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            ServingSupervisor(paper_graph, checkpoint_every=every)
+
 
 class TestAdmissionControl:
     def test_overflow_sheds_lowest_priority_with_terminal_answer(
