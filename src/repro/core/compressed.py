@@ -38,7 +38,6 @@ from repro.errors import QueryError
 from repro.graph.graph import AttributedGraph
 from repro.hierarchy.chain import CommunityChain
 from repro.influence.arena import RRArena, sample_arena
-from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.rng import ensure_rng
 
 
@@ -111,7 +110,6 @@ def compressed_cod(
     chain: CommunityChain,
     k: "int | Sequence[int]" = 5,
     theta: int = 10,
-    model: InfluenceModel | None = None,
     rng: "int | np.random.Generator | None" = None,
     rr_graphs: "RRArena | None" = None,
     budget: "object | None" = None,
@@ -165,7 +163,6 @@ def compressed_cod(
             rr_graphs = sample_arena(
                 graph,
                 theta * graph.n,
-                model=model or WeightedCascade(),
                 rng=ensure_rng(rng),
                 budget=budget,
                 trace=trace,

@@ -18,7 +18,6 @@ from repro.core.compressed import _normalize_ks
 from repro.graph.graph import AttributedGraph
 from repro.hierarchy.chain import CommunityChain
 from repro.influence.estimator import estimate_influences_in_community
-from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.rng import ensure_rng
 
 
@@ -62,7 +61,6 @@ def independent_cod(
     chain: CommunityChain,
     k: "int | Sequence[int]" = 5,
     theta: int = 10,
-    model: InfluenceModel | None = None,
     rng: "int | np.random.Generator | None" = None,
 ) -> IndependentEvaluation:
     """Evaluate ``rank_C(q)`` independently for every chain community.
@@ -71,7 +69,6 @@ def independent_cod(
     ``Theta = theta * sum_C |C|`` total).
     """
     k_values = _normalize_ks(k)
-    model = model or WeightedCascade()
     rng = ensure_rng(rng)
     q = chain.q
 
@@ -81,9 +78,7 @@ def independent_cod(
         members = chain.members(level)
         n_samples = theta * len(members)
         total_samples += n_samples
-        estimate = estimate_influences_in_community(
-            graph, members, n_samples, model=model, rng=rng
-        )
+        estimate = estimate_influences_in_community(graph, members, n_samples, rng=rng)
         ranks.append(estimate.rank(q))
     return IndependentEvaluation(
         chain=chain,

@@ -35,7 +35,6 @@ from repro.graph.weighting import AttributeWeighting, attribute_weighted_graph
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.hierarchy.nnchain import agglomerative_hierarchy
-from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.cache import LRUCache
 from repro.utils.rng import ensure_rng
 
@@ -89,13 +88,11 @@ class _BasePipeline:
         self,
         graph: AttributedGraph,
         theta: int = 10,
-        model: InfluenceModel | None = None,
         weighting: AttributeWeighting | None = None,
         seed: "int | np.random.Generator | None" = None,
     ) -> None:
         self.graph = graph
         self.theta = int(theta)
-        self.model = model or WeightedCascade()
         self.weighting = weighting or AttributeWeighting()
         self.rng = ensure_rng(seed)
 
@@ -156,7 +153,7 @@ class _RungPipeline(_BasePipeline):
 
         #: The server whose rung answers; ``server.rng`` is :attr:`rng`.
         self.server = CODServer(
-            graph, theta=self.theta, model=self.model, weighting=self.weighting,
+            graph, theta=self.theta, weighting=self.weighting,
             seed=self.rng,
         )
 
@@ -196,7 +193,7 @@ class CODU(_RungPipeline):
         # Drawn lazily from this pipeline's stream in the first query's timed
         # window; the server evaluates the batch over it, then unpools.
         self.server.pool = SharedSamplePool(
-            self.graph, theta=self.theta, model=self.model, seed=self.rng
+            self.graph, theta=self.theta, seed=self.rng
         )
         try:
             return [self.discover(query) for query in queries]
@@ -250,7 +247,7 @@ class CODR(_BasePipeline):
         # the query; a cached one costs a lookup.
         chain = CommunityChain.from_hierarchy(self.hierarchy_for(attribute), node)
         evaluation = compressed_cod(
-            self.graph, chain, k=ks, theta=self.theta, model=self.model, rng=self.rng
+            self.graph, chain, k=ks, theta=self.theta, rng=self.rng
         )
         return {k: evaluation.characteristic_community(k) for k in ks}, len(chain)
 

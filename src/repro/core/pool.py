@@ -1,11 +1,10 @@
 """Shared RR-sample pools for multi-query workloads.
 
-RR-graph sampling depends only on the graph and the diffusion model —
-never on the query — so a workload of many COD queries over one graph can
-draw its samples once and induce them per query. This is the same
-observation that powers the compressed evaluator *within* one query
-(Theorem 2), lifted across queries: the pool plays the role of a
-materialized possible-world sample.
+RR-graph sampling depends only on the graph — never on the query — so a
+workload of many COD queries over one graph can draw its samples once and
+induce them per query. This is the same observation that powers the
+compressed evaluator *within* one query (Theorem 2), lifted across
+queries: the pool plays the role of a materialized possible-world sample.
 
 Trade-off: answers to different queries become correlated (they share
 randomness). For effectiveness sweeps averaging over many queries this is
@@ -23,12 +22,7 @@ import numpy as np
 from repro.errors import InfluenceError
 from repro.graph.graph import AttributedGraph
 from repro.influence.arena import ArenaRepair, RRArena, repair_arena, sample_arena
-from repro.influence.fastsample import (
-    _fast_supported,
-    sample_arena_fast,
-    sample_arena_seeded_fast,
-)
-from repro.influence.models import InfluenceModel, WeightedCascade
+from repro.influence.fastsample import sample_arena_fast, sample_arena_seeded_fast
 from repro.utils.rng import ensure_rng
 
 
@@ -41,8 +35,6 @@ class SharedSamplePool:
         The graph the samples were (or will be) drawn on.
     theta:
         Samples per node; the pool holds ``theta * graph.n`` RR graphs.
-    model:
-        Diffusion model; defaults to weighted cascade.
     seed:
         Sampling seed.
     lazy:
@@ -54,8 +46,7 @@ class SharedSamplePool:
         makes the pool **incrementally repairable** under graph updates
         (:meth:`repair`) with results bit-identical to resampling from
         scratch. Seeded implies fast: ``fast`` is forced true. Requires
-        an integer ``seed`` and a model the hashed kernel can draw
-        (weighted cascade or uniform IC). Off by default: the
+        an integer ``seed``. Off by default: the
         stream-compatible :func:`sample_arena` stays the pool's
         seed-for-seed contract.
     fast:
@@ -71,7 +62,6 @@ class SharedSamplePool:
         self,
         graph: AttributedGraph,
         theta: int = 10,
-        model: InfluenceModel | None = None,
         seed: "int | np.random.Generator | None" = None,
         lazy: bool = True,
         per_sample_seeds: bool = False,
@@ -84,16 +74,8 @@ class SharedSamplePool:
                 "per_sample_seeds requires an integer seed (the base seed "
                 "every sample's private stream is derived from)"
             )
-        model = model or WeightedCascade()
-        if per_sample_seeds and _fast_supported(model) is None:
-            raise InfluenceError(
-                "per_sample_seeds pools draw with the hashed kernel, which "
-                "supports WeightedCascade and UniformIC models only, got "
-                f"{type(model).__name__}"
-            )
         self.graph = graph
         self.theta = int(theta)
-        self.model = model
         self.per_sample_seeds = bool(per_sample_seeds)
         self.fast = bool(fast) or self.per_sample_seeds
         self.base_seed = int(seed) if per_sample_seeds else None
@@ -168,7 +150,6 @@ class SharedSamplePool:
                 self.graph,
                 self.n_samples,
                 base_seed=self.base_seed,
-                model=self.model,
                 budget=budget,
                 trace=trace,
             )
@@ -177,7 +158,6 @@ class SharedSamplePool:
             self._arena = sampler(
                 self.graph,
                 self.n_samples,
-                model=self.model,
                 rng=self._rng,
                 budget=budget,
                 trace=trace,
@@ -223,7 +203,6 @@ class SharedSamplePool:
                 graph,
                 touched_nodes,
                 base_seed=self.base_seed,
-                model=self.model,
                 budget=budget,
             )
             self._arena = result.arena
@@ -267,7 +246,6 @@ class SharedSamplePool:
         graph: AttributedGraph,
         name: str,
         theta: int = 10,
-        model: InfluenceModel | None = None,
         seed: "int | np.random.Generator | None" = None,
         per_sample_seeds: bool = False,
         fast: bool = False,
@@ -284,7 +262,6 @@ class SharedSamplePool:
         pool = cls(
             graph,
             theta=theta,
-            model=model,
             seed=seed,
             per_sample_seeds=per_sample_seeds,
             fast=fast,

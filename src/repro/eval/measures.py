@@ -20,7 +20,6 @@ import numpy as np
 from repro.graph.graph import AttributedGraph
 from repro.graph.metrics import attribute_density, topology_density
 from repro.influence.estimator import estimate_influences, estimate_influences_in_community
-from repro.influence.models import InfluenceModel
 from repro.utils.rng import ensure_rng
 
 
@@ -58,7 +57,6 @@ def oracle_rank(
     members: "Sequence[int] | np.ndarray",
     q: int,
     samples_per_node: int = 200,
-    model: InfluenceModel | None = None,
     rng: "int | np.random.Generator | None" = None,
 ) -> int:
     """High-sample RR estimate of ``rank_C(q)`` (1-based).
@@ -67,7 +65,7 @@ def oracle_rank(
     (the paper uses 1000 per node; 200 is the scaled default).
     """
     estimate = estimate_influences_in_community(
-        graph, members, samples_per_node * len(members), model=model, rng=rng
+        graph, members, samples_per_node * len(members), rng=rng
     )
     return estimate.rank(q)
 
@@ -78,7 +76,6 @@ def is_characteristic(
     q: int,
     k: int,
     samples_per_node: int = 200,
-    model: InfluenceModel | None = None,
     rng: "int | np.random.Generator | None" = None,
 ) -> bool:
     """Whether ``q`` is top-``k`` influential inside ``members``.
@@ -90,13 +87,12 @@ def is_characteristic(
         return False
     if len(members) <= k:
         return True
-    return oracle_rank(graph, members, q, samples_per_node, model=model, rng=rng) <= k
+    return oracle_rank(graph, members, q, samples_per_node, rng=rng) <= k
 
 
 def global_influence_table(
     graph: AttributedGraph,
     theta: int = 10,
-    model: InfluenceModel | None = None,
     rng: "int | np.random.Generator | None" = None,
 ) -> dict[int, float]:
     """``I(v) = sigma_g(v)`` for every node, from one shared RR pool.
@@ -105,5 +101,5 @@ def global_influence_table(
     the Fig. 7 (s)-(x) reporting path.
     """
     rng = ensure_rng(rng)
-    estimate = estimate_influences(graph, theta * graph.n, model=model, rng=rng)
+    estimate = estimate_influences(graph, theta * graph.n, rng=rng)
     return {v: estimate.influence(v) for v in range(graph.n)}

@@ -1,4 +1,4 @@
-"""Influence substrate: diffusion models, RR arenas, estimators."""
+"""Influence substrate: weighted-cascade RR arenas and estimators."""
 
 from repro.influence.arena import (
     RRArena,
@@ -17,19 +17,8 @@ from repro.influence.estimator import (
     influence_ranks,
     rank_of,
 )
-from repro.influence.models import (
-    InfluenceModel,
-    LinearThreshold,
-    UniformIC,
-    WeightedCascade,
-)
-from repro.influence.montecarlo import simulate_influence
 
 __all__ = [
-    "InfluenceModel",
-    "WeightedCascade",
-    "UniformIC",
-    "LinearThreshold",
     "RRArena",
     "RRView",
     "sample_arena",
@@ -37,7 +26,6 @@ __all__ = [
     "sample_arena_seeded_fast",
     "ArenaWriter",
     "concatenate_arenas",
-    "simulate_influence",
     "InfluenceEstimate",
     "estimate_influences",
     "influence_ranks",

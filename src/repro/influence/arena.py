@@ -57,7 +57,6 @@ import numpy as np
 
 from repro.errors import InfluenceError
 from repro.graph.graph import AttributedGraph
-from repro.influence.models import InfluenceModel, UniformIC, WeightedCascade
 from repro.utils.faults import maybe_fail
 from repro.utils.rng import ensure_rng
 
@@ -811,27 +810,84 @@ def concatenate_arenas(arenas: Sequence[RRArena]) -> RRArena:
     )
 
 
+def _graph_csr(graph: AttributedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Flat CSR of the graph adjacency: ``(indptr, indices)``."""
+    indptr = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(graph.degrees, out=indptr[1:])
+    indices = (
+        np.concatenate([graph.neighbors(v) for v in range(graph.n)])
+        if graph.m > 0
+        else _EMPTY
+    )
+    return indptr, indices
+
+
+def _draw_sources(
+    n: int,
+    count: int,
+    rng: np.random.Generator,
+    sources: "Sequence[int] | None",
+    allowed: "set[int] | None",
+) -> "tuple[np.ndarray, np.ndarray | None]":
+    """Validate a stream sampler's arguments and draw its sources.
+
+    Returns ``(source_arr, allowed_mask)``. Sources are drawn in one
+    vectorized call (uniform over ``allowed`` when given, else over all
+    ``n`` nodes) before any edge trial, so both RNG-stream samplers share
+    this draw.
+    """
+    if count < 0:
+        raise InfluenceError(f"count must be non-negative, got {count}")
+    allowed_mask: "np.ndarray | None" = None
+    if allowed is not None:
+        allowed_mask = np.zeros(n, dtype=bool)
+        allowed_arr = np.asarray(sorted(allowed), dtype=np.int64)
+        if len(allowed_arr) and not (
+            0 <= int(allowed_arr[0]) and int(allowed_arr[-1]) < n
+        ):
+            raise InfluenceError("allowed contains nodes outside the graph")
+        if count and not len(allowed_arr):
+            raise InfluenceError(
+                f"cannot draw {count} samples from an empty allowed node set"
+            )
+        allowed_mask[allowed_arr] = True
+
+    if sources is None:
+        if allowed is not None:
+            picks = rng.integers(0, len(allowed_arr), size=count)
+            return allowed_arr[picks], allowed_mask
+        return rng.integers(0, n, size=count), allowed_mask
+    if len(sources) != count:
+        raise InfluenceError(f"got {len(sources)} sources for count={count}")
+    source_arr = np.asarray(sources, dtype=np.int64)
+    if count and not ((source_arr >= 0) & (source_arr < n)).all():
+        bad = int(source_arr[(source_arr < 0) | (source_arr >= n)][0])
+        raise InfluenceError(f"source {bad} is not a node of the graph")
+    if allowed_mask is not None and count and not allowed_mask[source_arr].all():
+        bad = int(source_arr[~allowed_mask[source_arr]][0])
+        raise InfluenceError(f"source {bad} is outside the allowed node set")
+    return source_arr, allowed_mask
+
+
 def sample_arena(
     graph: AttributedGraph,
     count: int,
-    model: "InfluenceModel | None" = None,
     rng: "int | np.random.Generator | None" = None,
     sources: "Sequence[int] | None" = None,
     allowed: "set[int] | None" = None,
     budget: "object | None" = None,
     trace: "object | None" = None,
 ) -> RRArena:
-    """Draw ``count`` RR graphs straight into a flat :class:`RRArena`.
+    """Draw ``count`` weighted-cascade RR graphs straight into a flat
+    :class:`RRArena`.
 
     Stream-compatible with the paper's naive per-sample dict sampler:
     sources are pre-drawn in one vectorized call, and each sample explores
-    nodes in LIFO order with one Bernoulli block per explored node, so a
-    given seed yields exactly the samples that sampler would produce (the
-    oracle suite pins this seed for seed against
-    ``tests/oracle/reference.py``). Weighted-cascade and
-    uniform-IC draws run on a flattened CSR copy of the graph's adjacency;
-    other models fall back to :meth:`InfluenceModel.reverse_sample` per
-    node, which preserves their stream too.
+    nodes in LIFO order with one Bernoulli block (``p = 1 / deg(v)``) per
+    explored node, so a given seed yields exactly the samples that sampler
+    would produce (the oracle suite pins this seed for seed against
+    ``tests/oracle/reference.py``). Draws run on a flattened CSR copy of
+    the graph's adjacency.
 
     ``budget.tick()`` runs before each draw and the ``rr_sampling`` fault
     site fires once per sample.
@@ -842,50 +898,10 @@ def sample_arena(
     span annotated with the sample count and arena size. Tracing draws
     nothing from ``rng`` and never changes the samples.
     """
-    if count < 0:
-        raise InfluenceError(f"count must be non-negative, got {count}")
-    model = model or WeightedCascade()
     rng = ensure_rng(rng)
     n = graph.n
-
-    allowed_mask: "np.ndarray | None" = None
-    if allowed is not None:
-        allowed_mask = np.zeros(n, dtype=bool)
-        allowed_arr = np.asarray(sorted(allowed), dtype=np.int64)
-        if len(allowed_arr) and not (
-            0 <= int(allowed_arr[0]) and int(allowed_arr[-1]) < n
-        ):
-            raise InfluenceError("allowed contains nodes outside the graph")
-        allowed_mask[allowed_arr] = True
-
-    if sources is None:
-        if allowed is not None:
-            source_arr = allowed_arr[rng.integers(0, len(allowed_arr), size=count)]
-        else:
-            source_arr = rng.integers(0, n, size=count)
-    else:
-        if len(sources) != count:
-            raise InfluenceError(f"got {len(sources)} sources for count={count}")
-        source_arr = np.asarray(sources, dtype=np.int64)
-        if count and not ((source_arr >= 0) & (source_arr < n)).all():
-            bad = int(source_arr[(source_arr < 0) | (source_arr >= n)][0])
-            raise InfluenceError(f"source {bad} is not a node of the graph")
-        if allowed_mask is not None and count and not allowed_mask[source_arr].all():
-            bad = int(source_arr[~allowed_mask[source_arr]][0])
-            raise InfluenceError(f"source {bad} is outside the allowed node set")
-
-    # Flat CSR of the graph adjacency: one contiguous neighbor array.
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(graph.degrees, out=indptr[1:])
-    indices = (
-        np.concatenate([graph.neighbors(v) for v in range(n)])
-        if graph.m > 0
-        else _EMPTY
-    )
-
-    fast_wc = type(model) is WeightedCascade
-    fast_uic = type(model) is UniformIC
-    uic_p = model.p if fast_uic else 0.0
+    source_arr, allowed_mask = _draw_sources(n, count, rng, sources, allowed)
+    indptr, indices = _graph_csr(graph)
 
     # Hot-loop state lives in plain Python lists: at RR-graph node degrees
     # the per-call overhead of small-array numpy ops costs more than
@@ -923,19 +939,13 @@ def sample_arena(
                 e = entry_of[v]
                 beg = indptr_l[v]
                 deg = indptr_l[v + 1] - beg
-                if fast_wc or fast_uic:
-                    # The built-in IC models draw one Bernoulli block per
-                    # explored node (and nothing for isolated nodes) —
-                    # matched here so the RNG stream stays identical to
-                    # the reference sampler.
-                    if deg == 0:
-                        fired: list[int] = []
-                    else:
-                        nbrs = indices[beg: beg + deg]
-                        p = uic_p if fast_uic else 1.0 / deg
-                        fired = nbrs[rand(deg) < p].tolist()
+                # One Bernoulli block per explored node, and nothing for an
+                # isolated node: the reference sampler's RNG stream.
+                if deg == 0:
+                    fired: list[int] = []
                 else:
-                    fired = [int(u) for u in model.reverse_sample(graph, v, rng)]
+                    nbrs = indices[beg: beg + deg]
+                    fired = nbrs[rand(deg) < 1.0 / deg].tolist()
                 if allowed_ok is not None and fired:
                     fired = [u for u in fired if allowed_ok[u]]
                 edge_start_list[e] = len(edge_entries)
@@ -1003,14 +1013,13 @@ def repair_arena(
     graph: AttributedGraph,
     touched_nodes: "set[int] | Sequence[int] | np.ndarray",
     base_seed: int,
-    model: "InfluenceModel | None" = None,
     budget: "object | None" = None,
 ) -> ArenaRepair:
     """Incrementally repair a seeded arena after a topology update.
 
     ``arena`` must have been drawn by
     :func:`~repro.influence.fastsample.sample_arena_seeded_fast` — the
-    one per-sample-seeded sampler — with the same ``base_seed``/``model``,
+    one per-sample-seeded sampler — with the same ``base_seed``,
     and ``graph`` is the post-update graph. ``touched_nodes`` are the
     endpoints of the update's edge insertions/deletions.
 
@@ -1057,7 +1066,6 @@ def repair_arena(
     added = sample_arena_seeded_fast(
         graph,
         base_seed=base_seed,
-        model=model,
         indices=touched_ids,
         budget=budget,
     )

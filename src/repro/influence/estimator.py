@@ -18,7 +18,6 @@ import numpy as np
 from repro.errors import InfluenceError
 from repro.graph.graph import AttributedGraph
 from repro.influence.arena import sample_arena
-from repro.influence.models import InfluenceModel
 from repro.utils.rng import ensure_rng
 
 
@@ -66,13 +65,12 @@ class InfluenceEstimate:
 def estimate_influences(
     graph: AttributedGraph,
     n_samples: int,
-    model: InfluenceModel | None = None,
     rng: "int | np.random.Generator | None" = None,
 ) -> InfluenceEstimate:
     """Estimate every node's influence on ``graph`` with ``n_samples`` RR sets."""
     if n_samples <= 0:
         raise InfluenceError(f"n_samples must be positive, got {n_samples}")
-    arena = sample_arena(graph, n_samples, model=model, rng=ensure_rng(rng))
+    arena = sample_arena(graph, n_samples, rng=ensure_rng(rng))
     return InfluenceEstimate(
         counts=arena.influence_counts(), n_samples=n_samples, population=graph.n
     )
@@ -82,7 +80,6 @@ def estimate_influences_in_community(
     graph: AttributedGraph,
     members: Sequence[int],
     n_samples: int,
-    model: InfluenceModel | None = None,
     rng: "int | np.random.Generator | None" = None,
 ) -> InfluenceEstimate:
     """Estimate influences *within* the community induced by ``members``.
@@ -97,9 +94,7 @@ def estimate_influences_in_community(
     if n_samples <= 0:
         raise InfluenceError(f"n_samples must be positive, got {n_samples}")
     allowed = set(int(v) for v in members)
-    arena = sample_arena(
-        graph, n_samples, model=model, rng=ensure_rng(rng), allowed=allowed
-    )
+    arena = sample_arena(graph, n_samples, rng=ensure_rng(rng), allowed=allowed)
     return InfluenceEstimate(
         counts=arena.influence_counts(), n_samples=n_samples, population=len(allowed)
     )

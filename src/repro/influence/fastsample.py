@@ -16,7 +16,7 @@ batches at once:
   constant within a degree class, so the frontier is grouped by degree and
   successes are located by skipping ``Geometric(p)`` slots instead of
   drawing one uniform per incident edge (``O(hits)`` draws instead of
-  ``O(vol)``); uniform-IC gets the same treatment with a single class;
+  ``O(vol)``);
 * **CSR writes into preallocated arrays** — chunks land directly in an
   :class:`ArenaWriter` whose arrays double in capacity as needed, so memory
   stays bounded by the chunk working set plus the (exact) output size.
@@ -51,16 +51,9 @@ import numpy as np
 
 from repro.errors import InfluenceError
 from repro.graph.graph import AttributedGraph
-from repro.influence.arena import RRArena, _EMPTY
-from repro.influence.models import InfluenceModel, UniformIC, WeightedCascade
+from repro.influence.arena import RRArena, _EMPTY, _draw_sources, _graph_csr
 from repro.utils.faults import maybe_fail
 from repro.utils.rng import ensure_rng
-
-#: Below this per-class slot count the geometric skip is not worth its
-#: bookkeeping; draw one uniform per slot instead. Keeping tiny spans on
-#: the direct path also keeps small-graph digests free of libm ``log``
-#: calls (integer-exact across platforms).
-_GEOM_MIN_SLOTS = 64
 
 #: Above this probability a geometric skip saves too few draws to matter.
 _GEOM_MAX_P = 0.25
@@ -112,19 +105,13 @@ def _hash_u01(base: int, tag: np.uint64, a, b, c) -> np.ndarray:
 def _geometric_hits(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
     """Indices of successes among ``total`` i.i.d. Bernoulli(``p``) trials.
 
-    For dense ``p`` (or tiny spans) this is one uniform draw per slot; for
-    sparse ``p`` it walks the slots with geometric skips
-    (``1 + floor(log(U) / log(1 - p))``), drawing ``O(successes)`` numbers
-    instead of ``O(total)``. Both branches sample the exact same product
-    law; only the RNG consumption differs, which is the licence the fast
-    path's stream-incompatibility buys.
+    Walks the slots with geometric skips (``1 + floor(log(U) / log(1 - p))``),
+    drawing ``O(successes)`` numbers instead of ``O(total)``. It samples the
+    same product law as one uniform per slot; only the RNG consumption
+    differs, which is the licence the fast path's stream-incompatibility
+    buys. The one caller passes ``0 < p < _GEOM_MAX_P`` and spans of at least
+    ``_GEOM_SPAN`` slots; denser or shorter spans draw one uniform per slot.
     """
-    if total <= 0 or p <= 0.0:
-        return _EMPTY
-    if p >= 1.0:
-        return np.arange(total, dtype=np.int64)
-    if p >= _GEOM_MAX_P or total < _GEOM_MIN_SLOTS:
-        return np.flatnonzero(rng.random(total) < p)
     log1mp = math.log1p(-p)
     hits: list[np.ndarray] = []
     pos = 0  # first untried slot
@@ -143,7 +130,7 @@ def _geometric_hits(rng: np.random.Generator, total: int, p: float) -> np.ndarra
         if last >= total:
             break
         pos = last + 1
-    return np.concatenate(hits) if hits else _EMPTY
+    return np.concatenate(hits)
 
 
 class ArenaWriter:
@@ -242,17 +229,15 @@ _GEOM_SPAN = 4096
 class _StreamTrials:
     """Edge trials drawn from one shared RNG stream (geometric skips)."""
 
-    __slots__ = ("rng", "wc", "p")
+    __slots__ = ("rng",)
 
-    def __init__(self, rng: np.random.Generator, wc: bool, p: float) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self.wc = wc
-        self.p = float(p)
 
     def reorder(self, deg: np.ndarray) -> "np.ndarray | None":
-        # Weighted cascade: group the frontier by degree so each class has
-        # one constant probability and one contiguous slot span.
-        if self.wc and len(deg) > 1:
+        # Group the frontier by degree so each class has one constant
+        # probability and one contiguous slot span.
+        if len(deg) > 1:
             return np.argsort(deg, kind="stable")
         return None
 
@@ -263,8 +248,6 @@ class _StreamTrials:
         deg: np.ndarray,
         total: int,
     ) -> np.ndarray:
-        if not self.wc:
-            return _geometric_hits(self.rng, total, self.p)
         # `deg` is sorted ascending (see reorder). Each equal-degree run is
         # a constant-probability slot span: long sparse spans take the
         # geometric skip, everything else accumulates into contiguous
@@ -317,12 +300,10 @@ class _StreamTrials:
 class _HashedTrials:
     """Edge trials as pure hashes of ``(base, sample, node, slot)``."""
 
-    __slots__ = ("base", "wc", "p")
+    __slots__ = ("base",)
 
-    def __init__(self, base: int, wc: bool, p: float) -> None:
+    def __init__(self, base: int) -> None:
         self.base = int(base)
-        self.wc = wc
-        self.p = float(p)
 
     def reorder(self, deg: np.ndarray) -> "np.ndarray | None":
         return None
@@ -340,10 +321,7 @@ class _HashedTrials:
             np.cumsum(deg) - deg, deg
         )
         u = _hash_u01(self.base, _TAG_TRIAL, slot_sample, slot_node, slot_j)
-        if self.wc:
-            thresh = np.repeat(1.0 / np.maximum(deg, 1), deg)
-        else:
-            thresh = self.p
+        thresh = np.repeat(1.0 / np.maximum(deg, 1), deg)
         return np.flatnonzero(u < thresh)
 
 
@@ -351,17 +329,6 @@ def _hashed_sources(base: int, index_arr: np.ndarray, n: int) -> np.ndarray:
     """Per-sample sources as pure hashes of ``(base, sample_index)``."""
     u = _hash_u01(base, _TAG_SOURCE, index_arr, 0, 0)
     return np.minimum((u * n).astype(np.int64), n - 1)
-
-
-def _graph_csr(graph: AttributedGraph) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    np.cumsum(graph.degrees, out=indptr[1:])
-    indices = (
-        np.concatenate([graph.neighbors(v) for v in range(graph.n)])
-        if graph.m > 0
-        else _EMPTY
-    )
-    return indptr, indices
 
 
 def _default_chunk(n: int, count: int) -> int:
@@ -516,19 +483,9 @@ def _run_chunk(
     return counts
 
 
-def _fast_supported(model: InfluenceModel) -> "tuple[bool, float] | None":
-    """``(is_weighted_cascade, p)`` when the kernel handles ``model``."""
-    if type(model) is WeightedCascade:
-        return True, 0.0
-    if type(model) is UniformIC:
-        return False, float(model.p)
-    return None
-
-
 def sample_arena_fast(
     graph: AttributedGraph,
     count: int,
-    model: "InfluenceModel | None" = None,
     rng: "int | np.random.Generator | None" = None,
     sources: "Sequence[int] | None" = None,
     allowed: "set[int] | None" = None,
@@ -538,7 +495,7 @@ def sample_arena_fast(
 ) -> RRArena:
     """Draw ``count`` RR graphs with the vectorized batch kernel.
 
-    Same signature and RR-graph *distribution* as
+    Same signature, source draw and RR-graph *distribution* as
     :func:`repro.influence.arena.sample_arena`, but **not** the same RNG
     stream: trials run batched (geometric skips, level-synchronous
     frontier), so a given seed yields different — equally valid — samples.
@@ -548,61 +505,14 @@ def sample_arena_fast(
 
     ``budget.tick(k)`` and the ``rr_sampling`` fault site fire once per
     *chunk* of ``k`` samples rather than once per sample — same total
-    accounting, coarser checkpoints. Models other than weighted-cascade /
-    uniform-IC fall back to the compatible sampler (their
-    ``reverse_sample`` contract is inherently per-node).
+    accounting, coarser checkpoints.
     """
-    if count < 0:
-        raise InfluenceError(f"count must be non-negative, got {count}")
-    model = model or WeightedCascade()
-    kind = _fast_supported(model)
-    if kind is None:
-        from repro.influence.arena import sample_arena
-
-        return sample_arena(
-            graph, count, model=model, rng=rng, sources=sources,
-            allowed=allowed, budget=budget, trace=trace,
-        )
-    wc, p = kind
     rng = ensure_rng(rng)
-    n = graph.n
-
-    allowed_mask: "np.ndarray | None" = None
-    allowed_arr = _EMPTY
-    if allowed is not None:
-        allowed_mask = np.zeros(n, dtype=bool)
-        allowed_arr = np.asarray(sorted(allowed), dtype=np.int64)
-        if len(allowed_arr) and not (
-            0 <= int(allowed_arr[0]) and int(allowed_arr[-1]) < n
-        ):
-            raise InfluenceError("allowed contains nodes outside the graph")
-        allowed_mask[allowed_arr] = True
-
-    if sources is None:
-        if allowed is not None:
-            source_arr = allowed_arr[
-                rng.integers(0, len(allowed_arr), size=count)
-            ]
-        else:
-            source_arr = rng.integers(0, n, size=count)
-    else:
-        if len(sources) != count:
-            raise InfluenceError(
-                f"got {len(sources)} sources for count={count}"
-            )
-        source_arr = np.asarray(sources, dtype=np.int64)
-        if count and not ((source_arr >= 0) & (source_arr < n)).all():
-            bad = int(source_arr[(source_arr < 0) | (source_arr >= n)][0])
-            raise InfluenceError(f"source {bad} is not a node of the graph")
-        if allowed_mask is not None and count and not allowed_mask[source_arr].all():
-            bad = int(source_arr[~allowed_mask[source_arr]][0])
-            raise InfluenceError(f"source {bad} is outside the allowed node set")
-
-    trials = _StreamTrials(rng, wc, p)
+    source_arr, allowed_mask = _draw_sources(graph.n, count, rng, sources, allowed)
     return _sample_chunked(
         graph, source_arr,
         sample_g=np.arange(count, dtype=np.int64),
-        trials=trials, allowed_mask=allowed_mask,
+        trials=_StreamTrials(rng), allowed_mask=allowed_mask,
         budget=budget, trace=trace, chunk_size=chunk_size,
     )
 
@@ -611,7 +521,6 @@ def sample_arena_seeded_fast(
     graph: AttributedGraph,
     count: "int | None" = None,
     base_seed: int = 0,
-    model: "InfluenceModel | None" = None,
     indices: "Sequence[int] | np.ndarray | None" = None,
     budget: "object | None" = None,
     trace: "object | None" = None,
@@ -641,9 +550,6 @@ def sample_arena_seeded_fast(
     ``count`` draws samples ``0..count-1``; ``indices`` draws exactly
     those sample ids (in the given order). The ``rr_sampling`` fault site
     and ``budget.tick(k)`` fire once per chunk of ``k`` samples.
-
-    Only weighted-cascade and uniform-IC models are supported (hash-keyed
-    trials need the closed-form per-edge probability); others raise.
     """
     if (count is None) == (indices is None):
         raise InfluenceError("pass exactly one of count= or indices=")
@@ -655,18 +561,9 @@ def sample_arena_seeded_fast(
         index_arr = np.asarray(indices, dtype=np.int64)
         if len(index_arr) and int(index_arr.min()) < 0:
             raise InfluenceError("sample indices must be non-negative")
-    model = model or WeightedCascade()
-    kind = _fast_supported(model)
-    if kind is None:
-        raise InfluenceError(
-            f"the fast seeded sampler supports weighted-cascade and "
-            f"uniform-IC models only, got {type(model).__name__}"
-        )
-    wc, p = kind
     source_arr = _hashed_sources(int(base_seed), index_arr, graph.n)
-    trials = _HashedTrials(int(base_seed), wc, p)
     return _sample_chunked(
-        graph, source_arr, sample_g=index_arr, trials=trials,
+        graph, source_arr, sample_g=index_arr, trials=_HashedTrials(base_seed),
         allowed_mask=None, budget=budget, trace=trace, chunk_size=chunk_size,
     )
 

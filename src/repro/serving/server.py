@@ -76,7 +76,6 @@ from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.core.pool import SharedSamplePool
 from repro.influence.arena import RRArena, allowed_fingerprint, sample_arena
 from repro.influence.fastsample import sample_arena_fast
-from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.obs import Histogram, MetricsRegistry, StageProfiler, TeeTrace
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.budget import BackoffPolicy, ExecutionBudget
@@ -273,7 +272,6 @@ class CODServer:
         self,
         graph: AttributedGraph,
         theta: int = 10,
-        model: "InfluenceModel | None" = None,
         weighting: "AttributeWeighting | None" = None,
         seed: "int | np.random.Generator | None" = None,
         deadline_s: "float | None" = None,
@@ -308,7 +306,6 @@ class CODServer:
             )
         self.graph = graph
         self.theta = int(theta)
-        self.model = model or WeightedCascade()
         self.weighting = weighting or AttributeWeighting()
         self.seed = seed if isinstance(seed, int) else None
         self.rng = ensure_rng(seed)
@@ -765,7 +762,6 @@ class CODServer:
                 graph,
                 clusters.new,
                 theta=self.theta,
-                model=self.model,
                 rr_graphs=self.pool.arena,
                 trace=trace,
                 sample_mode=self._index_sample_mode(),
@@ -1137,7 +1133,6 @@ class CODServer:
                 samples = self._sample(
                     self.graph,
                     budget.clamp_samples(theta * count),
-                    model=self.model,
                     rng=self.rng,
                     allowed=allowed,
                     budget=budget,
@@ -1277,7 +1272,6 @@ class CODServer:
             self.graph,
             hierarchy,
             theta=self.theta,
-            model=self.model,
             rng=rng,
             rr_graphs=samples,
             budget=budget,

@@ -635,7 +635,6 @@ class ServingSupervisor:
             sample_arena_seeded_fast(
                 self.graph,
                 base_seed=pool.base_seed,
-                model=pool.model,
                 indices=shard,
             )
             for shard in shards

@@ -1,9 +1,8 @@
-"""Shared utilities: seeded RNG handling, validation helpers, timers,
-and the one bounded LRU cache every layer shares."""
+"""Shared utilities: seeded RNG handling, validation helpers, and the
+one bounded LRU cache every layer shares."""
 
 from repro.utils.cache import LRUCache, default_sizeof
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_fraction,
     check_non_negative,
@@ -16,7 +15,6 @@ __all__ = [
     "default_sizeof",
     "ensure_rng",
     "spawn_rngs",
-    "Timer",
     "check_fraction",
     "check_non_negative",
     "check_positive",

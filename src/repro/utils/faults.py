@@ -57,8 +57,6 @@ Registered sites
     Before each mid-build checkpoint write.
 ``himor_load`` / ``himor_save``
     Persistence of the HIMOR index.
-``hierarchy_load`` / ``hierarchy_save``
-    Persistence of community hierarchies.
 ``worker_task``
     Once per task a serving worker picks up, before evaluation.
 ``worker_heartbeat``
@@ -100,8 +98,6 @@ KNOWN_SITES = frozenset(
         "himor_checkpoint_save",
         "himor_load",
         "himor_save",
-        "hierarchy_load",
-        "hierarchy_save",
         "worker_task",
         "worker_heartbeat",
         "wal_append",

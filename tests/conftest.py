@@ -116,18 +116,16 @@ def two_cliques_graph() -> AttributedGraph:
     return AttributedGraph(8, edges, attributes=attrs)
 
 
-#: Every arena sampler as ``draw(graph, count, seed, model=None)``: the
+#: Every arena sampler as ``draw(graph, count, seed)``: the
 #: stream-compatible, vectorized, and per-sample-seeded (hashed) engines
 #: all promise the same RR-graph distribution (Definition 2).
 ARENA_SAMPLERS = {
-    "sample_arena": lambda g, count, seed, model=None: sample_arena(
-        g, count, model=model, rng=seed
+    "sample_arena": lambda g, count, seed: sample_arena(g, count, rng=seed),
+    "sample_arena_fast": lambda g, count, seed: sample_arena_fast(
+        g, count, rng=seed
     ),
-    "sample_arena_fast": lambda g, count, seed, model=None: sample_arena_fast(
-        g, count, model=model, rng=seed
-    ),
-    "sample_arena_seeded_fast": lambda g, count, seed, model=None: (
-        sample_arena_seeded_fast(g, count, base_seed=seed, model=model)
+    "sample_arena_seeded_fast": lambda g, count, seed: (
+        sample_arena_seeded_fast(g, count, base_seed=seed)
     ),
 }
 

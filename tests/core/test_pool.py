@@ -6,7 +6,8 @@ from repro.core.compressed import compressed_cod
 from repro.core.pool import SharedSamplePool
 from repro.errors import InfluenceError, QueryError
 from repro.hierarchy.chain import CommunityChain
-from repro.influence.montecarlo import simulate_influence
+
+from tests.oracle.montecarlo import simulate_influence
 
 
 class TestPoolBasics:
@@ -181,13 +182,6 @@ class TestSeededPool:
         assert attached.fast
         attached.arena.detach()
         segment.destroy()
-
-    def test_rejects_model_the_hashed_kernel_cannot_draw(self, paper_graph):
-        from repro.influence.models import LinearThreshold
-
-        with pytest.raises(InfluenceError, match="WeightedCascade and UniformIC"):
-            SharedSamplePool(paper_graph, theta=2, seed=7,
-                             per_sample_seeds=True, model=LinearThreshold())
 
     def test_repair_replaces_arena(self, paper_graph):
         pool = SharedSamplePool(paper_graph, theta=2, seed=7,

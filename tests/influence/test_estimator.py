@@ -12,7 +12,8 @@ from repro.influence.estimator import (
     influence_ranks,
     rank_of,
 )
-from repro.influence.montecarlo import simulate_influence
+
+from tests.oracle.montecarlo import simulate_influence
 
 
 class TestInfluenceEstimate:

@@ -13,8 +13,8 @@ import pytest
 from repro.errors import InfluenceError
 from repro.graph.graph import AttributedGraph
 from repro.influence.arena import _normalize_allowed, sample_arena
+from repro.influence.estimator import estimate_influences_in_community
 from repro.influence.fastsample import sample_arena_fast
-from repro.influence.models import UniformIC
 
 from tests.conftest import ARENA_SAMPLERS, arena_from_dicts
 
@@ -66,10 +66,13 @@ class TestRRGraphStructure:
             with pytest.raises(InfluenceError):
                 sample(paper_graph, 1, sources=[99])
 
-    def test_p_one_reaches_component(self, paper_graph):
+    def test_p_one_reaches_component(self):
+        # Every node has degree 1, so each edge fires with 1/deg = 1 and a
+        # sample covers its source's whole component.
+        g = AttributedGraph(6, [(0, 1), (2, 3), (4, 5)])
         for draw in ARENA_SAMPLERS.values():
-            for rr in draw(paper_graph, 10, 0, model=UniformIC(p=1.0)):
-                assert sorted(rr.adjacency) == list(range(10))
+            for rr in draw(g, 10, 0):
+                assert sorted(rr.adjacency) == sorted({rr.source, rr.source ^ 1})
 
 
 class TestRestrictedSampling:
@@ -84,6 +87,16 @@ class TestRestrictedSampling:
         for sample in STREAM_SAMPLERS:
             with pytest.raises(InfluenceError):
                 sample(paper_graph, 1, sources=[9], allowed={0, 1})
+
+    def test_empty_allowed_set_rejected(self, paper_graph):
+        # Drawing sources from no nodes is an InfluenceError, not numpy's
+        # raw ValueError; an empty draw over no nodes stays valid.
+        for sample in STREAM_SAMPLERS:
+            with pytest.raises(InfluenceError, match="empty allowed"):
+                sample(paper_graph, 3, rng=0, allowed=set())
+            assert sample(paper_graph, 0, rng=0, allowed=set()).n_samples == 0
+        with pytest.raises(InfluenceError, match="empty allowed"):
+            estimate_influences_in_community(paper_graph, [], 5, rng=0)
 
     def test_probabilities_from_original_graph(self, paper_graph):
         # Restricted to {4, 5}: edge (4 <- 5) must fire with 1/deg_g(5),
@@ -156,14 +169,15 @@ class TestTheorem2Coupling:
             assert induced_rate == pytest.approx(restricted_rate, abs=0.02), name
 
     def test_flips_toward_active_nodes_are_recorded(self):
-        # Triangle with p = 1: every sample activates all three nodes and
-        # must record *all six* directed edges, including those toward
-        # already-active nodes — dropping them would break induced
-        # reachability for sub-communities.
-        g = AttributedGraph(3, [(0, 1), (1, 2), (0, 2)])
+        # One edge between two degree-1 nodes fires with p = 1 both ways:
+        # every sample activates both nodes and must record *both*
+        # directed edges, including the flip back toward the already-active
+        # source — dropping it would break induced reachability for
+        # sub-communities.
+        g = AttributedGraph(2, [(0, 1)])
         for name, draw in ARENA_SAMPLERS.items():
-            arena = draw(g, 20, 0, model=UniformIC(p=1.0))
-            assert [rr.n_edges for rr in arena] == [6] * 20, name
+            arena = draw(g, 20, 0)
+            assert [rr.n_edges for rr in arena] == [2] * 20, name
 
 
 class TestReachableWithin:

@@ -115,24 +115,31 @@ from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.dendrogram import CommunityHierarchy
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.arena import RRArena, sample_arena
-from repro.influence.models import InfluenceModel, WeightedCascade
 from repro.utils.persist import payload_checksum
 from repro.utils.rng import ensure_rng
 
 
 def reference_rr_graph(
     graph: AttributedGraph,
-    model: InfluenceModel,
     rng: np.random.Generator,
     source: int,
     allowed: "set[int] | None" = None,
 ) -> dict[int, list[int]]:
-    """One RR graph as a dict, naive transcription of Definition 2."""
+    """One RR graph as a dict, naive transcription of Definition 2.
+
+    Exploring ``v`` flips every incident reverse edge with the weighted
+    cascade's ``p = 1 / deg(v)`` in one Bernoulli block, and draws nothing
+    for an isolated ``v``.
+    """
     adjacency: dict[int, list[int]] = {source: []}
     frontier = [source]
     while frontier:
         v = frontier.pop()
-        fired = model.reverse_sample(graph, v, rng)
+        neighbors = graph.neighbors(v)
+        if len(neighbors):
+            fired = neighbors[rng.random(len(neighbors)) < 1.0 / len(neighbors)]
+        else:
+            fired = neighbors
         targets: list[int] = []
         for u in fired:
             u = int(u)
@@ -149,7 +156,6 @@ def reference_rr_graph(
 def reference_rr_graphs(
     graph: AttributedGraph,
     count: int,
-    model: "InfluenceModel | None" = None,
     rng: "int | np.random.Generator | None" = None,
     allowed: "set[int] | None" = None,
 ) -> list[tuple[int, dict[int, list[int]]]]:
@@ -158,7 +164,6 @@ def reference_rr_graphs(
     Sources are pre-drawn in one vectorized call — the stream contract
     every production sampler must honour.
     """
-    model = model or WeightedCascade()
     rng = ensure_rng(rng)
     if allowed is not None:
         pool = np.asarray(sorted(allowed), dtype=np.int64)
@@ -166,7 +171,7 @@ def reference_rr_graphs(
     else:
         sources = rng.integers(0, graph.n, size=count)
     return [
-        (int(s), reference_rr_graph(graph, model, rng, int(s), allowed=allowed))
+        (int(s), reference_rr_graph(graph, rng, int(s), allowed=allowed))
         for s in sources
     ]
 
@@ -261,21 +266,19 @@ def influence_counts_of(
 def enumerate_exact_spread(
     graph: AttributedGraph,
     seed_node: int,
-    model: "InfluenceModel | None" = None,
     restrict_to: "set[int] | None" = None,
 ) -> float:
     """Exact ``sigma_C(q)`` by enumerating every possible world.
 
-    Each *directed* edge ``(u -> v)`` lives with probability
-    ``model.forward_probability(graph, u, v)`` independently; the spread
+    Each *directed* edge ``(u -> v)`` lives with the weighted cascade's
+    probability ``1 / deg(v)`` independently; the spread
     is the expectation of the forward-reachable set size. Exponential in
     the directed edge count — keep graphs tiny (``2m <= ~16``).
     """
-    model = model or WeightedCascade()
     arcs = []
     for u, v in graph.edges():
-        arcs.append((u, v, model.forward_probability(graph, u, v)))
-        arcs.append((v, u, model.forward_probability(graph, v, u)))
+        arcs.append((u, v, 1.0 / graph.degree(v)))
+        arcs.append((v, u, 1.0 / graph.degree(u)))
     if len(arcs) > 22:
         raise ValueError(f"{len(arcs)} arcs is too many to enumerate")
     allowed = restrict_to if restrict_to is not None else set(range(graph.n))
@@ -1189,13 +1192,11 @@ class _ReferencePipeline:
         self,
         graph: AttributedGraph,
         theta: int = 10,
-        model: InfluenceModel | None = None,
         weighting: AttributeWeighting | None = None,
         seed: "int | np.random.Generator | None" = None,
     ) -> None:
         self.graph = graph
         self.theta = int(theta)
-        self.model = model or WeightedCascade()
         self.weighting = weighting or AttributeWeighting()
         self.rng = ensure_rng(seed)
         self._hierarchy: CommunityHierarchy | None = None
@@ -1231,7 +1232,7 @@ class ReferenceCODU(_ReferencePipeline):
         start = time.perf_counter()
         chain = CommunityChain.from_hierarchy(hierarchy, node)
         evaluation = compressed_cod(
-            self.graph, chain, k=ks, theta=self.theta, model=self.model, rng=self.rng
+            self.graph, chain, k=ks, theta=self.theta, rng=self.rng
         )
         elapsed = time.perf_counter() - start
         return {
@@ -1251,7 +1252,7 @@ class ReferenceCODU(_ReferencePipeline):
 
         hierarchy = self.hierarchy
         pool = SharedSamplePool(
-            self.graph, theta=self.theta, model=self.model, seed=self.rng
+            self.graph, theta=self.theta, seed=self.rng
         )
         results: list[CODResult] = []
         for query in queries:
@@ -1289,7 +1290,7 @@ class ReferenceCODLMinus(_ReferencePipeline):
             self.graph, hierarchy, node, attribute, weighting=self.weighting
         )
         evaluation = compressed_cod(
-            self.graph, lore.chain, k=ks, theta=self.theta, model=self.model, rng=self.rng
+            self.graph, lore.chain, k=ks, theta=self.theta, rng=self.rng
         )
         elapsed = time.perf_counter() - start
         return {
@@ -1320,7 +1321,6 @@ class ReferenceCODL(ReferenceCODLMinus):
                 self.graph,
                 self.hierarchy,
                 theta=self.theta,
-                model=self.model,
                 rng=self.rng,
             )
         return self._index
@@ -1355,7 +1355,7 @@ class ReferenceCODL(ReferenceCODLMinus):
             )
             n_local = self.theta * len(allowed)
             local_samples = sample_arena(
-                self.graph, n_local, model=self.model, rng=self.rng, allowed=allowed
+                self.graph, n_local, rng=self.rng, allowed=allowed
             )
             evaluation = compressed_cod(
                 self.graph, inner_chain, k=fallback_ks, rr_graphs=local_samples
@@ -1381,7 +1381,6 @@ def reference_himor_cod(
     lore: LoreResult,
     k: int,
     theta: int = 10,
-    model: InfluenceModel | None = None,
     rng: "int | np.random.Generator | None" = None,
 ) -> "tuple[np.ndarray | None, CompressedEvaluation | None]":
     """Algorithm 3 for one query: ``(members, fallback_evaluation)``, the
@@ -1393,12 +1392,9 @@ def reference_himor_cod(
     if lore.c_ell_chain_level == 0:
         return None, None
     inner_chain = lore.chain.prefix(lore.c_ell_chain_level)
-    model = model or WeightedCascade()
     rng = ensure_rng(rng)
     allowed = set(int(v) for v in index.hierarchy.members(lore.c_ell_vertex))
     n_local = theta * len(allowed)
-    local_samples = sample_arena(
-        graph, n_local, model=model, rng=rng, allowed=allowed
-    )
+    local_samples = sample_arena(graph, n_local, rng=rng, allowed=allowed)
     evaluation = compressed_cod(graph, inner_chain, k=k, rr_graphs=local_samples)
     return evaluation.characteristic_community(k), evaluation

@@ -5,7 +5,7 @@ reference sampler in ``reference.py`` consume the same RNG stream, so
 their outputs must be *identical*, not merely statistically close. 42
 deterministic random graphs x 5 queries = 210 (graph, query) cases for
 the COD comparison, plus per-graph sample-level and HIMOR rank
-comparisons across all three diffusion models.
+comparisons, all under the weighted cascade.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.core.himor import HimorIndex
 from repro.hierarchy.chain import CommunityChain
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.arena import sample_arena
-from repro.influence.models import LinearThreshold, UniformIC, WeightedCascade
 
 from tests.conftest import arena_from_dicts
 from tests.oracle.reference import (
@@ -29,11 +28,6 @@ from tests.oracle.reference import (
 
 GRAPH_SEEDS = list(range(42))
 QUERIES_PER_GRAPH = 5
-MODELS = [WeightedCascade(), UniformIC(0.3), LinearThreshold()]
-
-
-def _model_for(seed: int):
-    return MODELS[seed % len(MODELS)]
 
 
 def _queries_for(graph, seed: int) -> list[int]:
@@ -48,10 +42,9 @@ class TestSampleEquivalence:
 
     def test_arena_matches_reference(self, seed):
         graph = random_case_graph(seed)
-        model = _model_for(seed)
         count = 3 * graph.n
-        expected = reference_rr_graphs(graph, count, model=model, rng=seed)
-        arena = sample_arena(graph, count, model=model, rng=seed)
+        expected = reference_rr_graphs(graph, count, rng=seed)
+        arena = sample_arena(graph, count, rng=seed)
         assert arena.n_samples == count
         for view, (ref_source, ref_adjacency) in zip(arena, expected):
             assert view.source == ref_source
@@ -62,7 +55,6 @@ class TestSampleEquivalence:
 
     def test_restricted_sampling_matches_reference(self, seed):
         graph = random_case_graph(seed)
-        model = _model_for(seed)
         rng = np.random.default_rng(20_000 + seed)
         allowed = set(
             int(v) for v in rng.choice(graph.n, size=max(2, graph.n // 2),
@@ -70,9 +62,9 @@ class TestSampleEquivalence:
         )
         count = 2 * graph.n
         expected = reference_rr_graphs(
-            graph, count, model=model, rng=seed, allowed=allowed
+            graph, count, rng=seed, allowed=allowed
         )
-        arena = sample_arena(graph, count, model=model, rng=seed, allowed=allowed)
+        arena = sample_arena(graph, count, rng=seed, allowed=allowed)
         for view, (ref_source, ref_adjacency) in zip(arena, expected):
             assert view.source == ref_source
             assert view.adjacency == ref_adjacency
@@ -80,12 +72,11 @@ class TestSampleEquivalence:
 
     def test_influence_counts_match_reference(self, seed):
         graph = random_case_graph(seed)
-        model = _model_for(seed)
         count = 4 * graph.n
         expected = influence_counts_of(
-            reference_rr_graphs(graph, count, model=model, rng=seed)
+            reference_rr_graphs(graph, count, rng=seed)
         )
-        arena = sample_arena(graph, count, model=model, rng=seed)
+        arena = sample_arena(graph, count, rng=seed)
         assert arena.influence_counts() == expected
 
 
@@ -101,13 +92,12 @@ def test_compressed_cod_three_way(seed):
     counts, every top-k threshold, and the qualification verdict.
     """
     graph = random_case_graph(seed)
-    model = _model_for(seed)
     hierarchy = agglomerative_hierarchy(graph)
     count = 4 * graph.n
     k_values = [1, 2, 5]
 
-    samples = reference_rr_graphs(graph, count, model=model, rng=seed)
-    arena = sample_arena(graph, count, model=model, rng=seed)
+    samples = reference_rr_graphs(graph, count, rng=seed)
+    arena = sample_arena(graph, count, rng=seed)
     rebuilt = arena_from_dicts(graph.n, samples)
 
     for q in _queries_for(graph, seed):
@@ -132,12 +122,11 @@ def test_compressed_cod_three_way(seed):
 def test_himor_matches_brute_force(seed):
     """HIMOR ranks from the tree HFS equal a per-community recount."""
     graph = random_case_graph(seed)
-    model = _model_for(seed)
     hierarchy = agglomerative_hierarchy(graph)
     count = 4 * graph.n
 
-    samples = reference_rr_graphs(graph, count, model=model, rng=seed)
-    arena = sample_arena(graph, count, model=model, rng=seed)
+    samples = reference_rr_graphs(graph, count, rng=seed)
+    arena = sample_arena(graph, count, rng=seed)
     index = HimorIndex.build(graph, hierarchy, rr_graphs=arena)
     expected = brute_force_himor_ranks(hierarchy, samples)
 

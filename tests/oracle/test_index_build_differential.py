@@ -38,7 +38,6 @@ from repro.graph.weighting import (
 )
 from repro.hierarchy import nnchain
 from repro.hierarchy.dendrogram import CommunityHierarchy
-from repro.hierarchy.io import load_hierarchy, save_hierarchy
 from repro.hierarchy.lca import LcaIndex
 from repro.hierarchy.nnchain import agglomerative_hierarchy
 from repro.influence.arena import sample_arena
@@ -312,8 +311,11 @@ class TestLayoutMatchesReference:
     def test_persisted_round_trips(self, tmp_path):
         graph = load_dataset("cora", scale=0.2, seed=7).graph
         hierarchy = agglomerative_hierarchy(graph)
-        save_hierarchy(hierarchy, tmp_path / "h.json")
-        assert_same_layout(load_hierarchy(tmp_path / "h.json"))
+        assert_same_layout(
+            CommunityHierarchy.from_parents(
+                hierarchy.n_leaves, hierarchy.parents.tolist()
+            )
+        )
         index = HimorIndex.build(graph, hierarchy, theta=2, rng=3)
         index.save(tmp_path / "index.json")
         loaded = HimorIndex.load(tmp_path / "index.json").hierarchy

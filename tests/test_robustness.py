@@ -15,7 +15,7 @@ import pytest
 from repro.core.compressed import compressed_cod
 from repro.core.himor import HimorIndex
 from repro.core.lore import lore_chain
-from repro.core.pipeline import CODL, CODU
+from repro.core.pipeline import CODU
 from repro.core.problem import CODQuery
 from repro.errors import IndexError_, QueryError
 from repro.graph.graph import AttributedGraph
@@ -126,40 +126,3 @@ class TestWeightInvariance:
         assert ev_a.query_counts == ev_b.query_counts
         assert ev_a.thresholds == ev_b.thresholds
 
-
-class TestAlternativeModelsEndToEnd:
-    @pytest.mark.parametrize("model_name,kwargs", [
-        ("uniform_ic", {"p": 0.3}),
-        ("linear_threshold", {}),
-    ])
-    def test_codl_with_other_models(self, paper_graph, model_name, kwargs):
-        from repro.influence.models import model_by_name
-
-        model = model_by_name(model_name, **kwargs)
-        pipeline = CODL(paper_graph, theta=30, model=model, seed=1)
-        result = pipeline.discover(CODQuery(0, 0, 5))
-        assert result.chain_length >= 1
-        if result.found:
-            assert 0 in set(int(v) for v in result.members)
-
-    def test_montecarlo_agreement_uniform_ic(self, paper_graph):
-        from repro.influence.estimator import estimate_influences
-        from repro.influence.models import UniformIC
-        from repro.influence.montecarlo import simulate_influence
-
-        model = UniformIC(p=0.25)
-        est = estimate_influences(paper_graph, 6000, model=model, rng=2)
-        forward = simulate_influence(paper_graph, 3, trials=3000, model=model,
-                                     rng=3)
-        assert est.influence(3) == pytest.approx(forward, rel=0.15, abs=0.3)
-
-    def test_montecarlo_agreement_linear_threshold(self, paper_graph):
-        from repro.influence.estimator import estimate_influences
-        from repro.influence.models import LinearThreshold
-        from repro.influence.montecarlo import simulate_influence
-
-        model = LinearThreshold()
-        est = estimate_influences(paper_graph, 6000, model=model, rng=4)
-        forward = simulate_influence(paper_graph, 0, trials=3000, model=model,
-                                     rng=5)
-        assert est.influence(0) == pytest.approx(forward, rel=0.2, abs=0.5)

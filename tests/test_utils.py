@@ -1,12 +1,9 @@
 """Unit tests for the utility helpers."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_fraction,
     check_non_negative,
@@ -48,33 +45,6 @@ class TestSpawnRngs:
 
     def test_zero_count(self):
         assert spawn_rngs(0, 0) == []
-
-
-class TestTimer:
-    def test_elapsed_grows(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.005
-
-    def test_frozen_after_exit(self):
-        with Timer() as t:
-            pass
-        first = t.elapsed
-        time.sleep(0.01)
-        assert t.elapsed == first
-
-    def test_unstarted_is_zero(self):
-        assert Timer().elapsed == 0.0
-
-    def test_reusable(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.005
-        assert t.elapsed != first
 
 
 class TestValidation:
