@@ -116,6 +116,31 @@ class TestPaperHierarchy:
         assert sorted(order) == list(range(10))
 
 
+
+class TestParentArrayRoundTrip:
+    """``parents`` and ``from_parents`` are inverse: the saved-index form."""
+
+    def test_roundtrip_paper_tree(self, paper_hierarchy):
+        loaded = CommunityHierarchy.from_parents(
+            paper_hierarchy.n_leaves, paper_hierarchy.parents.tolist()
+        )
+        assert loaded.n_leaves == paper_hierarchy.n_leaves
+        assert [loaded.parent(v) for v in range(loaded.n_vertices)] == [
+            paper_hierarchy.parent(v) for v in range(paper_hierarchy.n_vertices)
+        ]
+
+    def test_roundtrip_preserves_queries(self, paper_graph):
+        from repro.hierarchy.nnchain import agglomerative_hierarchy
+
+        h = agglomerative_hierarchy(paper_graph)
+        loaded = CommunityHierarchy.from_parents(h.n_leaves, h.parents.tolist())
+        for q in range(paper_graph.n):
+            assert loaded.path_communities(q) == h.path_communities(q)
+        for v in range(h.n_vertices):
+            assert loaded.depth(v) == h.depth(v)
+            assert loaded.size(v) == h.size(v)
+
+
 class TestValidation:
     def test_multiple_roots_rejected(self):
         with pytest.raises(HierarchyError, match="root"):
@@ -130,6 +155,10 @@ class TestValidation:
         # Vertex 2 is internal (id >= n_leaves) but nothing points to it.
         with pytest.raises(HierarchyError, match="no children"):
             CommunityHierarchy.from_parents(2, [3, 3, 3, -1])
+
+    def test_out_of_range_parent_rejected(self):
+        with pytest.raises(HierarchyError, match="out of range"):
+            CommunityHierarchy.from_parents(2, [2, 9, -1])
 
     def test_bad_vertex_query(self, paper_hierarchy):
         with pytest.raises(HierarchyError):
