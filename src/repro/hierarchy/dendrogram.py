@@ -57,6 +57,13 @@ class CommunityHierarchy:
         self._root = parent.index(-1)
         self._parent = np.array(parent, dtype=np.int64)
         self._compute_layout()
+        # members(), leaf_order and the other bulk views hand these arrays
+        # out without copying: freeze them so no caller (a served answer's
+        # members, say) can corrupt the hierarchy through a view.
+        for array in (self._parent, self._depth, self._range_lo,
+                      self._range_hi, self._size, self._leaf_order,
+                      self._leaf_position):
+            array.setflags(write=False)
 
     # ---------------------------------------------------------- construction
 
@@ -139,12 +146,12 @@ class CommunityHierarchy:
     @property
     def parents(self) -> np.ndarray:
         """The parent of every vertex as one int64 array, ``-1`` at the
-        root (do not mutate)."""
+        root (read-only)."""
         return self._parent
 
     @property
     def depths(self) -> np.ndarray:
-        """``dep`` of every vertex as one int64 array (do not mutate).
+        """``dep`` of every vertex as one int64 array (read-only).
 
         The bulk form of :meth:`depth` for build loops that would
         otherwise validate one vertex at a time.
@@ -153,20 +160,20 @@ class CommunityHierarchy:
 
     @property
     def sizes(self) -> np.ndarray:
-        """Leaf count of every vertex as one int64 array (do not mutate);
+        """Leaf count of every vertex as one int64 array (read-only);
         the bulk form of :meth:`size`."""
         return self._size
 
     @property
     def leaf_order(self) -> np.ndarray:
-        """Every leaf in DFS order as one int64 array (do not mutate):
+        """Every leaf in DFS order as one int64 array (read-only):
         ``members(v)`` is ``leaf_order[member_starts[v]:][:sizes[v]]``."""
         return self._leaf_order
 
     @property
     def member_starts(self) -> np.ndarray:
         """Where each vertex's members start in :attr:`leaf_order`, as one
-        int64 array (do not mutate); the bulk form of :meth:`members`."""
+        int64 array (read-only); the bulk form of :meth:`members`."""
         return self._range_lo
 
     def size(self, vertex: int) -> int:
@@ -181,7 +188,7 @@ class CommunityHierarchy:
     # --------------------------------------------------------------- queries
 
     def members(self, vertex: int) -> np.ndarray:
-        """Leaf ids below ``vertex`` (a contiguous slice; do not mutate)."""
+        """Leaf ids below ``vertex`` (a contiguous slice; read-only)."""
         self._check_vertex(vertex)
         return self._leaf_order[self._range_lo[vertex]:self._range_hi[vertex]]
 

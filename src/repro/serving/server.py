@@ -129,7 +129,7 @@ def latency_summary(latency: Histogram) -> dict:
     }
 
 
-@dataclass
+@dataclass(slots=True)
 class ServedAnswer:
     """One query's outcome, degradation trail included.
 
@@ -140,7 +140,9 @@ class ServedAnswer:
     members:
         The community (``None`` both for a genuine "no characteristic
         community" answer and for a refusal — distinguish via
-        :attr:`refused`).
+        :attr:`refused`). The array is read-only and may be shared with
+        other answers (and with the server's hierarchy): copy it before
+        mutating.
     rung:
         ``"CODL"``, ``"CODL-"``, ``"CODU"``, or ``"refused"``.
     chain_length:
@@ -513,6 +515,11 @@ class CODServer:
                         rung_span.note(
                             outcome="answered", found=members is not None
                         )
+                    if members is not None:
+                        # Index hits are views of the (frozen) hierarchy;
+                        # freeze fresh evaluations too, so every served
+                        # members array is read-only.
+                        members.setflags(write=False)
                     answer.members = members
                     answer.rung = rung
                     answer.chain_length = chain_length

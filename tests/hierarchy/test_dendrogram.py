@@ -115,6 +115,16 @@ class TestPaperHierarchy:
         order = paper_hierarchy.members(paper_hierarchy.root)
         assert sorted(order) == list(range(10))
 
+    def test_bulk_arrays_and_member_views_are_read_only(self, paper_hierarchy):
+        # members() hands out views: a write through one must not reach
+        # the hierarchy.
+        h = paper_hierarchy
+        for array in (h.parents, h.depths, h.sizes, h.leaf_order,
+                      h.member_starts, h.members(C3)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = -1
+        assert sorted(h.members(C3)) == [0, 1, 2, 3, 6, 7]
 
 
 class TestParentArrayRoundTrip:

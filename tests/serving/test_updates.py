@@ -6,6 +6,8 @@ metrics) and ``ServingSupervisor.submit_updates`` under calm conditions.
 The kill/wedge/corrupt drill lives in ``test_epoch_chaos.py``.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -436,6 +438,12 @@ class TestSupervisorUpdates:
                                               label="live")
             assert epoch == 1
             second = supervisor.serve(queries, drain_timeout_s=120.0)
+            # A worker that answered none of ``second`` may not have acked
+            # the directive yet when the drain ends: wait for both acks.
+            deadline = time.monotonic() + 60.0
+            while supervisor.health()["updates"]["acks"] < 2:
+                assert time.monotonic() < deadline, "a worker never acked epoch 1"
+                supervisor.poll(0.05)
 
         assert all(a.epoch == 0 for a in first)
         assert all(a.epoch == 1 for a in second)

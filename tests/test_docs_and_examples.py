@@ -41,7 +41,9 @@ class TestReadmeQuickstart:
 
 
 #: Docs whose backticked ``repro.*`` paths must name real code.
-CITING_DOCS = ("README.md", "DESIGN.md", "docs/API.md", "docs/ALGORITHMS.md")
+CITING_DOCS = (
+    "README.md", "DESIGN.md", "PAPER.md", "docs/API.md", "docs/ALGORITHMS.md",
+)
 
 
 def cited_module_paths() -> list[str]:
